@@ -75,22 +75,23 @@ def find_free_lunch(m: Market, horizon: int | None = None) -> FreeLunchCertifica
     Maximizes the total mass of v = sum_j coeff_j * generator_j subject to
     0 <= v <= 1 per state; a positive optimum yields a certificate whose
     strategy is rebuilt from the active generators, a zero optimum means
-    only v = 0 is attainable.
+    only v = 0 is attainable. Each free coefficient is the difference of
+    an adjacent pair of nonnegative LP columns (g, -g).
     """
     horizon = m.space.horizon if horizon is None else horizon
     gens = gain_generators(m, horizon)
     if not gens:
         return None
     n_states = len(m.space.states)
-    k = len(gens)
     lower_rows = []
     upper_rows = []
     for w in range(n_states):
-        lower_rows.append((tuple(-g.vector[w] for g in gens), ZERO))
-        upper_rows.append((tuple(g.vector[w] for g in gens), ONE))
+        column = [g.vector[w] for g in gens]
+        lower_rows.append((_split(-c for c in column), ZERO))
+        upper_rows.append((_split(column), ONE))
     problem = lp.LpProblem(
-        num_vars=k,
-        objective=tuple(sum(g.vector) for g in gens),
+        num_vars=2 * len(gens),
+        objective=_split(sum(g.vector) for g in gens),
         inequalities=tuple(lower_rows + upper_rows),
     )
     outcome = lp.solve(problem)
@@ -98,13 +99,19 @@ def find_free_lunch(m: Market, horizon: int | None = None) -> FreeLunchCertifica
         raise OracleDisagreementError(f"free-lunch search ended {outcome.status}; the claim box is compact")
     if outcome.objective == 0:
         return None
-    coeffs = outcome.solution
+    x = outcome.solution
+    coeffs = tuple(x[2 * j] - x[2 * j + 1] for j in range(len(gens)))
     terminal = tuple(
         sum(c * g.vector[w] for c, g in zip(coeffs, gens) if c != 0)
         for w in range(n_states)
     )
     strategy = _strategy_from_active(m, gens, coeffs)
     return FreeLunchCertificate(strategy=strategy, terminal_wealth=terminal)
+
+
+def _split(coefficients) -> tuple[Rational, ...]:
+    """Columns of free variables as (c, -c) pairs of nonnegative ones."""
+    return tuple(v for c in coefficients for v in (c, -c))
 
 
 def _strategy_from_active(m: Market, gens: list[GainGenerator], coeffs) -> Strategy:
@@ -168,7 +175,6 @@ def find_martingale_measure(m: Market, horizon: int | None = None) -> Martingale
         objective=tuple([ZERO] * n_states + [ONE]),
         equalities=tuple(equalities),
         inequalities=tuple(inequalities),
-        lower_bounds=tuple([ZERO] * n_vars),
     )
     outcome = lp.solve(problem)
     if outcome.status == lp.INFEASIBLE or (outcome.status == lp.OPTIMAL and outcome.objective == 0):

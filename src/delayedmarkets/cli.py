@@ -5,7 +5,7 @@ certificate), delay (apply a document's delay family and write the
 transformed document), experiment (seeded theorem harnesses).
 
 Exit codes: 0 success or no free lunch, 1 input error, 2 free lunch
-found, 3 experiment failure.
+found, 3 experiment failure, 4 internal error (the two oracles disagree).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .arbitrage import FreeLunch, check_naflp, render_verdict, verify_certificate
+from .arbitrage import FreeLunch, OracleDisagreementError, check_naflp, render_verdict, verify_certificate
 from .delays import DelayPreconditionError, delayed_market, information_delayed_market
 from .documents import DocumentError, parse_market_document, serialize_market_document
 from .scenarios import (
@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_FREE_LUNCH = 2
 EXIT_EXPERIMENT_FAILED = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,7 +162,11 @@ def main(argv=None) -> int:
         "delay": cmd_delay,
         "experiment": cmd_experiment,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except OracleDisagreementError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def entry():  # console-script hook

@@ -359,27 +359,6 @@ def min_delay(families: Sequence[ExecutionDelayFamily]) -> ExecutionDelayFamily:
     return ExecutionDelayFamily(out, caps)
 
 
-def lint_family_ordering(m: Market, fam: InformationDelayFamily) -> list[str]:
-    """Optional style check: larger index sets should not be fresher.
-
-    Flags pairs A inside A' where the delay of the superset overtakes the
-    subset's delay somewhere, which lets the recursion leak faster
-    information onto the smaller set.
-    """
-    notes: list[str] = []
-    for small in m.index_system:
-        for big in m.index_system:
-            if small < big and small in fam.delays and big in fam.delays:
-                sp_small, sp_big = fam.delays[small], fam.delays[big]
-                for t in range(min(sp_small.grid_length(), sp_big.grid_length())):
-                    if any(b > s for s, b in zip(sp_small.values[t], sp_big.values[t])):
-                        notes.append(
-                            f"delay of {sorted(big)} overtakes delay of subset {sorted(small)} at t={t}"
-                        )
-                        break
-    return notes
-
-
 def enlarged_trading_filtrations(m: Market, fam: ExecutionDelayFamily) -> dict[frozenset[str], Filtration]:
     """Per index set: the join over its assets of the pi-stopped trading field."""
     out = {}

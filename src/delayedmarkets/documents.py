@@ -45,8 +45,24 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str, 
         problems.append(f"{where}: missing field {key!r}")
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: bool is an int subclass, but true is not a grid time."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_names(entry) -> bool:
+    return isinstance(entry, list) and all(isinstance(v, str) for v in entry)
+
+
+def _parse_asset_ids(entry, where: str, problems: list[str]) -> frozenset[str] | None:
+    if not _is_names(entry) or not entry:
+        problems.append(f"{where}: expected a non-empty list of asset ids")
+        return None
+    return frozenset(entry)
+
+
 def _parse_partition(entry, states, where: str, problems: list[str]) -> Partition | None:
-    if not isinstance(entry, list) or not all(isinstance(a, list) for a in entry):
+    if not isinstance(entry, list) or not all(_is_names(a) for a in entry):
         problems.append(f"{where}: a partition must be a list of atoms (lists of state names)")
         return None
     seen = [s for atom in entry for s in atom]
@@ -101,7 +117,7 @@ def parse_market_document(text: str) -> MarketDocument:
     )
     if problems:
         raise DocumentError(problems)
-    if doc["format_version"] != FORMAT_VERSION:
+    if not _is_int(doc["format_version"]) or doc["format_version"] != FORMAT_VERSION:
         raise DocumentError([f"unsupported format_version {doc['format_version']!r}"])
 
     entries = doc["states"]
@@ -115,6 +131,9 @@ def parse_market_document(text: str) -> MarketDocument:
             continue
         _require_keys(entry, {"name", "probability"}, {"name", "probability"}, f"states[{i}]", problems)
         if problems:
+            continue
+        if not isinstance(entry["name"], str):
+            problems.append(f"states[{i}]: name must be a string")
             continue
         states.append(entry["name"])
         try:
@@ -134,7 +153,7 @@ def parse_market_document(text: str) -> MarketDocument:
     if problems:
         raise DocumentError(problems)
     horizon, extended = grid["n"], grid["n_ext"]
-    if not (isinstance(horizon, int) and isinstance(extended, int) and 1 <= horizon <= extended):
+    if not (_is_int(horizon) and _is_int(extended) and 1 <= horizon <= extended):
         raise DocumentError(["grid: need integers 1 <= n <= n_ext"])
     try:
         space = FiniteSpace(tuple(states), probability, horizon, extended)
@@ -163,12 +182,13 @@ def parse_market_document(text: str) -> MarketDocument:
     if problems:
         raise DocumentError(problems)
 
+    if not isinstance(doc["index_system"], list):
+        raise DocumentError(["index_system: expected a list of index sets"])
     index_system = []
     for i, ids in enumerate(doc["index_system"]):
-        if not isinstance(ids, list) or not ids:
-            problems.append(f"index_system[{i}]: expected a non-empty list of asset ids")
-            continue
-        index_system.append(frozenset(ids))
+        index_set = _parse_asset_ids(ids, f"index_system[{i}]", problems)
+        if index_set is not None:
+            index_system.append(index_set)
 
     filt = doc["filtrations"]
     _require_keys(filt if isinstance(filt, dict) else {}, {"grand", "trading"}, {"grand", "trading"},
@@ -188,13 +208,14 @@ def parse_market_document(text: str) -> MarketDocument:
             _require_keys(entry, {"index_set", "partitions"}, {"index_set", "partitions"}, where, problems)
             if problems:
                 continue
+            index_set = _parse_asset_ids(entry["index_set"], f"{where}.index_set", problems)
             declared = entry["partitions"]
             if not isinstance(declared, list) or not horizon + 1 <= len(declared) <= extended + 1:
                 problems.append(f"{where}: expected between {horizon + 1} and {extended + 1} per-time partitions")
                 continue
             f = _parse_filtration(declared, tuple(states), len(declared), where, problems)
-            if f is not None:
-                trading[frozenset(entry["index_set"])] = f
+            if f is not None and index_set is not None:
+                trading[index_set] = f
     if problems or grand is None:
         raise DocumentError(problems or ["filtrations.grand unreadable"])
 
@@ -209,6 +230,8 @@ def parse_market_document(text: str) -> MarketDocument:
     info_fam = exec_fam = None
     delays = doc.get("delays")
     if delays is not None:
+        if not isinstance(delays, dict):
+            raise DocumentError(["delays: expected an object"])
         _require_keys(delays, {"information", "execution"}, set(), "delays", problems)
         if "information" in delays:
             info_fam = _parse_info_delays(delays["information"], market, problems)
@@ -225,7 +248,7 @@ def _parse_values(entry, length: int, n_states: int, where: str, problems: list[
         return None
     rows = []
     for t, row in enumerate(entry):
-        if not isinstance(row, list) or len(row) != n_states or not all(isinstance(v, int) for v in row):
+        if not isinstance(row, list) or len(row) != n_states or not all(_is_int(v) for v in row):
             problems.append(f"{where}[t={t}]: expected {n_states} integer grid values")
             return None
         rows.append(tuple(row))
@@ -246,12 +269,13 @@ def _parse_info_delays(entries, market: Market, problems: list[str]):
         _require_keys(entry, {"index_set", "values", "info"}, {"index_set", "values", "info"}, where, problems)
         if problems:
             continue
+        index_set = _parse_asset_ids(entry["index_set"], f"{where}.index_set", problems)
         values = _parse_values(entry["values"], space.horizon + 1, len(space.states), where, problems)
         info = _resolve_info(entry["info"], space.states, space.horizon + 1,
                              market.grand_filtration, f"{where}.info", problems)
-        if values is None or info is None:
+        if index_set is None or values is None or info is None:
             continue
-        delays[frozenset(entry["index_set"])] = StoppingProcess(values, info)
+        delays[index_set] = StoppingProcess(values, info)
     if problems:
         return None
     from .delays import validate_information_family
@@ -276,6 +300,9 @@ def _parse_exec_delays(entries, market: Market, problems: list[str]):
         _require_keys(entry, {"asset", "values", "info", "cap"}, {"asset", "values", "info"}, where, problems)
         if problems:
             continue
+        if not isinstance(entry["asset"], str):
+            problems.append(f"{where}: asset must be a string")
+            continue
         values = _parse_values(entry["values"], space.horizon + 1, len(space.states), where, problems)
         info = _resolve_info(entry["info"], space.states, space.extended_horizon + 1,
                              market.grand_filtration, f"{where}.info", problems)
@@ -283,7 +310,7 @@ def _parse_exec_delays(entries, market: Market, problems: list[str]):
             continue
         delays[entry["asset"]] = StoppingProcess(values, info)
         if "cap" in entry:
-            if not isinstance(entry["cap"], int):
+            if not _is_int(entry["cap"]):
                 problems.append(f"{where}: cap must be an integer")
             else:
                 caps[entry["asset"]] = entry["cap"]

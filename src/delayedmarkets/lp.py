@@ -2,14 +2,13 @@
 
 Two-phase primal simplex with Bland's rule on arbitrary-precision
 rationals: no tolerances exist anywhere in this module, so optimal
-solutions re-substitute exactly and infeasibility comes with an exact
-Farkas certificate. Bland's smallest-index rule trades speed for a
-termination guarantee, which is the right trade at the problem sizes the
-arbitrage oracles produce.
+solutions re-substitute exactly. Bland's smallest-index rule trades speed
+for a termination guarantee, which is the right trade at the problem
+sizes the arbitrage oracles produce.
 
-Problems are stated naturally (maximize, equality and <= rows, optional
-box bounds); standard-form conversion (bound shifting, free-variable
-splitting, slacks, artificials) is internal.
+Problems come in standard form: maximize c . x subject to equality rows
+and <= rows, with x >= 0 implicit. A caller with a free variable passes
+it as an adjacent (column, -column) pair and reads back the difference.
 """
 
 from __future__ import annotations
@@ -38,14 +37,12 @@ def _freeze_rows(rows, n: int, what: str) -> tuple[tuple[Row, Rational], ...]:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize objective . x subject to equality rows, <= rows, and bounds."""
+    """maximize objective . x subject to equality rows, <= rows, and x >= 0."""
 
     num_vars: int
     objective: Row
     equalities: tuple[tuple[Row, Rational], ...] = ()
     inequalities: tuple[tuple[Row, Rational], ...] = ()
-    lower_bounds: tuple[Rational | None, ...] | None = None
-    upper_bounds: tuple[Rational | None, ...] | None = None
 
     def __post_init__(self):
         if self.num_vars < 1:
@@ -56,35 +53,6 @@ class LpProblem:
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "equalities", _freeze_rows(self.equalities, self.num_vars, "equality"))
         object.__setattr__(self, "inequalities", _freeze_rows(self.inequalities, self.num_vars, "inequality"))
-        for name in ("lower_bounds", "upper_bounds"):
-            bounds = getattr(self, name)
-            if bounds is not None:
-                bounds = tuple(None if v is None else rat(v) for v in bounds)
-                if len(bounds) != self.num_vars:
-                    raise ValueError(f"{name} length differs from the variable count")
-                object.__setattr__(self, name, bounds)
-
-    def lower(self, j: int) -> Rational | None:
-        return None if self.lower_bounds is None else self.lower_bounds[j]
-
-    def upper(self, j: int) -> Rational | None:
-        return None if self.upper_bounds is None else self.upper_bounds[j]
-
-
-@dataclass(frozen=True)
-class FarkasCertificate:
-    """Exact multipliers proving that no feasible point exists.
-
-    With ineq/lower/upper multipliers >= 0, combining the equality rows,
-    the <= rows, the upper bounds x_j <= h_j and the negated lower bounds
-    -x_j <= -l_j cancels every variable while the combined right-hand side
-    is strictly negative, which no feasible point can satisfy.
-    """
-
-    eq_multipliers: Row
-    ineq_multipliers: Row
-    lower_multipliers: Row
-    upper_multipliers: Row
 
 
 @dataclass(frozen=True)
@@ -92,93 +60,6 @@ class LpOutcome:
     status: str
     solution: Row | None = None
     objective: Rational | None = None
-    dual_equalities: Row | None = None
-    dual_inequalities: Row | None = None
-    dual_lower: Row | None = None
-    dual_upper: Row | None = None
-    farkas: FarkasCertificate | None = None
-
-
-def check_feasible(p: LpProblem, x: Sequence[Rational]) -> list[str]:
-    """All constraint violations of a candidate point, exactly; empty = feasible."""
-    problems = []
-    if len(x) != p.num_vars:
-        return [f"point has {len(x)} coordinates, expected {p.num_vars}"]
-    for i, (row, rhs) in enumerate(p.equalities):
-        lhs = sum(c * v for c, v in zip(row, x))
-        if lhs != rhs:
-            problems.append(f"equality {i}: {lhs} != {rhs}")
-    for i, (row, rhs) in enumerate(p.inequalities):
-        lhs = sum(c * v for c, v in zip(row, x))
-        if lhs > rhs:
-            problems.append(f"inequality {i}: {lhs} > {rhs}")
-    for j in range(p.num_vars):
-        lo, hi = p.lower(j), p.upper(j)
-        if lo is not None and x[j] < lo:
-            problems.append(f"variable {j} below lower bound: {x[j]} < {lo}")
-        if hi is not None and x[j] > hi:
-            problems.append(f"variable {j} above upper bound: {x[j]} > {hi}")
-    return problems
-
-
-def _combine(p: LpProblem, mu: Row, nu: Row, sig: Row, rho: Row):
-    """Combined coefficient vector and rhs of a multiplier bundle."""
-    combined = [ZERO] * p.num_vars
-    for m, (row, _) in zip(mu, p.equalities):
-        if m:
-            for j, c in enumerate(row):
-                combined[j] += m * c
-    for m, (row, _) in zip(nu, p.inequalities):
-        if m:
-            for j, c in enumerate(row):
-                combined[j] += m * c
-    value = sum(m * rhs for m, (_, rhs) in zip(mu, p.equalities))
-    value += sum(m * rhs for m, (_, rhs) in zip(nu, p.inequalities))
-    for j in range(p.num_vars):
-        combined[j] += rho[j] - sig[j]
-        if rho[j]:
-            value += rho[j] * p.upper(j)
-        if sig[j]:
-            value -= sig[j] * p.lower(j)
-    return combined, value
-
-
-def check_farkas(p: LpProblem, cert: FarkasCertificate) -> bool:
-    """Exact validity of an infeasibility certificate."""
-    mu, nu = cert.eq_multipliers, cert.ineq_multipliers
-    sig, rho = cert.lower_multipliers, cert.upper_multipliers
-    if len(mu) != len(p.equalities) or len(nu) != len(p.inequalities):
-        return False
-    if len(sig) != p.num_vars or len(rho) != p.num_vars:
-        return False
-    if any(v < 0 for v in nu) or any(v < 0 for v in sig) or any(v < 0 for v in rho):
-        return False
-    for j in range(p.num_vars):
-        if sig[j] != 0 and p.lower(j) is None:
-            return False
-        if rho[j] != 0 and p.upper(j) is None:
-            return False
-    combined, value = _combine(p, mu, nu, sig, rho)
-    return all(c == 0 for c in combined) and value < 0
-
-
-def check_dual(p: LpProblem, out: LpOutcome) -> bool:
-    """Dual feasibility and strong duality of an optimal outcome, exactly."""
-    if out.status != OPTIMAL:
-        return False
-    mu, nu = out.dual_equalities, out.dual_inequalities
-    sig, rho = out.dual_lower, out.dual_upper
-    if any(v < 0 for v in nu) or any(v < 0 for v in sig) or any(v < 0 for v in rho):
-        return False
-    for j in range(p.num_vars):
-        if sig[j] != 0 and p.lower(j) is None:
-            return False
-        if rho[j] != 0 and p.upper(j) is None:
-            return False
-    combined, value = _combine(p, mu, nu, sig, rho)
-    if any(c != o for c, o in zip(combined, p.objective)):
-        return False
-    return value == out.objective
 
 
 def row_basis(rows: Sequence[Sequence[Rational]]) -> list[Row]:
@@ -210,190 +91,47 @@ def row_basis(rows: Sequence[Sequence[Rational]]) -> list[Row]:
     return [tuple(basis[i]) for i in order]
 
 
-def express_in_span(vectors: Sequence[Sequence[Rational]], target: Sequence[Rational]) -> Row | None:
-    """Exact coefficients writing target as a combination of vectors, or None.
+class _Tableau:
+    """Dense simplex tableau over exact rationals with Bland pivoting.
 
-    Solves the overdetermined system column-wise by Gauss-Jordan on the
-    augmented matrix whose columns are the vectors.
-    """
-    n = len(target)
-    k = len(vectors)
-    if any(len(v) != n for v in vectors):
-        raise ValueError("vectors of unequal length")
-    aug = [[rat(vectors[j][i]) for j in range(k)] + [rat(target[i])] for i in range(n)]
-    pivots: list[tuple[int, int]] = []
-    prow = 0
-    for col in range(k):
-        sel = next((r for r in range(prow, n) if aug[r][col] != 0), None)
-        if sel is None:
-            continue
-        aug[prow], aug[sel] = aug[sel], aug[prow]
-        inv = ONE / aug[prow][col]
-        aug[prow] = [v * inv for v in aug[prow]]
-        for r in range(n):
-            if r != prow and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[prow])]
-        pivots.append((prow, col))
-        prow += 1
-        if prow == n:
-            break
-    for r in range(prow, n):
-        if aug[r][k] != 0:
-            return None
-    coeffs = [ZERO] * k
-    for r, c in pivots:
-        coeffs[c] = aug[r][k]
-    return tuple(coeffs)
-
-
-class _Standardized:
-    """Equality-standard form with maps back to the caller's problem.
-
-    Lower-bounded variables are shifted to zero, unbounded-below variables
-    split into positive and negative parts, upper bounds appended as rows.
+    Columns are the problem's variables, then one slack per <= row, then
+    one artificial per row; a row whose slack can start basic (its
+    right-hand side is nonnegative) leaves its artificial column at zero.
     """
 
     def __init__(self, p: LpProblem):
-        self.problem = p
+        rows = [(row, b, False) for row, b in p.equalities] + [(row, b, True) for row, b in p.inequalities]
+        m = len(rows)
         n = p.num_vars
-        self.shift = [p.lower(j) if p.lower(j) is not None else ZERO for j in range(n)]
-        self.var_cols: list[tuple[int, int | None]] = []
-        col = 0
-        for j in range(n):
-            if p.lower(j) is None:
-                self.var_cols.append((col, col + 1))
-                col += 2
-            else:
-                self.var_cols.append((col, None))
-                col += 1
-        self.n_struct = col
-
-        raw_rows: list[tuple[Sequence[Rational], Rational]] = []
-        self.row_kind: list[tuple[str, int]] = []
-        for i, (row, b) in enumerate(p.equalities):
-            raw_rows.append((row, b))
-            self.row_kind.append(("eq", i))
-        for i, (row, b) in enumerate(p.inequalities):
-            raw_rows.append((row, b))
-            self.row_kind.append(("ineq", i))
-        for j in range(n):
-            if p.upper(j) is not None:
-                unit = [ZERO] * n
-                unit[j] = ONE
-                raw_rows.append((unit, p.upper(j)))
-                self.row_kind.append(("upper", j))
-        self.is_ineq_row = [kind != "eq" for kind, _ in self.row_kind]
-        self.num_rows = len(raw_rows)
-
-        self.matrix: list[list[Rational]] = []
-        self.rhs: list[Rational] = []
-        for row, b in raw_rows:
-            line = [ZERO] * self.n_struct
-            for j, c in enumerate(row):
-                if c == 0:
-                    continue
-                plus, minus = self.var_cols[j]
-                line[plus] = c
-                if minus is not None:
-                    line[minus] = -c
-            self.matrix.append(line)
-            self.rhs.append(b - sum(c * s for c, s in zip(row, self.shift) if s != 0))
-
-        self.objective_offset = sum(c * s for c, s in zip(p.objective, self.shift) if s != 0)
-        cost = [ZERO] * self.n_struct
-        for j, c in enumerate(p.objective):
-            plus, minus = self.var_cols[j]
-            cost[plus] = c
-            if minus is not None:
-                cost[minus] = -c
-        self.cost = cost
-
-    def unshift(self, z: Sequence[Rational]) -> Row:
-        out = []
-        for j in range(self.problem.num_vars):
-            plus, minus = self.var_cols[j]
-            v = z[plus] - (z[minus] if minus is not None else ZERO)
-            out.append(v + self.shift[j])
-        return tuple(out)
-
-    def split_multipliers(self, tilde: Sequence[Rational], lower_from_stationarity: bool):
-        """Split per-row multipliers into (eq, ineq, lower, upper) bundles.
-
-        Lower-bound multipliers are reconstructed from the stationarity
-        residual: combined coefficients minus the phase's column costs.
-        """
-        p = self.problem
-        mu = [ZERO] * len(p.equalities)
-        nu = [ZERO] * len(p.inequalities)
-        rho = [ZERO] * p.num_vars
-        for value, (kind, ref) in zip(tilde, self.row_kind):
-            if kind == "eq":
-                mu[ref] = value
-            elif kind == "ineq":
-                nu[ref] = value
-            else:
-                rho[ref] = value
-        sig = []
-        cost = p.objective if lower_from_stationarity else (ZERO,) * p.num_vars
-        for j in range(p.num_vars):
-            w = rho[j] - cost[j]
-            for m, (row, _) in zip(mu, p.equalities):
-                if m:
-                    w += m * row[j]
-            for m, (row, _) in zip(nu, p.inequalities):
-                if m:
-                    w += m * row[j]
-            sig.append(w if p.lower(j) is not None else ZERO)
-        return tuple(mu), tuple(nu), tuple(sig), tuple(rho)
-
-
-class _Tableau:
-    """Dense simplex tableau over exact rationals with Bland pivoting."""
-
-    def __init__(self, std: _Standardized):
-        self.std = std
-        m = std.num_rows
-        n_struct = std.n_struct
-        self.n_slack = sum(std.is_ineq_row)
-        self.n_cols = n_struct + self.n_slack + m
+        self.n_real = n + len(p.inequalities)
+        self.n_cols = self.n_real + m
         self.rows: list[list[Rational]] = []
         self.rhs: list[Rational] = []
-        self.sign: list[int] = []
-        self.slack_col: dict[int, int] = {}
-        self.art_col: dict[int, int] = {}
         self.basis: list[int] = []
         self.live: list[int] = list(range(m))
+        self.artificials: set[int] = set()
         self.cost: list[Rational] = []
         self.value = ZERO
 
-        col = n_struct
-        for i in range(m):
-            line = list(std.matrix[i]) + [ZERO] * (self.n_cols - n_struct)
-            b = std.rhs[i]
-            if std.is_ineq_row[i]:
-                line[col] = ONE
-                self.slack_col[i] = col
-                col += 1
+        slack = n
+        for i, (row, b, is_ineq) in enumerate(rows):
+            line = list(row) + [ZERO] * (self.n_cols - n)
+            if is_ineq:
+                line[slack] = ONE
             if b < 0:
                 line = [-v for v in line]
                 b = -b
-                self.sign.append(-1)
+            if is_ineq and line[slack] == ONE:
+                self.basis.append(slack)
             else:
-                self.sign.append(1)
+                art = self.n_real + i
+                line[art] = ONE
+                self.artificials.add(art)
+                self.basis.append(art)
+            if is_ineq:
+                slack += 1
             self.rows.append(line)
             self.rhs.append(b)
-        art_base = n_struct + self.n_slack
-        for i in range(m):
-            sc = self.slack_col.get(i)
-            if sc is not None and self.rows[i][sc] == ONE:
-                self.basis.append(sc)
-            else:
-                ac = art_base + i
-                self.rows[i][ac] = ONE
-                self.art_col[i] = ac
-                self.basis.append(ac)
-        self.artificials = set(self.art_col.values())
 
     def pivot(self, i: int, j: int):
         prow = self.rows[i]
@@ -458,28 +196,10 @@ class _Tableau:
                 return UNBOUNDED
             self.pivot(leave, enter)
 
-    def row_multipliers(self, ref_cost: Rational) -> list[Rational]:
-        """Multipliers of the original (caller-side) rows read off the cost row.
-
-        For each row the reduced cost of its unit reference column
-        (artificial if present, else the slack) reveals the simplex dual;
-        the stored row sign maps it back to the caller's orientation.
-        """
-        out = []
-        for i in range(len(self.rows)):
-            ac = self.art_col.get(i)
-            if ac is not None:
-                out.append(self.sign[i] * (ref_cost - self.cost[ac]))
-            else:
-                # slack-referenced rows were never negated (their slack stayed +1)
-                out.append(ZERO - self.cost[self.slack_col[i]])
-        return out
-
 
 def solve(p: LpProblem) -> LpOutcome:
     """Exact two-phase simplex with Bland's rule; deterministic for equal inputs."""
-    std = _Standardized(p)
-    tab = _Tableau(std)
+    tab = _Tableau(p)
 
     # phase 1: maximize minus the sum of artificials, from the all-slack/artificial basis
     phase1_cost = [ZERO] * tab.n_cols
@@ -490,23 +210,19 @@ def solve(p: LpProblem) -> LpOutcome:
     if status != OPTIMAL:
         raise AssertionError("phase-1 objective is bounded; unbounded signal is a solver bug")
     if tab.value < 0:
-        tilde = tab.row_multipliers(-ONE)
-        mu, nu, sig, rho = std.split_multipliers(tilde, lower_from_stationarity=False)
-        return LpOutcome(status=INFEASIBLE, farkas=FarkasCertificate(mu, nu, sig, rho))
+        return LpOutcome(status=INFEASIBLE)
 
     # drive leftover artificials out of the basis; fully dependent rows are dropped
-    n_real = std.n_struct + tab.n_slack
     for i in list(tab.live):
         if tab.basis[i] in tab.artificials:
-            target = next((j for j in range(n_real) if tab.rows[i][j] != 0), None)
+            target = next((j for j in range(tab.n_real) if tab.rows[i][j] != 0), None)
             if target is None:
                 tab.live.remove(i)
             else:
                 tab.pivot(i, target)
 
     # phase 2: the caller's objective, artificials barred from re-entering
-    cost2 = list(std.cost) + [ZERO] * (tab.n_cols - std.n_struct)
-    tab.set_cost(cost2)
+    tab.set_cost(list(p.objective) + [ZERO] * (tab.n_cols - p.num_vars))
     status = tab.bland(allow_artificial=False)
     if status == UNBOUNDED:
         return LpOutcome(status=UNBOUNDED)
@@ -514,14 +230,4 @@ def solve(p: LpProblem) -> LpOutcome:
     z = [ZERO] * tab.n_cols
     for i in tab.live:
         z[tab.basis[i]] = tab.rhs[i]
-    tilde = tab.row_multipliers(ZERO)
-    mu, nu, sig, rho = std.split_multipliers(tilde, lower_from_stationarity=True)
-    return LpOutcome(
-        status=OPTIMAL,
-        solution=std.unshift(z),
-        objective=tab.value + std.objective_offset,
-        dual_equalities=mu,
-        dual_inequalities=nu,
-        dual_lower=sig,
-        dual_upper=rho,
-    )
+    return LpOutcome(status=OPTIMAL, solution=tuple(z[:p.num_vars]), objective=tab.value)

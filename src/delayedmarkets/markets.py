@@ -71,13 +71,6 @@ class Market:
                     f"and at most 0..{self.space.extended_horizon}"
                 )
 
-    @property
-    def asset_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.assets))
-
-    def price(self, asset: str, t: int) -> tuple[Rational, ...]:
-        return self.assets[asset][t]
-
     def trading_filtration(self, index_set: frozenset[str], horizon: int | None = None) -> Filtration:
         """Trading filtration of an index set over 0..horizon.
 

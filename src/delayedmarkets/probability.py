@@ -66,10 +66,6 @@ class FiniteSpace:
     def state_index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.states)}
 
-    @cached_property
-    def weights(self) -> tuple[Rational, ...]:
-        return tuple(self.probability[s] for s in self.states)
-
     def index(self, state: str) -> int:
         return self.state_index[state]
 
@@ -128,13 +124,6 @@ class Partition:
     @cached_property
     def atom_index(self) -> dict[str, int]:
         return {s: i for i, atom in enumerate(self.atoms) for s in atom}
-
-    def atom_of(self, state: str) -> tuple[str, ...]:
-        return self.atoms[self.atom_index[state]]
-
-    def labels(self) -> tuple[int, ...]:
-        """Atom id per state, aligned with the universe order."""
-        return tuple(self.atom_index[s] for s in self.states)
 
 
 def refines(fine: Partition, coarse: Partition) -> bool:
@@ -319,20 +308,6 @@ class StoppingProcess:
 
     def at(self, t: int) -> tuple[int, ...]:
         return self.values[t]
-
-
-def is_stopping_time(tau: Sequence[int], f: Filtration) -> bool:
-    """{tau <= s} must be a union of atoms of f.at(s) for every s."""
-    states = f.states
-    idx = {st: i for i, st in enumerate(states)}
-    if len(tau) != len(states):
-        raise ValueError("stopping-time vector length differs from state count")
-    for s in range(len(f)):
-        for atom in f.at(s).atoms:
-            hits = [tau[idx[st]] <= s for st in atom]
-            if any(hits) and not all(hits):
-                return False
-    return True
 
 
 def stopped_sigma_field(f: Filtration, tau: Sequence[int]) -> Partition:

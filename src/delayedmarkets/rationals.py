@@ -1,16 +1,17 @@
 """Exact rational arithmetic used everywhere in the core.
 
-gmpy2.mpq is roughly an order of magnitude faster than fractions.Fraction
-for the dense eliminations done by the LP solver; the two types are
-interchangeable (same hashing, comparisons and string form), so a plain
-Fraction fallback keeps the package importable without gmpy2.
+gmpy2.mpq is meant for speed in the dense eliminations done by the LP
+solver; a plain fractions.Fraction fallback keeps the package importable
+without gmpy2. The two types are meant to be interchangeable (same
+hashing, comparisons and string form). That parity is unverified: no
+test compares the two backends, and every recorded run used Fraction.
 """
 
 from __future__ import annotations
 
 try:
     from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover
+except ImportError:
     from fractions import Fraction as Rational
 
 ZERO = Rational(0)

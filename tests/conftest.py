@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from delayedmarkets.lp import row_basis
 from delayedmarkets.markets import Market
 from delayedmarkets.probability import Filtration, FiniteSpace, Partition
 from delayedmarkets.rationals import rat
+
+
+def in_span(vectors, v) -> bool:
+    """v lies in the span iff it equals its expansion over the reduced
+    echelon basis, whose coefficients are v's entries at the pivots."""
+    basis = row_basis(vectors)
+    pivots = [next(k for k, c in enumerate(b) if c) for b in basis]
+    rebuilt = (sum((v[p] * b[k] for p, b in zip(pivots, basis)), rat(0)) for k in range(len(v)))
+    return tuple(v) == tuple(rebuilt)
 
 
 def binomial_market(s0, up, down):

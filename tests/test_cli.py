@@ -66,6 +66,16 @@ class TestCheck:
         assert main(["check", str(dominated_path)]) == 2
         assert "free-lunch" in capsys.readouterr().out
 
+    def test_oracle_disagreement_exit_four(self, binomial_path, monkeypatch, capsys):
+        import delayedmarkets.arbitrage as arbitrage
+
+        # the binomial has no free lunch, so a missing measure leaves neither oracle certifying
+        monkeypatch.setattr(arbitrage, "find_martingale_measure", lambda m, horizon=None: None)
+        assert main(["check", str(binomial_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: oracles disagree")
+
     def test_insider_delay_flag_flips_verdict(self, insider_path, capsys):
         assert main(["check", str(insider_path)]) == 2
         assert main(["check", str(insider_path), "--apply-delay"]) == 0

@@ -18,7 +18,6 @@ from delayedmarkets.delays import (
     invert_delay,
     is_step_continuous,
     large_delayed_filtrations,
-    lint_family_ordering,
     min_delay,
     representation_check,
     superimpose_delays,
@@ -152,7 +151,6 @@ class TestLargeDelayedFiltrations:
         fam = InformationDelayFamily({
             fast: lagged(0), slow: lagged(1), comb: lagged(1), sslw: lagged(2),
         })
-        assert lint_family_ordering(m, fam) == []
         large = large_delayed_filtrations(m, fam)
         on_sslw = large[sslw]
         states = m.space.states
@@ -161,17 +159,19 @@ class TestLargeDelayedFiltrations:
         assert on_sslw.at(2) == Partition.from_labels(states, [s[:3] for s in states])
         assert on_sslw.at(3) == Partition.discrete(states)
 
-    def test_ordering_lint_flags_overtaking(self):
+    def test_fresher_superset_keeps_the_family_monotone(self):
         m, fast, slow, comb, sslw = four_coin_market()
         triv = Filtration.constant(Partition.trivial(m.space.states), 4)
         fam = InformationDelayFamily({
             fast: StoppingProcess.deterministic([0, 0, 0, 0], triv),
             slow: StoppingProcess.identity(4, triv),
             comb: StoppingProcess.identity(4, triv),
-            sslw: StoppingProcess.identity(4, triv),  # superset fresher than fast subset
+            sslw: StoppingProcess.identity(4, triv),  # superset fresher than its subset fast
         })
-        notes = lint_family_ordering(m, fam)
-        assert any("overtakes" in n for n in notes)
+        delayed = information_delayed_market(m, fam)
+        assert validate_market(delayed) == []
+        assert delayed.trading_filtrations[fast].at(3) == Partition.trivial(m.space.states)
+        assert delayed.trading_filtrations[sslw] == m.trading_filtrations[sslw]
 
 
 class TestCoarseness:

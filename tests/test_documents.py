@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from delayedmarkets.cli import main
 from delayedmarkets.documents import DocumentError, parse_market_document, serialize_market_document
 from delayedmarkets.scenarios import ScenarioConfig, _rng, gen_insider_market, gen_martingale_market, gen_random_delay
 
@@ -91,6 +93,45 @@ class TestRejection:
         doc["format_version"] = 9
         with pytest.raises(DocumentError):
             parse_market_document(json.dumps(doc))
+
+
+BINOMIAL = Path(__file__).parent.parent / "scenarios" / "binomial.json"
+INFO_DELAY = {"index_set": ["stock"], "values": [[0, 0], [0, 0]], "info": "trivial"}
+EXEC_DELAY = {"asset": "stock", "values": [[0, 0], [1, 1]], "info": "grand"}
+
+# malformed variants of scenarios/binomial.json: a mistyped field must be
+# reported, never end in a traceback or be accepted because bool is an int
+MUTANTS = {
+    "integer-state-name": lambda d: d["states"][0].update(name=1),
+    "list-state-name": lambda d: d["states"][0].update(name=["u"]),
+    "integer-state-in-grand-atom": lambda d: d["filtrations"]["grand"][0][0].__setitem__(0, 1),
+    "integer-index-system": lambda d: d.update(index_system=5),
+    "nested-list-index-set": lambda d: d.update(index_system=[[["x"]]]),
+    "integer-trading-index-set": lambda d: d["filtrations"]["trading"][0].update(index_set=5),
+    "integer-information-delay-index-set":
+        lambda d: d.update(delays={"information": [dict(INFO_DELAY, index_set=5)]}),
+    "boolean-grid": lambda d: d.update(grid={"n": True, "n_ext": True}),
+    "boolean-information-delay-values":
+        lambda d: d.update(delays={"information": [dict(INFO_DELAY, values=[[False, False], [False, False]])]}),
+    "delays-as-list": lambda d: d.update(delays=[]),
+    "integer-execution-asset": lambda d: d.update(delays={"execution": [dict(EXEC_DELAY, asset=5)]}),
+    "boolean-execution-cap": lambda d: d.update(delays={"execution": [dict(EXEC_DELAY, cap=True)]}),
+    "boolean-format-version": lambda d: d.update(format_version=True),
+}
+
+
+@pytest.mark.parametrize("mutate", MUTANTS.values(), ids=MUTANTS.keys())
+def test_mistyped_field_is_a_document_error(mutate, tmp_path, capsys):
+    doc = json.loads(BINOMIAL.read_text())
+    parse_market_document(json.dumps(doc))  # the unmutated document is valid
+    mutate(doc)
+    text = json.dumps(doc)
+    with pytest.raises(DocumentError):
+        parse_market_document(text)
+    path = tmp_path / "mutant.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestInfoReferences:

@@ -148,3 +148,6 @@ class TestExperiments:
         report = run_inheritance_experiment(ScenarioConfig(seed=241), "information", trials=2)
         assert not report.passed
         assert len(report.failures) == 2
+        assert [f["reproduction"] for f in report.failures] == [
+            {"seed": 241, "kind": "information", "index": i} for i in range(2)
+        ]
