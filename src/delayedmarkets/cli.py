@@ -5,7 +5,8 @@ certificate), delay (apply a document's delay family and write the
 transformed document), experiment (seeded theorem harnesses).
 
 Exit codes: 0 success or no free lunch, 1 input error, 2 free lunch
-found, 3 experiment failure, 4 internal error (the two oracles disagree).
+found, 3 experiment failure, 4 internal error (the two oracles disagree,
+or a certificate fails independent re-verification).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_INPUT_ERROR = 1
 EXIT_FREE_LUNCH = 2
 EXIT_EXPERIMENT_FAILED = 3
 EXIT_INTERNAL_ERROR = 4
+DEFAULT_TRIALS = 100
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("information", "execution", "broker",
                                     "superimpose", "representation", "insider-demo"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=int, default=None,
+                   help=f"trial count (default: {DEFAULT_TRIALS}); insider-demo runs a fixed pair of walks")
     p.add_argument("--out", default=None, help="report path (default: stdout)")
 
     return parser
@@ -111,8 +114,8 @@ def cmd_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if not verify_certificate(market, verdict, horizon):
-        print("error: certificate failed independent re-verification", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        print("internal error: certificate failed independent re-verification", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     sys.stdout.write(render_verdict(verdict, market.space.states))
     return EXIT_FREE_LUNCH if isinstance(verdict, FreeLunch) else EXIT_OK
 
@@ -142,14 +145,19 @@ def cmd_delay(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = ScenarioConfig(seed=args.seed)
-    if args.kind in ("information", "execution", "broker"):
-        report = run_inheritance_experiment(cfg, args.kind, trials=args.trials)
-    elif args.kind == "superimpose":
-        report = run_superimposition_experiment(cfg, trials=args.trials)
-    elif args.kind == "representation":
-        report = run_representation_experiment(cfg, trials=args.trials)
-    else:
+    if args.kind == "insider-demo":
+        if args.trials is not None:
+            print("error: insider-demo runs a fixed pair of walks and takes no --trials", file=sys.stderr)
+            return EXIT_INPUT_ERROR
         report = run_insider_demo(cfg)
+    else:
+        trials = DEFAULT_TRIALS if args.trials is None else args.trials
+        if args.kind in ("information", "execution", "broker"):
+            report = run_inheritance_experiment(cfg, args.kind, trials=trials)
+        elif args.kind == "superimpose":
+            report = run_superimposition_experiment(cfg, trials=trials)
+        else:
+            report = run_representation_experiment(cfg, trials=trials)
     _emit(report.to_json() + "\n", args.out)
     return EXIT_OK if report.passed else EXIT_EXPERIMENT_FAILED
 

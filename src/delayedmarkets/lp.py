@@ -1,28 +1,40 @@
-"""Exact linear programming over rationals.
+"""Exact linear programming over rationals, computed on integers.
 
-Two-phase primal simplex with Bland's rule on arbitrary-precision
-rationals: no tolerances exist anywhere in this module, so optimal
-solutions re-substitute exactly. Bland's smallest-index rule trades speed
-for a termination guarantee, which is the right trade at the problem
-sizes the arbitrage oracles produce.
+Two-phase primal simplex with Bland's rule: no tolerances exist anywhere
+in this module, so optimal solutions re-substitute exactly. Bland's
+smallest-index rule trades speed for a termination guarantee, which is
+the right trade at the problem sizes the arbitrage oracles produce.
 
 Problems come in standard form: maximize c . x subject to equality rows
 and <= rows, with x >= 0 implicit. A caller with a free variable passes
 it as an adjacent (column, -column) pair and reads back the difference.
+
+The tableau and the row basis are fraction-free (Edmonds 1967, Bareiss
+1968): every row is held as Python ints, its rational row times a
+positive factor, divided by the gcd of its entries after each update.
+A positive factor keeps each sign, each zero and each ratio between two
+entries of a row, which is all that Bland's rule and the ratio test
+read, so the pivots, and with them the solutions, are those of the same
+simplex run on fractions. Rationals are built only on the way in and out.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rationals import ONE, Rational, ZERO, rat
+from .rationals import Rational, ZERO, rat
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 Row = tuple[Rational, ...]
+
+# keys of a sparse tableau row besides its column indices
+RHS = -1    # the right-hand side
+DEN = -2    # the cost row's positive denominator; constraint rows have none
 
 
 def _freeze_rows(rows, n: int, what: str) -> tuple[tuple[Row, Rational], ...]:
@@ -62,136 +74,167 @@ class LpOutcome:
     objective: Rational | None = None
 
 
+def _scaled(values) -> tuple[list[int], int]:
+    """Rationals times the lcm of their denominators, as ints, and that lcm."""
+    pairs = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*[d for _, d in pairs])
+    if scale == 1:
+        return [int(n) for n, _ in pairs], 1
+    return [int(n) * (scale // int(d)) for n, d in pairs], scale
+
+
+def _reduced(row: dict[int, int]) -> dict[int, int]:
+    g = math.gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
+
+
+def _eliminate(row: dict[int, int], f: int, p: int, prow: dict[int, int]) -> dict[int, int]:
+    """p * row - f * prow divided by its gcd, where f is row's entry and p
+    prow's entry in the pivot column, which the result clears. The tableau
+    passes p > 0, so that the result is a positive multiple of the
+    rational row it stands for."""
+    if p != 1:
+        row = {k: p * v for k, v in row.items()}
+    for k, v in prow.items():
+        w = row.get(k, 0) - f * v
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    return _reduced(row)
+
+
 def row_basis(rows: Sequence[Sequence[Rational]]) -> list[Row]:
-    """Reduced basis of the row space, by exact Gauss-Jordan elimination."""
-    work = [list(r) for r in rows if any(v != 0 for v in r)]
-    basis: list[list[Rational]] = []
+    """Reduced basis of the row space, by fraction-free Gauss-Jordan elimination.
+
+    Rows are eliminated as sparse primitive integer multiples of
+    themselves and divided by their pivots only at the end. The reduced
+    row echelon form of a row space is unique, so this is the basis that
+    elimination over fractions gives.
+    """
+    basis: list[dict[int, int]] = []
     pivots: list[int] = []
-    for row in work:
+    width = 0
+    for values in rows:
+        width = len(values)
+        ints, _ = _scaled(values)
+        row = _reduced({k: v for k, v in enumerate(ints) if v})
         for prow, pcol in zip(basis, pivots):
-            factor = row[pcol]
-            if factor:
-                for k in range(len(row)):
-                    if prow[k]:
-                        row[k] -= factor * prow[k]
-        lead = next((k for k, v in enumerate(row) if v != 0), None)
-        if lead is None:
+            f = row.get(pcol)
+            if f:
+                row = _eliminate(row, f, prow[pcol], prow)
+        if not row:
             continue
-        inv = ONE / row[lead]
-        row = [v * inv for v in row]
-        for prow in basis:
-            factor = prow[lead]
-            if factor:
-                for k in range(len(row)):
-                    if row[k]:
-                        prow[k] -= factor * row[k]
+        lead = min(row)
+        for i, prow in enumerate(basis):
+            f = prow.get(lead)
+            if f:
+                basis[i] = _eliminate(prow, f, row[lead], row)
         basis.append(row)
         pivots.append(lead)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [tuple(basis[i]) for i in order]
+    order = sorted(range(len(basis)), key=pivots.__getitem__)
+    return [
+        tuple(Rational(basis[i][k], basis[i][pivots[i]]) if k in basis[i] else ZERO for k in range(width))
+        for i in order
+    ]
 
 
 class _Tableau:
-    """Dense simplex tableau over exact rationals with Bland pivoting.
+    """Sparse simplex tableau on integer rows with Bland pivoting.
 
     Columns are the problem's variables, then one slack per <= row, then
     one artificial per row; a row whose slack can start basic (its
     right-hand side is nonnegative) leaves its artificial column at zero.
+
+    Each row is a dict of its nonzero ints, keyed by column, with the
+    right-hand side under RHS. Its basic column holds the row's positive
+    factor d, so the rational tableau row is the dict divided by d, the
+    basic variable's value is rhs / d, and the ratio rhs / a of the ratio
+    test is d-free: two ratios are compared by cross-multiplying. The
+    cost row has the same form with its denominator under DEN, and holds
+    minus the objective value under RHS.
     """
 
     def __init__(self, p: LpProblem):
         rows = [(row, b, False) for row, b in p.equalities] + [(row, b, True) for row, b in p.inequalities]
-        m = len(rows)
         n = p.num_vars
         self.n_real = n + len(p.inequalities)
-        self.n_cols = self.n_real + m
-        self.rows: list[list[Rational]] = []
-        self.rhs: list[Rational] = []
+        self.rows: list[dict[int, int]] = []
         self.basis: list[int] = []
-        self.live: list[int] = list(range(m))
+        self.live: list[int] = list(range(len(rows)))
         self.artificials: set[int] = set()
-        self.cost: list[Rational] = []
-        self.value = ZERO
+        self.cost: dict[int, int] = {}
 
         slack = n
         for i, (row, b, is_ineq) in enumerate(rows):
-            line = list(row) + [ZERO] * (self.n_cols - n)
+            ints, scale = _scaled(row + (b,))
+            sign = -1 if ints[-1] < 0 else 1
+            line = {k: sign * v for k, v in enumerate(ints[:-1]) if v}
+            if ints[-1]:
+                line[RHS] = sign * ints[-1]
             if is_ineq:
-                line[slack] = ONE
-            if b < 0:
-                line = [-v for v in line]
-                b = -b
-            if is_ineq and line[slack] == ONE:
+                line[slack] = sign * scale
+            if is_ineq and sign > 0:
                 self.basis.append(slack)
             else:
                 art = self.n_real + i
-                line[art] = ONE
+                line[art] = scale
                 self.artificials.add(art)
                 self.basis.append(art)
             if is_ineq:
                 slack += 1
-            self.rows.append(line)
-            self.rhs.append(b)
+            self.rows.append(_reduced(line))
 
     def pivot(self, i: int, j: int):
         prow = self.rows[i]
-        piv = prow[j]
-        if piv != ONE:
-            inv = ONE / piv
-            for k in range(self.n_cols):
-                if prow[k]:
-                    prow[k] *= inv
-            self.rhs[i] *= inv
-        nz = [k for k in range(self.n_cols) if prow[k]]
+        if prow[j] < 0:
+            # only a drive-out pivot meets a negative entry, on a row whose rhs is zero
+            prow = self.rows[i] = {k: -v for k, v in prow.items()}
+        p = prow[j]
         for r in self.live:
-            if r == i:
-                continue
-            factor = self.rows[r][j]
-            if factor:
-                target = self.rows[r]
-                for k in nz:
-                    target[k] -= factor * prow[k]
-                self.rhs[r] -= factor * self.rhs[i]
-        factor = self.cost[j]
-        if factor:
-            for k in nz:
-                self.cost[k] -= factor * prow[k]
-            self.value += factor * self.rhs[i]
+            if r != i:
+                f = self.rows[r].get(j)
+                if f:
+                    self.rows[r] = _eliminate(self.rows[r], f, p, prow)
+        f = self.cost.get(j)
+        if f:
+            self.cost = _eliminate(self.cost, f, p, prow)
         self.basis[i] = j
 
-    def set_cost(self, column_costs: list[Rational]):
-        """Install a cost vector and reduce it against the current basis."""
-        reduced = list(column_costs)
-        value = ZERO
+    def set_cost(self, costs: dict[int, int], den: int):
+        """Install the cost vector costs / den and reduce it against the current basis."""
+        cost = {k: v for k, v in costs.items() if v}
+        cost[DEN] = den
         for i in self.live:
-            cb = column_costs[self.basis[i]]
+            cb = cost.get(self.basis[i])
             if cb:
-                value += cb * self.rhs[i]
-                prow = self.rows[i]
-                for k in range(self.n_cols):
-                    if prow[k]:
-                        reduced[k] -= cb * prow[k]
-        self.cost = reduced
-        self.value = value
+                cost = _eliminate(cost, cb, self.rows[i][self.basis[i]], self.rows[i])
+        self.cost = cost
+
+    def value(self) -> Rational:
+        return Rational(-self.cost.get(RHS, 0), self.cost[DEN])
 
     def bland(self, allow_artificial: bool) -> str:
         while True:
-            enter = -1
-            for j in range(self.n_cols):
-                if self.cost[j] > 0 and (allow_artificial or j not in self.artificials):
-                    enter = j
-                    break
+            enter = min(
+                (k for k, c in self.cost.items()
+                 if c > 0 and k >= 0 and (allow_artificial or k not in self.artificials)),
+                default=-1,
+            )
             if enter < 0:
                 return OPTIMAL
             leave = -1
-            best = None
             for i in self.live:
-                a = self.rows[i][enter]
+                row = self.rows[i]
+                a = row.get(enter, 0)
                 if a > 0:
-                    ratio = self.rhs[i] / a
-                    if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leave]):
-                        best = ratio
-                        leave = i
+                    b = row.get(RHS, 0)
+                    if leave < 0:
+                        best_b, best_a, leave = b, a, i
+                        continue
+                    lhs, rhs = b * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                        best_b, best_a, leave = b, a, i
             if leave < 0:
                 return UNBOUNDED
             self.pivot(leave, enter)
@@ -202,32 +245,33 @@ def solve(p: LpProblem) -> LpOutcome:
     tab = _Tableau(p)
 
     # phase 1: maximize minus the sum of artificials, from the all-slack/artificial basis
-    phase1_cost = [ZERO] * tab.n_cols
-    for c in tab.artificials:
-        phase1_cost[c] = -ONE
-    tab.set_cost(phase1_cost)
+    tab.set_cost({c: -1 for c in tab.artificials}, 1)
     status = tab.bland(allow_artificial=True)
     if status != OPTIMAL:
         raise AssertionError("phase-1 objective is bounded; unbounded signal is a solver bug")
-    if tab.value < 0:
+    if tab.value() < 0:
         return LpOutcome(status=INFEASIBLE)
 
     # drive leftover artificials out of the basis; fully dependent rows are dropped
     for i in list(tab.live):
         if tab.basis[i] in tab.artificials:
-            target = next((j for j in range(tab.n_real) if tab.rows[i][j] != 0), None)
+            target = min((k for k in tab.rows[i] if 0 <= k < tab.n_real), default=None)
             if target is None:
                 tab.live.remove(i)
             else:
                 tab.pivot(i, target)
 
     # phase 2: the caller's objective, artificials barred from re-entering
-    tab.set_cost(list(p.objective) + [ZERO] * (tab.n_cols - p.num_vars))
+    costs, scale = _scaled(p.objective)
+    tab.set_cost(dict(enumerate(costs)), scale)
     status = tab.bland(allow_artificial=False)
     if status == UNBOUNDED:
         return LpOutcome(status=UNBOUNDED)
 
-    z = [ZERO] * tab.n_cols
+    z = [ZERO] * p.num_vars
     for i in tab.live:
-        z[tab.basis[i]] = tab.rhs[i]
-    return LpOutcome(status=OPTIMAL, solution=tuple(z[:p.num_vars]), objective=tab.value)
+        j = tab.basis[i]
+        if j < p.num_vars:
+            row = tab.rows[i]
+            z[j] = Rational(row.get(RHS, 0), row[j])
+    return LpOutcome(status=OPTIMAL, solution=tuple(z), objective=tab.value())

@@ -1,10 +1,12 @@
 """Exact rational arithmetic used everywhere in the core.
 
-gmpy2.mpq is meant for speed in the dense eliminations done by the LP
-solver; a plain fractions.Fraction fallback keeps the package importable
-without gmpy2. The two types are meant to be interchangeable (same
-hashing, comparisons and string form). That parity is unverified: no
-test compares the two backends, and every recorded run used Fraction.
+Rational is gmpy2.mpq when gmpy2 is installed, else fractions.Fraction,
+which keeps the package importable without gmpy2. Neither sits in the
+LP's inner loop: `lp` converts to Python ints on the way in and builds
+rationals only for its results. The two types are meant to be
+interchangeable (same hashing, comparisons and string form). That parity
+is unverified: no test compares the two backends, and every recorded run
+used Fraction.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ ONE = Rational(1)
 
 
 def rat(numerator, denominator=1) -> Rational:
-    """Build an exact rational from ints, strings like "3/4", or rationals."""
+    """Build an exact rational from ints, strings like "3/4", or rationals;
+    a Rational with the default denominator is returned as it is."""
+    if type(numerator) is Rational and denominator == 1:
+        return numerator
     if denominator == 1:
         return Rational(numerator)
     return Rational(numerator) / Rational(denominator)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -19,11 +20,18 @@ from delayedmarkets.arbitrage import (
     render_verdict,
     verify_certificate,
 )
-from delayedmarkets.delays import information_delayed_market
+from delayedmarkets.delays import delayed_market, information_delayed_market
 from delayedmarkets.markets import Market, validate_market, wealth_process
 from delayedmarkets.probability import conditional_expectation
 from delayedmarkets.rationals import rat
-from delayedmarkets.scenarios import ScenarioConfig, _rng, gen_insider_market, gen_martingale_market, gen_random_market
+from delayedmarkets.scenarios import (
+    ScenarioConfig,
+    _rng,
+    gen_insider_execution_market,
+    gen_insider_market,
+    gen_martingale_market,
+    gen_random_market,
+)
 
 from conftest import binomial_market
 
@@ -208,3 +216,27 @@ class TestGoldenFiles:
         assert first == second
         for name, text in first.items():
             assert (GOLDEN / f"{name}.txt").read_text() == text, f"golden drift in {name}"
+
+    def test_rendered_verdicts_are_pinned(self):
+        """Every verdict of the criterion-1 sweep and of the insider walks,
+        rendered and joined, hashes to the value the Fraction simplex gave:
+        a solver change that moves one pivot moves some certificate."""
+        desk = ScenarioConfig(seed=2024, num_states=12, grid=4, extension=6,
+                              num_assets=3, max_index_sets=4, brokers=3)
+        markets = []
+        for i in range(500):
+            rng = _rng(desk.seed, "ftap", i)
+            gen = gen_martingale_market if rng.random() < 0.45 else gen_random_market
+            markets.append(gen(desk, rng=rng))
+        for steps in (2, 3, 5):
+            m, fam = gen_insider_market(steps, 1)
+            markets += [m, information_delayed_market(m, fam)]
+        for steps in (2, 3, 5):
+            m, fam = gen_insider_execution_market(steps, 1)
+            markets += [m, delayed_market(m, fam)]
+        digest = hashlib.sha256()
+        for m in markets:
+            verdict = check_naflp(m)
+            assert verify_certificate(m, verdict)
+            digest.update(render_verdict(verdict, m.space.states).encode())
+        assert digest.hexdigest() == "bed0567bc3446435d56d7e05e600b5300cda6fd173a692e8fb5d0b8d755c49b8"

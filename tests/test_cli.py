@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -76,6 +77,15 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.startswith("internal error: oracles disagree")
 
+    def test_failed_reverification_exit_four(self, binomial_path, monkeypatch, capsys):
+        import delayedmarkets.cli as cli
+
+        monkeypatch.setattr(cli, "verify_certificate", lambda m, verdict, horizon=None: False)
+        assert main(["check", str(binomial_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: certificate failed independent re-verification\n"
+
     def test_insider_delay_flag_flips_verdict(self, insider_path, capsys):
         assert main(["check", str(insider_path)]) == 2
         assert main(["check", str(insider_path), "--apply-delay"]) == 0
@@ -148,6 +158,22 @@ class TestExperiment:
         assert main(["experiment", "insider-demo", "--seed", "4", "--out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
         assert payload["passed"] is True and payload["kind"] == "insider-demo"
+
+    def test_insider_demo_rejects_trials(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        assert main(["experiment", "insider-demo", "--trials", "30", "--out", str(out_path)]) == 1
+        assert "fixed pair of walks" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_trials_default_to_one_hundred(self, monkeypatch, capsys):
+        import delayedmarkets.cli as cli
+
+        calls = []
+        report = SimpleNamespace(passed=True, to_json=lambda: "{}")
+        monkeypatch.setattr(cli, "run_representation_experiment", lambda cfg, trials: calls.append(trials) or report)
+        assert main(["experiment", "representation", "--seed", "4"]) == 0
+        assert main(["experiment", "representation", "--seed", "4", "--trials", "3"]) == 0
+        assert calls == [100, 3]
 
     def test_information_experiment(self, tmp_path):
         out_path = tmp_path / "report.json"

@@ -13,6 +13,8 @@ import random
 
 import pytest
 
+import reference_lp
+from delayedmarkets import lp
 from delayedmarkets.lp import (
     INFEASIBLE,
     OPTIMAL,
@@ -24,6 +26,7 @@ from delayedmarkets.lp import (
 from delayedmarkets.rationals import rat
 
 from conftest import in_span
+from reference_lp import reference_row_basis, reference_solve
 
 ZERO, ONE = rat(0), rat(1)
 
@@ -287,3 +290,99 @@ class TestLinearAlgebra:
         vectors = [(rat(1), rat(0))]
         assert not in_span(vectors, (rat(0), rat(1)))
         assert not in_span([(rat(1), rat(1), rat(0))], (rat(1), rat(2), rat(0)))
+
+
+MIXED = (rat(1), rat(1, 3), rat(5, 7), rat(11, 13), rat(2), rat(-3, 2))
+
+
+def tangled_problem(rng: random.Random) -> LpProblem:
+    """Sparse rows with mixed denominators around a feasible point with
+    zero coordinates (degenerate vertices and ratio ties), plus redundant
+    equalities scaled by negative factors (artificials left basic at zero,
+    negative right-hand sides) and, now and then, a contradictory one."""
+    n = rng.randint(1, 5)
+
+    def coeff():
+        return rng.choice((0, 0, 1, -1, 2)) * rng.choice(MIXED)
+
+    x0 = tuple(rng.choice((ZERO, ZERO, ONE, rat(2, 3))) for _ in range(n))
+    equalities = []
+    for _ in range(rng.randint(0, 3)):
+        row = tuple(coeff() for _ in range(n))
+        equalities.append((row, sum(c * v for c, v in zip(row, x0))))
+    for _ in range(rng.randint(0, 2) if equalities else 0):
+        (r1, b1), (r2, b2) = rng.choice(equalities), rng.choice(equalities)
+        k1, k2 = rng.choice((-1, rat(-5, 7), 1)), rng.choice((0, 1, rat(11, 13)))
+        equalities.append((tuple(k1 * u + k2 * v for u, v in zip(r1, r2)), k1 * b1 + k2 * b2))
+    if equalities and rng.random() < 0.15:
+        row, b = rng.choice(equalities)
+        equalities.append((row, b + rng.choice(MIXED)))
+    inequalities = []
+    for _ in range(rng.randint(0, 4)):
+        row = tuple(coeff() for _ in range(n))
+        slack = rng.choice((ZERO, ZERO, rat(1, 3), -rat(5, 7)))
+        inequalities.append((row, sum(c * v for c, v in zip(row, x0)) + slack))
+    for j in range(n):
+        if rng.random() < 0.6:
+            unit = tuple(ONE if k == j else ZERO for k in range(n))
+            inequalities.append((unit, rng.choice((ONE, rat(5, 7), rat(11, 13), 2 * ONE))))
+    rng.shuffle(equalities)
+    rng.shuffle(inequalities)
+    return LpProblem(n, tuple(coeff() for _ in range(n)),
+                     equalities=tuple(equalities), inequalities=tuple(inequalities))
+
+
+class TestMatchesReference:
+    """The integer simplex and row basis against the Fraction code they
+    replaced (tests/reference_lp.py): same outcome, same pivots, same basis."""
+
+    def test_same_outcomes_and_pivots(self, monkeypatch):
+        pivots = {"new": [], "ref": []}
+        seen = {"negative drive-out": 0, "ratio tie": 0, "dropped row": 0}
+
+        def recording(tableau, side):
+            original = tableau.pivot
+
+            def pivot(self, i, j):
+                pivots[side].append((i, j))
+                if side == "ref":
+                    # a Bland pivot enters a column of positive cost; a drive-out
+                    # pivot comes after phase 1 ended with no such column
+                    if self.cost[j] > 0:
+                        ratios = [self.rhs[r] / self.rows[r][j] for r in self.live if self.rows[r][j] > 0]
+                        seen["ratio tie"] += ratios.count(min(ratios)) > 1
+                    elif self.rows[i][j] < 0:
+                        seen["negative drive-out"] += 1
+                return original(self, i, j)
+            monkeypatch.setattr(tableau, "pivot", pivot)
+
+        recording(lp._Tableau, "new")
+        recording(reference_lp._Tableau, "ref")
+        statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+        for seed in range(400):
+            p = tangled_problem(random.Random(f"tangled:{seed}"))
+            pivots["new"].clear()
+            pivots["ref"].clear()
+            out = solve(p)
+            ref = reference_solve(p)
+            assert (out.status, out.solution, out.objective) == (ref.status, ref.solution, ref.objective), seed
+            assert pivots["new"] == pivots["ref"], seed
+            statuses[out.status] += 1
+            if out.status != INFEASIBLE:
+                rank = len(row_basis([row for row, _ in p.equalities]))
+                seen["dropped row"] += rank < len(p.equalities)
+        assert min(statuses.values()) >= 20, statuses
+        assert min(seen.values()) >= 20, seen
+
+    def test_same_row_basis(self):
+        rng = random.Random("reference-basis")
+        for _ in range(300):
+            dim = rng.randint(1, 6)
+            vectors = [
+                tuple(rng.choice((0, 0, 1, -2)) * rng.choice(MIXED) for _ in range(dim))
+                for _ in range(rng.randint(0, 5))
+            ]
+            if vectors and rng.random() < 0.5:
+                k = rng.choice(MIXED)
+                vectors.append(tuple(k * v for v in rng.choice(vectors)))
+            assert row_basis(vectors) == reference_row_basis(vectors), vectors
