@@ -13,12 +13,12 @@ solver bug, never as a model state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from . import lp
 from .markets import GainGenerator, Market, Strategy, gain_generators, wealth_process
-from .probability import conditional_expectation
 from .rationals import ONE, Rational, ZERO, format_rational, rat
 
 
@@ -83,15 +83,17 @@ def find_free_lunch(m: Market, horizon: int | None = None) -> FreeLunchCertifica
     if not gens:
         return None
     n_states = len(m.space.states)
+    vectors = [g.vector for g in gens]
+    negated = [tuple(-c if c else ZERO for c in v) for v in vectors]
     lower_rows = []
     upper_rows = []
     for w in range(n_states):
-        column = [g.vector[w] for g in gens]
-        lower_rows.append((_split(-c for c in column), ZERO))
-        upper_rows.append((_split(column), ONE))
+        lower_rows.append((_pairs(negated, vectors, w), ZERO))
+        upper_rows.append((_pairs(vectors, negated, w), ONE))
+    totals = [sum(c for c in v if c) for v in vectors]
     problem = lp.LpProblem(
         num_vars=2 * len(gens),
-        objective=_split(sum(g.vector) for g in gens),
+        objective=tuple(c for total in totals for c in (total, -total)),
         inequalities=tuple(lower_rows + upper_rows),
     )
     outcome = lp.solve(problem)
@@ -109,9 +111,10 @@ def find_free_lunch(m: Market, horizon: int | None = None) -> FreeLunchCertifica
     return FreeLunchCertificate(strategy=strategy, terminal_wealth=terminal)
 
 
-def _split(coefficients) -> tuple[Rational, ...]:
-    """Columns of free variables as (c, -c) pairs of nonnegative ones."""
-    return tuple(v for c in coefficients for v in (c, -c))
+def _pairs(first, second, w: int) -> tuple[Rational, ...]:
+    """Entry w of each vector pair, interleaved: one row over the adjacent
+    (g, -g) column pairs that stand for the free generator coefficients."""
+    return tuple(c for a, b in zip(first, second) for c in (a[w], b[w]))
 
 
 def _strategy_from_active(m: Market, gens: list[GainGenerator], coeffs) -> Strategy:
@@ -202,9 +205,10 @@ def check_naflp(m: Market, horizon: int | None = None) -> Verdict:
 def verify_certificate(m: Market, v: Verdict, horizon: int | None = None) -> bool:
     """Re-check a verdict's certificate from scratch, on independent code paths.
 
-    Measures are verified with conditional expectations over every date
-    pair, strategies by recomputing the wealth process; nothing from the
-    LP layer is reused.
+    A measure is verified by comparing q-weighted atom sums of every
+    asset over every date pair of every trading filtration, in integers
+    (see _verify_measure), a strategy by recomputing its wealth process;
+    nothing from the LP layer is reused.
     """
     horizon = m.space.horizon if horizon is None else horizon
     if isinstance(v, NoFreeLunch):
@@ -215,23 +219,53 @@ def verify_certificate(m: Market, v: Verdict, horizon: int | None = None) -> boo
 
 
 def _verify_measure(m: Market, cert: MartingaleMeasureCertificate, horizon: int) -> bool:
-    if set(cert.q) != set(m.space.states):
+    """True iff the weights are a strictly positive probability vector
+    under which every asset of every index set is a martingale for that
+    set's trading filtration over 0..horizon.
+
+    For each t, each atom A of F_t and each later u it requires
+    sum_A q * S_u == sum_A q * S_t, on Python ints: the weights are
+    scaled by the lcm L of their denominators and each asset's rows
+    0..horizon by the lcm D of theirs. This is exact and equivalent to
+    E_q[S_u | A] == E_q[S_t | A]: each side of that equation is its atom
+    sum divided by q(A) > 0, and the ints multiply both sums by the same
+    positive L * D. The pair u == t holds trivially and is skipped.
+    """
+    states = m.space.states
+    if set(cert.q) != set(states):
         return False
-    weights = cert.vector(m.space.states)
+    weights = cert.vector(states)
     if any(w <= 0 for w in weights) or sum(weights) != ONE:
         return False
+    q = _int_multiple(weights)
+    n_states = len(states)
+    idx = m.space.state_index
+    weighted: dict[str, list[list[int]]] = {}
     for index_set in m.index_system:
         filtration = m.trading_filtration(index_set, horizon)
+        atoms = [[[idx[s] for s in atom] for atom in filtration.at(t).atoms] for t in range(horizon + 1)]
         for asset in sorted(index_set):
-            table = m.assets[asset]
-            for t in range(horizon + 1):
-                sigma = filtration.at(t)
-                projected_now = conditional_expectation(table[t], sigma, weights)
-                for u in range(t, horizon + 1):
-                    projected_later = conditional_expectation(table[u], sigma, weights)
-                    if projected_later != projected_now:
-                        return False
+            rows = weighted.get(asset)
+            if rows is None:
+                prices = _int_multiple([v for row in m.assets[asset][:horizon + 1] for v in row])
+                rows = weighted[asset] = [
+                    [w * p for w, p in zip(q, prices[t * n_states:(t + 1) * n_states])]
+                    for t in range(horizon + 1)
+                ]
+            for t, row in enumerate(rows):
+                for atom in atoms[t]:
+                    now = sum(row[k] for k in atom)
+                    for later in rows[t + 1:]:
+                        if sum(later[k] for k in atom) != now:
+                            return False
     return True
+
+
+def _int_multiple(values) -> list[int]:
+    """Rationals times the lcm of their denominators, as Python ints."""
+    pairs = [(int(n), int(d)) for n, d in (v.as_integer_ratio() for v in values)]
+    scale = math.lcm(*[d for _, d in pairs])
+    return [n * (scale // d) for n, d in pairs]
 
 
 def _verify_strategy(m: Market, cert: FreeLunchCertificate, horizon: int) -> bool:

@@ -74,11 +74,17 @@ def _load(path: str):
     return parse_market_document(text)
 
 
-def _emit(text: str, out: str | None):
+def _emit(text: str, out: str | None) -> int:
+    """Write text to the out path, or to stdout; exit 1 if the path cannot be written."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return EXIT_OK
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    return EXIT_OK
 
 
 def cmd_validate(args) -> int:
@@ -139,8 +145,7 @@ def cmd_delay(args) -> int:
     except (DocumentError, DelayPreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    _emit(out, args.out)
-    return EXIT_OK
+    return _emit(out, args.out)
 
 
 def cmd_experiment(args) -> int:
@@ -152,13 +157,17 @@ def cmd_experiment(args) -> int:
         report = run_insider_demo(cfg)
     else:
         trials = DEFAULT_TRIALS if args.trials is None else args.trials
+        if trials < 1:
+            print(f"error: --trials must be at least 1, got {trials}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
         if args.kind in ("information", "execution", "broker"):
             report = run_inheritance_experiment(cfg, args.kind, trials=trials)
         elif args.kind == "superimpose":
             report = run_superimposition_experiment(cfg, trials=trials)
         else:
             report = run_representation_experiment(cfg, trials=trials)
-    _emit(report.to_json() + "\n", args.out)
+    if _emit(report.to_json() + "\n", args.out) != EXIT_OK:
+        return EXIT_INPUT_ERROR
     return EXIT_OK if report.passed else EXIT_EXPERIMENT_FAILED
 
 

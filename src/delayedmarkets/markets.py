@@ -263,7 +263,9 @@ def gain_generators(m: Market, horizon: int | None = None) -> list[GainGenerator
         raise ValueError("horizon beyond the extended grid")
     idx = m.space.state_index
     out: list[GainGenerator] = []
-    seen: set[tuple[Rational, ...]] = set()
+    # a vector is known by its nonzero entries as (k, numerator, denominator);
+    # rationals are in lowest terms, so this key is as exact as the vector
+    seen: set[tuple[tuple[int, int, int], ...]] = set()
     for index_set in m.index_system:
         filtration = m.trading_filtration(index_set, horizon)
         for asset in sorted(index_set):
@@ -272,11 +274,17 @@ def gain_generators(m: Market, horizon: int | None = None) -> list[GainGenerator
                 now, nxt = table[t], table[t + 1]
                 for atom in filtration.at(t).atoms:
                     vec = [ZERO] * len(m.space.states)
+                    key = []
                     for s in atom:
                         k = idx[s]
-                        vec[k] = nxt[k] - now[k]
-                    tvec = tuple(vec)
-                    if any(v != 0 for v in tvec) and tvec not in seen:
-                        seen.add(tvec)
-                        out.append(GainGenerator(index_set, asset, t, atom, tvec))
+                        d = nxt[k] - now[k]
+                        if d:
+                            vec[k] = d
+                            key.append((k, d.numerator, d.denominator))
+                    if not key:
+                        continue
+                    key = tuple(sorted(key))
+                    if key not in seen:
+                        seen.add(key)
+                        out.append(GainGenerator(index_set, asset, t, atom, tuple(vec)))
     return out

@@ -31,18 +31,30 @@ def rat(numerator, denominator=1) -> Rational:
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse a "p/q" (or bare "p") string; rejects floats and empty input."""
+    """Parse a "p/q" (or bare "p") string of ASCII digits, each side with an
+    optional sign and surrounding whitespace; rejects floats, "_" digit
+    separators, non-ASCII digits and empty input."""
     if not isinstance(text, str) or not text.strip():
         raise ValueError(f"expected a rational string, got {text!r}")
     if "." in text or "e" in text.lower():
         raise ValueError(f"rationals must be exact p/q strings, got {text!r}")
+    if "/" not in text:
+        return Rational(_integer(text, text))
+    num, _, den = text.partition("/")
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Rational(int(num.strip())) / Rational(int(den.strip()))
-        return Rational(int(text.strip()))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Rational(_integer(num, text), _integer(den, text))
+    except ZeroDivisionError as exc:
         raise ValueError(f"bad rational literal {text!r}: {exc}") from None
+
+
+def _integer(part: str, text: str) -> int:
+    """One side of a "p/q" literal. int() alone would also take "_"
+    separators and non-ASCII digits."""
+    part = part.strip()
+    digits = part[1:] if part[:1] in ("+", "-") else part
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad rational literal {text!r}: expected ASCII digits with an optional sign")
+    return int(part)
 
 
 def format_rational(value) -> str:

@@ -23,7 +23,7 @@ from delayedmarkets.arbitrage import (
 from delayedmarkets.delays import delayed_market, information_delayed_market
 from delayedmarkets.markets import Market, validate_market, wealth_process
 from delayedmarkets.probability import conditional_expectation
-from delayedmarkets.rationals import rat
+from delayedmarkets.rationals import ONE, rat
 from delayedmarkets.scenarios import (
     ScenarioConfig,
     _rng,
@@ -34,6 +34,7 @@ from delayedmarkets.scenarios import (
 )
 
 from conftest import binomial_market
+from reference_verify import reference_verify_measure
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -240,3 +241,85 @@ class TestGoldenFiles:
             assert verify_certificate(m, verdict)
             digest.update(render_verdict(verdict, m.space.states).encode())
         assert digest.hexdigest() == "bed0567bc3446435d56d7e05e600b5300cda6fd173a692e8fb5d0b8d755c49b8"
+
+
+class TestMatchesReferenceVerifier:
+    """The integer atom-sum check accepts exactly the measures that the
+    Fraction conditional-expectation check accepts."""
+
+    @staticmethod
+    def markets():
+        desk = ScenarioConfig(seed=2024, num_states=12, grid=4, extension=6,
+                              num_assets=3, max_index_sets=4, brokers=3)
+        for i in range(160):
+            rng = _rng(desk.seed, "ftap", i)
+            gen = gen_martingale_market if rng.random() < 0.45 else gen_random_market
+            yield f"desk {i}", gen(desk, rng=rng)
+        for steps in (2, 3, 4):
+            m, fam = gen_insider_market(steps, 1)
+            yield f"information walk {steps}", m
+            yield f"delayed information walk {steps}", information_delayed_market(m, fam)
+            m, fam = gen_insider_execution_market(steps, 1)
+            yield f"execution walk {steps}", m
+            yield f"delayed execution walk {steps}", delayed_market(m, fam)
+
+    @staticmethod
+    def random_measure(rng, states):
+        weights = [rat(rng.randint(1, 9), rng.randint(1, 7)) for _ in states]
+        total = sum(weights)
+        return {s: w / total for s, w in zip(states, weights)}
+
+    @staticmethod
+    def moved_mass(rng, m, q):
+        """q with part of one state's mass moved to a state of another
+        atom of the grand filtration at the horizon, or None if it has one atom."""
+        atoms = m.grand_filtration.at(m.space.horizon).atoms
+        if len(atoms) < 2:
+            return None
+        a, b = rng.sample(atoms, 2)
+        give, take = rng.choice(a), rng.choice(b)
+        moved = q[give] * rat(rng.randint(1, 3), 4)
+        return dict(q, **{give: q[give] - moved, take: q[take] + moved})
+
+    @staticmethod
+    def shifted_market(rng, m):
+        """m with one traded asset's price at the horizon shifted on one atom
+        of the grand filtration there, so the copy stays adapted."""
+        horizon = m.space.horizon
+        asset = rng.choice(sorted(frozenset().union(*m.index_system)))
+        atom = set(rng.choice(m.grand_filtration.at(horizon).atoms))
+        shift = rng.choice([rat(1), rat(-2), rat(1, 3), rat(5, 7)])
+        table = [list(row) for row in m.assets[asset]]
+        table[horizon] = [v + shift if s in atom else v for s, v in zip(m.space.states, table[horizon])]
+        assets = dict(m.assets, **{asset: table})
+        shifted = Market(m.space, assets, m.index_system, m.trading_filtrations, m.grand_filtration)
+        assert validate_market(shifted) == []
+        return shifted
+
+    def test_agrees_with_reference_on_four_groups(self):
+        groups = {"certified": [], "random": [], "moved mass": [], "shifted price": []}
+        for label, m in self.markets():
+            rng = _rng(2024, "verify", label)
+            states = m.space.states
+            groups["random"].append((label, m, self.random_measure(rng, states)))
+            cert = find_martingale_measure(m)
+            if cert is None:
+                continue
+            groups["certified"].append((label, m, cert.q))
+            moved = self.moved_mass(rng, m, cert.q)
+            if moved is not None:
+                groups["moved mass"].append((label, m, moved))
+            groups["shifted price"].append((label, self.shifted_market(rng, m), cert.q))
+        for name, pairs in groups.items():
+            rejected = 0
+            for label, m, q in pairs:
+                cert = MartingaleMeasureCertificate(q)
+                assert all(w > 0 for w in cert.q.values()) and sum(cert.q.values()) == ONE
+                expected = reference_verify_measure(m, cert, m.space.horizon)
+                assert verify_certificate(m, NoFreeLunch(cert)) == expected, f"{name}: {label}"
+                rejected += not expected
+            if name == "certified":
+                assert rejected == 0
+            else:
+                assert rejected >= 50, f"{name}: only {rejected} of {len(pairs)} rejected"
+        assert sum(len(pairs) for pairs in groups.values()) >= 300

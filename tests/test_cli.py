@@ -181,3 +181,22 @@ class TestExperiment:
                      "--out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
         assert payload["trials"] == 5 and payload["failures"] == []
+
+    @pytest.mark.parametrize("kind, trials", [("information", "-3"), ("superimpose", "0")])
+    def test_nonpositive_trials_rejected(self, kind, trials, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        assert main(["experiment", kind, "--trials", trials, "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_path.exists()
+
+
+class TestUnwritableOutput:
+    def test_experiment_report(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "report.json"
+        assert main(["experiment", "information", "--seed", "4", "--trials", "2", "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out_path}: ")
+
+    def test_delayed_document(self, insider_path, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "delayed.json"
+        assert main(["delay", str(insider_path), "--mode", "info", "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out_path}: ")

@@ -9,6 +9,7 @@ import pytest
 
 from delayedmarkets.cli import main
 from delayedmarkets.documents import DocumentError, parse_market_document, serialize_market_document
+from delayedmarkets.rationals import parse_rational, rat
 from delayedmarkets.scenarios import ScenarioConfig, _rng, gen_insider_market, gen_martingale_market, gen_random_delay
 
 from conftest import binomial_market
@@ -93,6 +94,39 @@ class TestRejection:
         doc["format_version"] = 9
         with pytest.raises(DocumentError):
             parse_market_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3/4", rat(3, 4)),
+    ("-3/4", rat(-3, 4)),
+    ("+3", rat(3)),
+    ("3/-4", rat(-3, 4)),
+    (" -3 / 4 ", rat(-3, 4)),
+    ("10/4", rat(5, 2)),
+    ("0003/06", rat(1, 2)),
+    ("-0/5", rat(0)),
+    ("\u2003 7\t", rat(7)),
+    ("1_000/3", None),
+    ("1/3_0", None),
+    ("\u0661\u0662/5", None),
+    ("\uff13", None),
+    ("1/0", None),
+    ("1/2/3", None),
+    ("/3", None),
+    ("3/", None),
+    ("- 3", None),
+    ("+-3", None),
+    ("3 4", None),
+    ("0.5", None),
+    ("1e3", None),
+    ("", None),
+])
+def test_parse_rational_is_strict(text, value):
+    if value is None:
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == value
 
 
 BINOMIAL = Path(__file__).parent.parent / "scenarios" / "binomial.json"
