@@ -74,6 +74,11 @@ def _load(path: str):
     return parse_market_document(text)
 
 
+def _cannot_write(out: str, exc: OSError) -> int:
+    print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
 def _emit(text: str, out: str | None) -> int:
     """Write text to the out path, or to stdout; exit 1 if the path cannot be written."""
     if out is None:
@@ -82,8 +87,24 @@ def _emit(text: str, out: str | None) -> int:
     try:
         Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _cannot_write(out, exc)
+    return EXIT_OK
+
+
+def _probe_out(out: str | None) -> int:
+    """Open the out path for appending and close it again, so that an
+    unwritable path fails before a long run; a file it created is removed."""
+    if out is None:
+        return EXIT_OK
+    path = Path(out)
+    existed = path.exists()
+    try:
+        with path.open("a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        return _cannot_write(out, exc)
+    if not existed:
+        path.unlink()
     return EXIT_OK
 
 
@@ -150,22 +171,23 @@ def cmd_delay(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = ScenarioConfig(seed=args.seed)
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
+    if args.kind == "insider-demo" and args.trials is not None:
+        print("error: insider-demo runs a fixed pair of walks and takes no --trials", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if trials < 1:
+        print(f"error: --trials must be at least 1, got {trials}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if _probe_out(args.out) != EXIT_OK:
+        return EXIT_INPUT_ERROR
     if args.kind == "insider-demo":
-        if args.trials is not None:
-            print("error: insider-demo runs a fixed pair of walks and takes no --trials", file=sys.stderr)
-            return EXIT_INPUT_ERROR
         report = run_insider_demo(cfg)
+    elif args.kind in ("information", "execution", "broker"):
+        report = run_inheritance_experiment(cfg, args.kind, trials=trials)
+    elif args.kind == "superimpose":
+        report = run_superimposition_experiment(cfg, trials=trials)
     else:
-        trials = DEFAULT_TRIALS if args.trials is None else args.trials
-        if trials < 1:
-            print(f"error: --trials must be at least 1, got {trials}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        if args.kind in ("information", "execution", "broker"):
-            report = run_inheritance_experiment(cfg, args.kind, trials=trials)
-        elif args.kind == "superimpose":
-            report = run_superimposition_experiment(cfg, trials=trials)
-        else:
-            report = run_representation_experiment(cfg, trials=trials)
+        report = run_representation_experiment(cfg, trials=trials)
     if _emit(report.to_json() + "\n", args.out) != EXIT_OK:
         return EXIT_INPUT_ERROR
     return EXIT_OK if report.passed else EXIT_EXPERIMENT_FAILED

@@ -4,19 +4,23 @@ Rationals travel as "p/q" strings, filtrations as explicit per-time atom
 lists of state names, so documents are diff-stable and self-validating
 without reconstruction logic. Parsing is strict: unknown fields are
 rejected and every structural problem is reported with the invariant it
-violates. Serialization is canonical, so parse -> serialize -> parse is
-the identity.
+violates. Each parse keeps its own caches of rational literals and
+partitions, so a repeated literal or partition is parsed and checked
+once per document. Serialization is canonical, so parse -> serialize ->
+parse is the identity. The canonical bytes are the json.dumps layout at
+indent=2 plus a final newline, produced by `_dump`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 
 from .delays import ExecutionDelayFamily, InformationDelayFamily
 from .markets import Market, validate_market
 from .probability import Filtration, FiniteSpace, Partition, StoppingProcess
-from .rationals import ONE, format_rational, parse_rational
+from .rationals import ONE, Rational, format_rational, parse_rational
 
 FORMAT_VERSION = 1
 
@@ -37,6 +41,26 @@ class MarketDocument:
     exec_delays: ExecutionDelayFamily | None = None
 
 
+class _Interner:
+    """One document's parsed rational literals and partitions, by content.
+
+    Only successes are kept, so a malformed entry is reported at every
+    place it occurs, with the same wording as without the cache.
+    """
+
+    __slots__ = ("rationals", "partitions")
+
+    def __init__(self):
+        self.rationals: dict[str, Rational] = {}
+        self.partitions: dict[tuple[tuple[str, ...], ...], Partition] = {}
+
+    def rational(self, text) -> Rational:
+        value = self.rationals.get(text) if type(text) is str else None
+        if value is None:
+            value = self.rationals[text] = parse_rational(text)
+        return value
+
+
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str, problems: list[str]):
     unknown = set(obj) - allowed
     for key in sorted(unknown):
@@ -51,7 +75,7 @@ def _is_int(value) -> bool:
 
 
 def _is_names(entry) -> bool:
-    return isinstance(entry, list) and all(isinstance(v, str) for v in entry)
+    return isinstance(entry, list) and all(map(isinstance, entry, repeat(str)))
 
 
 def _parse_asset_ids(entry, where: str, problems: list[str]) -> frozenset[str] | None:
@@ -61,24 +85,36 @@ def _parse_asset_ids(entry, where: str, problems: list[str]) -> frozenset[str] |
     return frozenset(entry)
 
 
-def _parse_partition(entry, states, where: str, problems: list[str]) -> Partition | None:
-    if not isinstance(entry, list) or not all(_is_names(a) for a in entry):
+def _parse_partition(entry, states, where: str, problems: list[str], cache: _Interner) -> Partition | None:
+    if not isinstance(entry, list) or not all(map(_is_names, entry)):
         problems.append(f"{where}: a partition must be a list of atoms (lists of state names)")
         return None
-    seen = [s for atom in entry for s in atom]
-    if sorted(seen) != sorted(states):
-        problems.append(f"{where}: atoms must partition the state set")
-        return None
-    return Partition.of(states, entry)
+    # keyed only once every atom is a list of names: a flat list of
+    # strings would give the same key as the atoms of its characters
+    key = tuple(map(tuple, entry))
+    partition = cache.partitions.get(key)
+    if partition is None:
+        seen = [s for atom in entry for s in atom]
+        if sorted(seen) != sorted(states):
+            problems.append(f"{where}: atoms must partition the state set")
+            return None
+        try:
+            partition = Partition.of(states, entry)
+        except ValueError as exc:
+            problems.append(f"{where}: {exc}")
+            return None
+        cache.partitions[key] = partition
+    return partition
 
 
-def _parse_filtration(entry, states, length: int, where: str, problems: list[str]) -> Filtration | None:
+def _parse_filtration(entry, states, length: int, where: str, problems: list[str],
+                      cache: _Interner) -> Filtration | None:
     if not isinstance(entry, list) or len(entry) != length:
         problems.append(f"{where}: expected {length} per-time partitions")
         return None
     parts = []
     for t, sub in enumerate(entry):
-        p = _parse_partition(sub, states, f"{where}[t={t}]", problems)
+        p = _parse_partition(sub, states, f"{where}[t={t}]", problems, cache)
         if p is None:
             return None
         parts.append(p)
@@ -89,13 +125,14 @@ def _parse_filtration(entry, states, length: int, where: str, problems: list[str
         return None
 
 
-def _resolve_info(entry, states, length: int, grand: Filtration, where: str, problems: list[str]):
+def _resolve_info(entry, states, length: int, grand: Filtration, where: str, problems: list[str],
+                  cache: _Interner):
     if entry == "trivial":
         return Filtration.constant(Partition.trivial(states), length)
     if entry == "grand":
         return grand.extend_to(length) if len(grand) < length else grand.restrict(length)
     if isinstance(entry, list):
-        return _parse_filtration(entry, states, length, where, problems)
+        return _parse_filtration(entry, states, length, where, problems, cache)
     problems.append(f"{where}: delay information must be 'trivial', 'grand', or an inline filtration")
     return None
 
@@ -109,6 +146,7 @@ def parse_market_document(text: str) -> MarketDocument:
     if not isinstance(doc, dict):
         raise DocumentError(["document root must be an object"])
     problems: list[str] = []
+    cache = _Interner()
     _require_keys(
         doc,
         {"format_version", "states", "grid", "assets", "index_system", "filtrations", "delays"},
@@ -137,7 +175,7 @@ def parse_market_document(text: str) -> MarketDocument:
             continue
         states.append(entry["name"])
         try:
-            p = parse_rational(entry["probability"])
+            p = cache.rational(entry["probability"])
             if p <= 0:
                 problems.append(f"states[{i}]: probability must be strictly positive")
             probability[entry["name"]] = p
@@ -173,7 +211,7 @@ def parse_market_document(text: str) -> MarketDocument:
                 problems.append(f"assets[{aid}][t={t}]: expected {len(states)} entries")
                 break
             try:
-                rows.append(tuple(parse_rational(v) for v in row))
+                rows.append(tuple(map(cache.rational, row)))
             except ValueError as exc:
                 problems.append(f"assets[{aid}][t={t}]: {exc}")
                 break
@@ -195,7 +233,7 @@ def parse_market_document(text: str) -> MarketDocument:
                   "filtrations", problems)
     if problems:
         raise DocumentError(problems)
-    grand = _parse_filtration(filt["grand"], tuple(states), extended + 1, "filtrations.grand", problems)
+    grand = _parse_filtration(filt["grand"], tuple(states), extended + 1, "filtrations.grand", problems, cache)
     trading = {}
     if not isinstance(filt["trading"], list):
         problems.append("filtrations.trading: expected a list")
@@ -213,7 +251,7 @@ def parse_market_document(text: str) -> MarketDocument:
             if not isinstance(declared, list) or not horizon + 1 <= len(declared) <= extended + 1:
                 problems.append(f"{where}: expected between {horizon + 1} and {extended + 1} per-time partitions")
                 continue
-            f = _parse_filtration(declared, tuple(states), len(declared), where, problems)
+            f = _parse_filtration(declared, tuple(states), len(declared), where, problems, cache)
             if f is not None and index_set is not None:
                 trading[index_set] = f
     if problems or grand is None:
@@ -234,9 +272,9 @@ def parse_market_document(text: str) -> MarketDocument:
             raise DocumentError(["delays: expected an object"])
         _require_keys(delays, {"information", "execution"}, set(), "delays", problems)
         if "information" in delays:
-            info_fam = _parse_info_delays(delays["information"], market, problems)
+            info_fam = _parse_info_delays(delays["information"], market, problems, cache)
         if "execution" in delays:
-            exec_fam = _parse_exec_delays(delays["execution"], market, problems)
+            exec_fam = _parse_exec_delays(delays["execution"], market, problems, cache)
         if problems:
             raise DocumentError(problems)
     return MarketDocument(market, info_fam, exec_fam)
@@ -255,7 +293,7 @@ def _parse_values(entry, length: int, n_states: int, where: str, problems: list[
     return tuple(rows)
 
 
-def _parse_info_delays(entries, market: Market, problems: list[str]):
+def _parse_info_delays(entries, market: Market, problems: list[str], cache: _Interner):
     if not isinstance(entries, list):
         problems.append("delays.information: expected a list")
         return None
@@ -272,7 +310,7 @@ def _parse_info_delays(entries, market: Market, problems: list[str]):
         index_set = _parse_asset_ids(entry["index_set"], f"{where}.index_set", problems)
         values = _parse_values(entry["values"], space.horizon + 1, len(space.states), where, problems)
         info = _resolve_info(entry["info"], space.states, space.horizon + 1,
-                             market.grand_filtration, f"{where}.info", problems)
+                             market.grand_filtration, f"{where}.info", problems, cache)
         if index_set is None or values is None or info is None:
             continue
         delays[index_set] = StoppingProcess(values, info)
@@ -285,7 +323,7 @@ def _parse_info_delays(entries, market: Market, problems: list[str]):
     return fam if not problems else None
 
 
-def _parse_exec_delays(entries, market: Market, problems: list[str]):
+def _parse_exec_delays(entries, market: Market, problems: list[str], cache: _Interner):
     if not isinstance(entries, list):
         problems.append("delays.execution: expected a list")
         return None
@@ -305,7 +343,7 @@ def _parse_exec_delays(entries, market: Market, problems: list[str]):
             continue
         values = _parse_values(entry["values"], space.horizon + 1, len(space.states), where, problems)
         info = _resolve_info(entry["info"], space.states, space.extended_horizon + 1,
-                             market.grand_filtration, f"{where}.info", problems)
+                             market.grand_filtration, f"{where}.info", problems, cache)
         if values is None or info is None:
             continue
         delays[entry["asset"]] = StoppingProcess(values, info)
@@ -323,8 +361,45 @@ def _parse_exec_delays(entries, market: Market, problems: list[str]):
     return fam if not problems else None
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dump(value, newline: str = "\n") -> str:
+    """The text json.dumps gives at indent=2, for dicts with str keys,
+    lists, strs and ints; anything else raises TypeError.
+
+    json.dumps runs its pure-Python encoder whenever indent is set. This
+    quotes with the same C escaper (ASCII-only, as ensure_ascii=True does)
+    and joins a flat list of strs or of ints in one call.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    sep = "," + inner
+    if kind is list:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            body = sep.join(map(_quote, value))
+        elif kinds == {int}:
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join([_dump(v, inner) for v in value])
+        return "[" + inner + body + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        body = sep.join([_quote(k) + ": " + _dump(v, inner) for k, v in value.items()])
+        return "{" + inner + body + newline + "}"
+    raise TypeError(f"cannot serialize a {kind.__name__} in a market document")
+
+
 def _filtration_payload(f: Filtration):
-    return [[list(atom) for atom in f.at(t).atoms] for t in range(len(f))]
+    return [list(map(list, p.atoms)) for p in f.partitions]
 
 
 def serialize_market_document(
@@ -342,7 +417,7 @@ def serialize_market_document(
         ],
         "grid": {"n": space.horizon, "n_ext": space.extended_horizon},
         "assets": {
-            aid: [[format_rational(v) for v in row] for row in market.assets[aid]]
+            aid: [list(map(format_rational, row)) for row in market.assets[aid]]
             for aid in sorted(market.assets)
         },
         "index_system": [sorted(a) for a in market.index_system],
@@ -359,7 +434,7 @@ def serialize_market_document(
         delays["information"] = [
             {
                 "index_set": sorted(a),
-                "values": [list(row) for row in sp.values],
+                "values": list(map(list, sp.values)),
                 "info": _filtration_payload(sp.info),
             }
             for a, sp in sorted(info_delays.delays.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
@@ -370,7 +445,7 @@ def serialize_market_document(
             sp = exec_delays.delays[asset]
             entry = {
                 "asset": asset,
-                "values": [list(row) for row in sp.values],
+                "values": list(map(list, sp.values)),
                 "info": _filtration_payload(sp.info),
             }
             if asset in exec_delays.caps:
@@ -379,4 +454,4 @@ def serialize_market_document(
         delays["execution"] = entries
     if delays:
         doc["delays"] = delays
-    return json.dumps(doc, indent=2) + "\n"
+    return _dump(doc) + "\n"

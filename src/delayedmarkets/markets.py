@@ -143,11 +143,15 @@ def validate_market(m: Market) -> list[str]:
 
 
 def is_measurable(x: Sequence[Rational], sigma: Partition) -> bool:
-    idx = {s: i for i, s in enumerate(sigma.states)}
-    return all(
-        len({x[idx[s]] for s in atom}) == 1
-        for atom in sigma.atoms
-    )
+    """True iff x is constant on every atom of sigma: each entry equals
+    the first entry of its atom (equal values are often the same object)."""
+    for atom in sigma.atom_positions:
+        first = x[atom[0]]
+        for k in atom:
+            v = x[k]
+            if v is not first and v != first:
+                return False
+    return True
 
 
 @dataclass(frozen=True)

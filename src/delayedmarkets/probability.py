@@ -100,6 +100,8 @@ class Partition:
         states = tuple(states)
         order = {s: i for i, s in enumerate(states)}
         normal = [tuple(sorted(atom, key=order.__getitem__)) for atom in atoms]
+        if not all(normal):
+            raise ValueError("empty atom")
         normal.sort(key=lambda a: order[a[0]])
         return cls(states, tuple(normal))
 
@@ -125,6 +127,12 @@ class Partition:
     def atom_index(self) -> dict[str, int]:
         return {s: i for i, atom in enumerate(self.atoms) for s in atom}
 
+    @cached_property
+    def atom_positions(self) -> tuple[tuple[int, ...], ...]:
+        """Each atom as the universe-order positions of its states."""
+        index = {s: i for i, s in enumerate(self.states)}
+        return tuple(tuple(index[s] for s in atom) for atom in self.atoms)
+
 
 def refines(fine: Partition, coarse: Partition) -> bool:
     """True iff every atom of `fine` sits inside an atom of `coarse`.
@@ -132,6 +140,8 @@ def refines(fine: Partition, coarse: Partition) -> bool:
     Orientation: refines(f, c) holds exactly when the sigma-field of c is
     contained in that of f.
     """
+    if fine is coarse:
+        return True
     if fine.states != coarse.states:
         raise ValueError("partitions over different state sets")
     coarse_of = coarse.atom_index

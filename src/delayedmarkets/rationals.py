@@ -59,4 +59,4 @@ def _integer(part: str, text: str) -> int:
 
 def format_rational(value) -> str:
     """Canonical "p/q" form (bare "p" for integers); inverse of parse_rational."""
-    return str(Rational(value))
+    return str(value) if type(value) is Rational else str(Rational(value))

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -196,7 +200,44 @@ class TestUnwritableOutput:
         assert main(["experiment", "information", "--seed", "4", "--trials", "2", "--out", str(out_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {out_path}: ")
 
+    @pytest.mark.parametrize("kind, runner", [
+        ("information", "run_inheritance_experiment"),
+        ("superimpose", "run_superimposition_experiment"),
+        ("insider-demo", "run_insider_demo"),
+    ])
+    def test_experiment_fails_before_any_trial(self, kind, runner, tmp_path, monkeypatch, capsys):
+        import delayedmarkets.cli as cli
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran although --out cannot be written")
+
+        monkeypatch.setattr(cli, runner, no_trials)
+        out_path = tmp_path / "missing" / "report.json"
+        assert main(["experiment", kind, "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out_path}: ")
+
+    def test_writable_probe_leaves_no_file(self, tmp_path, monkeypatch):
+        import delayedmarkets.cli as cli
+
+        out_path = tmp_path / "report.json"
+        seen = []
+        report = SimpleNamespace(passed=True, to_json=lambda: "{}")
+        monkeypatch.setattr(cli, "run_representation_experiment",
+                            lambda cfg, trials: seen.append(out_path.exists()) or report)
+        assert main(["experiment", "representation", "--trials", "1", "--out", str(out_path)]) == 0
+        assert seen == [False] and out_path.read_text() == "{}\n"
+
     def test_delayed_document(self, insider_path, tmp_path, capsys):
         out_path = tmp_path / "missing" / "delayed.json"
         assert main(["delay", str(insider_path), "--mode", "info", "--out", str(out_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {out_path}: ")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    scenario = Path(__file__).parent.parent / "scenarios" / "dominated_binomial.json"
+    done = subprocess.run([sys.executable, "-m", "delayedmarkets", "check", str(scenario)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout.startswith("verdict: free-lunch\n")

@@ -2,15 +2,31 @@
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from delayedmarkets.cli import main
-from delayedmarkets.documents import DocumentError, parse_market_document, serialize_market_document
+from delayedmarkets.delays import delayed_market, information_delayed_market
+from delayedmarkets.documents import DocumentError, _dump, parse_market_document, serialize_market_document
+from delayedmarkets.markets import Market
+from delayedmarkets.probability import Filtration, FiniteSpace, Partition
 from delayedmarkets.rationals import parse_rational, rat
-from delayedmarkets.scenarios import ScenarioConfig, _rng, gen_insider_market, gen_martingale_market, gen_random_delay
+from delayedmarkets.scenarios import (
+    ScenarioConfig,
+    _rng,
+    gen_insider_execution_market,
+    gen_insider_market,
+    gen_martingale_market,
+    gen_random_delay,
+    gen_random_market,
+)
 
 from conftest import binomial_market
 
@@ -133,8 +149,9 @@ BINOMIAL = Path(__file__).parent.parent / "scenarios" / "binomial.json"
 INFO_DELAY = {"index_set": ["stock"], "values": [[0, 0], [0, 0]], "info": "trivial"}
 EXEC_DELAY = {"asset": "stock", "values": [[0, 0], [1, 1]], "info": "grand"}
 
-# malformed variants of scenarios/binomial.json: a mistyped field must be
-# reported, never end in a traceback or be accepted because bool is an int
+# malformed variants of scenarios/binomial.json: a mistyped field or an
+# empty atom must be reported, never end in a traceback or be accepted
+# because bool is an int
 MUTANTS = {
     "integer-state-name": lambda d: d["states"][0].update(name=1),
     "list-state-name": lambda d: d["states"][0].update(name=["u"]),
@@ -151,6 +168,10 @@ MUTANTS = {
     "integer-execution-asset": lambda d: d.update(delays={"execution": [dict(EXEC_DELAY, asset=5)]}),
     "boolean-execution-cap": lambda d: d.update(delays={"execution": [dict(EXEC_DELAY, cap=True)]}),
     "boolean-format-version": lambda d: d.update(format_version=True),
+    "empty-grand-atom": lambda d: d["filtrations"]["grand"][0].append([]),
+    "empty-trading-atom": lambda d: d["filtrations"]["trading"][0]["partitions"][1].insert(0, []),
+    "empty-information-delay-atom": lambda d: d.update(delays={"information": [
+        dict(INFO_DELAY, info=[[["u", "d"], []], [["u", "d"]]])]}),
 }
 
 
@@ -166,6 +187,8 @@ def test_mistyped_field_is_a_document_error(mutate, tmp_path, capsys):
     path.write_text(text)
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("invalid: ")
 
 
 class TestInfoReferences:
@@ -193,3 +216,148 @@ class TestInfoReferences:
         with pytest.raises(DocumentError) as err:
             parse_market_document(json.dumps(doc))
         assert any("information bound violated" in p for p in err.value.problems)
+
+
+SCENARIOS = sorted((Path(__file__).parent.parent / "scenarios").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+def test_shipped_scenario_reserializes_byte_for_byte(path):
+    text = path.read_text(encoding="utf-8")
+    doc = parse_market_document(text)
+    assert serialize_market_document(doc.market, doc.info_delays, doc.exec_delays) == text
+
+
+def _pinned_documents():
+    """Desk markets, both delay modes, and the insider walks, from fixed seeds."""
+    cfg = ScenarioConfig(seed=11, num_states=12, grid=4, extension=6, num_assets=3, max_index_sets=4, brokers=3)
+    for i in range(40):
+        gen = gen_martingale_market if i % 2 else gen_random_market
+        yield serialize_market_document(gen(cfg, rng=_rng(11, "ftap", i)))
+    for i in range(20):
+        rng = _rng(11, "roundtrip", i)
+        m = gen_martingale_market(cfg, rng=rng)
+        info = gen_random_delay(cfg, "information", m, rng=rng)
+        execution = gen_random_delay(cfg, "execution", m, rng=rng, capped=True)
+        yield serialize_market_document(m, info_delays=info, exec_delays=execution)
+        yield serialize_market_document(information_delayed_market(m, info), exec_delays=execution)
+        yield serialize_market_document(delayed_market(m, execution), info_delays=info)
+    m, fam = gen_insider_market(3, 1)
+    yield serialize_market_document(m, info_delays=fam)
+    yield serialize_market_document(information_delayed_market(m, fam))
+    m, fam = gen_insider_execution_market(3, 1)
+    yield serialize_market_document(m, exec_delays=fam)
+    yield serialize_market_document(delayed_market(m, fam))
+
+
+def test_serialized_bytes_are_pinned():
+    # taken from the json.dumps-based serializer that `_dump` replaced
+    digest = hashlib.sha256()
+    count = 0
+    for text in _pinned_documents():
+        digest.update(text.encode("utf-8"))
+        count += 1
+    assert count == 104
+    assert digest.hexdigest() == "e3fdcf6b4d1db1cbf6e4653a0cd0680be4eff1b125342f2aee30adab783d567c"
+
+
+# names with quotes, backslashes, control characters and non-ASCII text
+NAMES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6) | st.sampled_from(
+    ['"', "\\", "\n", "\x00\x1f", "\u00e9", "\u2028", "\U0001f600", "a\"b\\c"])
+PAYLOADS = st.recursive(
+    NAMES | st.integers(-10 ** 30, 10 ** 30),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(NAMES, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOADS)
+def test_emitter_matches_json_dumps(payload):
+    assert _dump(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, True, None, ("a",), [1, False], {"k": None}, {1: "a"}])
+def test_emitter_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _dump(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(NAMES, min_size=2, max_size=4, unique=True), st.lists(NAMES, min_size=1, max_size=2, unique=True))
+def test_documents_with_any_names_serialize_as_json_dumps(states, asset_ids):
+    states = tuple(states)
+    space = FiniteSpace.uniform(states, 1, 2)
+    grand = Filtration((Partition.trivial(states), Partition.of(states, [states[:1], states[1:]]),
+                        Partition.discrete(states)))
+    flat = tuple(rat(1) for _ in states)
+    assets = {aid: (flat, flat, tuple(rat(i + k, 3) for i in range(len(states)))) for k, aid in enumerate(asset_ids)}
+    index_set = frozenset(asset_ids)
+    market = Market(space, assets, (index_set,), {index_set: grand.restrict(2)}, grand)
+    text = serialize_market_document(market)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert parse_market_document(text).market == market
+
+
+def _nodes(node, path=()):
+    """Every position below the root of a JSON tree, as (key path, value)."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+def _is_list_of_lists(node) -> bool:
+    return isinstance(node, list) and bool(node) and all(isinstance(v, list) for v in node)
+
+
+TARGETS = {
+    "drop": lambda path, node: True,
+    "retype": lambda path, node: True,
+    "empty": lambda path, node: isinstance(node, (list, dict, str)),
+    "duplicate": lambda path, node: isinstance(path[-1], int),   # a repeated partition, atom or row
+    "add-empty": lambda path, node: _is_list_of_lists(node),     # an empty atom, row or partition
+}
+
+
+def _mutate(doc, op: str, pick: int, junk) -> None:
+    """Apply `op` in place at the pick-th position of doc that suits it."""
+    targets = [path for path, node in _nodes(doc) if TARGETS[op](path, node)]
+    if not targets:
+        return
+    *head, key = targets[pick % len(targets)]
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    node = parent[key]
+    if op == "drop":
+        del parent[key]
+    elif op == "retype":
+        parent[key] = copy.deepcopy(junk)
+    elif op == "empty":
+        parent[key] = type(node)()
+    elif op == "duplicate":
+        parent.insert(key, copy.deepcopy(node))
+    else:
+        node.insert(pick % (len(node) + 1), [])
+
+
+JUNK = st.sampled_from([0, 1, -1, 7, True, None, 1.5, "", "x", "1/2", [], {}, [[]], ["u"], {"u": 1}])
+MUTATION = st.tuples(st.sampled_from(sorted(TARGETS)), st.integers(min_value=0, max_value=10 ** 6), JUNK)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(SCENARIOS), st.lists(MUTATION, min_size=1, max_size=3))
+def test_mutated_scenarios_never_crash(path, mutations):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for op, pick, junk in mutations:
+        _mutate(doc, op, pick, junk)
+    text = json.dumps(doc)
+    try:
+        parse_market_document(text)
+    except DocumentError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        mutant = Path(tmp) / "mutant.json"
+        mutant.write_text(text, encoding="utf-8")
+        assert main(["check", str(mutant)]) in (0, 1, 2)
