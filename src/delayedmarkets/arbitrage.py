@@ -76,25 +76,32 @@ def find_free_lunch(m: Market, horizon: int | None = None) -> FreeLunchCertifica
     0 <= v <= 1 per state; a positive optimum yields a certificate whose
     strategy is rebuilt from the active generators, a zero optimum means
     only v = 0 is attainable. Each free coefficient is the difference of
-    an adjacent pair of nonnegative LP columns (g, -g).
+    an adjacent pair of nonnegative LP columns (2j, 2j + 1). The rows are
+    built from the generators' deltas: state w's rows -v_w <= 0 and
+    v_w <= 1 hold (-d, d) and (d, -d) on the pair of each generator j
+    whose price change at w is d, and no other entry.
     """
     horizon = m.space.horizon if horizon is None else horizon
     gens = gain_generators(m, horizon)
     if not gens:
         return None
     n_states = len(m.space.states)
-    vectors = [g.vector for g in gens]
-    negated = [tuple(-c if c else ZERO for c in v) for v in vectors]
-    lower_rows = []
-    upper_rows = []
-    for w in range(n_states):
-        lower_rows.append((_pairs(negated, vectors, w), ZERO))
-        upper_rows.append((_pairs(vectors, negated, w), ONE))
-    totals = [sum(c for c in v if c) for v in vectors]
+    lower: list[list] = [[] for _ in range(n_states)]
+    upper: list[list] = [[] for _ in range(n_states)]
+    objective = []
+    for j, g in enumerate(gens):
+        total = ZERO
+        for w, d in g.deltas:
+            nd = -d
+            lower[w] += ((2 * j, nd), (2 * j + 1, d))
+            upper[w] += ((2 * j, d), (2 * j + 1, nd))
+            total += d
+        if total:
+            objective += ((2 * j, total), (2 * j + 1, -total))
     problem = lp.LpProblem(
         num_vars=2 * len(gens),
-        objective=tuple(c for total in totals for c in (total, -total)),
-        inequalities=tuple(lower_rows + upper_rows),
+        objective=tuple(objective),
+        inequalities=tuple((tuple(row), ZERO) for row in lower) + tuple((tuple(row), ONE) for row in upper),
     )
     outcome = lp.solve(problem)
     if outcome.status != lp.OPTIMAL:
@@ -103,18 +110,13 @@ def find_free_lunch(m: Market, horizon: int | None = None) -> FreeLunchCertifica
         return None
     x = outcome.solution
     coeffs = tuple(x[2 * j] - x[2 * j + 1] for j in range(len(gens)))
-    terminal = tuple(
-        sum(c * g.vector[w] for c, g in zip(coeffs, gens) if c != 0)
-        for w in range(n_states)
-    )
+    terminal = [ZERO] * n_states
+    for c, g in zip(coeffs, gens):
+        if c != 0:
+            for w, d in g.deltas:
+                terminal[w] += c * d
     strategy = _strategy_from_active(m, gens, coeffs)
-    return FreeLunchCertificate(strategy=strategy, terminal_wealth=terminal)
-
-
-def _pairs(first, second, w: int) -> tuple[Rational, ...]:
-    """Entry w of each vector pair, interleaved: one row over the adjacent
-    (g, -g) column pairs that stand for the free generator coefficients."""
-    return tuple(c for a, b in zip(first, second) for c in (a[w], b[w]))
+    return FreeLunchCertificate(strategy=strategy, terminal_wealth=tuple(terminal))
 
 
 def _strategy_from_active(m: Market, gens: list[GainGenerator], coeffs) -> Strategy:
@@ -163,21 +165,14 @@ def find_martingale_measure(m: Market, horizon: int | None = None) -> Martingale
     horizon = m.space.horizon if horizon is None else horizon
     gens = gain_generators(m, horizon)
     n_states = len(m.space.states)
-    n_vars = n_states + 1  # q per state, then eps
-    equalities = [(tuple([ONE] * n_states + [ZERO]), ONE)]
-    for row in lp.row_basis([g.vector for g in gens]):
-        equalities.append((row + (ZERO,), ZERO))
-    inequalities = []
-    for w in range(n_states):
-        coeffs = [ZERO] * n_vars
-        coeffs[w] = -ONE
-        coeffs[-1] = ONE
-        inequalities.append((tuple(coeffs), ZERO))
+    eps = n_states  # columns: q per state, then eps
+    equalities = [(tuple((w, ONE) for w in range(n_states)), ONE)]
+    equalities += ((row, ZERO) for row in lp.row_basis([g.deltas for g in gens]))
     problem = lp.LpProblem(
-        num_vars=n_vars,
-        objective=tuple([ZERO] * n_states + [ONE]),
+        num_vars=n_states + 1,
+        objective=((eps, ONE),),
         equalities=tuple(equalities),
-        inequalities=tuple(inequalities),
+        inequalities=tuple((((w, -ONE), (eps, ONE)), ZERO) for w in range(n_states)),
     )
     outcome = lp.solve(problem)
     if outcome.status == lp.INFEASIBLE or (outcome.status == lp.OPTIMAL and outcome.objective == 0):
@@ -263,7 +258,7 @@ def _verify_measure(m: Market, cert: MartingaleMeasureCertificate, horizon: int)
 
 def _int_multiple(values) -> list[int]:
     """Rationals times the lcm of their denominators, as Python ints."""
-    pairs = [(int(n), int(d)) for n, d in (v.as_integer_ratio() for v in values)]
+    pairs = [v.as_integer_ratio() for v in values]
     scale = math.lcm(*[d for _, d in pairs])
     return [n * (scale // d) for n, d in pairs]
 

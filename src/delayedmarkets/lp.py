@@ -9,6 +9,10 @@ Problems come in standard form: maximize c . x subject to equality rows
 and <= rows, with x >= 0 implicit. A caller with a free variable passes
 it as an adjacent (column, -column) pair and reads back the difference.
 
+Every row, the objective included, is sparse: a tuple of (column, value)
+pairs, one per nonzero entry, in increasing column order. That is the
+only row form; row_basis takes and returns it too.
+
 The tableau and the row basis are fraction-free (Edmonds 1967, Bareiss
 1968): every row is held as Python ints, its rational row times a
 positive factor, divided by the gcd of its entries after each update.
@@ -24,32 +28,34 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rationals import Rational, ZERO, rat
+from .rationals import Rational, ZERO
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-Row = tuple[Rational, ...]
+Row = tuple[tuple[int, Rational], ...]  # (column, nonzero value), increasing column
 
 # keys of a sparse tableau row besides its column indices
 RHS = -1    # the right-hand side
 DEN = -2    # the cost row's positive denominator; constraint rows have none
 
 
-def _freeze_rows(rows, n: int, what: str) -> tuple[tuple[Row, Rational], ...]:
-    out = []
-    for row, rhs in rows:
-        row = tuple(rat(v) for v in row)
-        if len(row) != n:
-            raise ValueError(f"{what} row has {len(row)} coefficients, expected {n}")
-        out.append((row, rat(rhs)))
-    return tuple(out)
+def _check_columns(row: Row, n: int, what: str):
+    last = -1
+    for k, _ in row:
+        if not last < k < n:
+            raise ValueError(f"{what} column {k} is out of order or outside 0..{n - 1}")
+        last = k
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize objective . x subject to equality rows, <= rows, and x >= 0."""
+    """maximize objective . x subject to equality rows, <= rows, and x >= 0.
+
+    The objective and each constraint's coefficients are sparse rows
+    (see Row); a constraint is a (row, right-hand side) pair.
+    """
 
     num_vars: int
     objective: Row
@@ -59,28 +65,26 @@ class LpProblem:
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("a problem needs at least one variable")
-        objective = tuple(rat(v) for v in self.objective)
-        if len(objective) != self.num_vars:
-            raise ValueError("objective length differs from the variable count")
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "equalities", _freeze_rows(self.equalities, self.num_vars, "equality"))
-        object.__setattr__(self, "inequalities", _freeze_rows(self.inequalities, self.num_vars, "inequality"))
+        _check_columns(self.objective, self.num_vars, "objective")
+        for row, _ in self.equalities:
+            _check_columns(row, self.num_vars, "equality")
+        for row, _ in self.inequalities:
+            _check_columns(row, self.num_vars, "inequality")
 
 
 @dataclass(frozen=True)
 class LpOutcome:
     status: str
-    solution: Row | None = None
+    solution: tuple[Rational, ...] | None = None
     objective: Rational | None = None
 
 
-def _scaled(values) -> tuple[list[int], int]:
-    """Rationals times the lcm of their denominators, as ints, and that lcm."""
-    pairs = [v.as_integer_ratio() for v in values]
-    scale = math.lcm(*[d for _, d in pairs])
-    if scale == 1:
-        return [int(n) for n, _ in pairs], 1
-    return [int(n) * (scale // int(d)) for n, d in pairs], scale
+def _scaled(row) -> tuple[dict[int, int], int]:
+    """A sparse rational row times the lcm of its denominators, as an int
+    dict keyed by column, and that lcm."""
+    pairs = [(k, *v.as_integer_ratio()) for k, v in row]
+    scale = math.lcm(*[d for _, _, d in pairs])
+    return {k: n * (scale // d) for k, n, d in pairs}, scale
 
 
 def _reduced(row: dict[int, int]) -> dict[int, int]:
@@ -104,8 +108,9 @@ def _eliminate(row: dict[int, int], f: int, p: int, prow: dict[int, int]) -> dic
     return _reduced(row)
 
 
-def row_basis(rows: Sequence[Sequence[Rational]]) -> list[Row]:
-    """Reduced basis of the row space, by fraction-free Gauss-Jordan elimination.
+def row_basis(rows: Sequence[Row]) -> list[Row]:
+    """Reduced basis of the row space of sparse rows, by fraction-free
+    Gauss-Jordan elimination, as sparse rows in pivot order.
 
     Rows are eliminated as sparse primitive integer multiples of
     themselves and divided by their pivots only at the end. The reduced
@@ -114,11 +119,8 @@ def row_basis(rows: Sequence[Sequence[Rational]]) -> list[Row]:
     """
     basis: list[dict[int, int]] = []
     pivots: list[int] = []
-    width = 0
     for values in rows:
-        width = len(values)
-        ints, _ = _scaled(values)
-        row = _reduced({k: v for k, v in enumerate(ints) if v})
+        row = _reduced(_scaled(values)[0])
         for prow, pcol in zip(basis, pivots):
             f = row.get(pcol)
             if f:
@@ -134,7 +136,7 @@ def row_basis(rows: Sequence[Sequence[Rational]]) -> list[Row]:
         pivots.append(lead)
     order = sorted(range(len(basis)), key=pivots.__getitem__)
     return [
-        tuple(Rational(basis[i][k], basis[i][pivots[i]]) if k in basis[i] else ZERO for k in range(width))
+        tuple((k, Rational(v, basis[i][pivots[i]])) for k, v in sorted(basis[i].items()))
         for i in order
     ]
 
@@ -167,11 +169,10 @@ class _Tableau:
 
         slack = n
         for i, (row, b, is_ineq) in enumerate(rows):
-            ints, scale = _scaled(row + (b,))
-            sign = -1 if ints[-1] < 0 else 1
-            line = {k: sign * v for k, v in enumerate(ints[:-1]) if v}
-            if ints[-1]:
-                line[RHS] = sign * ints[-1]
+            line, scale = _scaled(row + ((RHS, b),) if b else row)
+            sign = -1 if b < 0 else 1
+            if sign < 0:
+                line = {k: -v for k, v in line.items()}
             if is_ineq:
                 line[slack] = sign * scale
             if is_ineq and sign > 0:
@@ -203,8 +204,7 @@ class _Tableau:
 
     def set_cost(self, costs: dict[int, int], den: int):
         """Install the cost vector costs / den and reduce it against the current basis."""
-        cost = {k: v for k, v in costs.items() if v}
-        cost[DEN] = den
+        cost = {**costs, DEN: den}
         for i in self.live:
             cb = cost.get(self.basis[i])
             if cb:
@@ -262,8 +262,7 @@ def solve(p: LpProblem) -> LpOutcome:
                 tab.pivot(i, target)
 
     # phase 2: the caller's objective, artificials barred from re-entering
-    costs, scale = _scaled(p.objective)
-    tab.set_cost(dict(enumerate(costs)), scale)
+    tab.set_cost(*_scaled(p.objective))
     status = tab.bland(allow_artificial=False)
     if status == UNBOUNDED:
         return LpOutcome(status=UNBOUNDED)

@@ -242,15 +242,18 @@ def wealth_process(m: Market, s: Strategy, horizon: int | None = None) -> tuple[
 class GainGenerator:
     """One-step gain of holding an atom indicator of one asset.
 
-    vector[w] = 1_atom(w) * (price(step + 1, w) - price(step, w)); the
-    linear span of all generators equals the attainable terminal wealths.
+    Its gain vector is 1_atom(w) * (price(step + 1, w) - price(step, w)),
+    held sparse: deltas are the (state position, price change) pairs of
+    the atom's states whose price changes, in increasing position order.
+    The linear span of all generators equals the attainable terminal
+    wealths.
     """
 
     index_set: frozenset[str]
     asset: str
     step: int
     atom: tuple[str, ...]
-    vector: tuple[Rational, ...]
+    deltas: tuple[tuple[int, Rational], ...]
 
 
 def gain_generators(m: Market, horizon: int | None = None) -> list[GainGenerator]:
@@ -265,7 +268,6 @@ def gain_generators(m: Market, horizon: int | None = None) -> list[GainGenerator
     horizon = m.space.horizon if horizon is None else horizon
     if horizon > m.space.extended_horizon:
         raise ValueError("horizon beyond the extended grid")
-    idx = m.space.state_index
     out: list[GainGenerator] = []
     # a vector is known by its nonzero entries as (k, numerator, denominator);
     # rationals are in lowest terms, so this key is as exact as the vector
@@ -276,19 +278,17 @@ def gain_generators(m: Market, horizon: int | None = None) -> list[GainGenerator
             table = m.assets[asset]
             for t in range(horizon):
                 now, nxt = table[t], table[t + 1]
-                for atom in filtration.at(t).atoms:
-                    vec = [ZERO] * len(m.space.states)
-                    key = []
-                    for s in atom:
-                        k = idx[s]
+                sigma = filtration.at(t)
+                for atom, positions in zip(sigma.atoms, sigma.atom_positions):
+                    deltas = []
+                    for k in sorted(positions):
                         d = nxt[k] - now[k]
                         if d:
-                            vec[k] = d
-                            key.append((k, d.numerator, d.denominator))
-                    if not key:
+                            deltas.append((k, d))
+                    if not deltas:
                         continue
-                    key = tuple(sorted(key))
+                    key = tuple((k, d.numerator, d.denominator) for k, d in deltas)
                     if key not in seen:
                         seen.add(key)
-                        out.append(GainGenerator(index_set, asset, t, atom, tuple(vec)))
+                        out.append(GainGenerator(index_set, asset, t, atom, tuple(deltas)))
     return out

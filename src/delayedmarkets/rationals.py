@@ -1,20 +1,13 @@
 """Exact rational arithmetic used everywhere in the core.
 
-Rational is gmpy2.mpq when gmpy2 is installed, else fractions.Fraction,
-which keeps the package importable without gmpy2. Neither sits in the
-LP's inner loop: `lp` converts to Python ints on the way in and builds
-rationals only for its results. The two types are meant to be
-interchangeable (same hashing, comparisons and string form). That parity
-is unverified: no test compares the two backends, and every recorded run
-used Fraction.
+Rational is fractions.Fraction. It does not sit in the LP's inner loop:
+`lp` converts to Python ints on the way in and builds rationals only for
+its results.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:
-    from fractions import Fraction as Rational
+from fractions import Fraction as Rational
 
 ZERO = Rational(0)
 ONE = Rational(1)

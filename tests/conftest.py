@@ -10,13 +10,31 @@ from delayedmarkets.probability import Filtration, FiniteSpace, Partition
 from delayedmarkets.rationals import rat
 
 
-def in_span(vectors, v) -> bool:
-    """v lies in the span iff it equals its expansion over the reduced
-    echelon basis, whose coefficients are v's entries at the pivots."""
-    basis = row_basis(vectors)
-    pivots = [next(k for k, c in enumerate(b) if c) for b in basis]
-    rebuilt = (sum((v[p] * b[k] for p, b in zip(pivots, basis)), rat(0)) for k in range(len(v)))
-    return tuple(v) == tuple(rebuilt)
+def sparse(values) -> tuple:
+    """A dense vector as a sparse row: (column, value) per nonzero entry."""
+    return tuple((k, v) for k, v in enumerate(values) if v)
+
+
+def dense(row, width: int) -> tuple:
+    """A sparse row as a dense vector of the given width."""
+    out = [rat(0)] * width
+    for k, v in row:
+        out[k] = v
+    return tuple(out)
+
+
+def in_span(rows, v) -> bool:
+    """The sparse row v lies in the span of the sparse rows iff it equals
+    its expansion over the reduced echelon basis, whose coefficients are
+    v's entries at the pivots."""
+    entries = dict(v)
+    rebuilt: dict = {}
+    for b in row_basis(rows):
+        c = entries.get(b[0][0])
+        if c:
+            for k, x in b:
+                rebuilt[k] = rebuilt.get(k, 0) + c * x
+    return entries == {k: x for k, x in rebuilt.items() if x}
 
 
 def binomial_market(s0, up, down):

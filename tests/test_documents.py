@@ -360,4 +360,8 @@ def test_mutated_scenarios_never_crash(path, mutations):
     with tempfile.TemporaryDirectory() as tmp:
         mutant = Path(tmp) / "mutant.json"
         mutant.write_text(text, encoding="utf-8")
-        assert main(["check", str(mutant)]) in (0, 1, 2)
+        out = str(Path(tmp) / "delayed.json")
+        for argv in (["check", str(mutant)], ["check", str(mutant), "--apply-delay"],
+                     ["delay", str(mutant), "--mode", "info", "--out", out],
+                     ["delay", str(mutant), "--mode", "exec", "--out", out]):
+            assert main(argv) in (0, 1, 2), argv

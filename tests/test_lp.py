@@ -5,11 +5,16 @@ checked here from outside: optimal points re-substitute exactly, the dual
 LP reaches the same value (which by weak duality proves optimality), and
 every infeasible problem gets a Farkas certificate found by solving the
 alternative system and re-substituted by hand.
+
+Problems are written here with dense rows and handed to the solver as
+sparse ones (`problem`); the dense reference code and the duality checks
+read them back through `dense_view`.
 """
 
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,10 +30,34 @@ from delayedmarkets.lp import (
 )
 from delayedmarkets.rationals import rat
 
-from conftest import in_span
+from conftest import dense, in_span, sparse
 from reference_lp import reference_row_basis, reference_solve
 
 ZERO, ONE = rat(0), rat(1)
+
+
+def problem(n: int, objective, equalities=(), inequalities=()) -> LpProblem:
+    """An LpProblem from dense rows."""
+    return LpProblem(
+        n, sparse(objective),
+        equalities=tuple((sparse(row), b) for row, b in equalities),
+        inequalities=tuple((sparse(row), b) for row, b in inequalities),
+    )
+
+
+def dense_view(p: LpProblem) -> SimpleNamespace:
+    """The problem with dense rows, as the reference solver reads it."""
+    n = p.num_vars
+    return SimpleNamespace(
+        num_vars=n,
+        objective=dense(p.objective, n),
+        equalities=tuple((dense(row, n), b) for row, b in p.equalities),
+        inequalities=tuple((dense(row, n), b) for row, b in p.inequalities),
+    )
+
+
+def dot(row, x):
+    return sum(c * x[k] for k, c in row)
 
 
 def check_feasible(p: LpProblem, x) -> list[str]:
@@ -37,11 +66,11 @@ def check_feasible(p: LpProblem, x) -> list[str]:
         return [f"point has {len(x)} coordinates, expected {p.num_vars}"]
     problems = []
     for i, (row, rhs) in enumerate(p.equalities):
-        lhs = sum(c * v for c, v in zip(row, x))
+        lhs = dot(row, x)
         if lhs != rhs:
             problems.append(f"equality {i}: {lhs} != {rhs}")
     for i, (row, rhs) in enumerate(p.inequalities):
-        lhs = sum(c * v for c, v in zip(row, x))
+        lhs = dot(row, x)
         if lhs > rhs:
             problems.append(f"inequality {i}: {lhs} > {rhs}")
     for j, v in enumerate(x):
@@ -58,6 +87,7 @@ def dual_problem(p: LpProblem) -> LpProblem:
     primal optimum. A primal without rows gets the redundant row 0 <= 0,
     so that its dual has a variable.
     """
+    p = dense_view(p)
     inequalities = p.inequalities or (((ZERO,) * p.num_vars, ZERO),)
     columns = [row for row, _ in p.equalities] * 2 + [row for row, _ in inequalities]
     signs = [ONE] * len(p.equalities) + [-ONE] * len(p.equalities) + [ONE] * len(inequalities)
@@ -66,13 +96,14 @@ def dual_problem(p: LpProblem) -> LpProblem:
         (tuple(-s * col[j] for s, col in zip(signs, columns)), -p.objective[j])
         for j in range(p.num_vars)
     )
-    return LpProblem(len(columns), tuple(-s * b for s, b in zip(signs, rhs)), inequalities=rows)
+    return problem(len(columns), tuple(-s * b for s, b in zip(signs, rhs)), inequalities=rows)
 
 
 def farkas_multipliers(p: LpProblem):
     """Multipliers (y_eq free, y_ineq >= 0, y_sign >= 0) for the rows of
     A_eq x = b_eq, A_in x <= b_in and -x <= 0 with y A = 0 and y . b = -1,
     found by the solver; None if that alternative system is infeasible."""
+    p = dense_view(p)
     rows = [row for row, _ in p.equalities] * 2 + [row for row, _ in p.inequalities]
     rhs = [b for _, b in p.equalities] * 2 + [b for _, b in p.inequalities]
     n_eq, n = len(p.equalities), p.num_vars
@@ -84,7 +115,7 @@ def farkas_multipliers(p: LpProblem):
         unit[j] = -ONE
         equalities.append((tuple(s * r[j] for s, r in zip(signs, rows)) + tuple(unit), ZERO))
     equalities.append((tuple(s * b for s, b in zip(signs, rhs)) + (ZERO,) * n, -ONE))
-    out = solve(LpProblem(k, (ZERO,) * k, equalities=tuple(equalities)))
+    out = solve(problem(k, (ZERO,) * k, equalities=tuple(equalities)))
     if out.status != OPTIMAL:
         return None
     y = out.solution
@@ -96,6 +127,7 @@ def proves_infeasible(p: LpProblem, y_eq, y_ineq, y_sign) -> bool:
     """Re-substitution: y A = 0 over every column and y . b < 0."""
     if any(v < 0 for v in y_ineq) or any(v < 0 for v in y_sign):
         return False
+    p = dense_view(p)
     for j in range(p.num_vars):
         combined = sum(m * row[j] for m, (row, _) in zip(y_eq, p.equalities))
         combined += sum(m * row[j] for m, (row, _) in zip(y_ineq, p.inequalities))
@@ -110,7 +142,7 @@ def assert_sound(p: LpProblem, out, label: str):
     """Prove the outcome exactly, without trusting the solver's own word."""
     if out.status == OPTIMAL:
         assert check_feasible(p, out.solution) == [], label
-        assert sum(c * x for c, x in zip(p.objective, out.solution)) == out.objective, label
+        assert dot(p.objective, out.solution) == out.objective, label
         dual = dual_problem(p)
         dual_out = solve(dual)
         assert dual_out.status == OPTIMAL, f"{label}: dual ended {dual_out.status}"
@@ -126,14 +158,14 @@ def assert_sound(p: LpProblem, out, label: str):
 
 class TestExamples:
     def test_one_variable_box(self):
-        p = LpProblem(1, (rat(1),), inequalities=(((rat(1),), rat(1)),))
+        p = problem(1, (rat(1),), inequalities=(((rat(1),), rat(1)),))
         out = solve(p)
         assert out.status == OPTIMAL
         assert out.solution == (rat(1),)
         assert out.objective == rat(1)
 
     def test_box_as_rows(self):
-        p = LpProblem(
+        p = problem(
             1, (rat(1),),
             inequalities=(((rat(1),), rat(1)), ((rat(-1),), rat(0))),
         )
@@ -141,7 +173,7 @@ class TestExamples:
         assert out.status == OPTIMAL and out.solution == (rat(1),)
 
     def test_contradictory_bounds_infeasible_with_certificate(self):
-        p = LpProblem(
+        p = problem(
             1, (rat(1),),
             inequalities=(((rat(-1),), rat(-2)), ((rat(1),), rat(1))),  # x >= 2, x <= 1
         )
@@ -152,7 +184,7 @@ class TestExamples:
 
     def test_binomial_martingale_system(self):
         # maximize eps:  q1 + q2 = 1,  2 q1 + (1/2) q2 = 1,  q_i >= eps >= 0
-        p = LpProblem(
+        p = problem(
             3,
             (rat(0), rat(0), rat(1)),
             equalities=(
@@ -170,14 +202,20 @@ class TestExamples:
         assert out.solution[:2] == (rat(1, 3), rat(2, 3))
 
     def test_unbounded(self):
-        p = LpProblem(1, (rat(1),))
+        p = problem(1, (rat(1),))
         assert solve(p).status == UNBOUNDED
 
     def test_dimension_mismatch(self):
+        # a column outside 0..num_vars-1, or rows whose columns do not increase
         with pytest.raises(ValueError):
-            LpProblem(2, (rat(1),))
+            LpProblem(2, ((2, rat(1)),))
         with pytest.raises(ValueError):
-            LpProblem(1, (rat(1),), equalities=(((rat(1), rat(2)), rat(0)),))
+            LpProblem(1, (), equalities=((((0, rat(1)), (1, rat(2))), rat(0)),))
+        with pytest.raises(ValueError):
+            LpProblem(1, (), inequalities=((((-1, rat(1)),), rat(0)),))
+        with pytest.raises(ValueError):
+            LpProblem(2, ((1, rat(1)), (0, rat(1))))
+        LpProblem(2, ((0, rat(1)), (1, rat(1))), inequalities=((((1, rat(1)),), rat(0)),))
 
 
 class TestExactness:
@@ -187,8 +225,7 @@ class TestExactness:
             out = solve(p)
             if out.status == OPTIMAL:
                 assert check_feasible(p, out.solution) == []
-                value = sum(c * x for c, x in zip(p.objective, out.solution))
-                assert value == out.objective
+                assert dot(p.objective, out.solution) == out.objective
 
     def test_strong_duality_and_farkas_on_random_problems(self):
         statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
@@ -226,7 +263,7 @@ class TestExactness:
                 combo = tuple(a + b for a, b in zip(base_rows[0], base_rows[1]))
                 equalities.append((combo, equalities[0][1] + equalities[2][1]))
             caps = tuple((tuple(ONE if k == j else ZERO for k in range(n)), rat(5)) for j in range(n))
-            p = LpProblem(
+            p = problem(
                 n,
                 tuple(rat(rng.randint(-3, 3)) for _ in range(n)),
                 equalities=tuple(equalities),
@@ -252,7 +289,7 @@ def random_problem(rng: random.Random) -> LpProblem:
         if rng.random() < 0.5:
             unit = tuple(ONE if k == j else ZERO for k in range(n))
             inequalities.append((unit, rat(rng.randint(1, 6))))
-    return LpProblem(
+    return problem(
         n, objective,
         equalities=tuple(equalities),
         inequalities=tuple(inequalities),
@@ -266,6 +303,7 @@ class TestLinearAlgebra:
             (rat(2), rat(4), rat(0)),
             (rat(0), rat(0), rat(1)),
         ]
+        rows = [sparse(r) for r in rows]
         basis = row_basis(rows)
         assert len(basis) == 2
         for r in rows:
@@ -284,12 +322,11 @@ class TestLinearAlgebra:
             target = tuple(
                 sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(dim)
             )
-            assert in_span(vectors, target)
+            assert in_span([sparse(v) for v in vectors], sparse(target))
 
     def test_row_basis_rejects_outsiders(self):
-        vectors = [(rat(1), rat(0))]
-        assert not in_span(vectors, (rat(0), rat(1)))
-        assert not in_span([(rat(1), rat(1), rat(0))], (rat(1), rat(2), rat(0)))
+        assert not in_span([((0, rat(1)),)], ((1, rat(1)),))
+        assert not in_span([((0, rat(1)), (1, rat(1)))], ((0, rat(1)), (1, rat(2))))
 
 
 MIXED = (rat(1), rat(1, 3), rat(5, 7), rat(11, 13), rat(2), rat(-3, 2))
@@ -328,8 +365,8 @@ def tangled_problem(rng: random.Random) -> LpProblem:
             inequalities.append((unit, rng.choice((ONE, rat(5, 7), rat(11, 13), 2 * ONE))))
     rng.shuffle(equalities)
     rng.shuffle(inequalities)
-    return LpProblem(n, tuple(coeff() for _ in range(n)),
-                     equalities=tuple(equalities), inequalities=tuple(inequalities))
+    return problem(n, tuple(coeff() for _ in range(n)),
+                   equalities=tuple(equalities), inequalities=tuple(inequalities))
 
 
 class TestMatchesReference:
@@ -364,7 +401,7 @@ class TestMatchesReference:
             pivots["new"].clear()
             pivots["ref"].clear()
             out = solve(p)
-            ref = reference_solve(p)
+            ref = reference_solve(dense_view(p))
             assert (out.status, out.solution, out.objective) == (ref.status, ref.solution, ref.objective), seed
             assert pivots["new"] == pivots["ref"], seed
             statuses[out.status] += 1
@@ -385,4 +422,5 @@ class TestMatchesReference:
             if vectors and rng.random() < 0.5:
                 k = rng.choice(MIXED)
                 vectors.append(tuple(k * v for v in rng.choice(vectors)))
-            assert row_basis(vectors) == reference_row_basis(vectors), vectors
+            basis = [dense(row, dim) for row in row_basis([sparse(v) for v in vectors])]
+            assert basis == reference_row_basis(vectors), vectors

@@ -19,7 +19,7 @@ from delayedmarkets.probability import Filtration, FiniteSpace, Partition
 from delayedmarkets.rationals import rat
 from delayedmarkets.scenarios import ScenarioConfig, _rng, gen_martingale_market, gen_random_market
 
-from conftest import binomial_market, in_span, two_step_market
+from conftest import binomial_market, dense, in_span, sparse, two_step_market
 
 
 class TestValidateMarket:
@@ -110,7 +110,7 @@ class TestGainGenerators:
         m = binomial_market(4, 8, 2)
         gens = gain_generators(m)
         assert len(gens) == 1
-        assert gens[0].vector == (rat(4), rat(-2))
+        assert gens[0].deltas == ((0, rat(4)), (1, rat(-2)))
         assert gens[0].atom == ("u", "d")
 
     def test_enlarged_initial_information_splits_generators(self):
@@ -122,12 +122,12 @@ class TestGainGenerators:
         index_set = frozenset({"stock"})
         m = Market(space, prices, (index_set,), {index_set: grand}, grand)
         gens = gain_generators(m)
-        assert {g.vector for g in gens} == {(rat(4), rat(0)), (rat(0), rat(-2))}
+        assert {g.deltas for g in gens} == {((0, rat(4)),), ((1, rat(-2)),)}
 
     def test_generators_measurable_at_right_endpoint(self):
         m = gen_martingale_market(ScenarioConfig(seed=5))
         for g in gain_generators(m):
-            assert is_measurable(g.vector, m.grand_filtration.at(g.step + 1))
+            assert is_measurable(dense(g.deltas, len(m.space.states)), m.grand_filtration.at(g.step + 1))
 
     def test_zero_vectors_dropped(self):
         m = binomial_market(4, 4, 4)
@@ -136,9 +136,9 @@ class TestGainGenerators:
     def test_superset_never_shrinks_span(self):
         small = two_assets_market(index_sets=[{"a0"}])
         big = two_assets_market(index_sets=[{"a0"}, {"a1"}, {"a0", "a1"}])
-        big_vectors = [g.vector for g in gain_generators(big)]
+        big_rows = [g.deltas for g in gain_generators(big)]
         for g in gain_generators(small):
-            assert in_span(big_vectors, g.vector)
+            assert in_span(big_rows, g.deltas)
 
 
 class TestSpanProperty:
@@ -152,10 +152,10 @@ class TestSpanProperty:
             if strategy is None:
                 continue
             terminal = wealth_process(m, strategy)[-1]
-            vectors = [g.vector for g in gain_generators(m)]
+            rows = [g.deltas for g in gain_generators(m)]
             if all(v == 0 for v in terminal):
                 continue
-            assert in_span(vectors, terminal), f"trial {i}: terminal wealth escaped the generator span"
+            assert in_span(rows, sparse(terminal)), f"trial {i}: terminal wealth escaped the generator span"
             checked += 1
         assert checked >= 40
 
