@@ -5,10 +5,11 @@ subspace K spanned by the one-step gain generators, so "no free lunch"
 collapses to the Stiemke alternative: either some nonzero nonnegative
 vector lies in K (a free-lunch strategy), or some strictly positive
 measure annihilates K (an equivalent martingale measure for every trading
-filtration of the index system). Both sides are decided by exact rational
-LPs over the same generator set and exactly one of them can ever produce
-a certificate; check_naflp runs both and treats any other pattern as a
-solver bug, never as a model state.
+filtration of the index system). Both sides are exact rational LPs over
+one generator set and only one can ever certify, so check_naflp skips
+both when the uniform measure annihilates K, else runs the measure LP,
+and the free-lunch LP only when that finds no measure. Neither oracle
+certifying is a solver bug; the tests run both on generated markets.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .rationals import ONE, Rational, ZERO, format_rational, rat
 
 
 class OracleDisagreementError(RuntimeError):
-    """Both or neither oracle produced a certificate: an internal inconsistency."""
+    """Neither oracle produced a certificate: an internal inconsistency."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class NoFreeLunch:
 Verdict = FreeLunch | NoFreeLunch
 
 
-def find_free_lunch(m: Market, horizon: int | None = None) -> FreeLunchCertificate | None:
+def find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificate | None:
     """Search the span of the gain generators for a nonnegative nonzero claim.
 
     Maximizes the total mass of v = sum_j coeff_j * generator_j subject to
@@ -81,8 +82,6 @@ def find_free_lunch(m: Market, horizon: int | None = None) -> FreeLunchCertifica
     v_w <= 1 hold (-d, d) and (d, -d) on the pair of each generator j
     whose price change at w is d, and no other entry.
     """
-    horizon = m.space.horizon if horizon is None else horizon
-    gens = gain_generators(m, horizon)
     if not gens:
         return None
     n_states = len(m.space.states)
@@ -153,7 +152,7 @@ def _strategy_from_active(m: Market, gens: list[GainGenerator], coeffs) -> Strat
     return Strategy(index_set=index_set, dates=dates, holdings=tuple(holdings))
 
 
-def find_martingale_measure(m: Market, horizon: int | None = None) -> MartingaleMeasureCertificate | None:
+def find_martingale_measure(m: Market, gens: list[GainGenerator]) -> MartingaleMeasureCertificate | None:
     """Search for a strictly positive measure annihilating every gain generator.
 
     Maximizes the floor eps under the constraints sum(q) = 1, q_w >= eps,
@@ -162,8 +161,6 @@ def find_martingale_measure(m: Market, horizon: int | None = None) -> Martingale
     Orthogonality to consecutive-step generators gives the martingale
     property for all date pairs by the tower property.
     """
-    horizon = m.space.horizon if horizon is None else horizon
-    gens = gain_generators(m, horizon)
     n_states = len(m.space.states)
     eps = n_states  # columns: q per state, then eps
     equalities = [(tuple((w, ONE) for w in range(n_states)), ONE)]
@@ -184,17 +181,20 @@ def find_martingale_measure(m: Market, horizon: int | None = None) -> Martingale
 
 
 def check_naflp(m: Market, horizon: int | None = None) -> Verdict:
-    """Run both oracles and insist that exactly one of them certifies."""
-    lunch = find_free_lunch(m, horizon)
-    measure = find_martingale_measure(m, horizon)
-    if lunch is not None and measure is None:
-        return FreeLunch(lunch)
-    if lunch is None and measure is not None:
+    """Decide from one generator set: the uniform measure if every generator's
+    changes sum to zero (the measure LP's only optimum then, as eps = 1/n
+    forces q = 1/n), else the measure LP, and the free-lunch LP only when
+    that finds no measure."""
+    gens, states = gain_generators(m, horizon), m.space.states
+    if all(sum(d for _, d in g.deltas) == 0 for g in gens):
+        return NoFreeLunch(MartingaleMeasureCertificate(dict.fromkeys(states, rat(1, len(states)))))
+    measure = find_martingale_measure(m, gens)
+    if measure is not None:
         return NoFreeLunch(measure)
-    raise OracleDisagreementError(
-        f"oracles disagree: free lunch {'found' if lunch else 'absent'}, "
-        f"martingale measure {'found' if measure else 'absent'}"
-    )
+    lunch = find_free_lunch(m, gens)
+    if lunch is not None:
+        return FreeLunch(lunch)
+    raise OracleDisagreementError("oracles disagree: free lunch absent, martingale measure absent")
 
 
 def verify_certificate(m: Market, v: Verdict, horizon: int | None = None) -> bool:

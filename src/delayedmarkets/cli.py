@@ -5,8 +5,8 @@ certificate), delay (apply a document's delay family and write the
 transformed document), experiment (seeded theorem harnesses).
 
 Exit codes: 0 success or no free lunch, 1 input error, 2 free lunch
-found, 3 experiment failure, 4 internal error (the two oracles disagree,
-or a certificate fails independent re-verification).
+found, 3 experiment failure, 4 internal error (neither oracle produced a
+certificate, or a certificate fails independent re-verification).
 """
 
 from __future__ import annotations

@@ -363,7 +363,6 @@ def validate_stopping_process(sp: StoppingProcess, mode: str) -> list[str]:
         raise ValueError(f"unknown mode {mode!r}; use 'information' or 'execution'")
     problems: list[str] = []
     states = sp.states
-    idx = {st: i for i, st in enumerate(states)}
     top = len(sp.info) - 1
     for t, row in enumerate(sp.values):
         for st, v in zip(states, row):
@@ -371,9 +370,13 @@ def validate_stopping_process(sp: StoppingProcess, mode: str) -> list[str]:
                 problems.append(f"information bound violated: value {v} at (t={t}, state={st}) outside [0, {t}]")
             if mode == _EXECUTION and not t <= v <= top:
                 problems.append(f"execution bound violated: value {v} at (t={t}, state={st}) outside [{t}, {top}]")
-        for s in range(len(sp.info)):
-            for atom in sp.info.at(s).atoms:
-                hits = [row[idx[st]] <= s for st in atom]
+        # {value <= s} only changes at the row's values (values below 0 all
+        # enter at s = 0) and F_s only refines as s grows, so the first grid
+        # time s at which it cuts an atom of F_s is one of those values
+        for s in sorted({max(v, 0) for v in row if v <= top}):
+            info = sp.info.at(s)
+            for atom, positions in zip(info.atoms, info.atom_positions):
+                hits = [row[k] <= s for k in positions]
                 if any(hits) and not all(hits):
                     problems.append(
                         f"stopping property violated at t={t}: {{value <= {s}}} cuts atom {atom} of the information"

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from delayedmarkets.arbitrage import FreeLunch, NoFreeLunch, check_naflp, find_free_lunch, find_martingale_measure
 from delayedmarkets.lp import row_basis
-from delayedmarkets.markets import Market
+from delayedmarkets.markets import Market, gain_generators
 from delayedmarkets.probability import Filtration, FiniteSpace, Partition
 from delayedmarkets.rationals import rat
 
@@ -35,6 +36,20 @@ def in_span(rows, v) -> bool:
             for k, x in b:
                 rebuilt[k] = rebuilt.get(k, 0) + c * x
     return entries == {k: x for k, x in rebuilt.items() if x}
+
+
+def one_certificate(m, horizon=None):
+    """check_naflp's verdict, after running both oracles on one generator
+    set: exactly one may certify (the Stiemke alternative), and the
+    verdict must carry that certificate."""
+    gens = gain_generators(m, horizon)
+    lunch, measure = find_free_lunch(m, gens), find_martingale_measure(m, gens)
+    assert (lunch is None) != (measure is None), \
+        f"free lunch {'found' if lunch else 'absent'}, martingale measure {'found' if measure else 'absent'}"
+    verdict = check_naflp(m, horizon)
+    assert isinstance(verdict, NoFreeLunch if measure else FreeLunch)
+    assert verdict.certificate == (measure or lunch)
+    return verdict
 
 
 def binomial_market(s0, up, down):

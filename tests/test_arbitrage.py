@@ -21,7 +21,7 @@ from delayedmarkets.arbitrage import (
     verify_certificate,
 )
 from delayedmarkets.delays import delayed_market, information_delayed_market
-from delayedmarkets.markets import Market, validate_market, wealth_process
+from delayedmarkets.markets import Market, gain_generators, validate_market, wealth_process
 from delayedmarkets.probability import conditional_expectation
 from delayedmarkets.rationals import ONE, rat
 from delayedmarkets.scenarios import (
@@ -33,7 +33,7 @@ from delayedmarkets.scenarios import (
     gen_random_market,
 )
 
-from conftest import binomial_market
+from conftest import binomial_market, one_certificate
 from reference_verify import reference_verify_measure
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -41,16 +41,18 @@ GOLDEN = Path(__file__).parent / "golden"
 
 class TestBinomialOracles:
     def test_no_arbitrage_measure(self, no_arbitrage_binomial):
-        cert = find_martingale_measure(no_arbitrage_binomial)
+        gens = gain_generators(no_arbitrage_binomial)
+        cert = find_martingale_measure(no_arbitrage_binomial, gens)
         assert cert is not None
         assert cert.q == {"u": rat(1, 3), "d": rat(2, 3)}
-        assert find_free_lunch(no_arbitrage_binomial) is None
+        assert find_free_lunch(no_arbitrage_binomial, gens) is None
 
     def test_dominating_asset_free_lunch(self, dominated_binomial):
-        cert = find_free_lunch(dominated_binomial)
+        gens = gain_generators(dominated_binomial)
+        cert = find_free_lunch(dominated_binomial, gens)
         assert cert is not None
         assert cert.terminal_wealth == (rat(1), rat(0))
-        assert find_martingale_measure(dominated_binomial) is None
+        assert find_martingale_measure(dominated_binomial, gens) is None
 
     def test_verdicts(self, no_arbitrage_binomial, dominated_binomial):
         assert isinstance(check_naflp(no_arbitrage_binomial), NoFreeLunch)
@@ -71,21 +73,39 @@ class TestVerifyCertificate:
         assert verify_certificate(no_arbitrage_binomial, NoFreeLunch(good))
 
     def test_strategy_certificate_recomputed_independently(self, dominated_binomial):
-        cert = find_free_lunch(dominated_binomial)
+        cert = find_free_lunch(dominated_binomial, gain_generators(dominated_binomial))
         wealth = wealth_process(dominated_binomial, cert.strategy)
         assert wealth[-1] == cert.terminal_wealth
         assert all(v == 0 for v in wealth[0])
         assert verify_certificate(dominated_binomial, FreeLunch(cert))
 
     def test_tampered_terminal_rejected(self, dominated_binomial):
-        cert = find_free_lunch(dominated_binomial)
+        cert = find_free_lunch(dominated_binomial, gain_generators(dominated_binomial))
         forged = FreeLunchCertificate(cert.strategy, (rat(2), rat(0)))
         assert not verify_certificate(dominated_binomial, FreeLunch(forged))
 
     def test_zero_claim_rejected(self, dominated_binomial):
-        cert = find_free_lunch(dominated_binomial)
+        cert = find_free_lunch(dominated_binomial, gain_generators(dominated_binomial))
         zero = FreeLunchCertificate(cert.strategy, (rat(0), rat(0)))
         assert not verify_certificate(dominated_binomial, FreeLunch(zero))
+
+
+def desk_and_walks(count):
+    """The first count criterion-1 desk markets, then the information and
+    execution insider walks of 2 to 4 steps, plain and delayed."""
+    desk = ScenarioConfig(seed=2024, num_states=12, grid=4, extension=6,
+                          num_assets=3, max_index_sets=4, brokers=3)
+    for i in range(count):
+        rng = _rng(desk.seed, "ftap", i)
+        gen = gen_martingale_market if rng.random() < 0.45 else gen_random_market
+        yield f"desk {i}", gen(desk, rng=rng)
+    for steps in (2, 3, 4):
+        m, fam = gen_insider_market(steps, 1)
+        yield f"information walk {steps}", m
+        yield f"delayed information walk {steps}", information_delayed_market(m, fam)
+        m, fam = gen_insider_execution_market(steps, 1)
+        yield f"execution walk {steps}", m
+        yield f"delayed execution walk {steps}", delayed_market(m, fam)
 
 
 class TestOracleConsistency:
@@ -94,14 +114,59 @@ class TestOracleConsistency:
         for i in range(40):
             rng = _rng(cfg.seed, "consistency", i)
             m = gen_martingale_market(cfg, rng=rng) if rng.random() < 0.4 else gen_random_market(cfg, rng=rng)
-            verdict = check_naflp(m)  # raises if both or neither oracle certifies
+            verdict = one_certificate(m)
             assert verify_certificate(m, verdict)
 
+    def test_exactly_one_certificate_on_walks(self):
+        for label, m in desk_and_walks(0):
+            assert verify_certificate(m, one_certificate(m)), label
+
     def test_disagreement_raises(self, no_arbitrage_binomial, monkeypatch):
-        monkeypatch.setattr(arbitrage, "find_free_lunch", lambda m, horizon=None: None)
-        monkeypatch.setattr(arbitrage, "find_martingale_measure", lambda m, horizon=None: None)
+        monkeypatch.setattr(arbitrage, "find_free_lunch", lambda m, gens: None)
+        monkeypatch.setattr(arbitrage, "find_martingale_measure", lambda m, gens: None)
         with pytest.raises(OracleDisagreementError):
             check_naflp(no_arbitrage_binomial)
+
+    def test_uniform_shortcut_is_the_measure_lp_optimum(self, monkeypatch):
+        """Wherever check_naflp skips the measure LP, that LP returns
+        exactly the uniform measure the shortcut gave."""
+        measure_lp = arbitrage.find_martingale_measure
+        solved = []
+        monkeypatch.setattr(arbitrage, "find_martingale_measure",
+                            lambda m, gens: solved.append(m) or measure_lp(m, gens))
+        skipped = []
+        for label, m in desk_and_walks(160):
+            verdict = check_naflp(m)
+            if not solved or solved[-1] is not m:
+                states = m.space.states
+                uniform = {s: rat(1, len(states)) for s in states}
+                assert verdict.certificate.q == uniform, label
+                assert measure_lp(m, gain_generators(m)).q == uniform, label
+                skipped.append(label)
+        assert len(skipped) >= 10 and "delayed information walk 4" in skipped
+
+    def test_measure_certificate_skips_free_lunch_lp(self, monkeypatch):
+        def refuse(m, gens):
+            raise AssertionError("free-lunch LP ran after the measure LP certified")
+
+        monkeypatch.setattr(arbitrage, "find_free_lunch", refuse)
+        certified = 0
+        for label, m in desk_and_walks(160):
+            if find_martingale_measure(m, gain_generators(m)) is not None:
+                assert isinstance(check_naflp(m), NoFreeLunch), label
+                certified += 1
+        assert certified >= 50
+
+    def test_generators_are_built_once_per_check(self, monkeypatch, no_arbitrage_binomial, dominated_binomial):
+        build = arbitrage.gain_generators
+        calls = []
+        monkeypatch.setattr(arbitrage, "gain_generators", lambda m, horizon=None: calls.append(m) or build(m, horizon))
+        im, fam = gen_insider_market(2, 1)
+        # the measure LP, the free-lunch LP after it, and the uniform shortcut
+        for m in (no_arbitrage_binomial, dominated_binomial, im, information_delayed_market(im, fam)):
+            calls.clear()
+            check_naflp(m)
+            assert calls == [m]
 
     def test_measure_valid_for_all_date_pairs(self):
         m = gen_martingale_market(ScenarioConfig(seed=31))
@@ -248,22 +313,6 @@ class TestMatchesReferenceVerifier:
     Fraction conditional-expectation check accepts."""
 
     @staticmethod
-    def markets():
-        desk = ScenarioConfig(seed=2024, num_states=12, grid=4, extension=6,
-                              num_assets=3, max_index_sets=4, brokers=3)
-        for i in range(160):
-            rng = _rng(desk.seed, "ftap", i)
-            gen = gen_martingale_market if rng.random() < 0.45 else gen_random_market
-            yield f"desk {i}", gen(desk, rng=rng)
-        for steps in (2, 3, 4):
-            m, fam = gen_insider_market(steps, 1)
-            yield f"information walk {steps}", m
-            yield f"delayed information walk {steps}", information_delayed_market(m, fam)
-            m, fam = gen_insider_execution_market(steps, 1)
-            yield f"execution walk {steps}", m
-            yield f"delayed execution walk {steps}", delayed_market(m, fam)
-
-    @staticmethod
     def random_measure(rng, states):
         weights = [rat(rng.randint(1, 9), rng.randint(1, 7)) for _ in states]
         total = sum(weights)
@@ -298,11 +347,11 @@ class TestMatchesReferenceVerifier:
 
     def test_agrees_with_reference_on_four_groups(self):
         groups = {"certified": [], "random": [], "moved mass": [], "shifted price": []}
-        for label, m in self.markets():
+        for label, m in desk_and_walks(160):
             rng = _rng(2024, "verify", label)
             states = m.space.states
             groups["random"].append((label, m, self.random_measure(rng, states)))
-            cert = find_martingale_measure(m)
+            cert = find_martingale_measure(m, gain_generators(m))
             if cert is None:
                 continue
             groups["certified"].append((label, m, cert.q))

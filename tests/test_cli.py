@@ -75,7 +75,7 @@ class TestCheck:
         import delayedmarkets.arbitrage as arbitrage
 
         # the binomial has no free lunch, so a missing measure leaves neither oracle certifying
-        monkeypatch.setattr(arbitrage, "find_martingale_measure", lambda m, horizon=None: None)
+        monkeypatch.setattr(arbitrage, "find_martingale_measure", lambda m, gens: None)
         assert main(["check", str(binomial_path)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""

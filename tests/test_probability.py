@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ from delayedmarkets.probability import (
     validate_stopping_process,
 )
 from delayedmarkets.rationals import rat
+
+from reference_stopping import reference_validate_stopping_process
 
 STATES4 = ("1", "2", "3", "4")
 
@@ -346,6 +349,66 @@ class TestValidateStoppingProcess:
         f = ladder_filtration()
         with pytest.raises(ValueError):
             validate_stopping_process(StoppingProcess.identity(3, f), "both")
+
+    def test_negative_value_cutting_an_atom_of_f0_is_reported(self):
+        f = ladder_filtration()
+        sp = StoppingProcess(((-1, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 2)), f)
+        assert validate_stopping_process(sp, "information") == \
+            reference_validate_stopping_process(sp, "information")
+        sp = StoppingProcess(((-1, 1, 1, 1), (1, 1, 1, 1), (2, 2, 2, 2)), f)
+        report = validate_stopping_process(sp, "information")
+        assert report == reference_validate_stopping_process(sp, "information")
+        assert "stopping property violated at t=0: {value <= 0} cuts atom ('1', '2', '3', '4') " \
+            "of the information" in report
+
+
+def _random_filtration(rng, states, length):
+    """Each step splits every atom by a fresh random bit, or keeps it."""
+    labels = [()] * len(states)
+    partitions = []
+    for _ in range(length):
+        if rng.random() < 0.6:
+            labels = [label + (rng.randint(0, 1),) for label in labels]
+        partitions.append(Partition.from_labels(states, labels))
+    return Filtration(tuple(partitions))
+
+
+def _random_row(rng, info):
+    """A stopping time of info, that time with one entry moved (perhaps
+    off the grid), or uniform noise on -2..top+2."""
+    top = len(info) - 1
+    kind = rng.random()
+    if kind < 0.3:
+        return [rng.randint(-2, top + 2) for _ in info.states]
+    row = [None] * len(info.states)
+    for s in range(top + 1):
+        for positions in info.at(s).atom_positions:
+            if row[positions[0]] is None and (s == top or rng.random() < 0.4):
+                for k in positions:
+                    row[k] = s
+    if kind < 0.7:
+        row[rng.randrange(len(row))] = rng.randint(-2, top + 2)
+    return row
+
+
+class TestStoppingMatchesReference:
+    """Testing the stopping property at the row's values alone reports
+    exactly what the test at every grid time reported."""
+
+    def test_random_filtrations_and_tables(self):
+        rng = random.Random(2024)
+        reports = cuts = 0
+        for _ in range(3000):
+            states = tuple(f"s{k}" for k in range(rng.randint(1, 6)))
+            info = _random_filtration(rng, states, rng.randint(1, 5))
+            values = tuple(_random_row(rng, info) for _ in range(rng.randint(1, 5)))
+            sp = StoppingProcess(values, info)
+            for mode in ("information", "execution"):
+                report = validate_stopping_process(sp, mode)
+                assert report == reference_validate_stopping_process(sp, mode), (values, info)
+                reports += 1
+                cuts += any("stopping property violated" in p for p in report)
+        assert reports == 6000 and cuts >= 1000
 
 
 class TestFiltration:

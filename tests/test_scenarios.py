@@ -25,6 +25,8 @@ from delayedmarkets.scenarios import (
     run_superimposition_experiment,
 )
 
+from conftest import one_certificate
+
 
 class TestGenerators:
     def test_generated_markets_and_delays_always_validate(self):
@@ -100,6 +102,13 @@ class TestGenerators:
 
 
 class TestExperiments:
+    @pytest.fixture(autouse=True)
+    def both_oracles_on_every_trial_market(self, monkeypatch):
+        """Every market a trial checks must get exactly one certificate."""
+        import delayedmarkets.scenarios as sc
+
+        monkeypatch.setattr(sc, "check_naflp", one_certificate)
+
     def test_information_inheritance_smoke(self):
         report = run_inheritance_experiment(ScenarioConfig(seed=211), "information", trials=10)
         assert report.passed and report.trials == 10
