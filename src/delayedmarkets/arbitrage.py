@@ -14,13 +14,12 @@ certifying is a solver bug; the tests run both on generated markets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from . import lp
 from .markets import GainGenerator, Market, Strategy, gain_generators, wealth_process
-from .rationals import ONE, Rational, ZERO, format_rational, rat
+from .rationals import ONE, Rational, ZERO, format_rational, int_multiple, rat
 
 
 class OracleDisagreementError(RuntimeError):
@@ -41,9 +40,6 @@ class MartingaleMeasureCertificate:
     for the trading filtration of every index set."""
 
     q: Mapping[str, Rational]
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", {s: rat(v) for s, v in self.q.items()})
 
     def vector(self, states: tuple[str, ...]) -> tuple[Rational, ...]:
         return tuple(self.q[s] for s in states)
@@ -78,9 +74,10 @@ def find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificat
     strategy is rebuilt from the active generators, a zero optimum means
     only v = 0 is attainable. Each free coefficient is the difference of
     an adjacent pair of nonnegative LP columns (2j, 2j + 1). The rows are
-    built from the generators' deltas: state w's rows -v_w <= 0 and
-    v_w <= 1 hold (-d, d) and (d, -d) on the pair of each generator j
-    whose price change at w is d, and no other entry.
+    built from the generators' int deltas (price changes times the
+    market's price_scale D): state w's rows -v_w <= 0 and v_w <= 1 hold
+    (-d, d) and (d, -d) on the pair of each generator j whose delta at w
+    is d, and no other entry, so x[2j] - x[2j + 1] is coefficient j / D.
     """
     if not gens:
         return None
@@ -89,7 +86,7 @@ def find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificat
     upper: list[list] = [[] for _ in range(n_states)]
     objective = []
     for j, g in enumerate(gens):
-        total = ZERO
+        total = 0
         for w, d in g.deltas:
             nd = -d
             lower[w] += ((2 * j, nd), (2 * j + 1, d))
@@ -108,13 +105,13 @@ def find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificat
     if outcome.objective == 0:
         return None
     x = outcome.solution
-    coeffs = tuple(x[2 * j] - x[2 * j + 1] for j in range(len(gens)))
+    units = [x[2 * j] - x[2 * j + 1] for j in range(len(gens))]
     terminal = [ZERO] * n_states
-    for c, g in zip(coeffs, gens):
+    for c, g in zip(units, gens):
         if c != 0:
             for w, d in g.deltas:
                 terminal[w] += c * d
-    strategy = _strategy_from_active(m, gens, coeffs)
+    strategy = _strategy_from_active(m, gens, [m.price_scale * c for c in units])
     return FreeLunchCertificate(strategy=strategy, terminal_wealth=tuple(terminal))
 
 
@@ -232,7 +229,7 @@ def _verify_measure(m: Market, cert: MartingaleMeasureCertificate, horizon: int)
     weights = cert.vector(states)
     if any(w <= 0 for w in weights) or sum(weights) != ONE:
         return False
-    q = _int_multiple(weights)
+    q = int_multiple(weights)[0]
     n_states = len(states)
     idx = m.space.state_index
     weighted: dict[str, list[list[int]]] = {}
@@ -242,7 +239,7 @@ def _verify_measure(m: Market, cert: MartingaleMeasureCertificate, horizon: int)
         for asset in sorted(index_set):
             rows = weighted.get(asset)
             if rows is None:
-                prices = _int_multiple([v for row in m.assets[asset][:horizon + 1] for v in row])
+                prices = int_multiple(v for row in m.assets[asset][:horizon + 1] for v in row)[0]
                 rows = weighted[asset] = [
                     [w * p for w, p in zip(q, prices[t * n_states:(t + 1) * n_states])]
                     for t in range(horizon + 1)
@@ -254,13 +251,6 @@ def _verify_measure(m: Market, cert: MartingaleMeasureCertificate, horizon: int)
                         if sum(later[k] for k in atom) != now:
                             return False
     return True
-
-
-def _int_multiple(values) -> list[int]:
-    """Rationals times the lcm of their denominators, as Python ints."""
-    pairs = [v.as_integer_ratio() for v in values]
-    scale = math.lcm(*[d for _, d in pairs])
-    return [n * (scale // d) for n, d in pairs]
 
 
 def _verify_strategy(m: Market, cert: FreeLunchCertificate, horizon: int) -> bool:

@@ -123,7 +123,7 @@ def validate_execution_family(m: Market, fam: ExecutionDelayFamily) -> list[str]
         if not is_subfiltration(sp.info, m.grand_filtration):
             problems.append(f"{label}: delay information is not coarser than the grand filtration")
         cap = fam.cap(a, extended)
-        if not 1 <= cap <= extended + 2:
+        if not 1 <= cap <= extended + 1:
             problems.append(f"{label}: cap {cap} outside 1..{extended + 1}")
         for t, row in enumerate(sp.values):
             bad = [v for v in row if v >= cap]

@@ -253,6 +253,8 @@ def parse_market_document(text: str) -> MarketDocument:
                 continue
             f = _parse_filtration(declared, tuple(states), len(declared), where, problems, cache)
             if f is not None and index_set is not None:
+                if index_set in trading:
+                    problems.append(f"{where}: duplicate trading filtration for index set {sorted(index_set)}")
                 trading[index_set] = f
     if problems or grand is None:
         raise DocumentError(problems or ["filtrations.grand unreadable"])
@@ -313,6 +315,8 @@ def _parse_info_delays(entries, market: Market, problems: list[str], cache: _Int
                              market.grand_filtration, f"{where}.info", problems, cache)
         if index_set is None or values is None or info is None:
             continue
+        if index_set in delays:
+            problems.append(f"{where}: duplicate information delay for index set {sorted(index_set)}")
         delays[index_set] = StoppingProcess(values, info)
     if problems:
         return None
@@ -346,6 +350,8 @@ def _parse_exec_delays(entries, market: Market, problems: list[str], cache: _Int
                              market.grand_filtration, f"{where}.info", problems, cache)
         if values is None or info is None:
             continue
+        if entry["asset"] in delays:
+            problems.append(f"{where}: duplicate execution delay for asset {entry['asset']!r}")
         delays[entry["asset"]] = StoppingProcess(values, info)
         if "cap" in entry:
             if not _is_int(entry["cap"]):

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rationals import Rational, ZERO
+from .rationals import Rational, ZERO, int_multiple
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -82,9 +82,8 @@ class LpOutcome:
 def _scaled(row) -> tuple[dict[int, int], int]:
     """A sparse rational row times the lcm of its denominators, as an int
     dict keyed by column, and that lcm."""
-    pairs = [(k, *v.as_integer_ratio()) for k, v in row]
-    scale = math.lcm(*[d for _, _, d in pairs])
-    return {k: n * (scale // d) for k, n, d in pairs}, scale
+    values, scale = int_multiple(v for _, v in row)
+    return dict(zip([k for k, _ in row], values)), scale
 
 
 def _reduced(row: dict[int, int]) -> dict[int, int]:

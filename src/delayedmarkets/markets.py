@@ -10,17 +10,15 @@ generator set is produced by gain_generators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .probability import Filtration, FiniteSpace, Partition, refines
-from .rationals import Rational, ZERO, rat
+from .rationals import Rational, ZERO, int_multiple
 
 PriceTable = tuple[tuple[Rational, ...], ...]  # time-major: table[t][state]
-
-
-def _freeze_table(table: Sequence[Sequence[Rational]]) -> PriceTable:
-    return tuple(tuple(rat(v) for v in row) for row in table)
 
 
 @dataclass(frozen=True)
@@ -31,8 +29,8 @@ class Market:
     them. Trading filtrations span at least 0..horizon; a market may
     declare them further out (up to the extended horizon) when trading
     information past maturity matters, otherwise the final partition is
-    repeated on demand. Shape errors raise immediately, semantic
-    invariants are reported by validate_market.
+    repeated on demand. Prices are taken as given, shape errors raise
+    immediately and semantic invariants are reported by validate_market.
     """
 
     space: FiniteSpace
@@ -46,7 +44,7 @@ class Market:
         rows = self.space.extended_horizon + 1
         frozen_assets = {}
         for aid, table in self.assets.items():
-            table = _freeze_table(table)
+            table = tuple(map(tuple, table))
             if len(table) != rows:
                 raise ValueError(f"asset {aid!r}: price table must have {rows} time rows")
             if any(len(r) != n_states for r in table):
@@ -70,6 +68,12 @@ class Market:
                     f"trading filtration for {set(a)} must span at least 0..{self.space.horizon} "
                     f"and at most 0..{self.space.extended_horizon}"
                 )
+
+    @cached_property
+    def price_scale(self) -> int:
+        """The lcm D of the denominators of every price of every asset, so
+        that D times any price is an int; computed on first use."""
+        return math.lcm(*{v.denominator for table in self.assets.values() for row in table for v in row})
 
     def trading_filtration(self, index_set: frozenset[str], horizon: int | None = None) -> Filtration:
         """Trading filtration of an index set over 0..horizon.
@@ -176,10 +180,7 @@ class Strategy:
             raise ValueError("dates must be strictly increasing")
         if len(self.holdings) != len(self.dates) - 1:
             raise ValueError("one holdings map per interval between consecutive dates")
-        frozen = tuple(
-            {aid: tuple(rat(v) for v in vec) for aid, vec in h.items()}
-            for h in self.holdings
-        )
+        frozen = tuple({aid: tuple(vec) for aid, vec in h.items()} for h in self.holdings)
         object.__setattr__(self, "holdings", frozen)
         for h in frozen:
             if not set(h) <= self.index_set:
@@ -244,7 +245,8 @@ class GainGenerator:
 
     Its gain vector is 1_atom(w) * (price(step + 1, w) - price(step, w)),
     held sparse: deltas are the (state position, price change) pairs of
-    the atom's states whose price changes, in increasing position order.
+    the atom's states whose price changes, in increasing position order,
+    each change an int in units of 1/D for the market's price_scale D.
     The linear span of all generators equals the attainable terminal
     wealths.
     """
@@ -253,7 +255,7 @@ class GainGenerator:
     asset: str
     step: int
     atom: tuple[str, ...]
-    deltas: tuple[tuple[int, Rational], ...]
+    deltas: tuple[tuple[int, int], ...]
 
 
 def gain_generators(m: Market, horizon: int | None = None) -> list[GainGenerator]:
@@ -261,34 +263,28 @@ def gain_generators(m: Market, horizon: int | None = None) -> list[GainGenerator
 
     Any holding over a longer interval telescopes into per-step holdings
     that stay measurable at the earlier date, so consecutive-step atom
-    indicators span every simple strategy's terminal wealth. Zero vectors
-    are dropped and duplicate vectors keep their first (canonical)
-    provenance.
+    indicators span every simple strategy's terminal wealth. Deltas are
+    ints in units of 1/D for the one market-wide price_scale D, so equal
+    vectors of different assets stay equal. Zero vectors are dropped and
+    duplicate vectors keep their first (canonical) provenance.
     """
     horizon = m.space.horizon if horizon is None else horizon
     if horizon > m.space.extended_horizon:
         raise ValueError("horizon beyond the extended grid")
     out: list[GainGenerator] = []
-    # a vector is known by its nonzero entries as (k, numerator, denominator);
-    # rationals are in lowest terms, so this key is as exact as the vector
-    seen: set[tuple[tuple[int, int, int], ...]] = set()
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    scale = m.price_scale
+    scaled = {a: [int_multiple(row, scale)[0] for row in table[:horizon + 1]] for a, table in m.assets.items()}
     for index_set in m.index_system:
         filtration = m.trading_filtration(index_set, horizon)
         for asset in sorted(index_set):
-            table = m.assets[asset]
+            table = scaled[asset]
             for t in range(horizon):
                 now, nxt = table[t], table[t + 1]
                 sigma = filtration.at(t)
                 for atom, positions in zip(sigma.atoms, sigma.atom_positions):
-                    deltas = []
-                    for k in sorted(positions):
-                        d = nxt[k] - now[k]
-                        if d:
-                            deltas.append((k, d))
-                    if not deltas:
-                        continue
-                    key = tuple((k, d.numerator, d.denominator) for k, d in deltas)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(GainGenerator(index_set, asset, t, atom, tuple(deltas)))
+                    deltas = tuple((k, nxt[k] - now[k]) for k in sorted(positions) if nxt[k] != now[k])
+                    if deltas and deltas not in seen:
+                        seen.add(deltas)
+                        out.append(GainGenerator(index_set, asset, t, atom, deltas))
     return out

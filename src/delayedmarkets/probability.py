@@ -46,7 +46,7 @@ class FiniteSpace:
             raise ValueError("extended horizon must be >= horizon")
         if set(self.probability) != set(self.states):
             raise ValueError("probability keys do not match the state set")
-        weights = [rat(self.probability[s]) for s in self.states]
+        weights = [self.probability[s] for s in self.states]
         if any(w <= 0 for w in weights):
             raise ValueError("all state probabilities must be strictly positive")
         if sum(weights) != ONE:

@@ -1,12 +1,14 @@
 """Exact rational arithmetic used everywhere in the core.
 
-Rational is fractions.Fraction. It does not sit in the LP's inner loop:
-`lp` converts to Python ints on the way in and builds rationals only for
-its results.
+Rational is fractions.Fraction. It does not sit in the LP's inner loop
+or in the certificate checks: int_multiple is the one place where a list
+of rationals becomes Python ints (times the lcm of its denominators), for
+a market's price scale, the LP's rows and the measure verifier alike.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Rational
 
 ZERO = Rational(0)
@@ -21,6 +23,16 @@ def rat(numerator, denominator=1) -> Rational:
     if denominator == 1:
         return Rational(numerator)
     return Rational(numerator) / Rational(denominator)
+
+
+def int_multiple(values, scale: int | None = None) -> tuple[list[int], int]:
+    """Rationals (or ints) times scale, as Python ints, and scale. The
+    scale defaults to the lcm of their denominators (1 for no values); a
+    given scale must be a multiple of each denominator."""
+    pairs = [v.as_integer_ratio() for v in values]
+    if scale is None:
+        scale = math.lcm(*[d for _, d in pairs])
+    return [n * (scale // d) for n, d in pairs], scale
 
 
 def parse_rational(text: str) -> Rational:

@@ -455,13 +455,23 @@ class TrialRecord:
 class ExperimentReport:
     kind: str
     seed: int
-    trials: int
     records: tuple[TrialRecord, ...]
-    failures: tuple[dict, ...] = ()
+
+    @property
+    def trials(self) -> int:
+        return len(self.records)
+
+    @property
+    def failures(self) -> tuple[dict, ...]:
+        return tuple(
+            {"index": r.index, "label": r.label, "detail": r.detail, "reproduction": r.reproduction}
+            for r in self.records
+            if not r.ok
+        )
 
     @property
     def passed(self) -> bool:
-        return not self.failures and all(r.ok for r in self.records)
+        return all(r.ok for r in self.records)
 
     def to_json(self) -> str:
         payload = {
@@ -511,7 +521,7 @@ def _run_trials(cfg: ScenarioConfig, kind: str, trials: int,
             record = TrialRecord(i, kind, False, f"exception: {exc!r}",
                                  {"seed": cfg.seed, "kind": kind, "index": i})
         records.append(record)
-    return ExperimentReport(kind, cfg.seed, trials, tuple(records), _collect_failures(records))
+    return ExperimentReport(kind, cfg.seed, tuple(records))
 
 
 def run_inheritance_experiment(cfg: ScenarioConfig, kind: str, trials: int = 200) -> ExperimentReport:
@@ -524,19 +534,6 @@ def run_inheritance_experiment(cfg: ScenarioConfig, kind: str, trials: int = 200
     if kind not in runners:
         raise ValueError(f"unknown experiment kind {kind!r}")
     return _run_trials(cfg, kind, trials, runners[kind])
-
-
-def _collect_failures(records) -> tuple[dict, ...]:
-    return tuple(
-        {
-            "index": r.index,
-            "label": r.label,
-            "detail": r.detail,
-            "reproduction": r.reproduction,
-        }
-        for r in records
-        if not r.ok
-    )
 
 
 def _information_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> TrialRecord:
@@ -744,4 +741,4 @@ def run_insider_demo(cfg: ScenarioConfig) -> ExperimentReport:
         isinstance(undelayed2, FreeLunch) and isinstance(delayed2, NoFreeLunch),
         f"undelayed={undelayed2.kind}, delayed={delayed2.kind}",
     ))
-    return ExperimentReport("insider-demo", cfg.seed, len(records), tuple(records), _collect_failures(records))
+    return ExperimentReport("insider-demo", cfg.seed, tuple(records))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from delayedmarkets import arbitrage
+from delayedmarkets.cli import main
 from delayedmarkets.arbitrage import (
     FreeLunch,
     FreeLunchCertificate,
@@ -21,6 +22,7 @@ from delayedmarkets.arbitrage import (
     verify_certificate,
 )
 from delayedmarkets.delays import delayed_market, information_delayed_market
+from delayedmarkets.documents import parse_market_document, serialize_market_document
 from delayedmarkets.markets import Market, gain_generators, validate_market, wealth_process
 from delayedmarkets.probability import conditional_expectation
 from delayedmarkets.rationals import ONE, rat
@@ -106,6 +108,52 @@ def desk_and_walks(count):
         m, fam = gen_insider_execution_market(steps, 1)
         yield f"execution walk {steps}", m
         yield f"delayed execution walk {steps}", delayed_market(m, fam)
+
+
+class TestPriceScale:
+    SCENARIOS = Path(__file__).parent.parent / "scenarios"
+
+    def test_deltas_are_price_scale_times_price_changes(self):
+        scales = set()
+        for label, m in desk_and_walks(500):
+            scale = m.price_scale
+            scales.add(scale)
+            assert all((scale * v).denominator == 1 for t in m.assets.values() for row in t for v in row), label
+            for g in gain_generators(m):
+                now, nxt = m.assets[g.asset][g.step], m.assets[g.asset][g.step + 1]
+                positions = sorted(m.space.state_index[s] for s in g.atom)
+                expected = tuple((k, scale * (nxt[k] - now[k])) for k in positions if nxt[k] != now[k])
+                assert g.deltas == expected, label
+                assert all(type(d) is int for _, d in g.deltas), label
+        assert 1 in scales and len(scales) > 5
+
+    def test_price_scale_is_computed_on_first_use_only(self):
+        for name in ("insider_information.json", "insider_execution.json"):
+            doc = parse_market_document((self.SCENARIOS / name).read_text())
+            if doc.info_delays is not None:
+                delayed = information_delayed_market(doc.market, doc.info_delays)
+            else:
+                delayed = delayed_market(doc.market, doc.exec_delays)
+            again = parse_market_document(serialize_market_document(delayed))
+            markets = (doc.market, delayed, again.market)
+            assert all("price_scale" not in vars(m) for m in markets), name
+            gain_generators(again.market)
+            assert "price_scale" in vars(again.market)
+
+    def test_verifier_ignores_the_price_scale(self, monkeypatch, tmp_path, capsys):
+        """With a price scale of 0 every generator vanishes and the uniform
+        measure is proposed; re-verification, which scales m.assets itself,
+        must reject it."""
+        m = binomial_market(1, 2, rat(1, 2))
+        path = tmp_path / "binomial.json"
+        path.write_text(serialize_market_document(m))
+        monkeypatch.setattr(Market, "price_scale", 0)
+        assert gain_generators(m) == []
+        verdict = check_naflp(m)
+        assert verdict.certificate.q == {"u": rat(1, 2), "d": rat(1, 2)}
+        assert not verify_certificate(m, verdict)
+        assert main(["check", str(path)]) == 4
+        assert capsys.readouterr().err == "internal error: certificate failed independent re-verification\n"
 
 
 class TestOracleConsistency:

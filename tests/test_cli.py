@@ -18,6 +18,8 @@ from delayedmarkets.scenarios import gen_insider_execution_market, gen_insider_m
 
 from conftest import binomial_market
 
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
+
 
 @pytest.fixture
 def binomial_path(tmp_path):
@@ -51,11 +53,36 @@ class TestValidate:
     def test_unnormalized_measure(self, tmp_path, binomial_path, capsys):
         doc = json.loads(binomial_path.read_text())
         doc["states"][0]["probability"] = "9/10"
+        doc["states"][1]["probability"] = "2/10"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 1
+        assert "measure not normalized" in capsys.readouterr().out
+
+    def test_zero_probability(self, tmp_path, binomial_path, capsys):
+        doc = json.loads(binomial_path.read_text())
+        doc["states"][0]["probability"] = "1/1"
         doc["states"][1]["probability"] = "0/1"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["validate", str(bad)]) == 1
-        assert "measure not normalized" in capsys.readouterr().out or True
+        assert "probability must be strictly positive" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("past_top, code", [(1, 0), (2, 1)])
+    def test_execution_cap_bound(self, tmp_path, capsys, past_top, code):
+        """A cap may be at most n_ext + 1: every delayed order is then
+        priced on the extended grid 0..n_ext."""
+        doc = json.loads((SCENARIOS / "insider_execution.json").read_text())
+        n_ext = doc["grid"]["n_ext"]
+        doc["delays"]["execution"][0]["cap"] = n_ext + past_top
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == code
+        out = capsys.readouterr().out
+        if code == 0:
+            assert parse_market_document(path.read_text()).exec_delays.reach(n_ext) == n_ext
+        else:
+            assert f"cap {n_ext + 2} outside 1..{n_ext + 1}" in out
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 1

@@ -191,6 +191,40 @@ def test_mistyped_field_is_a_document_error(mutate, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("invalid: ")
 
 
+def _trivial_trading_entry(d):
+    states = [s["name"] for s in d["states"]]
+    d["filtrations"]["trading"].append({"index_set": ["walk"], "partitions": [[states]] * (d["grid"]["n"] + 1)})
+
+
+# a second entry for a key the document already declares, and the problem that names it
+DUPLICATES = {
+    "trading-filtration": ("insider_execution.json", _trivial_trading_entry,
+                           "duplicate trading filtration for index set ['walk']"),
+    "information-delay": ("insider_information.json",
+                          lambda d: d["delays"]["information"].append(copy.deepcopy(d["delays"]["information"][0])),
+                          "duplicate information delay for index set ['walk']"),
+    "execution-delay": ("insider_execution.json",
+                        lambda d: d["delays"]["execution"].append(copy.deepcopy(d["delays"]["execution"][0])),
+                        "duplicate execution delay for asset 'walk'"),
+}
+
+
+@pytest.mark.parametrize("name", DUPLICATES)
+def test_duplicate_declaration_is_a_document_error(name, tmp_path, capsys):
+    scenario, duplicate, problem = DUPLICATES[name]
+    doc = json.loads((BINOMIAL.parent / scenario).read_text())
+    duplicate(doc)
+    with pytest.raises(DocumentError) as err:
+        parse_market_document(json.dumps(doc))
+    assert any(problem in p for p in err.value.problems)
+    path = tmp_path / scenario
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert problem in capsys.readouterr().out
+    assert main(["check", str(path)]) == 1
+    assert problem in capsys.readouterr().err
+
+
 class TestInfoReferences:
     def test_trivial_and_grand_references(self, no_arbitrage_binomial):
         doc = doc_dict(no_arbitrage_binomial)
