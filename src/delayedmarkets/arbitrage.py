@@ -6,9 +6,11 @@ collapses to the Stiemke alternative: either some nonzero nonnegative
 vector lies in K (a free-lunch strategy), or some strictly positive
 measure annihilates K (an equivalent martingale measure for every trading
 filtration of the index system). Both sides are exact rational LPs over
-one generator set and only one can ever certify, so check_naflp skips
-both when the uniform measure annihilates K, else runs the measure LP,
-and the free-lunch LP only when that finds no measure. Neither oracle
+one generator set and only one can ever certify, so check_naflp solves
+at most one LP per certified verdict where it can: none when the
+uniform measure annihilates K, only the free-lunch LP when a generator
+whose changes share one sign already is a free lunch, else the measure
+LP and the free-lunch LP only when that finds no measure. Neither oracle
 certifying is a solver bug; the tests run both on generated markets.
 """
 
@@ -19,7 +21,7 @@ from typing import Mapping
 
 from . import lp
 from .markets import GainGenerator, Market, Strategy, gain_generators, wealth_process
-from .rationals import ONE, Rational, ZERO, format_rational, int_multiple, rat
+from .rationals import ONE, Rational, ZERO, format_rational, int_multiple, rat, sums_to_one
 
 
 class OracleDisagreementError(RuntimeError):
@@ -178,16 +180,30 @@ def find_martingale_measure(m: Market, gens: list[GainGenerator]) -> MartingaleM
 
 
 def check_naflp(m: Market, horizon: int | None = None) -> Verdict:
-    """Decide from one generator set: the uniform measure if every generator's
-    changes sum to zero (the measure LP's only optimum then, as eps = 1/n
-    forces q = 1/n), else the measure LP, and the free-lunch LP only when
-    that finds no measure."""
+    """Decide from one generator set, after one pass over it:
+
+    - the uniform measure if every generator's changes sum to zero (the
+      measure LP's only optimum then, as eps = 1/n forces q = 1/n);
+    - the free-lunch LP alone if some generator's changes all share one
+      sign: that generator (or its negative) is a free lunch in the span,
+      so no strictly positive measure annihilates it and the measure LP
+      could only return None;
+    - else the measure LP, and the free-lunch LP only when that finds no
+      measure.
+    """
     gens, states = gain_generators(m, horizon), m.space.states
-    if all(sum(d for _, d in g.deltas) == 0 for g in gens):
-        return NoFreeLunch(MartingaleMeasureCertificate(dict.fromkeys(states, rat(1, len(states)))))
-    measure = find_martingale_measure(m, gens)
-    if measure is not None:
-        return NoFreeLunch(measure)
+    balanced = True
+    for g in gens:
+        changes = [d for _, d in g.deltas]
+        if min(changes) > 0 or max(changes) < 0:
+            break
+        balanced = balanced and sum(changes) == 0
+    else:
+        if balanced:
+            return NoFreeLunch(MartingaleMeasureCertificate(dict.fromkeys(states, rat(1, len(states)))))
+        measure = find_martingale_measure(m, gens)
+        if measure is not None:
+            return NoFreeLunch(measure)
     lunch = find_free_lunch(m, gens)
     if lunch is not None:
         return FreeLunch(lunch)
@@ -227,7 +243,7 @@ def _verify_measure(m: Market, cert: MartingaleMeasureCertificate, horizon: int)
     if set(cert.q) != set(states):
         return False
     weights = cert.vector(states)
-    if any(w <= 0 for w in weights) or sum(weights) != ONE:
+    if any(w <= 0 for w in weights) or not sums_to_one(weights):
         return False
     q = int_multiple(weights)[0]
     n_states = len(states)

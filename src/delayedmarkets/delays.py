@@ -153,6 +153,11 @@ def delayed_trading_filtration(f: Filtration, delta: StoppingProcess) -> Filtrat
         raise DelayPreconditionError(problems)
     if not is_subfiltration(delta.info, f):
         raise DelayPreconditionError(["delay information is not coarser than the delayed filtration"])
+    return _delayed_filtration(f, delta)
+
+
+def _delayed_filtration(f: Filtration, delta: StoppingProcess) -> Filtration:
+    """delayed_trading_filtration for a delay already validated against f."""
     return Filtration(tuple(stopped_sigma_field(f, delta.at(t)) for t in range(delta.grid_length())))
 
 
@@ -162,13 +167,15 @@ def large_delayed_filtrations(m: Market, fam: InformationDelayFamily) -> dict[fr
     Each index set joins its own delayed filtration with the results of
     every proper subset in the system, so the delayed family again agrees
     with the index system: monotone in the set order and refining in time.
+    validate_information_family checks each delay against its trading
+    filtration once, so the per-set delay skips those checks.
     """
     problems = validate_information_family(m, fam)
     if problems:
         raise DelayPreconditionError(problems)
     out: dict[frozenset[str], Filtration] = {}
     for index_set in m.index_system:  # canonical order puts subsets first
-        own = delayed_trading_filtration(m.trading_filtrations[index_set], fam.delays[index_set])
+        own = _delayed_filtration(m.trading_filtrations[index_set], fam.delays[index_set])
         subs = [out[a] for a in m.index_system if a < index_set]
         if subs:
             length = len(own)

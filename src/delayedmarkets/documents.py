@@ -20,7 +20,7 @@ from itertools import repeat
 from .delays import ExecutionDelayFamily, InformationDelayFamily
 from .markets import Market, validate_market
 from .probability import Filtration, FiniteSpace, Partition, StoppingProcess
-from .rationals import ONE, Rational, format_rational, parse_rational
+from .rationals import Rational, format_rational, parse_rational, sums_to_one
 
 FORMAT_VERSION = 1
 
@@ -183,7 +183,7 @@ def parse_market_document(text: str) -> MarketDocument:
             problems.append(f"states[{i}]: {exc}")
     if len(set(states)) != len(states):
         problems.append("states: duplicate names")
-    if not problems and sum(probability.values()) != ONE:
+    if not problems and not sums_to_one(probability.values()):
         problems.append("measure not normalized: probabilities must sum to exactly 1")
 
     grid = doc["grid"]

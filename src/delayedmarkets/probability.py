@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .rationals import ONE, Rational, rat
+from .rationals import Rational, rat, sums_to_one
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class FiniteSpace:
         weights = [self.probability[s] for s in self.states]
         if any(w <= 0 for w in weights):
             raise ValueError("all state probabilities must be strictly positive")
-        if sum(weights) != ONE:
+        if not sums_to_one(weights):
             raise ValueError("probabilities must sum to exactly 1")
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "probability", dict(zip(self.states, weights)))

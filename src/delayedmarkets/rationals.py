@@ -3,7 +3,8 @@
 Rational is fractions.Fraction. It does not sit in the LP's inner loop
 or in the certificate checks: int_multiple is the one place where a list
 of rationals becomes Python ints (times the lcm of its denominators), for
-a market's price scale, the LP's rows and the measure verifier alike.
+a market's price scale, the LP's rows, both certificate verifiers and the
+sum-to-one test of state probabilities (sums_to_one) alike.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ def int_multiple(values, scale: int | None = None) -> tuple[list[int], int]:
     if scale is None:
         scale = math.lcm(*[d for _, d in pairs])
     return [n * (scale // d) for n, d in pairs], scale
+
+
+def sums_to_one(values) -> bool:
+    """True iff the rationals (or ints) sum to exactly 1: their int
+    multiples sum to the scale."""
+    ints, scale = int_multiple(values)
+    return sum(ints) == scale
 
 
 def parse_rational(text: str) -> Rational:

@@ -38,6 +38,12 @@ def in_span(rows, v) -> bool:
     return entries == {k: x for k, x in rebuilt.items() if x}
 
 
+def single_signed(g) -> bool:
+    """The generator's price changes are all positive or all negative."""
+    changes = [d for _, d in g.deltas]
+    return min(changes) > 0 or max(changes) < 0
+
+
 def one_certificate(m, horizon=None):
     """check_naflp's verdict, after running both oracles on one generator
     set: exactly one may certify (the Stiemke alternative), and the

@@ -6,6 +6,8 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delayedmarkets import arbitrage
 from delayedmarkets.cli import main
@@ -35,7 +37,8 @@ from delayedmarkets.scenarios import (
     gen_random_market,
 )
 
-from conftest import binomial_market, one_certificate
+from conftest import binomial_market, one_certificate, single_signed
+from reference_check import reference_check_naflp
 from reference_verify import reference_verify_measure
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -176,22 +179,32 @@ class TestOracleConsistency:
             check_naflp(no_arbitrage_binomial)
 
     def test_uniform_shortcut_is_the_measure_lp_optimum(self, monkeypatch):
-        """Wherever check_naflp skips the measure LP, that LP returns
-        exactly the uniform measure the shortcut gave."""
+        """Wherever check_naflp skips the measure LP and finds no free
+        lunch, that LP returns exactly the uniform measure the shortcut
+        gave; where it skips it and finds a free lunch, some generator is
+        single-signed and that LP finds no measure."""
         measure_lp = arbitrage.find_martingale_measure
         solved = []
         monkeypatch.setattr(arbitrage, "find_martingale_measure",
                             lambda m, gens: solved.append(m) or measure_lp(m, gens))
-        skipped = []
+        skipped, signed = [], []
         for label, m in desk_and_walks(160):
             verdict = check_naflp(m)
-            if not solved or solved[-1] is not m:
+            if solved and solved[-1] is m:
+                continue
+            gens = gain_generators(m)
+            if isinstance(verdict, NoFreeLunch):
                 states = m.space.states
                 uniform = {s: rat(1, len(states)) for s in states}
                 assert verdict.certificate.q == uniform, label
-                assert measure_lp(m, gain_generators(m)).q == uniform, label
+                assert measure_lp(m, gens).q == uniform, label
                 skipped.append(label)
+            else:
+                assert any(single_signed(g) for g in gens), label
+                assert measure_lp(m, gens) is None, label
+                signed.append(label)
         assert len(skipped) >= 10 and "delayed information walk 4" in skipped
+        assert len(signed) >= 50
 
     def test_measure_certificate_skips_free_lunch_lp(self, monkeypatch):
         def refuse(m, gens):
@@ -204,6 +217,49 @@ class TestOracleConsistency:
                 assert isinstance(check_naflp(m), NoFreeLunch), label
                 certified += 1
         assert certified >= 50
+
+    def test_single_signed_generator_skips_the_measure_lp(self, monkeypatch):
+        def refuse(m, gens):
+            raise AssertionError("measure LP ran on a market with a single-signed generator")
+
+        monkeypatch.setattr(arbitrage, "find_martingale_measure", refuse)
+        signed = 0
+        for label, m in desk_and_walks(160):
+            if any(single_signed(g) for g in gain_generators(m)):
+                verdict = check_naflp(m)
+                assert isinstance(verdict, FreeLunch) and verify_certificate(m, verdict), label
+                signed += 1
+        assert signed >= 50
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.booleans())
+    def test_single_signed_generator_leaves_no_measure(self, seed, martingale):
+        """A single-signed generator g is a free lunch (g or -g) in the span,
+        so no strictly positive measure annihilates it."""
+        cfg = ScenarioConfig(seed=seed, num_states=5, grid=2, extension=3, num_assets=2, max_index_sets=3)
+        rng = _rng(seed, "signed")
+        m = gen_martingale_market(cfg, rng=rng) if martingale else gen_random_market(cfg, rng=rng)
+        gens = gain_generators(m)
+        if any(single_signed(g) for g in gens):
+            assert find_martingale_measure(m, gens) is None
+            assert find_free_lunch(m, gens) is not None
+
+    def test_matches_the_reference_decision_order(self):
+        """Equal verdicts and rendered bytes to the measure-LP-first order on
+        the desk markets, random markets and the insider walks."""
+        cfg = ScenarioConfig(seed=23)
+        random_markets = []
+        for i in range(100):
+            rng = _rng(cfg.seed, "consistency", i)
+            gen = gen_martingale_market if rng.random() < 0.4 else gen_random_market
+            random_markets.append((f"random {i}", gen(cfg, rng=rng)))
+        kinds = set()
+        for label, m in [*desk_and_walks(500), *random_markets]:
+            verdict, expected = check_naflp(m), reference_check_naflp(m)
+            assert verdict == expected, label
+            assert render_verdict(verdict, m.space.states) == render_verdict(expected, m.space.states), label
+            kinds.add(verdict.kind)
+        assert kinds == {"free-lunch", "no-free-lunch"}
 
     def test_generators_are_built_once_per_check(self, monkeypatch, no_arbitrage_binomial, dominated_binomial):
         build = arbitrage.gain_generators

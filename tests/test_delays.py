@@ -6,6 +6,8 @@ import itertools
 
 import pytest
 
+from delayedmarkets import delays
+
 from delayedmarkets.delays import (
     DelayPreconditionError,
     ExecutionDelayFamily,
@@ -172,6 +174,38 @@ class TestLargeDelayedFiltrations:
         assert validate_market(delayed) == []
         assert delayed.trading_filtrations[fast].at(3) == Partition.trivial(m.space.states)
         assert delayed.trading_filtrations[sslw] == m.trading_filtrations[sslw]
+
+
+class TestValidatesOnce:
+    def test_each_stopping_process_is_validated_once(self, monkeypatch):
+        m, fast, slow, comb, sslw = four_coin_market()
+        triv = Filtration.constant(Partition.trivial(m.space.states), 4)
+        fam = InformationDelayFamily({a: StoppingProcess.identity(4, triv) for a in m.index_system})
+        validate = delays.validate_stopping_process
+        seen = []
+        monkeypatch.setattr(delays, "validate_stopping_process",
+                            lambda sp, mode: seen.append(sp) or validate(sp, mode))
+        information_delayed_market(m, fam)
+        assert len(seen) == len(m.index_system) == 4
+        assert {id(sp) for sp in seen} == {id(sp) for sp in fam.delays.values()}
+
+    def test_invalid_family_reports_every_problem(self):
+        m, fast, slow, comb, sslw = four_coin_market()
+        triv = Filtration.constant(Partition.trivial(m.space.states), 4)
+        fine = Filtration.constant(Partition.discrete(m.space.states), 4)
+        fam = InformationDelayFamily({
+            fast: StoppingProcess.deterministic([0, 2, 2, 3], triv),  # anticipates at t=1
+            slow: StoppingProcess.identity(4, fine),  # finer than the trading filtration
+            comb: StoppingProcess.deterministic([0, 1, 0, 3], triv),  # not monotone
+            sslw: StoppingProcess.identity(4, triv),
+        })
+        expected = validate_information_family(m, fam)
+        for problem in ("information bound violated", "not coarser than the trading filtration",
+                        "path-wise monotonicity violated"):
+            assert any(problem in p for p in expected), problem
+        with pytest.raises(DelayPreconditionError) as err:
+            information_delayed_market(m, fam)
+        assert err.value.problems == expected
 
 
 class TestCoarseness:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delayedmarkets.markets import (
     Market,
@@ -16,10 +18,12 @@ from delayedmarkets.markets import (
     wealth_process,
 )
 from delayedmarkets.probability import Filtration, FiniteSpace, Partition
-from delayedmarkets.rationals import rat
+from delayedmarkets.arbitrage import FreeLunch, check_naflp, verify_certificate
+from delayedmarkets.rationals import Rational, rat
 from delayedmarkets.scenarios import ScenarioConfig, _rng, gen_martingale_market, gen_random_market
 
 from conftest import binomial_market, dense, in_span, sparse, two_step_market
+from reference_wealth import reference_wealth_process
 
 
 class TestValidateMarket:
@@ -103,6 +107,58 @@ class TestWealthProcess:
         s = Strategy(frozenset({"stock"}), (0, 2), ({"stock": (rat(1),) * 4},))
         wealth = wealth_process(m, s)
         assert wealth[1] == (rat(4), rat(4), rat(-2), rat(-2))
+
+
+@st.composite
+def strategies_on_markets(draw):
+    """A small desk market with n_ext up to 2 past n, a replay horizon in
+    n..n_ext, and a strategy with mixed-denominator, negative and zero
+    holdings whose dates need not start at 0."""
+    seed = draw(st.integers(0, 10 ** 6))
+    cfg = ScenarioConfig(seed=seed, num_states=5, grid=3, extension=5, num_assets=3, max_index_sets=4)
+    rng = _rng(seed, "wealth")
+    m = gen_martingale_market(cfg, rng=rng) if draw(st.booleans()) else gen_random_market(cfg, rng=rng)
+    horizon = draw(st.one_of(st.none(), st.integers(m.space.horizon, m.space.extended_horizon)))
+    top = m.space.horizon if horizon is None else horizon
+    index_set = draw(st.sampled_from(m.index_system))
+    dates = sorted(draw(st.lists(st.integers(0, top), min_size=2, max_size=top + 1, unique=True)))
+    filtration = m.trading_filtration(index_set, top)
+    values = st.one_of(st.just(rat(0)), st.fractions(min_value=-6, max_value=6, max_denominator=12))
+    holdings = []
+    for t in dates[:-1]:
+        h = {}
+        for asset in sorted(index_set):
+            if draw(st.booleans()):
+                vec = [rat(0)] * len(m.space.states)
+                for positions in filtration.at(t).atom_positions:
+                    value = draw(values)
+                    for k in positions:
+                        vec[k] = value
+                h[asset] = tuple(vec)
+        holdings.append(h)
+    return m, Strategy(index_set, tuple(dates), tuple(holdings)), horizon
+
+
+class TestIntegerWealthReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(strategies_on_markets())
+    def test_matches_the_fraction_replay(self, case):
+        m, s, horizon = case
+        wealth = wealth_process(m, s, horizon)
+        assert wealth == reference_wealth_process(m, s, horizon)
+        assert all(type(v) is Rational for row in wealth for v in row)
+
+    def test_never_reads_the_price_scale(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("wealth_process read Market.price_scale")
+
+        m = binomial_market(1, 2, 1)
+        verdict = check_naflp(m)
+        assert isinstance(verdict, FreeLunch)
+        monkeypatch.setattr(Market, "price_scale", property(refuse))
+        s = verdict.certificate.strategy
+        assert wealth_process(m, s) == reference_wealth_process(m, s)
+        assert verify_certificate(m, verdict)
 
 
 class TestGainGenerators:

@@ -1,4 +1,4 @@
-"""The one rational-to-integer scaling helper."""
+"""The one rational-to-integer scaling helper and the sum-to-one test on it."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from delayedmarkets.rationals import int_multiple
+from delayedmarkets.rationals import int_multiple, sums_to_one
 
 VALUES = st.lists(st.one_of(st.integers(-10**9, 10**9), st.fractions(max_denominator=10**6)), max_size=12)
 
@@ -25,3 +25,15 @@ def test_int_multiple_matches_fraction_arithmetic(values, factor):
     wider, given_scale = int_multiple(values, factor * scale)
     assert given_scale == factor * scale
     assert wider == [factor * n for n in ints]
+
+
+@given(VALUES)
+@example([])
+@example([Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)])
+@example([Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), Fraction(1, 10**18)])
+@example([2, -1])
+def test_sums_to_one_matches_fraction_sum(values):
+    total = sum(map(Fraction, values))
+    assert sums_to_one(values) == (total == 1)
+    if total:
+        assert sums_to_one([Fraction(v) / total for v in values])
