@@ -21,7 +21,7 @@ from typing import Mapping
 
 from . import lp
 from .markets import GainGenerator, Market, Strategy, gain_generators, wealth_process
-from .rationals import ONE, Rational, ZERO, format_rational, int_multiple, rat, sums_to_one
+from .rationals import Rational, ZERO, format_rational, int_multiple, rat
 
 
 class OracleDisagreementError(RuntimeError):
@@ -80,6 +80,11 @@ def find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificat
     market's price_scale D): state w's rows -v_w <= 0 and v_w <= 1 hold
     (-d, d) and (d, -d) on the pair of each generator j whose delta at w
     is d, and no other entry, so x[2j] - x[2j + 1] is coefficient j / D.
+    Every row, right-hand side and objective entry is an int, so the LP
+    takes the rows as they are. The certificate is summed on ints too: the
+    unit coefficients x[2j] - x[2j + 1] are u_j / L for ints u_j and their
+    common denominator L, and each nonzero entry becomes one rational at
+    the end.
     """
     if not gens:
         return None
@@ -99,7 +104,7 @@ def find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificat
     problem = lp.LpProblem(
         num_vars=2 * len(gens),
         objective=tuple(objective),
-        inequalities=tuple((tuple(row), ZERO) for row in lower) + tuple((tuple(row), ONE) for row in upper),
+        inequalities=tuple((tuple(row), 0) for row in lower) + tuple((tuple(row), 1) for row in upper),
     )
     outcome = lp.solve(problem)
     if outcome.status != lp.OPTIMAL:
@@ -107,25 +112,33 @@ def find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificat
     if outcome.objective == 0:
         return None
     x = outcome.solution
-    units = [x[2 * j] - x[2 * j + 1] for j in range(len(gens))]
-    terminal = [ZERO] * n_states
-    for c, g in zip(units, gens):
-        if c != 0:
+    units, scale = int_multiple(x[2 * j] - x[2 * j + 1] for j in range(len(gens)))
+    terminal = [0] * n_states
+    for u, g in zip(units, gens):
+        if u:
             for w, d in g.deltas:
-                terminal[w] += c * d
-    strategy = _strategy_from_active(m, gens, [m.price_scale * c for c in units])
-    return FreeLunchCertificate(strategy=strategy, terminal_wealth=tuple(terminal))
+                terminal[w] += u * d
+    strategy = _strategy_from_active(m, gens, units, scale)
+    return FreeLunchCertificate(strategy=strategy, terminal_wealth=tuple(_as_rationals(terminal, 1, scale)))
 
 
-def _strategy_from_active(m: Market, gens: list[GainGenerator], coeffs) -> Strategy:
-    """One simple strategy reproducing sum_j coeff_j * generator_j.
+def _as_rationals(values: list[int], factor: int, scale: int) -> list[Rational]:
+    """factor * v / scale per int v, with ZERO for each zero."""
+    return [Rational(factor * v, scale) if v else ZERO for v in values]
 
-    Active generators are grouped per step; holdings add coeff on the
-    generator's atom. The carrying index set is the union of the active
-    generators' index sets, which the refining property keeps inside the
-    index system, and whose filtration dominates each participant's.
+
+def _strategy_from_active(m: Market, gens: list[GainGenerator], units: list[int], scale: int) -> Strategy:
+    """One simple strategy reproducing sum_j c_j * generator_j, where
+    c_j = D * units_j / scale for the market's price_scale D (the
+    generators' deltas are in units of 1/D).
+
+    Active generators are grouped per step; holdings add c_j on the
+    generator's atom, summed on ints as units_j. The carrying index set
+    is the union of the active generators' index sets, which the refining
+    property keeps inside the index system, and whose filtration dominates
+    each participant's.
     """
-    active = [(c, g) for c, g in zip(coeffs, gens) if c != 0]
+    active = [(u, g) for u, g in zip(units, gens) if u]
     if not active:
         raise ValueError("no active generators to build a strategy from")
     index_set = frozenset().union(*(g.index_set for _, g in active))
@@ -140,14 +153,14 @@ def _strategy_from_active(m: Market, gens: list[GainGenerator], coeffs) -> Strat
     dates = tuple(range(t_lo, t_hi + 1))
     holdings = []
     for t in dates[:-1]:
-        acc: dict[str, list[Rational]] = {}
-        for c, g in active:
+        acc: dict[str, list[int]] = {}
+        for u, g in active:
             if g.step != t:
                 continue
-            vec = acc.setdefault(g.asset, [ZERO] * n_states)
+            vec = acc.setdefault(g.asset, [0] * n_states)
             for s in g.atom:
-                vec[idx[s]] += c
-        holdings.append({a: tuple(v) for a, v in acc.items()})
+                vec[idx[s]] += u
+        holdings.append({a: tuple(_as_rationals(v, m.price_scale, scale)) for a, v in acc.items()})
     return Strategy(index_set=index_set, dates=dates, holdings=tuple(holdings))
 
 
@@ -162,13 +175,13 @@ def find_martingale_measure(m: Market, gens: list[GainGenerator]) -> MartingaleM
     """
     n_states = len(m.space.states)
     eps = n_states  # columns: q per state, then eps
-    equalities = [(tuple((w, ONE) for w in range(n_states)), ONE)]
-    equalities += ((row, ZERO) for row in lp.row_basis([g.deltas for g in gens]))
+    equalities = [(tuple((w, 1) for w in range(n_states)), 1)]
+    equalities += ((row, 0) for row in lp.row_basis([g.deltas for g in gens]))
     problem = lp.LpProblem(
         num_vars=n_states + 1,
-        objective=((eps, ONE),),
+        objective=((eps, 1),),
         equalities=tuple(equalities),
-        inequalities=tuple((((w, -ONE), (eps, ONE)), ZERO) for w in range(n_states)),
+        inequalities=tuple((((w, -1), (eps, 1)), 0) for w in range(n_states)),
     )
     outcome = lp.solve(problem)
     if outcome.status == lp.INFEASIBLE or (outcome.status == lp.OPTIMAL and outcome.objective == 0):
@@ -243,9 +256,11 @@ def _verify_measure(m: Market, cert: MartingaleMeasureCertificate, horizon: int)
     if set(cert.q) != set(states):
         return False
     weights = cert.vector(states)
-    if any(w <= 0 for w in weights) or not sums_to_one(weights):
+    if any(w <= 0 for w in weights):
         return False
-    q = int_multiple(weights)[0]
+    q, scale = int_multiple(weights)
+    if sum(q) != scale:
+        return False
     n_states = len(states)
     idx = m.space.state_index
     weighted: dict[str, list[list[int]]] = {}

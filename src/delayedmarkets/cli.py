@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError([f"cannot read {path}: {exc}"]) from None
     return parse_market_document(text)
 

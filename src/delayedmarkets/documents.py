@@ -143,6 +143,8 @@ def parse_market_document(text: str) -> MarketDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError([f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]) from None
+    except RecursionError:
+        raise DocumentError(["document nests too deeply"]) from None
     if not isinstance(doc, dict):
         raise DocumentError(["document root must be an object"])
     problems: list[str] = []

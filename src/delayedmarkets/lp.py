@@ -11,7 +11,8 @@ it as an adjacent (column, -column) pair and reads back the difference.
 
 Every row, the objective included, is sparse: a tuple of (column, value)
 pairs, one per nonzero entry, in increasing column order. That is the
-only row form; row_basis takes and returns it too.
+only row form; row_basis takes and returns it too. Values and right-hand
+sides are ints or rationals.
 
 The tableau and the row basis are fraction-free (Edmonds 1967, Bareiss
 1968): every row is held as Python ints, its rational row times a
@@ -19,7 +20,10 @@ positive factor, divided by the gcd of its entries after each update.
 A positive factor keeps each sign, each zero and each ratio between two
 entries of a row, which is all that Bland's rule and the ratio test
 read, so the pivots, and with them the solutions, are those of the same
-simplex run on fractions. Rationals are built only on the way in and out.
+simplex run on fractions. Rationals are built only on the way out: a
+row of ints (right-hand side included) enters as it is, at factor 1,
+and only a row holding a rational is scaled on the way in, by the lcm
+of its denominators (rationals.int_multiple).
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-Row = tuple[tuple[int, Rational], ...]  # (column, nonzero value), increasing column
+Value = int | Rational
+Row = tuple[tuple[int, Value], ...]  # (column, nonzero value), increasing column
 
 # keys of a sparse tableau row besides its column indices
 RHS = -1    # the right-hand side
@@ -59,8 +64,8 @@ class LpProblem:
 
     num_vars: int
     objective: Row
-    equalities: tuple[tuple[Row, Rational], ...] = ()
-    inequalities: tuple[tuple[Row, Rational], ...] = ()
+    equalities: tuple[tuple[Row, Value], ...] = ()
+    inequalities: tuple[tuple[Row, Value], ...] = ()
 
     def __post_init__(self):
         if self.num_vars < 1:
@@ -80,8 +85,11 @@ class LpOutcome:
 
 
 def _scaled(row) -> tuple[dict[int, int], int]:
-    """A sparse rational row times the lcm of its denominators, as an int
-    dict keyed by column, and that lcm."""
+    """A sparse row as an int dict keyed by column, and the positive scale
+    it was multiplied by: 1 for a row of ints, which is its own int
+    multiple, else the lcm of its denominators."""
+    if all(type(v) is int for _, v in row):
+        return dict(row), 1
     values, scale = int_multiple(v for _, v in row)
     return dict(zip([k for k, _ in row], values)), scale
 
@@ -95,7 +103,12 @@ def _eliminate(row: dict[int, int], f: int, p: int, prow: dict[int, int]) -> dic
     """p * row - f * prow divided by its gcd, where f is row's entry and p
     prow's entry in the pivot column, which the result clears. The tableau
     passes p > 0, so that the result is a positive multiple of the
-    rational row it stands for."""
+    rational row it stands for. Dividing f and p by their gcd first
+    leaves the same primitive row and keeps p positive."""
+    g = math.gcd(f, p)
+    if g != 1:
+        f //= g
+        p //= g
     if p != 1:
         row = {k: p * v for k, v in row.items()}
     for k, v in prow.items():
@@ -148,12 +161,15 @@ class _Tableau:
     right-hand side is nonnegative) leaves its artificial column at zero.
 
     Each row is a dict of its nonzero ints, keyed by column, with the
-    right-hand side under RHS. Its basic column holds the row's positive
-    factor d, so the rational tableau row is the dict divided by d, the
-    basic variable's value is rhs / d, and the ratio rhs / a of the ratio
-    test is d-free: two ratios are compared by cross-multiplying. The
-    cost row has the same form with its denominator under DEN, and holds
-    minus the objective value under RHS.
+    right-hand side under RHS. A problem row of ints enters as it is; a
+    row holding a rational enters times the lcm of its denominators,
+    which is then also the coefficient of its slack or artificial. Its
+    basic column holds the row's positive factor d, so the rational
+    tableau row is the dict divided by d, the basic variable's value is
+    rhs / d, and the ratio rhs / a of the ratio test is d-free: two
+    ratios are compared by cross-multiplying. The cost row has the same
+    form with its denominator under DEN, and holds minus the objective
+    value under RHS.
     """
 
     def __init__(self, p: LpProblem):

@@ -255,8 +255,12 @@ class Filtration:
         return self.partitions[t]
 
     def restrict(self, length: int) -> "Filtration":
+        """The first length partitions; the filtration itself (it is frozen)
+        when that is all of them."""
         if length > len(self.partitions):
             raise ValueError("cannot restrict beyond current length")
+        if length == len(self.partitions):
+            return self
         return Filtration(self.partitions[:length])
 
     def extend_to(self, length: int) -> "Filtration":

@@ -3,8 +3,10 @@
 Rational is fractions.Fraction. It does not sit in the LP's inner loop
 or in the certificate checks: int_multiple is the one place where a list
 of rationals becomes Python ints (times the lcm of its denominators), for
-a market's price scale, the LP's rows, both certificate verifiers and the
-sum-to-one test of state probabilities (sums_to_one) alike.
+a market's price scale, the LP rows that hold a rational (a row of ints
+enters the LP as it is), the free-lunch certificate's coefficients, both
+certificate verifiers and the sum-to-one test of state probabilities
+(sums_to_one) alike.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayedmarkets import arbitrage
+from delayedmarkets import arbitrage, lp
 from delayedmarkets.cli import main
 from delayedmarkets.arbitrage import (
     FreeLunch,
@@ -27,7 +27,7 @@ from delayedmarkets.delays import delayed_market, information_delayed_market
 from delayedmarkets.documents import parse_market_document, serialize_market_document
 from delayedmarkets.markets import Market, gain_generators, validate_market, wealth_process
 from delayedmarkets.probability import conditional_expectation
-from delayedmarkets.rationals import ONE, rat
+from delayedmarkets.rationals import ONE, Rational, rat
 from delayedmarkets.scenarios import (
     ScenarioConfig,
     _rng,
@@ -39,6 +39,7 @@ from delayedmarkets.scenarios import (
 
 from conftest import binomial_market, one_certificate, single_signed
 from reference_check import reference_check_naflp
+from reference_free_lunch import reference_find_free_lunch
 from reference_verify import reference_verify_measure
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -265,12 +266,24 @@ class TestOracleConsistency:
         build = arbitrage.gain_generators
         calls = []
         monkeypatch.setattr(arbitrage, "gain_generators", lambda m, horizon=None: calls.append(m) or build(m, horizon))
+        oracles = []
+        for name in ("find_martingale_measure", "find_free_lunch"):
+            oracle = getattr(arbitrage, name)
+            monkeypatch.setattr(arbitrage, name, lambda m, gens, name=name, oracle=oracle:
+                                oracles.append(name) or oracle(m, gens))
         im, fam = gen_insider_market(2, 1)
-        # the measure LP, the free-lunch LP after it, and the uniform shortcut
-        for m in (no_arbitrage_binomial, dominated_binomial, im, information_delayed_market(im, fam)):
+        reached = [
+            (no_arbitrage_binomial, ["find_martingale_measure"]),
+            (dominated_binomial, ["find_free_lunch"]),  # its one generator is single-signed
+            (im, ["find_free_lunch"]),
+            (information_delayed_market(im, fam), []),  # the uniform shortcut
+        ]
+        for m, expected in reached:
             calls.clear()
+            oracles.clear()
             check_naflp(m)
             assert calls == [m]
+            assert oracles == expected
 
     def test_measure_valid_for_all_date_pairs(self):
         m = gen_martingale_market(ScenarioConfig(seed=31))
@@ -286,6 +299,55 @@ class TestOracleConsistency:
                         lhs = conditional_expectation(m.assets[asset][u], f.at(t), q)
                         rhs = conditional_expectation(m.assets[asset][t], f.at(t), q)
                         assert lhs == rhs
+
+
+def random_consistency_markets(count):
+    """The seed-23 random and martingale-built markets of the consistency tests."""
+    cfg = ScenarioConfig(seed=23)
+    for i in range(count):
+        rng = _rng(cfg.seed, "consistency", i)
+        gen = gen_martingale_market if rng.random() < 0.4 else gen_random_market
+        yield f"random {i}", gen(cfg, rng=rng)
+
+
+class TestIntegerFreeLunch:
+    def test_matches_the_fraction_assembly(self):
+        """Equal certificates and rendered bytes to the Fraction sums of the
+        terminal wealth and the holdings, with every entry a Rational."""
+        found = 0
+        for label, m in [*desk_and_walks(500), *random_consistency_markets(100)]:
+            gens = gain_generators(m)
+            cert, expected = find_free_lunch(m, gens), reference_find_free_lunch(m, gens)
+            assert cert == expected, label
+            if cert is None:
+                continue
+            found += 1
+            states = m.space.states
+            assert render_verdict(FreeLunch(cert), states) == render_verdict(FreeLunch(expected), states), label
+            entries = [*cert.terminal_wealth, *(v for h in cert.strategy.holdings for vec in h.values() for v in vec)]
+            assert all(type(v) is Rational for v in entries), label
+        assert found >= 300
+
+    def test_free_lunch_lp_is_all_int_and_never_scaled(self, monkeypatch):
+        """The free-lunch LP of a desk market holds only ints, and solving it
+        never scales a row."""
+        def refuse(values, scale=None):
+            raise AssertionError("a free-lunch LP row was scaled")
+
+        solve, problems = lp.solve, []
+        monkeypatch.setattr(lp, "int_multiple", refuse)
+        monkeypatch.setattr(lp, "solve", lambda p: problems.append(p) or solve(p))
+        found = solved = 0
+        for _, m in desk_and_walks(40):
+            gens = gain_generators(m)
+            solved += bool(gens)
+            found += find_free_lunch(m, gens) is not None
+        assert found >= 15 and len(problems) == solved >= 40
+        for p in problems:
+            rows = [p.objective, *(row for row, _ in p.inequalities)]
+            assert not p.equalities
+            assert all(type(v) is int for row in rows for _, v in row)
+            assert all(type(b) is int for _, b in p.inequalities)
 
 
 class TestScalingInvariance:

@@ -260,6 +260,27 @@ class TestUnwritableOutput:
         assert capsys.readouterr().err.startswith(f"error: cannot write {out_path}: ")
 
 
+COMMANDS = (["validate"], ["check"], ["delay", "--mode", "info"])
+
+
+class TestUnreadableDocuments:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_utf8_file_names_the_path(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main([command[0], str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert f"cannot read {path}: 'utf-8' codec can't decode" in captured.out + captured.err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_deep_nesting_is_an_input_error(self, command, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main([command[0], str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert "document nests too deeply" in captured.out + captured.err
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))

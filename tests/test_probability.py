@@ -421,6 +421,13 @@ class TestFiltration:
         assert len(f) == 5
         assert f.at(4) == Partition.discrete(STATES4)
 
+    def test_full_restriction_is_the_filtration_itself(self):
+        f = ladder_filtration()
+        assert f.restrict(len(f)) is f
+        assert f.extend_to(len(f)) is f
+        shorter = f.restrict(len(f) - 1)
+        assert shorter is not f and shorter.partitions == f.partitions[:-1]
+
     def test_space_invariants(self):
         with pytest.raises(ValueError):
             FiniteSpace(("a", "b"), {"a": rat(1, 2), "b": rat(1, 3)}, 1, 1)
