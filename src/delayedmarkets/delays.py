@@ -17,6 +17,7 @@ identity on the range, and it is required wherever that identity is used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Mapping, Sequence
 
 from .markets import Market
@@ -236,7 +237,7 @@ def delayed_market(m: Market, fam: ExecutionDelayFamily, extended_horizon: int |
     n_states = len(space.states)
     rows_by_asset = {a: _extended_rows(fam.delays[a], upto) for a in m.assets}
     for a, rows in rows_by_asset.items():
-        top = max(max(r) for r in rows)
+        top = max(map(max, rows))
         if top > space.extended_horizon:
             raise ValueError(f"asset {a!r}: delayed time {top} exceeds the extended grid")
 
@@ -244,7 +245,7 @@ def delayed_market(m: Market, fam: ExecutionDelayFamily, extended_horizon: int |
     for a, table in m.assets.items():
         rows = rows_by_asset[a]
         new_assets[a] = tuple(
-            tuple(table[rows[t][i]][i] for i in range(n_states)) for t in range(upto + 1)
+            tuple(map(getitem, map(table.__getitem__, rows[t]), range(n_states))) for t in range(upto + 1)
         )
     grand = Filtration(tuple(
         sigma_join([stopped_sigma_field(m.grand_filtration, rows_by_asset[a][t]) for a in sorted(m.assets)])

@@ -15,11 +15,13 @@ arithmetic with no tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from operator import eq, le
 from typing import Iterable, Mapping, Sequence
 
-from .rationals import Rational, rat, sums_to_one
+from .rationals import Rational, int_multiple, rat
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,10 @@ class FiniteSpace:
         if set(self.probability) != set(self.states):
             raise ValueError("probability keys do not match the state set")
         weights = [self.probability[s] for s in self.states]
-        if any(w <= 0 for w in weights):
+        ints, scale = int_multiple(weights)
+        if min(ints) <= 0:
             raise ValueError("all state probabilities must be strictly positive")
-        if not sums_to_one(weights):
+        if sum(ints) != scale:
             raise ValueError("probabilities must sum to exactly 1")
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "probability", dict(zip(self.states, weights)))
@@ -76,13 +79,30 @@ class Partition:
 
     Canonical form: each atom lists states in universe order and atoms are
     ordered by the index of their smallest state, so equal sigma-fields
-    compare (and serialize) identically.
+    compare (and serialize) identically. labels[i] is the number of the
+    atom holding the i-th state: trivial, discrete and from_labels pass it
+    in, and of and a direct construction number the atoms' states.
     """
 
     states: tuple[str, ...]
     atoms: tuple[tuple[str, ...], ...]
+    labels: tuple[int, ...] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.labels is None:
+            # numbering the states by atom shows a repeated or a missing state
+            number = {s: i for i, atom in enumerate(self.atoms) for s in atom}
+            if not (all(self.atoms) and len(number) == sum(map(len, self.atoms))
+                    and number.keys() == set(self.states)):
+                self._word_invalid()
+            object.__setattr__(self, "labels", tuple(map(number.__getitem__, self.states)))
+        elif not all(self.atoms) or len(set(self.states)) != len(self.states):
+            # the classmethods that pass labels build the atoms from the
+            # states, so only an empty state set or a repeated state can
+            # spoil them
+            self._word_invalid()
+
+    def _word_invalid(self):
         seen: set[str] = set()
         for atom in self.atoms:
             if not atom:
@@ -91,8 +111,7 @@ class Partition:
                 if s in seen:
                     raise ValueError(f"state {s!r} appears in two atoms")
                 seen.add(s)
-        if seen != set(self.states):
-            raise ValueError("atoms do not cover the state set")
+        raise ValueError("atoms do not cover the state set")
 
     @classmethod
     def of(cls, states: Sequence[str], atoms: Iterable[Iterable[str]]) -> "Partition":
@@ -107,48 +126,53 @@ class Partition:
 
     @classmethod
     def trivial(cls, states: Sequence[str]) -> "Partition":
-        return cls(tuple(states), (tuple(states),))
+        states = tuple(states)
+        return cls(states, (states,), (0,) * len(states))
 
     @classmethod
     def discrete(cls, states: Sequence[str]) -> "Partition":
-        return cls(tuple(states), tuple((s,) for s in states))
+        states = tuple(states)
+        return cls(states, tuple((s,) for s in states), tuple(range(len(states))))
 
     @classmethod
     def from_labels(cls, states: Sequence[str], labels: Sequence) -> "Partition":
-        """Group states that share a label; labels may be any hashables."""
+        """Group states that share a label; labels may be any hashables.
+
+        Atoms are numbered in the order their first state appears, which
+        is the canonical order, and list their states in universe order.
+        """
         if len(labels) != len(states):
             raise ValueError("one label per state required")
-        groups: dict = {}
-        for s, lab in zip(states, labels):
-            groups.setdefault(lab, []).append(s)
-        return cls.of(states, groups.values())
-
-    @cached_property
-    def atom_index(self) -> dict[str, int]:
-        return {s: i for i, atom in enumerate(self.atoms) for s in atom}
+        number: dict = {}
+        numbers = [number.setdefault(lab, len(number)) for lab in labels]
+        atoms: list[list[str]] = [[] for _ in number]
+        for s, i in zip(states, numbers):
+            atoms[i].append(s)
+        return cls(tuple(states), tuple(map(tuple, atoms)), tuple(numbers))
 
     @cached_property
     def atom_positions(self) -> tuple[tuple[int, ...], ...]:
         """Each atom as the universe-order positions of its states."""
-        index = {s: i for i, s in enumerate(self.states)}
-        return tuple(tuple(index[s] for s in atom) for atom in self.atoms)
+        positions: list[list[int]] = [[] for _ in self.atoms]
+        for i, label in enumerate(self.labels):
+            positions[label].append(i)
+        return tuple(map(tuple, positions))
 
 
 def refines(fine: Partition, coarse: Partition) -> bool:
     """True iff every atom of `fine` sits inside an atom of `coarse`.
 
     Orientation: refines(f, c) holds exactly when the sigma-field of c is
-    contained in that of f.
+    contained in that of f: each fine atom meets exactly one coarse atom,
+    so the (fine, coarse) label pairs are as many as the fine atoms.
     """
     if fine is coarse:
         return True
-    if fine.states != coarse.states:
+    if fine.states is not coarse.states and fine.states != coarse.states:
         raise ValueError("partitions over different state sets")
-    coarse_of = coarse.atom_index
-    return all(
-        len({coarse_of[s] for s in atom}) == 1
-        for atom in fine.atoms
-    )
+    if len(coarse.atoms) == 1 or len(fine.atoms) == len(fine.labels):
+        return True  # a trivial coarse or a discrete fine partition
+    return len(set(zip(fine.labels, coarse.labels))) == len(fine.atoms)
 
 
 def sigma_join(parts: Sequence[Partition]) -> Partition:
@@ -162,8 +186,7 @@ def sigma_join(parts: Sequence[Partition]) -> Partition:
     for p in parts[1:]:
         if p.states != states:
             raise ValueError("partitions over different state sets")
-    keys = [tuple(p.atom_index[s] for p in parts) for s in states]
-    return Partition.from_labels(states, keys)
+    return Partition.from_labels(states, list(zip(*[p.labels for p in parts])))
 
 
 def sigma_meet(parts: Sequence[Partition]) -> Partition:
@@ -280,6 +303,16 @@ def is_subfiltration(coarse: Filtration, fine: Filtration) -> bool:
     return all(refines(fine.at(t), coarse.at(t)) for t in range(n))
 
 
+_INT = frozenset({int})
+
+
+def _int_row(row) -> tuple[int, ...]:
+    """A delay row as a tuple of ints; one that already is is kept as it is."""
+    if type(row) is tuple and _INT.issuperset(map(type, row)):
+        return row
+    return tuple(map(int, row))
+
+
 @dataclass(frozen=True)
 class StoppingProcess:
     """A time-indexed table of grid-valued stopping times with its information.
@@ -300,9 +333,7 @@ class StoppingProcess:
         for row in self.values:
             if len(row) != n:
                 raise ValueError("value row length differs from state count")
-        object.__setattr__(
-            self, "values", tuple(tuple(int(v) for v in row) for row in self.values)
-        )
+        object.__setattr__(self, "values", tuple(map(_int_row, self.values)))
 
     @classmethod
     def deterministic(cls, schedule: Sequence[int], info: Filtration) -> "StoppingProcess":
@@ -330,25 +361,25 @@ def stopped_sigma_field(f: Filtration, tau: Sequence[int]) -> Partition:
     tau must be a stopping time for f with values inside f's grid. The
     atoms are the atoms A of f.at(s) with A contained in {tau = s}; the
     result F satisfies the definitional test that F ∩ {tau <= u} is
-    measurable at every u.
+    measurable at every u. A state's atom is labelled by its stopped time
+    and its atom at that time; a constant tau = s gives F_s itself.
     """
-    states = f.states
-    idx = {st: i for i, st in enumerate(states)}
+    parts = f.partitions
+    states = parts[0].states
     if len(tau) != len(states):
         raise ValueError("stopping-time vector length differs from state count")
-    for v in tau:
-        if not 0 <= v < len(f):
-            raise ValueError(f"stopped time {v} escapes the filtration grid")
-    atoms: list[tuple[str, ...]] = []
-    for s in sorted(set(tau)):
-        part = f.at(s)
-        for atom in part.atoms:
-            inside = [tau[idx[st]] == s for st in atom]
-            if any(inside):
-                if not all(inside):
-                    raise ValueError("tau is not a stopping time for this filtration")
-                atoms.append(atom)
-    return Partition.of(states, atoms)
+    if tau and not (0 <= min(tau) and max(tau) < len(parts)):
+        v = next(v for v in tau if not 0 <= v < len(parts))
+        raise ValueError(f"stopped time {v} escapes the filtration grid")
+    times = set(tau)
+    if len(times) == 1:
+        return parts[tau[0]]
+    for s in times:
+        # an atom of F_s cut by {tau = s} shows as one label paired with both answers
+        p = parts[s]
+        if len(p.atoms) < len(states) and len(set(zip(p.labels, map(eq, tau, repeat(s))))) != len(p.atoms):
+            raise ValueError("tau is not a stopping time for this filtration")
+    return Partition.from_labels(states, list(zip(tau, [parts[v].labels[i] for i, v in enumerate(tau)])))
 
 
 _INFORMATION = "information"
@@ -361,24 +392,34 @@ def validate_stopping_process(sp: StoppingProcess, mode: str) -> list[str]:
     Checks, per order time t: the stopping property of sp.values[t] against
     sp.info, the bound for the mode (information: 0 <= value <= t;
     execution: t <= value <= top of the info grid), and path-wise
-    monotonicity across t.
+    monotonicity across t. Each check runs on builtins first and walks
+    the row only to word a violation.
     """
     if mode not in (_INFORMATION, _EXECUTION):
         raise ValueError(f"unknown mode {mode!r}; use 'information' or 'execution'")
     problems: list[str] = []
     states = sp.states
-    top = len(sp.info) - 1
+    parts = sp.info.partitions
+    top = len(parts) - 1
     for t, row in enumerate(sp.values):
-        for st, v in zip(states, row):
-            if mode == _INFORMATION and not 0 <= v <= t:
-                problems.append(f"information bound violated: value {v} at (t={t}, state={st}) outside [0, {t}]")
-            if mode == _EXECUTION and not t <= v <= top:
-                problems.append(f"execution bound violated: value {v} at (t={t}, state={st}) outside [{t}, {top}]")
+        lo, hi = (0, t) if mode == _INFORMATION else (t, top)
+        low, high = (min(row), max(row)) if row else (lo, hi)
+        if not (lo <= low and high <= hi):
+            for st, v in zip(states, row):
+                if not lo <= v <= hi:
+                    problems.append(f"{mode} bound violated: value {v} at (t={t}, state={st}) outside [{lo}, {hi}]")
         # {value <= s} only changes at the row's values (values below 0 all
         # enter at s = 0) and F_s only refines as s grows, so the first grid
-        # time s at which it cuts an atom of F_s is one of those values
-        for s in sorted({max(v, 0) for v in row if v <= top}):
-            info = sp.info.at(s)
+        # time s at which it cuts an atom of F_s is one of those values. It
+        # holds every state from the row's largest value on, and a discrete
+        # F_s has no atom to cut; an atom it cuts shows as one label paired
+        # with both answers.
+        for s in sorted(set(row) if 0 <= low and high <= top else {max(v, 0) for v in row if v <= top}):
+            if s >= high:
+                break
+            info = parts[s]
+            if len(info.atoms) == len(row) or len(set(zip(info.labels, map(le, row, repeat(s))))) == len(info.atoms):
+                continue
             for atom, positions in zip(info.atoms, info.atom_positions):
                 hits = [row[k] <= s for k in positions]
                 if any(hits) and not all(hits):
@@ -386,11 +427,10 @@ def validate_stopping_process(sp: StoppingProcess, mode: str) -> list[str]:
                         f"stopping property violated at t={t}: {{value <= {s}}} cuts atom {atom} of the information"
                     )
                     break
-            else:
-                continue
             break
-    for t in range(len(sp.values) - 1):
-        for st, a, b in zip(states, sp.values[t], sp.values[t + 1]):
-            if a > b:
-                problems.append(f"path-wise monotonicity violated at state {st}: value({t})={a} > value({t + 1})={b}")
+    for t, (now, after) in enumerate(zip(sp.values, sp.values[1:])):
+        if not all(map(le, now, after)):
+            for st, a, b in zip(states, now, after):
+                if a > b:
+                    problems.append(f"path-wise monotonicity violated at state {st}: value({t})={a} > value({t + 1})={b}")
     return problems

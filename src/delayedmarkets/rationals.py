@@ -5,13 +5,16 @@ or in the certificate checks: int_multiple is the one place where a list
 of rationals becomes Python ints (times the lcm of its denominators), for
 a market's price scale, the LP rows that hold a rational (a row of ints
 enters the LP as it is), the free-lunch certificate's coefficients, both
-certificate verifiers and the sum-to-one test of state probabilities
-(sums_to_one) alike.
+certificate verifiers and the tests of state probabilities (sums_to_one,
+and FiniteSpace's positivity and sum) alike. parse_rational accepts a
+literal with one regular-expression match.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction as Rational
 
 ZERO = Rational(0)
@@ -45,10 +48,26 @@ def sums_to_one(values) -> bool:
     return sum(ints) == scale
 
 
+# a literal parse_rational accepts: a sign and ASCII digits on each side of an
+# optional "/", each side with optional surrounding whitespace (\s is the set
+# str.strip() removes)
+_LITERAL = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([+-]?[0-9]+)\s*)?")
+
+
 def parse_rational(text: str) -> Rational:
     """Parse a "p/q" (or bare "p") string of ASCII digits, each side with an
     optional sign and surrounding whitespace; rejects floats, "_" digit
-    separators, non-ASCII digits and empty input."""
+    separators, non-ASCII digits and empty input.
+
+    One match accepts a literal; the per-part checks below run only to word
+    a rejection."""
+    match = _LITERAL.fullmatch(text) if isinstance(text, str) else None
+    if match is not None:
+        num, den = match.groups()
+        try:
+            return Rational(int(num)) if den is None else Rational(int(num), int(den))
+        except (ValueError, ZeroDivisionError):
+            pass  # q = 0, or a side past int()'s digit limit: worded below
     if not isinstance(text, str) or not text.strip():
         raise ValueError(f"expected a rational string, got {text!r}")
     if "." in text or "e" in text.lower():
@@ -69,7 +88,15 @@ def _integer(part: str, text: str) -> int:
     digits = part[1:] if part[:1] in ("+", "-") else part
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"bad rational literal {text!r}: expected ASCII digits with an optional sign")
-    return int(part)
+    try:
+        return int(part)
+    except ValueError:
+        raise ValueError(f"rational literal too long: {too_many_digits(len(digits))}") from None
+
+
+def too_many_digits(count: int) -> str:
+    """Why int() refuses a run of count decimal digits."""
+    return f"{count} digits, over the limit of {sys.get_int_max_str_digits()} for an integer read from text"
 
 
 def format_rational(value) -> str:

@@ -280,6 +280,33 @@ class TestUnreadableDocuments:
         captured = capsys.readouterr()
         assert "document nests too deeply" in captured.out + captured.err
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_over_long_json_integer_is_located(self, command, tmp_path, capsys):
+        text = (SCENARIOS / "binomial.json").read_text(encoding="utf-8")
+        start = text.index('"n": 1,') + len('"n": ')
+        line, column = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+        path = tmp_path / "long.json"
+        path.write_text(text[:start] + "1" * 5000 + text[start + 1:])
+        assert main([command[0], str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert (f"parse error at line {line}, column {column}: integer too long: 5000 digits, "
+                f"over the limit of {sys.get_int_max_str_digits()} for an integer read from text"
+                in captured.out + captured.err)
+        assert "set_int_max_str_digits" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_over_long_literal_names_its_field(self, command, tmp_path, capsys):
+        doc = json.loads((SCENARIOS / "binomial.json").read_text(encoding="utf-8"))
+        doc["assets"]["stock"][1][0] = "1/" + "3" * 5000
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        assert main([command[0], str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert (f"assets[stock][t=1]: rational literal too long: 5000 digits, "
+                f"over the limit of {sys.get_int_max_str_digits()} for an integer read from text"
+                in captured.out + captured.err)
+        assert "set_int_max_str_digits" not in captured.out + captured.err
+
 
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).parent.parent / "src"

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -29,6 +31,8 @@ from delayedmarkets.scenarios import (
 )
 
 from conftest import binomial_market
+from reference_documents import parse_rational as reference_parse_rational
+from reference_documents import reference_parse_market_document
 
 
 def doc_dict(market, **kw):
@@ -143,6 +147,31 @@ def test_parse_rational_is_strict(text, value):
             parse_rational(text)
     else:
         assert parse_rational(text) == value
+
+
+def _literal_outcome(parse, text):
+    """The parsed rational, or the message of the ValueError raised."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+# signs, digits of both kinds, separators, float syntax and whitespace
+LITERALS = st.text(st.sampled_from("0123456789+-/ ._eE\t\n\u2003\u00a0\u0661\uff13"), max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(LITERALS | st.sampled_from(["", " ", "1/0", "-0/5", "0003/06", 1, None, ["1"]]))
+def test_parse_rational_matches_the_reference(text):
+    assert _literal_outcome(parse_rational, text) == _literal_outcome(reference_parse_rational, text)
+
+
+def test_over_long_literal_is_worded():
+    with pytest.raises(ValueError) as err:
+        parse_rational("-" + "7" * 5000 + "/3")
+    assert str(err.value) == (f"rational literal too long: 5000 digits, over the limit of "
+                              f"{sys.get_int_max_str_digits()} for an integer read from text")
 
 
 BINOMIAL = Path(__file__).parent.parent / "scenarios" / "binomial.json"
@@ -395,7 +424,89 @@ def test_mutated_scenarios_never_crash(path, mutations):
         mutant = Path(tmp) / "mutant.json"
         mutant.write_text(text, encoding="utf-8")
         out = str(Path(tmp) / "delayed.json")
-        for argv in (["check", str(mutant)], ["check", str(mutant), "--apply-delay"],
+        for argv in (["validate", str(mutant)],
+                     ["check", str(mutant)], ["check", str(mutant), "--apply-delay"],
                      ["delay", str(mutant), "--mode", "info", "--out", out],
                      ["delay", str(mutant), "--mode", "exec", "--out", out]):
             assert main(argv) in (0, 1, 2), argv
+
+
+def _outcome(parse, text):
+    """("ok", the parsed document's canonical bytes) or ("error", its problems)."""
+    try:
+        doc = parse(text)
+    except DocumentError as exc:
+        return "error", exc.problems
+    return "ok", serialize_market_document(doc.market, doc.info_delays, doc.exec_delays)
+
+
+@functools.cache
+def _differential_sources() -> tuple[str, ...]:
+    return tuple(p.read_text(encoding="utf-8") for p in SCENARIOS) + tuple(_pinned_documents())
+
+
+def test_pinned_documents_parse_as_the_reference():
+    for text in _differential_sources():
+        outcome = _outcome(parse_market_document, text)
+        assert outcome == ("ok", text)
+        assert outcome == _outcome(reference_parse_market_document, text)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=10 ** 6), st.lists(MUTATION, min_size=1, max_size=3))
+def test_mutated_documents_parse_as_the_reference(pick, mutations):
+    sources = _differential_sources()
+    doc = json.loads(sources[pick % len(sources)])
+    for op, where, junk in mutations:
+        _mutate(doc, op, where, junk)
+    text = json.dumps(doc)
+    assert _outcome(parse_market_document, text) == _outcome(reference_parse_market_document, text)
+
+
+# partitions that are not lists of lists of names, put where an equal-keyed
+# valid one was read before: the atoms of a flat list of strings are its
+# characters, and a list or an object in an atom makes its key unhashable
+MALFORMED_PARTITIONS = {
+    "nested-list-in-atom": [["u", ["d"]]],
+    "object-in-atom": [["u", {"d": 1}]],
+    "integer-in-atom": [["u", 1]],
+    "flat-names": ["u", "d"],
+    "flat-joined-names": ["ud"],
+}
+
+
+def _grand_site(d, bad):
+    d["filtrations"]["grand"][1] = bad
+
+
+def _trading_site(d, bad):
+    d["filtrations"]["trading"][0]["partitions"][1] = bad
+
+
+def _information_site(d, bad):
+    d["delays"] = {"information": [dict(INFO_DELAY, info=[[["u", "d"]], bad])]}
+
+
+def _execution_site(d, bad):
+    d["delays"] = {"execution": [dict(EXEC_DELAY, info=[[["u", "d"]], bad])]}
+
+
+PARTITION_SITES = {"filtrations.grand": _grand_site, "filtrations.trading[0]": _trading_site,
+                   "delays.information[0].info": _information_site, "delays.execution[0].info": _execution_site}
+
+
+@pytest.mark.parametrize("site", PARTITION_SITES)
+@pytest.mark.parametrize("kind", MALFORMED_PARTITIONS)
+def test_malformed_partition_is_reported_as_before(site, kind, tmp_path, capsys):
+    doc = json.loads(BINOMIAL.read_text())
+    PARTITION_SITES[site](doc, copy.deepcopy(MALFORMED_PARTITIONS[kind]))
+    text = json.dumps(doc)
+    expected = _outcome(reference_parse_market_document, text)
+    assert expected == ("error", [f"{site}[t=1]: a partition must be a list of atoms (lists of state names)"])
+    assert _outcome(parse_market_document, text) == expected
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == "".join(f"invalid: {p}\n" for p in expected[1])
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {'; '.join(expected[1])}\n"
