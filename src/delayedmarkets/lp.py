@@ -11,19 +11,19 @@ it as an adjacent (column, -column) pair and reads back the difference.
 
 Every row, the objective included, is sparse: a tuple of (column, value)
 pairs, one per nonzero entry, in increasing column order. That is the
-only row form; row_basis takes and returns it too. Values and right-hand
-sides are ints or rationals.
+only row form; row_basis takes and returns it too. Every value,
+right-hand side and objective entry is an int: the oracles' rows are
+gain generator deltas in units of the market's price scale, and the
+basis rows are primitive. LpProblem rejects anything else.
 
 The tableau and the row basis are fraction-free (Edmonds 1967, Bareiss
-1968): every row is held as Python ints, its rational row times a
-positive factor, divided by the gcd of its entries after each update.
-A positive factor keeps each sign, each zero and each ratio between two
-entries of a row, which is all that Bland's rule and the ratio test
-read, so the pivots, and with them the solutions, are those of the same
-simplex run on fractions. Rationals are built only on the way out: a
-row of ints (right-hand side included) enters as it is, at factor 1,
-and only a row holding a rational is scaled on the way in, by the lcm
-of its denominators (rationals.int_multiple).
+1968): every row is held as Python ints, a positive multiple of the
+rational row it stands for, divided by the gcd of its entries after each
+update. A positive factor keeps each sign, each zero and each ratio
+between two entries of a row, which is all that Bland's rule and the
+ratio test read, so the pivots, and with them the solutions, are those
+of the same simplex run on fractions. Rationals are built only on the
+way out, for the solution and the objective value.
 """
 
 from __future__ import annotations
@@ -32,49 +32,56 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rationals import Rational, ZERO, int_multiple
+from .rationals import Rational, ZERO
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-Value = int | Rational
-Row = tuple[tuple[int, Value], ...]  # (column, nonzero value), increasing column
+Row = tuple[tuple[int, int], ...]  # (column, nonzero value), increasing column
 
 # keys of a sparse tableau row besides its column indices
 RHS = -1    # the right-hand side
 DEN = -2    # the cost row's positive denominator; constraint rows have none
 
 
-def _check_columns(row: Row, n: int, what: str):
+def _check_row(row: Row, rhs: int, n: int, what: str):
+    """ValueError for a column out of order or range or a zero value,
+    TypeError for a value or right-hand side that is not an int."""
     last = -1
-    for k, _ in row:
+    for k, v in row:
         if not last < k < n:
             raise ValueError(f"{what} column {k} is out of order or outside 0..{n - 1}")
+        if type(v) is not int:
+            raise TypeError(f"{what} value {v!r} in column {k} is not an int")
+        if not v:
+            raise ValueError(f"{what} value in column {k} is zero")
         last = k
+    if type(rhs) is not int:
+        raise TypeError(f"{what} right-hand side {rhs!r} is not an int")
 
 
 @dataclass(frozen=True)
 class LpProblem:
     """maximize objective . x subject to equality rows, <= rows, and x >= 0.
 
-    The objective and each constraint's coefficients are sparse rows
-    (see Row); a constraint is a (row, right-hand side) pair.
+    The objective and each constraint's coefficients are sparse int rows
+    (see Row); a constraint is a (row, int right-hand side) pair.
     """
 
     num_vars: int
     objective: Row
-    equalities: tuple[tuple[Row, Value], ...] = ()
-    inequalities: tuple[tuple[Row, Value], ...] = ()
+    equalities: tuple[tuple[Row, int], ...] = ()
+    inequalities: tuple[tuple[Row, int], ...] = ()
 
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("a problem needs at least one variable")
-        _check_columns(self.objective, self.num_vars, "objective")
-        for row, _ in self.equalities:
-            _check_columns(row, self.num_vars, "equality")
-        for row, _ in self.inequalities:
-            _check_columns(row, self.num_vars, "inequality")
+        _check_row(self.objective, 0, self.num_vars, "objective")
+        for row, b in self.equalities:
+            _check_row(row, b, self.num_vars, "equality")
+        for row, b in self.inequalities:
+            _check_row(row, b, self.num_vars, "inequality")
 
 
 @dataclass(frozen=True)
@@ -82,16 +89,6 @@ class LpOutcome:
     status: str
     solution: tuple[Rational, ...] | None = None
     objective: Rational | None = None
-
-
-def _scaled(row) -> tuple[dict[int, int], int]:
-    """A sparse row as an int dict keyed by column, and the positive scale
-    it was multiplied by: 1 for a row of ints, which is its own int
-    multiple, else the lcm of its denominators."""
-    if all(type(v) is int for _, v in row):
-        return dict(row), 1
-    values, scale = int_multiple(v for _, v in row)
-    return dict(zip([k for k, _ in row], values)), scale
 
 
 def _reduced(row: dict[int, int]) -> dict[int, int]:
@@ -121,18 +118,21 @@ def _eliminate(row: dict[int, int], f: int, p: int, prow: dict[int, int]) -> dic
 
 
 def row_basis(rows: Sequence[Row]) -> list[Row]:
-    """Reduced basis of the row space of sparse rows, by fraction-free
-    Gauss-Jordan elimination, as sparse rows in pivot order.
+    """Reduced basis of the row space of sparse int rows, by fraction-free
+    Gauss-Jordan elimination, as sparse primitive int rows in pivot order,
+    each with a positive pivot.
 
     Rows are eliminated as sparse primitive integer multiples of
-    themselves and divided by their pivots only at the end. The reduced
-    row echelon form of a row space is unique, so this is the basis that
-    elimination over fractions gives.
+    themselves; a row enters the basis negated if its pivot is negative,
+    and elimination by a positive pivot keeps every sign. The reduced row
+    echelon form of a row space is unique, so each returned row is a
+    positive multiple of the row that elimination over fractions gives:
+    that row times |pivot|, the lcm of its denominators.
     """
     basis: list[dict[int, int]] = []
     pivots: list[int] = []
     for values in rows:
-        row = _reduced(_scaled(values)[0])
+        row = _reduced(dict(values))
         for prow, pcol in zip(basis, pivots):
             f = row.get(pcol)
             if f:
@@ -140,6 +140,8 @@ def row_basis(rows: Sequence[Row]) -> list[Row]:
         if not row:
             continue
         lead = min(row)
+        if row[lead] < 0:
+            row = {k: -v for k, v in row.items()}
         for i, prow in enumerate(basis):
             f = prow.get(lead)
             if f:
@@ -147,10 +149,7 @@ def row_basis(rows: Sequence[Row]) -> list[Row]:
         basis.append(row)
         pivots.append(lead)
     order = sorted(range(len(basis)), key=pivots.__getitem__)
-    return [
-        tuple((k, Rational(v, basis[i][pivots[i]])) for k, v in sorted(basis[i].items()))
-        for i in order
-    ]
+    return [tuple(sorted(basis[i].items())) for i in order]
 
 
 class _Tableau:
@@ -161,15 +160,14 @@ class _Tableau:
     right-hand side is nonnegative) leaves its artificial column at zero.
 
     Each row is a dict of its nonzero ints, keyed by column, with the
-    right-hand side under RHS. A problem row of ints enters as it is; a
-    row holding a rational enters times the lcm of its denominators,
-    which is then also the coefficient of its slack or artificial. Its
-    basic column holds the row's positive factor d, so the rational
-    tableau row is the dict divided by d, the basic variable's value is
-    rhs / d, and the ratio rhs / a of the ratio test is d-free: two
-    ratios are compared by cross-multiplying. The cost row has the same
-    form with its denominator under DEN, and holds minus the objective
-    value under RHS.
+    right-hand side under RHS. A problem row enters as it is, negated if
+    its right-hand side is negative, with its slack coefficient 1 (-1 when
+    negated) and its artificial coefficient 1. Its basic column holds the
+    row's positive factor d, so the rational tableau row is the dict
+    divided by d, the basic variable's value is rhs / d, and the ratio
+    rhs / a of the ratio test is d-free: two ratios are compared by
+    cross-multiplying. The cost row has the same form with its
+    denominator under DEN, and holds minus the objective value under RHS.
     """
 
     def __init__(self, p: LpProblem):
@@ -184,22 +182,22 @@ class _Tableau:
 
         slack = n
         for i, (row, b, is_ineq) in enumerate(rows):
-            line, scale = _scaled(row + ((RHS, b),) if b else row)
             sign = -1 if b < 0 else 1
-            if sign < 0:
-                line = {k: -v for k, v in line.items()}
+            line = dict(row) if sign > 0 else {k: -v for k, v in row}
+            if b:
+                line[RHS] = sign * b
             if is_ineq:
-                line[slack] = sign * scale
+                line[slack] = sign
             if is_ineq and sign > 0:
                 self.basis.append(slack)
             else:
                 art = self.n_real + i
-                line[art] = scale
+                line[art] = 1
                 self.artificials.add(art)
                 self.basis.append(art)
             if is_ineq:
                 slack += 1
-            self.rows.append(_reduced(line))
+            self.rows.append(line)
 
     def pivot(self, i: int, j: int):
         prow = self.rows[i]
@@ -217,9 +215,9 @@ class _Tableau:
             self.cost = _eliminate(self.cost, f, p, prow)
         self.basis[i] = j
 
-    def set_cost(self, costs: dict[int, int], den: int):
-        """Install the cost vector costs / den and reduce it against the current basis."""
-        cost = {**costs, DEN: den}
+    def set_cost(self, costs: dict[int, int]):
+        """Install an int cost vector and reduce it against the current basis."""
+        cost = {**costs, DEN: 1}
         for i in self.live:
             cb = cost.get(self.basis[i])
             if cb:
@@ -260,7 +258,7 @@ def solve(p: LpProblem) -> LpOutcome:
     tab = _Tableau(p)
 
     # phase 1: maximize minus the sum of artificials, from the all-slack/artificial basis
-    tab.set_cost({c: -1 for c in tab.artificials}, 1)
+    tab.set_cost({c: -1 for c in tab.artificials})
     status = tab.bland(allow_artificial=True)
     if status != OPTIMAL:
         raise AssertionError("phase-1 objective is bounded; unbounded signal is a solver bug")
@@ -277,7 +275,7 @@ def solve(p: LpProblem) -> LpOutcome:
                 tab.pivot(i, target)
 
     # phase 2: the caller's objective, artificials barred from re-entering
-    tab.set_cost(*_scaled(p.objective))
+    tab.set_cost(dict(p.objective))
     status = tab.bland(allow_artificial=False)
     if status == UNBOUNDED:
         return LpOutcome(status=UNBOUNDED)

@@ -1,13 +1,12 @@
 """Exact rational arithmetic used everywhere in the core.
 
-Rational is fractions.Fraction. It does not sit in the LP's inner loop
-or in the certificate checks: int_multiple is the one place where a list
-of rationals becomes Python ints (times the lcm of its denominators), for
-a market's price scale, the LP rows that hold a rational (a row of ints
-enters the LP as it is), the free-lunch certificate's coefficients, both
-certificate verifiers and the tests of state probabilities (sums_to_one,
-and FiniteSpace's positivity and sum) alike. parse_rational accepts a
-literal with one regular-expression match.
+Rational is fractions.Fraction. It does not sit in the LP, which takes
+ints only, or in the certificate checks: int_multiple is the one place
+where a list of rationals becomes Python ints (times the lcm of its
+denominators), for a market's price scale, the free-lunch certificate's
+coefficients, both certificate verifiers and the tests of state
+probabilities (sums_to_one, and FiniteSpace's positivity and sum) alike.
+parse_rational accepts a literal with one regular-expression match.
 """
 
 from __future__ import annotations

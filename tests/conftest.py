@@ -8,7 +8,7 @@ from delayedmarkets.arbitrage import FreeLunch, NoFreeLunch, check_naflp, find_f
 from delayedmarkets.lp import row_basis
 from delayedmarkets.markets import Market, gain_generators
 from delayedmarkets.probability import Filtration, FiniteSpace, Partition
-from delayedmarkets.rationals import rat
+from delayedmarkets.rationals import int_multiple, rat
 
 
 def sparse(values) -> tuple:
@@ -24,17 +24,25 @@ def dense(row, width: int) -> tuple:
     return tuple(out)
 
 
+def int_row(row) -> tuple:
+    """A sparse rational row times the lcm of its denominators: an int row
+    with the same span."""
+    return tuple(zip([k for k, _ in row], int_multiple(v for _, v in row)[0]))
+
+
 def in_span(rows, v) -> bool:
     """The sparse row v lies in the span of the sparse rows iff it equals
     its expansion over the reduced echelon basis, whose coefficients are
-    v's entries at the pivots."""
+    v's entries at the pivots. The rows are scaled to ints for row_basis,
+    and each basis row is divided by its pivot before it is expanded."""
     entries = dict(v)
     rebuilt: dict = {}
-    for b in row_basis(rows):
-        c = entries.get(b[0][0])
+    for b in row_basis([int_row(r) for r in rows]):
+        lead, p = b[0]
+        c = entries.get(lead)
         if c:
             for k, x in b:
-                rebuilt[k] = rebuilt.get(k, 0) + c * x
+                rebuilt[k] = rebuilt.get(k, 0) + c * rat(x, p)
     return entries == {k: x for k, x in rebuilt.items() if x}
 
 

@@ -1,8 +1,10 @@
 """The Fraction certificate assembly that
-`delayedmarkets.arbitrage.find_free_lunch` replaced, kept unchanged as the
+`delayedmarkets.arbitrage.find_free_lunch` replaced, kept as the
 reference that `test_arbitrage.py` compares the integer assembly against:
 the same LP, then the terminal wealth and the holdings summed as
-fractions. The two must return equal certificates.
+fractions. The two must return equal certificates. Its right-hand sides
+are the ints 0 and 1, equal to the Fraction constants it once passed, as
+the LP takes ints only.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from delayedmarkets import lp
 from delayedmarkets.arbitrage import FreeLunchCertificate, OracleDisagreementError
 from delayedmarkets.markets import GainGenerator, Market, Strategy
-from delayedmarkets.rationals import ONE, Rational, ZERO
+from delayedmarkets.rationals import Rational, ZERO
 
 
 def reference_find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificate | None:
@@ -32,7 +34,7 @@ def reference_find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunch
     problem = lp.LpProblem(
         num_vars=2 * len(gens),
         objective=tuple(objective),
-        inequalities=tuple((tuple(row), ZERO) for row in lower) + tuple((tuple(row), ONE) for row in upper),
+        inequalities=tuple((tuple(row), 0) for row in lower) + tuple((tuple(row), 1) for row in upper),
     )
     outcome = lp.solve(problem)
     if outcome.status != lp.OPTIMAL:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from delayedmarkets.delays import delayed_market, information_delayed_market
 from delayedmarkets.documents import parse_market_document, serialize_market_document
 from delayedmarkets.markets import Market, gain_generators, validate_market, wealth_process
 from delayedmarkets.probability import conditional_expectation
-from delayedmarkets.rationals import ONE, Rational, rat
+from delayedmarkets.rationals import ONE, ZERO, Rational, rat
 from delayedmarkets.scenarios import (
     ScenarioConfig,
     _rng,
@@ -37,9 +38,11 @@ from delayedmarkets.scenarios import (
     gen_random_market,
 )
 
-from conftest import binomial_market, one_certificate, single_signed
+import reference_lp
+from conftest import binomial_market, dense, one_certificate, single_signed
 from reference_check import reference_check_naflp
 from reference_free_lunch import reference_find_free_lunch
+from reference_lp import reference_row_basis, reference_solve
 from reference_verify import reference_verify_measure
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -310,6 +313,51 @@ def random_consistency_markets(count):
         yield f"random {i}", gen(cfg, rng=rng)
 
 
+def reference_find_martingale_measure(m: Market, gens) -> MartingaleMeasureCertificate | None:
+    """The measure LP over Fractions: the generators' reduced row echelon
+    basis, each row with pivot 1, solved by the dense Fraction simplex,
+    which gives every row the artificial coefficient 1 at that scale."""
+    n = len(m.space.states)
+    basis = reference_row_basis([dense(g.deltas, n) for g in gens])
+    unit = [tuple(ONE if k == w else ZERO for k in range(n + 1)) for w in range(n + 1)]
+    problem = SimpleNamespace(
+        num_vars=n + 1,
+        objective=unit[n],
+        equalities=((tuple(ONE - u for u in unit[n]), ONE), *((row + (ZERO,), ZERO) for row in basis)),
+        inequalities=tuple((tuple(e - u for e, u in zip(unit[n], unit[w])), ZERO) for w in range(n)),
+    )
+    outcome = reference_solve(problem)
+    if outcome.status != lp.OPTIMAL or outcome.objective == 0:
+        return None
+    return MartingaleMeasureCertificate(dict(zip(m.space.states, outcome.solution[:n])))
+
+
+class TestIntegerMeasureLp:
+    def test_matches_the_fraction_measure_lp(self, monkeypatch):
+        """find_martingale_measure hands the tableau primitive int basis rows
+        with artificial coefficient 1, where the measure LP it replaced held
+        each rational basis row (pivot 1) with artificial coefficient 1. On
+        every market, whether or not check_naflp would solve its measure LP,
+        both give equal certificates after equal pivot sequences."""
+        pivots = {"new": [], "ref": []}
+        for side, tableau in (("new", lp._Tableau), ("ref", reference_lp._Tableau)):
+            def recorded(self, i, j, pivot=tableau.pivot, seen=pivots[side]):
+                seen.append((i, j))
+                return pivot(self, i, j)
+            monkeypatch.setattr(tableau, "pivot", recorded)
+        found = missing = 0
+        for label, m in [*desk_and_walks(500), *random_consistency_markets(100)]:
+            gens = gain_generators(m)
+            pivots["new"].clear()
+            pivots["ref"].clear()
+            cert = find_martingale_measure(m, gens)
+            assert cert == reference_find_martingale_measure(m, gens), label
+            assert pivots["new"] == pivots["ref"], label
+            found += cert is not None
+            missing += cert is None
+        assert found >= 250 and missing >= 250, (found, missing)
+
+
 class TestIntegerFreeLunch:
     def test_matches_the_fraction_assembly(self):
         """Equal certificates and rendered bytes to the Fraction sums of the
@@ -329,13 +377,9 @@ class TestIntegerFreeLunch:
         assert found >= 300
 
     def test_free_lunch_lp_is_all_int_and_never_scaled(self, monkeypatch):
-        """The free-lunch LP of a desk market holds only ints, and solving it
-        never scales a row."""
-        def refuse(values, scale=None):
-            raise AssertionError("a free-lunch LP row was scaled")
-
+        """The free-lunch LP of a desk market holds only ints, which the LP
+        takes as they are: it has no path that scales a row."""
         solve, problems = lp.solve, []
-        monkeypatch.setattr(lp, "int_multiple", refuse)
         monkeypatch.setattr(lp, "solve", lambda p: problems.append(p) or solve(p))
         found = solved = 0
         for _, m in desk_and_walks(40):
@@ -472,6 +516,33 @@ class TestGoldenFiles:
             assert verify_certificate(m, verdict)
             digest.update(render_verdict(verdict, m.space.states).encode())
         assert digest.hexdigest() == "bed0567bc3446435d56d7e05e600b5300cda6fd173a692e8fb5d0b8d755c49b8"
+
+    def test_held_out_desk_and_large_walk_verdicts_are_pinned(self):
+        """The verdicts of the held-out desk seed and of the larger insider
+        walks, each market taken through serialize -> parse first, rendered
+        and joined, hash to a pinned value: a solver change that moves one
+        pivot moves some certificate. With the pin above this covers every
+        verdict of the benchmark's desk and walk inputs."""
+        desk = ScenarioConfig(seed=2718, num_states=12, grid=4, extension=6,
+                              num_assets=3, max_index_sets=4, brokers=3)
+        markets = []
+        for i in range(500):
+            rng = _rng(desk.seed, "ftap", i)
+            gen = gen_martingale_market if rng.random() < 0.45 else gen_random_market
+            markets.append(parse_market_document(serialize_market_document(gen(desk, rng=rng))).market)
+        for steps in (6, 7):
+            m, fam = gen_insider_market(steps, 1)
+            doc = parse_market_document(serialize_market_document(m, info_delays=fam))
+            markets += [doc.market, information_delayed_market(doc.market, doc.info_delays)]
+        m, fam = gen_insider_execution_market(5, 1)
+        doc = parse_market_document(serialize_market_document(m, exec_delays=fam))
+        markets += [doc.market, delayed_market(doc.market, doc.exec_delays)]
+        digest = hashlib.sha256()
+        for m in markets:
+            verdict = check_naflp(m)
+            assert verify_certificate(m, verdict)
+            digest.update(render_verdict(verdict, m.space.states).encode())
+        assert digest.hexdigest() == "d0c21ee7bedcc86fa96950ce018b8cace64ae384c08d797f4c0f3dc43aeaea96"
 
 
 class TestMatchesReferenceVerifier:

@@ -6,13 +6,14 @@ LP reaches the same value (which by weak duality proves optimality), and
 every infeasible problem gets a Farkas certificate found by solving the
 alternative system and re-substituted by hand.
 
-Problems are written here with dense rows and handed to the solver as
-sparse ones (`problem`); the dense reference code and the duality checks
-read them back through `dense_view`.
+Problems are written here with dense rational rows and handed to the
+solver as sparse int ones (`problem`); the dense reference code and the
+duality checks read them back as Fractions through `dense_view`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from types import SimpleNamespace
 
@@ -28,31 +29,43 @@ from delayedmarkets.lp import (
     row_basis,
     solve,
 )
-from delayedmarkets.rationals import rat
+from delayedmarkets.rationals import int_multiple, rat
 
-from conftest import dense, in_span, sparse
+from conftest import dense, in_span, int_row, sparse
 from reference_lp import reference_row_basis, reference_solve
 
 ZERO, ONE = rat(0), rat(1)
 
 
 def problem(n: int, objective, equalities=(), inequalities=()) -> LpProblem:
-    """An LpProblem from dense rows."""
+    """An LpProblem from dense rational rows. Each constraint row, with its
+    right-hand side, and the objective are scaled to ints by the lcm of
+    their denominators: a positive factor, which keeps the feasible set
+    and the optimal points."""
+    def scaled(row, b):
+        *values, rhs = int_multiple((*row, b))[0]
+        return sparse(values), rhs
+
     return LpProblem(
-        n, sparse(objective),
-        equalities=tuple((sparse(row), b) for row, b in equalities),
-        inequalities=tuple((sparse(row), b) for row, b in inequalities),
+        n, sparse(int_multiple(objective)[0]),
+        equalities=tuple(scaled(row, b) for row, b in equalities),
+        inequalities=tuple(scaled(row, b) for row, b in inequalities),
     )
 
 
 def dense_view(p: LpProblem) -> SimpleNamespace:
-    """The problem with dense rows, as the reference solver reads it."""
+    """The problem with dense rows of Fractions, as the reference solver
+    reads it: its ratio test divides, which on ints would give floats."""
     n = p.num_vars
+
+    def fractions(row):
+        return tuple(map(rat, dense(row, n)))
+
     return SimpleNamespace(
         num_vars=n,
-        objective=dense(p.objective, n),
-        equalities=tuple((dense(row, n), b) for row, b in p.equalities),
-        inequalities=tuple((dense(row, n), b) for row, b in p.inequalities),
+        objective=fractions(p.objective),
+        equalities=tuple((fractions(row), rat(b)) for row, b in p.equalities),
+        inequalities=tuple((fractions(row), rat(b)) for row, b in p.inequalities),
     )
 
 
@@ -208,14 +221,39 @@ class TestExamples:
     def test_dimension_mismatch(self):
         # a column outside 0..num_vars-1, or rows whose columns do not increase
         with pytest.raises(ValueError):
-            LpProblem(2, ((2, rat(1)),))
+            LpProblem(2, ((2, 1),))
         with pytest.raises(ValueError):
-            LpProblem(1, (), equalities=((((0, rat(1)), (1, rat(2))), rat(0)),))
+            LpProblem(1, (), equalities=((((0, 1), (1, 2)), 0),))
         with pytest.raises(ValueError):
-            LpProblem(1, (), inequalities=((((-1, rat(1)),), rat(0)),))
+            LpProblem(1, (), inequalities=((((-1, 1),), 0),))
         with pytest.raises(ValueError):
-            LpProblem(2, ((1, rat(1)), (0, rat(1))))
-        LpProblem(2, ((0, rat(1)), (1, rat(1))), inequalities=((((1, rat(1)),), rat(0)),))
+            LpProblem(2, ((1, 1), (0, 1)))
+        LpProblem(2, ((0, 1), (1, 1)), inequalities=((((1, 1),), 0),))
+
+    def test_zero_entry(self):
+        # a row holds nonzero values only, which the sparse tableau relies on
+        with pytest.raises(ValueError, match="zero"):
+            LpProblem(2, ((1, 1),), equalities=((((0, 0), (1, 1)), 0),) * 2,
+                      inequalities=((((0, 1),), 1),))
+        with pytest.raises(ValueError, match="zero"):
+            LpProblem(2, ((0, 0),))
+        with pytest.raises(ValueError, match="zero"):
+            LpProblem(2, (), inequalities=((((0, 1), (1, 0)), 1),))
+
+    def test_non_int_values(self):
+        # a value, right-hand side or objective entry that is not an int is
+        # a TypeError: an internal slip, not an input error
+        for bad in (rat(1), rat(1, 2), 1.0, True):
+            with pytest.raises(TypeError):
+                LpProblem(2, ((0, bad),))
+            with pytest.raises(TypeError):
+                LpProblem(2, (), equalities=((((0, 1), (1, bad)), 0),))
+            with pytest.raises(TypeError):
+                LpProblem(2, (), inequalities=((((1, bad),), 0),))
+            with pytest.raises(TypeError):
+                LpProblem(2, (), equalities=((((0, 1),), bad),))
+            with pytest.raises(TypeError):
+                LpProblem(2, (), inequalities=((((0, 1),), bad),))
 
 
 class TestExactness:
@@ -298,14 +336,10 @@ def random_problem(rng: random.Random) -> LpProblem:
 
 class TestLinearAlgebra:
     def test_row_basis_spans_and_reduces(self):
-        rows = [
-            (rat(1), rat(2), rat(0)),
-            (rat(2), rat(4), rat(0)),
-            (rat(0), rat(0), rat(1)),
-        ]
+        rows = [(1, 2, 0), (2, 4, 0), (0, 0, 1)]
         rows = [sparse(r) for r in rows]
         basis = row_basis(rows)
-        assert len(basis) == 2
+        assert basis == [((0, 1), (1, 2)), ((2, 1),)]
         for r in rows:
             assert in_span(basis, r)
 
@@ -422,5 +456,9 @@ class TestMatchesReference:
             if vectors and rng.random() < 0.5:
                 k = rng.choice(MIXED)
                 vectors.append(tuple(k * v for v in rng.choice(vectors)))
-            basis = [dense(row, dim) for row in row_basis([sparse(v) for v in vectors])]
-            assert basis == reference_row_basis(vectors), vectors
+            basis = row_basis([int_row(sparse(v)) for v in vectors])
+            for row in basis:
+                assert row[0][1] > 0 and math.gcd(*(v for _, v in row)) == 1, row
+            # the rational basis row is the primitive int row over its pivot
+            rational = [dense([(k, rat(v, row[0][1])) for k, v in row], dim) for row in basis]
+            assert rational == reference_row_basis(vectors), vectors
