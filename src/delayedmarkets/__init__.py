@@ -24,7 +24,6 @@ from .delays import (
     InformationDelayFamily,
     check_coarseness,
     delayed_market,
-    delayed_trading_filtration,
     information_delayed_market,
     invert_delay,
     large_delayed_filtrations,

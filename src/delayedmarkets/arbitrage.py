@@ -17,6 +17,7 @@ certifying is a solver bug; the tests run both on generated markets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Mapping
 
 from . import lp
@@ -77,14 +78,17 @@ def find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificat
     only v = 0 is attainable. Each free coefficient is the difference of
     an adjacent pair of nonnegative LP columns (2j, 2j + 1). The rows are
     built from the generators' int deltas (price changes times the
-    market's price_scale D): state w's rows -v_w <= 0 and v_w <= 1 hold
-    (-d, d) and (d, -d) on the pair of each generator j whose delta at w
-    is d, and no other entry, so x[2j] - x[2j + 1] is coefficient j / D.
-    Every row, right-hand side and objective entry is an int, so the LP
-    takes the rows as they are. The certificate is summed on ints too: the
-    unit coefficients x[2j] - x[2j + 1] are u_j / L for ints u_j and their
-    common denominator L, and each nonzero entry becomes one rational at
-    the end.
+    market's price_scale D), each divided by c_j, the gcd of generator j's
+    deltas, so no column carries a common factor such as D into the
+    tableau: state w's rows -v_w <= 0 and v_w <= 1 hold (-d, d) and
+    (d, -d) on the pair of each generator j whose delta at w is c_j * d,
+    and no other entry, so (x[2j] - x[2j + 1]) / c_j is coefficient j / D.
+    A positive column scale keeps every Bland choice and ratio-test
+    winner, so it changes no pivot. Every row, right-hand side and
+    objective entry is an int, so the LP takes the rows as they are. The
+    certificate is summed on ints too: the unit coefficients are u_j / L
+    for ints u_j and their common denominator L, and each nonzero entry
+    becomes one rational at the end.
     """
     if not gens:
         return None
@@ -92,9 +96,13 @@ def find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificat
     lower: list[list] = [[] for _ in range(n_states)]
     upper: list[list] = [[] for _ in range(n_states)]
     objective = []
+    scales = []
     for j, g in enumerate(gens):
+        c = gcd(*(d for _, d in g.deltas))
+        scales.append(c)
         total = 0
         for w, d in g.deltas:
+            d //= c
             nd = -d
             lower[w] += ((2 * j, nd), (2 * j + 1, d))
             upper[w] += ((2 * j, d), (2 * j + 1, nd))
@@ -112,7 +120,7 @@ def find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificat
     if outcome.objective == 0:
         return None
     x = outcome.solution
-    units, scale = int_multiple(x[2 * j] - x[2 * j + 1] for j in range(len(gens)))
+    units, scale = int_multiple((x[2 * j] - x[2 * j + 1]) / c for j, c in enumerate(scales))
     terminal = [0] * n_states
     for u, g in zip(units, gens):
         if u:

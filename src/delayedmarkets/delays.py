@@ -143,22 +143,13 @@ def is_step_continuous(sp: StoppingProcess) -> bool:
     )
 
 
-def delayed_trading_filtration(f: Filtration, delta: StoppingProcess) -> Filtration:
+def _delayed_filtration(f: Filtration, delta: StoppingProcess) -> Filtration:
     """Filtration t -> sigma-field of the delta(t)-past of f.
 
     delta must be a valid information delay whose information is coarser
-    than f; path-wise monotonicity makes the stopped fields refine in t.
+    than f, as validate_information_family checks; path-wise monotonicity
+    then makes the stopped fields refine in t.
     """
-    problems = validate_stopping_process(delta, "information")
-    if problems:
-        raise DelayPreconditionError(problems)
-    if not is_subfiltration(delta.info, f):
-        raise DelayPreconditionError(["delay information is not coarser than the delayed filtration"])
-    return _delayed_filtration(f, delta)
-
-
-def _delayed_filtration(f: Filtration, delta: StoppingProcess) -> Filtration:
-    """delayed_trading_filtration for a delay already validated against f."""
     return Filtration(tuple(stopped_sigma_field(f, delta.at(t)) for t in range(delta.grid_length())))
 
 
@@ -275,8 +266,7 @@ def invert_delay(pi: StoppingProcess) -> StoppingProcess:
     for t in range(top + 1):
         row = []
         for i in range(n_states):
-            hit = next((s for s in range(top + 1) if pi.values[s][i] >= t), top)
-            row.append(min(hit, top))
+            row.append(next((s for s in range(top + 1) if pi.values[s][i] >= t), top))
         values.append(tuple(row))
     info = Filtration(tuple(stopped_sigma_field(pi.info, pi.at(t)) for t in range(top + 1)))
     return StoppingProcess(tuple(values), info)
@@ -393,6 +383,11 @@ def representation_check(m: Market, fam: ExecutionDelayFamily) -> bool:
     singleton index sets for all assets, step-continuous delays starting
     at zero, and delay information coarser than every containing trading
     filtration.
+
+    Starting at zero and moving by 0 or 1 per step give value(t) <= t,
+    and every execution delay has value(t) >= t, so the identity is the
+    only delay table that passes. The check therefore varies only the
+    delay information, never the delay values.
     """
     problems = validate_execution_family(m, fam)
     for a in sorted(m.assets):

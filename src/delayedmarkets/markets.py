@@ -301,7 +301,7 @@ def gain_generators(m: Market, horizon: int | None = None) -> list[GainGenerator
                 now, nxt = table[t], table[t + 1]
                 sigma = filtration.at(t)
                 for atom, positions in zip(sigma.atoms, sigma.atom_positions):
-                    deltas = tuple((k, nxt[k] - now[k]) for k in sorted(positions) if nxt[k] != now[k])
+                    deltas = tuple((k, nxt[k] - now[k]) for k in positions if nxt[k] != now[k])
                     if deltas and deltas not in seen:
                         seen.add(deltas)
                         out.append(GainGenerator(index_set, asset, t, atom, deltas))

@@ -152,7 +152,7 @@ class Partition:
 
     @cached_property
     def atom_positions(self) -> tuple[tuple[int, ...], ...]:
-        """Each atom as the universe-order positions of its states."""
+        """Each atom as the universe-order positions of its states, increasing."""
         positions: list[list[int]] = [[] for _ in self.atoms]
         for i, label in enumerate(self.labels):
             positions[label].append(i)

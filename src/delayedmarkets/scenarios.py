@@ -62,21 +62,15 @@ class ScenarioConfig:
     extension: int = 5             # extended horizon for prices
     num_assets: int = 2
     max_index_sets: int = 4
-    lookahead: int = 1
     brokers: int = 3
-    state_cap: int = 2 ** 14
 
     def __post_init__(self):
         positive = ("num_states", "grid", "num_assets", "max_index_sets", "brokers")
         for name in positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.lookahead < 0:
-            raise ValueError("lookahead must be nonnegative")
         if self.extension < self.grid:
             raise ValueError("extension must be at least the grid length")
-        if self.state_cap < 2:
-            raise ValueError("state_cap must allow at least two states")
 
 
 def _rng(seed, *path) -> random.Random:
@@ -93,10 +87,10 @@ def random_positive_measure(rng: random.Random, states) -> dict[str, Rational]:
     return {s: rat(w, total) for s, w in zip(states, weights)}
 
 
-def _random_split(rng: random.Random, part: Partition, prob: float = 0.6) -> Partition:
+def _random_split(rng: random.Random, part: Partition) -> Partition:
     atoms = []
     for atom in part.atoms:
-        if len(atom) >= 2 and rng.random() < prob:
+        if len(atom) >= 2 and rng.random() < 0.6:
             shuffled = list(atom)
             rng.shuffle(shuffled)
             cut = rng.randint(1, len(shuffled) - 1)
@@ -118,30 +112,29 @@ def random_refining_filtration(rng: random.Random, states, length: int) -> Filtr
     return Filtration(tuple(parts))
 
 
-def random_time_change(rng: random.Random, length: int, jumps=(0, 1, 1, 2)) -> list[int]:
+def random_time_change(rng: random.Random, length: int) -> list[int]:
     g = [0]
     for t in range(1, length):
-        g.append(min(t, g[-1] + rng.choice(jumps)))
+        g.append(min(t, g[-1] + rng.choice((0, 1, 1, 2))))
     return g
 
 
-def random_subfiltration(rng: random.Random, f: Filtration, length: int | None = None) -> Filtration:
+def random_subfiltration(rng: random.Random, f: Filtration) -> Filtration:
     """A filtration coarser than f at every time: trivial or a time change of f."""
-    length = len(f) if length is None else length
     if rng.random() < 0.25:
-        return Filtration.constant(Partition.trivial(f.states), length)
-    g = random_time_change(rng, length)
-    return Filtration(tuple(f.at(min(g[t], len(f) - 1)) for t in range(length)))
+        return Filtration.constant(Partition.trivial(f.states), len(f))
+    g = random_time_change(rng, len(f))
+    return Filtration(tuple(map(f.at, g)))
 
 
-def random_stopping_time(rng: random.Random, f: Filtration, top: int, stop_prob: float = 0.35) -> list[int]:
+def random_stopping_time(rng: random.Random, f: Filtration, top: int) -> list[int]:
     """Scan the grid and stop whole atoms at random; everyone stops by `top`."""
     states = f.states
     tau = {s: top for s in states}
     alive = set(states)
     for s in range(min(top, len(f) - 1) + 1):
         for atom in f.at(s).atoms:
-            if atom[0] in alive and (s == top or rng.random() < stop_prob):
+            if atom[0] in alive and (s == top or rng.random() < 0.35):
                 for st in atom:
                     tau[st] = s
                 alive -= set(atom)
@@ -214,7 +207,6 @@ def gen_random_delay(
     m: Market,
     *,
     continuous: bool = False,
-    strict: bool = False,
     capped: bool = False,
     rng: random.Random | None = None,
 ):
@@ -235,15 +227,7 @@ def gen_random_delay(
     for asset in sorted(m.assets):
         info = _delay_info_for_asset(rng, m, asset)
         cap = rng.randint(horizon + 1, extended + 1) if capped else extended + 1
-        top = cap - 1
-        if strict:
-            room = top - horizon
-            if room < 0:
-                raise ValueError("strict monotonicity impossible: cap leaves no room past maturity")
-            base = random_stopping_time(rng, info, room, stop_prob=0.5)
-            values = tuple(tuple(base[i] + t for i in range(len(info.states))) for t in range(horizon + 1))
-        else:
-            values = _random_exec_values(rng, info, horizon, top, continuous)
+        values = _random_exec_values(rng, info, horizon, cap - 1, continuous)
         delays[asset] = StoppingProcess(values, info)
         if capped:
             caps[asset] = cap
@@ -370,11 +354,13 @@ def gen_random_market(cfg: ScenarioConfig, *, rng: random.Random | None = None) 
     return Market(space, tables, tuple(index_system), trading, grand)
 
 
-def _walk_states(length: int, state_cap: int):
-    if 2 ** length > state_cap:
-        raise ValueError(f"walk needs 2^{length} states, over the cap {state_cap}")
-    states = tuple("".join(p) for p in itertools.product("+-", repeat=length))
-    return states
+WALK_STATE_CAP = 2 ** 14  # the most states an insider walk may have
+
+
+def _walk_states(length: int):
+    if 2 ** length > WALK_STATE_CAP:
+        raise ValueError(f"walk needs 2^{length} states, over the cap {WALK_STATE_CAP}")
+    return tuple("".join(p) for p in itertools.product("+-", repeat=length))
 
 
 def _walk_prices(states, upto: int) -> tuple[tuple[Rational, ...], ...]:
@@ -390,7 +376,7 @@ def _prefix_filtration(states, horizons) -> Filtration:
     ))
 
 
-def gen_insider_market(steps: int, lookahead: int, state_cap: int = 2 ** 14):
+def gen_insider_market(steps: int, lookahead: int):
     """Walk market whose trading information peeks `lookahead` steps ahead.
 
     The peek makes a sure win available from time 1 on; delaying the
@@ -401,7 +387,7 @@ def gen_insider_market(steps: int, lookahead: int, state_cap: int = 2 ** 14):
     if steps < 1 or lookahead < 0 or lookahead > steps:
         raise ValueError("need steps >= 1 and 0 <= lookahead <= steps")
     length = steps + lookahead
-    states = _walk_states(length, state_cap)
+    states = _walk_states(length)
     space = FiniteSpace.uniform(states, steps, length)
     prices = {"walk": _walk_prices(states, length)}
     grand = _prefix_filtration(states, [min(t + lookahead, length) for t in range(length + 1)])
@@ -414,7 +400,7 @@ def gen_insider_market(steps: int, lookahead: int, state_cap: int = 2 ** 14):
     return market, InformationDelayFamily({index_set: delta})
 
 
-def gen_insider_execution_market(steps: int, lookahead: int, state_cap: int = 2 ** 14):
+def gen_insider_execution_market(steps: int, lookahead: int):
     """Walk market with a peeking filtration and the matching execution delay.
 
     Undelayed, the peek is a sure win even at time 0; deferring every
@@ -424,7 +410,7 @@ def gen_insider_execution_market(steps: int, lookahead: int, state_cap: int = 2 
     if steps < 1 or lookahead < 0 or lookahead > steps:
         raise ValueError("need steps >= 1 and 0 <= lookahead <= steps")
     length = steps + 2 * lookahead
-    states = _walk_states(length, state_cap)
+    states = _walk_states(length)
     extended = steps + lookahead
     space = FiniteSpace.uniform(states, steps, extended)
     prices = {"walk": _walk_prices(states, extended)}
@@ -547,15 +533,7 @@ def _information_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> Trial
         return _fail(i, "information", f"generated delay family invalid: {problems[0]}", m, info_fam=fam)
     if not check_coarseness(m, fam):
         return _fail(i, "information", "delayed filtration finer than the original", m, info_fam=fam)
-    delayed = information_delayed_market(m, fam)
-    if validate_market(delayed):
-        return _fail(i, "information", "delayed market failed validation", m, info_fam=fam)
-    verdict = check_naflp(delayed)
-    if not isinstance(verdict, NoFreeLunch):
-        return _fail(i, "information", "free lunch appeared after an information delay", m, info_fam=fam)
-    if not verify_certificate(delayed, verdict):
-        return _fail(i, "information", "delayed measure certificate failed re-verification", m, info_fam=fam)
-    return TrialRecord(i, "information", True, "inherited")
+    return _inherited(i, "information", information_delayed_market(m, fam), m, info_fam=fam)
 
 
 def _execution_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> TrialRecord:
@@ -574,15 +552,20 @@ def _execution_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> TrialRe
     if not isinstance(base, NoFreeLunch):
         return _fail(i, "execution", "martingale-built market showed a free lunch on the extended horizon",
                      m, exec_fam=fam)
-    dm = delayed_market(m, fam)
-    if validate_market(dm):
-        return _fail(i, "execution", "delayed market failed validation", m, exec_fam=fam)
-    verdict = check_naflp(dm)
+    return _inherited(i, "execution", delayed_market(m, fam), m, exec_fam=fam)
+
+
+def _inherited(i: int, label: str, delayed: Market, m: Market, **fam) -> TrialRecord:
+    """The delayed market of a martingale-built market m is valid and
+    carries a re-verified martingale measure."""
+    if validate_market(delayed):
+        return _fail(i, label, "delayed market failed validation", m, **fam)
+    verdict = check_naflp(delayed)
     if not isinstance(verdict, NoFreeLunch):
-        return _fail(i, "execution", "free lunch appeared after an execution delay", m, exec_fam=fam)
-    if not verify_certificate(dm, verdict):
-        return _fail(i, "execution", "delayed measure certificate failed re-verification", m, exec_fam=fam)
-    return TrialRecord(i, "execution", True, "inherited")
+        return _fail(i, label, f"free lunch appeared after an {label} delay", m, **fam)
+    if not verify_certificate(delayed, verdict):
+        return _fail(i, label, "delayed measure certificate failed re-verification", m, **fam)
+    return TrialRecord(i, label, True, "inherited")
 
 
 def _shared_info_families(cfg: ScenarioConfig, m: Market, k: int, rng: random.Random):
@@ -724,8 +707,8 @@ def _representation_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> Tr
 def run_insider_demo(cfg: ScenarioConfig) -> ExperimentReport:
     """The converse failures: delays can remove but never create free lunches."""
     records = []
-    steps, lookahead = max(2, min(cfg.grid, 3)), max(1, min(cfg.lookahead, 2))
-    m, info_fam = gen_insider_market(steps, lookahead, cfg.state_cap)
+    steps = max(2, min(cfg.grid, 3))
+    m, info_fam = gen_insider_market(steps, 1)
     undelayed = check_naflp(m)
     delayed = check_naflp(information_delayed_market(m, info_fam))
     records.append(TrialRecord(
@@ -733,7 +716,7 @@ def run_insider_demo(cfg: ScenarioConfig) -> ExperimentReport:
         isinstance(undelayed, FreeLunch) and isinstance(delayed, NoFreeLunch),
         f"undelayed={undelayed.kind}, delayed={delayed.kind}",
     ))
-    m2, exec_fam = gen_insider_execution_market(steps, lookahead, cfg.state_cap)
+    m2, exec_fam = gen_insider_execution_market(steps, 1)
     undelayed2 = check_naflp(m2)
     delayed2 = check_naflp(delayed_market(m2, exec_fam))
     records.append(TrialRecord(

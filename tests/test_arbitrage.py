@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import random
+from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,7 +29,7 @@ from delayedmarkets.arbitrage import (
 from delayedmarkets.delays import delayed_market, information_delayed_market
 from delayedmarkets.documents import parse_market_document, serialize_market_document
 from delayedmarkets.markets import Market, gain_generators, validate_market, wealth_process
-from delayedmarkets.probability import conditional_expectation
+from delayedmarkets.probability import Filtration, FiniteSpace, Partition, conditional_expectation
 from delayedmarkets.rationals import ONE, ZERO, Rational, rat
 from delayedmarkets.scenarios import (
     ScenarioConfig,
@@ -313,6 +315,31 @@ def random_consistency_markets(count):
         yield f"random {i}", gen(cfg, rng=rng)
 
 
+def large_literal_markets(count, digits):
+    """Seeded one-asset markets on 6 states and 3 steps whose prices are
+    random literals of up to `digits` digits over as many, so the price
+    scale D is far longer than any literal. Trading sees nothing at t = 0,
+    then two halves, then every state; the grand filtration is discrete
+    from t = 1."""
+    states = tuple(f"s{i}" for i in range(6))
+    space = FiniteSpace.uniform(states, 3, 3)
+    trivial, discrete = Partition.trivial(states), Partition.discrete(states)
+    halves = Partition.of(states, [states[:3], states[3:]])
+    trading = Filtration((trivial, halves, halves, discrete))
+    grand = Filtration((trivial, discrete, discrete, discrete))
+    index_set = frozenset({"a"})
+    for i in range(count):
+        rng = random.Random(f"large:{digits}:{i}")
+        top = 10 ** digits
+
+        def literal():
+            return rat(rng.randrange(-top + 1, top), rng.randrange(1, top))
+
+        rows = [(literal(),) * len(states), *(tuple(literal() for _ in states) for _ in range(3))]
+        yield f"{digits}-digit market {i}", Market(space, {"a": tuple(rows)}, (index_set,),
+                                                   {index_set: trading}, grand)
+
+
 def reference_find_martingale_measure(m: Market, gens) -> MartingaleMeasureCertificate | None:
     """The measure LP over Fractions: the generators' reduced row echelon
     basis, each row with pivot 1, solved by the dense Fraction simplex,
@@ -363,7 +390,8 @@ class TestIntegerFreeLunch:
         """Equal certificates and rendered bytes to the Fraction sums of the
         terminal wealth and the holdings, with every entry a Rational."""
         found = 0
-        for label, m in [*desk_and_walks(500), *random_consistency_markets(100)]:
+        large = [market for digits in (20, 60, 100) for market in large_literal_markets(8, digits)]
+        for label, m in [*desk_and_walks(500), *random_consistency_markets(100), *large]:
             gens = gain_generators(m)
             cert, expected = find_free_lunch(m, gens), reference_find_free_lunch(m, gens)
             assert cert == expected, label
@@ -392,6 +420,22 @@ class TestIntegerFreeLunch:
             assert not p.equalities
             assert all(type(v) is int for row in rows for _, v in row)
             assert all(type(b) is int for _, b in p.inequalities)
+
+    def test_free_lunch_lp_columns_are_primitive(self, monkeypatch):
+        """Each column of the free-lunch LP holds its generator's deltas
+        divided by their gcd, so its entries have gcd 1: no column carries
+        a common factor such as the price scale D into the tableau."""
+        solve, problems = lp.solve, []
+        monkeypatch.setattr(lp, "solve", lambda p: problems.append(p) or solve(p))
+        for _, m in [*desk_and_walks(40), *large_literal_markets(4, 100)]:
+            find_free_lunch(m, gain_generators(m))
+        assert len(problems) >= 44
+        for p in problems:
+            columns: dict[int, int] = {}
+            for row, _ in p.inequalities:
+                for k, v in row:
+                    columns[k] = gcd(columns.get(k, 0), v)
+            assert len(columns) == p.num_vars and set(columns.values()) == {1}
 
 
 class TestScalingInvariance:

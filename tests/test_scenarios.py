@@ -12,6 +12,7 @@ from delayedmarkets.documents import serialize_market_document
 from delayedmarkets.markets import validate_market
 from delayedmarkets.probability import validate_stopping_process
 from delayedmarkets.scenarios import (
+    WALK_STATE_CAP,
     ScenarioConfig,
     _rng,
     gen_insider_execution_market,
@@ -79,20 +80,12 @@ class TestGenerators:
         assert serialize_market_document(gen_martingale_market(cfg)) == \
             serialize_market_document(gen_martingale_market(cfg))
 
-    def test_strict_delays_strictly_increase(self):
-        cfg = ScenarioConfig(seed=113)
-        for i in range(8):
-            rng = _rng(cfg.seed, "strict", i)
-            m = gen_martingale_market(cfg, rng=rng, min_extension=1)
-            fam = gen_random_delay(cfg, "execution", m, rng=rng, strict=True)
-            assert validate_execution_family(m, fam) == []
-            for sp in fam.delays.values():
-                for now, nxt in zip(sp.values, sp.values[1:]):
-                    assert all(b > a for a, b in zip(now, nxt))
-
     def test_insider_state_cap(self):
-        with pytest.raises(ValueError):
-            gen_insider_market(10, 8, state_cap=2 ** 10)
+        assert 2 ** 15 > WALK_STATE_CAP
+        with pytest.raises(ValueError, match="over the cap"):
+            gen_insider_market(8, 7)
+        with pytest.raises(ValueError, match="over the cap"):
+            gen_insider_execution_market(5, 5)
 
     def test_zero_lookahead_is_fair(self):
         m, fam = gen_insider_market(2, 0)
