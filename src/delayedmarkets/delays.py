@@ -45,6 +45,8 @@ class InformationDelayFamily:
     """One information delay per index set of the market."""
 
     delays: Mapping[frozenset[str], StoppingProcess]
+    # the market this family last passed its check on
+    _valid_on: Market | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "delays", {frozenset(k): v for k, v in self.delays.items()})
@@ -60,6 +62,8 @@ class ExecutionDelayFamily:
 
     delays: Mapping[str, StoppingProcess]
     caps: Mapping[str, int] = field(default_factory=dict)
+    # the market this family last passed its check on
+    _valid_on: Market | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "delays", dict(self.delays))
@@ -73,8 +77,22 @@ class ExecutionDelayFamily:
         return max(self.cap(a, extended_horizon) - 1 for a in self.delays)
 
 
+def _remember(fam, m: Market, problems: list[str]) -> list[str]:
+    """Keep m on the family if it passed there. Markets and families are
+    frozen, so the pass holds for as long as the family keeps m."""
+    if not problems:
+        object.__setattr__(fam, "_valid_on", m)
+    return problems
+
+
 def validate_information_family(m: Market, fam: InformationDelayFamily) -> list[str]:
-    """Diagnostic report; empty means the family is usable on this market."""
+    """Diagnostic report; empty means the family is usable on this market.
+
+    A family remembers the market it last passed on, so checking it again
+    on that market, as parsing and then delaying a document does, is free.
+    """
+    if fam._valid_on is m:
+        return []
     problems: list[str] = []
     horizon = m.space.horizon
     members = set(m.index_system)
@@ -95,11 +113,14 @@ def validate_information_family(m: Market, fam: InformationDelayFamily) -> list[
         problems += [f"{label}: {p}" for p in validate_stopping_process(sp, "information")]
         if not is_subfiltration(sp.info, m.trading_filtrations[a]):
             problems.append(f"{label}: delay information is not coarser than the trading filtration")
-    return problems
+    return _remember(fam, m, problems)
 
 
 def validate_execution_family(m: Market, fam: ExecutionDelayFamily) -> list[str]:
-    """Diagnostic report; empty means the family is usable on this market."""
+    """Diagnostic report; empty means the family is usable on this market.
+    A pass is remembered as validate_information_family remembers it."""
+    if fam._valid_on is m:
+        return []
     problems: list[str] = []
     horizon = m.space.horizon
     extended = m.space.extended_horizon
@@ -126,12 +147,13 @@ def validate_execution_family(m: Market, fam: ExecutionDelayFamily) -> list[str]
         cap = fam.cap(a, extended)
         if not 1 <= cap <= extended + 1:
             problems.append(f"{label}: cap {cap} outside 1..{extended + 1}")
-        for t, row in enumerate(sp.values):
-            bad = [v for v in row if v >= cap]
-            if bad:
-                problems.append(f"{label}: cap {cap} violated at t={t} (value {bad[0]})")
-                break
-    return problems
+        if max(map(max, sp.values)) >= cap:
+            for t, row in enumerate(sp.values):
+                bad = [v for v in row if v >= cap]
+                if bad:
+                    problems.append(f"{label}: cap {cap} violated at t={t} (value {bad[0]})")
+                    break
+    return _remember(fam, m, problems)
 
 
 def is_step_continuous(sp: StoppingProcess) -> bool:
@@ -160,7 +182,9 @@ def large_delayed_filtrations(m: Market, fam: InformationDelayFamily) -> dict[fr
     every proper subset in the system, so the delayed family again agrees
     with the index system: monotone in the set order and refining in time.
     validate_information_family checks each delay against its trading
-    filtration once, so the per-set delay skips those checks.
+    filtration once, so the per-set delay skips those checks; a family
+    that already passed on m, as a parsed document's has, is not checked
+    again.
     """
     problems = validate_information_family(m, fam)
     if problems:

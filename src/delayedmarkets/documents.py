@@ -7,12 +7,13 @@ rejected and every structural problem is reported with the invariant it
 violates, an over-long integer included. Each parse keeps its own
 interner of rational literals, partitions and filtrations, so each
 distinct literal is parsed, each distinct partition entry checked and
-each distinct filtration's refinement checked once per document, on C
-builtins where the check succeeds; the per-item loops run only to word
-a failure. Serialization is canonical, so parse -> serialize -> parse is
-the identity. The canonical bytes are the json.dumps layout at indent=2
-plus a final newline, produced by `_dump`, which writes each distinct
-partition once per call.
+each distinct filtration entry read once per document, on C builtins
+where the check succeeds; the per-item loops run only to word a failure.
+Serialization is canonical, so parse -> serialize -> parse is the
+identity. The canonical bytes are the json.dumps layout at indent=2 plus
+a final newline, written directly in the document's layout by
+`serialize_market_document`, which formats each distinct literal,
+partition and filtration object once per call.
 """
 
 from __future__ import annotations
@@ -80,9 +81,11 @@ class _Interner:
     """One document's parsed literals, partitions and filtrations, by content.
 
     Only successes are kept, so a malformed entry is reported at every
-    place it occurs, with the same wording as without the cache.
-    Filtrations are keyed by the ids of their partitions, which the
-    interner keeps alive: equal partition entries give one object.
+    place it occurs, with the same wording as without the cache. Each
+    filtration is kept with its raw entry (a JSON list), and a later entry
+    equal to it is the same filtration, so its partitions are not read
+    again. Equal raw entries hold equal names only: a name is a str, and a
+    str equals nothing but a str.
     """
 
     __slots__ = ("rationals", "partitions", "filtrations")
@@ -90,7 +93,7 @@ class _Interner:
     def __init__(self):
         self.rationals = _Literals()
         self.partitions: dict[tuple[tuple[str, ...], ...], Partition] = {}
-        self.filtrations: dict[tuple[int, ...], Filtration] = {}
+        self.filtrations: list[tuple[list, Filtration]] = []
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str, problems: list[str]):
@@ -155,20 +158,21 @@ def _parse_filtration(entry, states, length: int, where: str, problems: list[str
     if not isinstance(entry, list) or len(entry) != length:
         problems.append(f"{where}: expected {length} per-time partitions")
         return None
+    for raw, f in cache.filtrations:
+        if raw == entry:
+            return f
     parts = []
     for t, p in enumerate(entry):
         p = _parse_partition(p, states, f"{where}[t={t}]", problems, cache)
         if p is None:
             return None
         parts.append(p)
-    key = tuple(map(id, parts))
-    f = cache.filtrations.get(key)
-    if f is None:
-        try:
-            f = cache.filtrations[key] = Filtration(tuple(parts))
-        except ValueError as exc:
-            problems.append(f"{where}: {exc}")
-            return None
+    try:
+        f = Filtration(tuple(parts))
+    except ValueError as exc:
+        problems.append(f"{where}: {exc}")
+        return None
+    cache.filtrations.append((entry, f))
     return f
 
 
@@ -434,54 +438,92 @@ def _parse_exec_delays(entries, market: Market, problems: list[str], cache: _Int
 
 
 _quote = json.encoder.encode_basestring_ascii
-_RATIONAL = frozenset({Rational})  # whose str() is format_rational's "p/q"
+# json.dumps's indent=2 layout: the newline and indentation before a line at
+# each depth, and the text that opens, separates and closes a non-empty list
+_INDENT = tuple("\n" + "  " * depth for depth in range(8))
+_OPEN = tuple("[" + inner for inner in _INDENT[1:])
+_NEXT = tuple("," + inner for inner in _INDENT[1:])
+_CLOSE = tuple(indent + "]" for indent in _INDENT)
 
 
-def _dump(value, newline: str = "\n", partitions: dict | None = None) -> str:
-    """The text json.dumps gives at indent=2, for dicts with str keys,
-    lists, strs and ints; anything else raises TypeError.
+def _array(texts: list[str], depth: int) -> str:
+    """A JSON list at `depth` of items already laid out one depth deeper."""
+    if not texts:
+        return "[]"
+    return _OPEN[depth] + _NEXT[depth].join(texts) + _CLOSE[depth]
 
-    json.dumps runs its pure-Python encoder whenever indent is set. This
-    quotes with the same C escaper (ASCII-only, as ensure_ascii=True does)
-    and joins a flat list of strs or of ints in one call. Given a
-    `partitions` memo, a list of Partitions is written as lists of atoms,
-    and the text of each distinct one at each depth is built once and
-    kept there.
+
+def _object(fields: list[tuple[str, str]], depth: int) -> str:
+    """A JSON object at `depth` of (key, value text) pairs, laid out as `_array` does."""
+    if not fields:
+        return "{}"
+    inner = _INDENT[depth + 1]
+    return "{" + inner + _NEXT[depth].join([_quote(k) + ": " + v for k, v in fields]) + _INDENT[depth] + "}"
+
+
+def _fields(depth: int, *keys: str) -> str:
+    """A %-template of a JSON object at `depth` with these keys, in order."""
+    return _object([(k, "%s") for k in keys], depth)
+
+
+# the objects a document holds one of per state, index set or asset
+_STATE = _fields(2, "name", "probability")
+_TRADING = _fields(3, "index_set", "partitions")
+_INFO_DELAY = _fields(3, "index_set", "values", "info")
+_EXEC_DELAY = _fields(3, "asset", "values", "info")
+_CAPPED_EXEC_DELAY = _fields(3, "asset", "values", "info", "cap")
+
+
+def _names(names, depth: int) -> str:
+    return _array(list(map(_quote, names)), depth)
+
+
+def _values(sp: StoppingProcess) -> str:
+    """A delay table, the value of a delay entry's "values" field."""
+    return _array([_array(list(map(int.__repr__, row)), 5) for row in sp.values], 4)
+
+
+class _Writer:
+    """One serialization's memos, keyed by object identity: the quoted text
+    of each price or probability, and the text of each Partition and each
+    Filtration at each depth. Every keyed object is reachable from the
+    serialized market and families for the whole call, so no id is reused
+    within it; a memo keyed by value would hash each Fraction in Python.
     """
-    kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    inner = newline + "  "
-    sep = "," + inner
-    if kind is list:
-        if not value:
-            return "[]"
-        kinds = set(map(type, value))
-        if kinds == {str}:
-            body = sep.join(map(_quote, value))
-        elif kinds == {int}:
-            body = sep.join(map(int.__repr__, value))
-        elif kinds == {Partition} and partitions is not None:
-            texts = []
-            for p in value:
-                key = (p.atoms, inner)
-                text = partitions.get(key)
-                if text is None:
-                    text = partitions[key] = _dump(list(map(list, p.atoms)), inner)
-                texts.append(text)
-            body = sep.join(texts)
-        else:
-            body = sep.join([_dump(v, inner, partitions) for v in value])
-        return "[" + inner + body + newline + "]"
-    if kind is dict:
-        if not value:
-            return "{}"
-        body = sep.join([_quote(k) + ": " + (_quote(v) if type(v) is str else _dump(v, inner, partitions))
-                         for k, v in value.items()])
-        return "{" + inner + body + newline + "}"
-    raise TypeError(f"cannot serialize a {kind.__name__} in a market document")
+
+    __slots__ = ("values", "partitions", "filtrations")
+
+    def __init__(self):
+        self.values: dict[int, str] = {}
+        self.partitions: dict[int, dict[int, str]] = {}
+        self.filtrations: dict[int, dict[int, str]] = {}
+
+    def value(self, v) -> str:
+        text = self.values.get(id(v))
+        if text is None:
+            text = self.values[id(v)] = _quote(format_rational(v))
+        return text
+
+    def prices(self, row) -> str:
+        """A price row, at depth 3."""
+        texts = list(map(self.values.get, map(id, row)))
+        if None in texts:
+            texts = [text or self.value(v) for text, v in zip(texts, row)]
+        return _array(texts, 3)
+
+    def partition(self, p: Partition, depth: int) -> str:
+        memo = self.partitions.setdefault(depth, {})
+        text = memo.get(id(p))
+        if text is None:
+            text = memo[id(p)] = _array([_names(atom, depth + 1) for atom in p.atoms], depth)
+        return text
+
+    def filtration(self, f: Filtration, depth: int) -> str:
+        memo = self.filtrations.setdefault(depth, {})
+        text = memo.get(id(f))
+        if text is None:
+            text = memo[id(f)] = _array([self.partition(p, depth + 1) for p in f.partitions], depth)
+        return text
 
 
 def serialize_market_document(
@@ -489,52 +531,40 @@ def serialize_market_document(
     info_delays: InformationDelayFamily | None = None,
     exec_delays: ExecutionDelayFamily | None = None,
 ) -> str:
-    """Canonical JSON for a market and optional delay families."""
+    """Canonical JSON for a market and optional delay families: the
+    json.dumps layout at indent=2 plus a final newline, written directly,
+    with each distinct literal, partition and filtration object formatted
+    once."""
+    w = _Writer()
     space = market.space
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "states": [
-            {"name": s, "probability": format_rational(space.probability[s])}
-            for s in space.states
-        ],
-        "grid": {"n": space.horizon, "n_ext": space.extended_horizon},
-        "assets": {
-            aid: [list(map(str if _RATIONAL.issuperset(map(type, row)) else format_rational, row))
-                  for row in market.assets[aid]]
-            for aid in sorted(market.assets)
-        },
-        "index_system": [sorted(a) for a in market.index_system],
-        "filtrations": {
-            "grand": list(market.grand_filtration.partitions),
-            "trading": [
-                {"index_set": sorted(a), "partitions": list(market.trading_filtrations[a].partitions)}
-                for a in market.index_system
-            ],
-        },
-    }
-    delays = {}
+    states = [_STATE % (_quote(s), w.value(space.probability[s])) for s in space.states]
+    assets = [(aid, _array(list(map(w.prices, market.assets[aid])), 2)) for aid in sorted(market.assets)]
+    trading = [_TRADING % (_names(sorted(a), 4), w.filtration(market.trading_filtrations[a], 4))
+               for a in market.index_system]
+    fields = [
+        ("format_version", int.__repr__(FORMAT_VERSION)),
+        ("states", _array(states, 1)),
+        ("grid", _object([("n", int.__repr__(space.horizon)), ("n_ext", int.__repr__(space.extended_horizon))], 1)),
+        ("assets", _object(assets, 1)),
+        ("index_system", _array([_names(sorted(a), 2) for a in market.index_system], 1)),
+        ("filtrations", _object([("grand", w.filtration(market.grand_filtration, 2)),
+                                 ("trading", _array(trading, 2))], 1)),
+    ]
+    delays = []
     if info_delays is not None:
-        delays["information"] = [
-            {
-                "index_set": sorted(a),
-                "values": list(map(list, sp.values)),
-                "info": list(sp.info.partitions),
-            }
-            for a, sp in sorted(info_delays.delays.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-        ]
+        entries = sorted(info_delays.delays.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        delays.append(("information", _array(
+            [_INFO_DELAY % (_names(sorted(a), 4), _values(sp), w.filtration(sp.info, 4)) for a, sp in entries], 2)))
     if exec_delays is not None:
         entries = []
         for asset in sorted(exec_delays.delays):
             sp = exec_delays.delays[asset]
-            entry = {
-                "asset": asset,
-                "values": list(map(list, sp.values)),
-                "info": list(sp.info.partitions),
-            }
+            head = (_quote(asset), _values(sp), w.filtration(sp.info, 4))
             if asset in exec_delays.caps:
-                entry["cap"] = exec_delays.caps[asset]
-            entries.append(entry)
-        delays["execution"] = entries
+                entries.append(_CAPPED_EXEC_DELAY % (*head, int.__repr__(exec_delays.caps[asset])))
+            else:
+                entries.append(_EXEC_DELAY % head)
+        delays.append(("execution", _array(entries, 2)))
     if delays:
-        doc["delays"] = delays
-    return _dump(doc, "\n", {}) + "\n"
+        fields.append(("delays", _object(delays, 1)))
+    return _object(fields, 0) + "\n"

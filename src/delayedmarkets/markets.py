@@ -94,7 +94,6 @@ class Market:
 def validate_market(m: Market) -> list[str]:
     """Diagnostic report of every violated market invariant; empty means valid."""
     problems: list[str] = []
-    space = m.space
     ids = set(m.assets)
 
     members = set(m.index_system)
@@ -120,8 +119,8 @@ def validate_market(m: Market) -> list[str]:
         for a2 in m.index_system:
             if a1 < a2 and a1 in m.trading_filtrations and a2 in m.trading_filtrations:
                 f1, f2 = m.trading_filtrations[a1], m.trading_filtrations[a2]
-                for t in range(min(len(f1), len(f2))):
-                    if not refines(f2.at(t), f1.at(t)):
+                for t, (p1, p2) in enumerate(zip(f1.partitions, f2.partitions)):
+                    if not refines(p2, p1):
                         problems.append(
                             f"monotonicity property violated: filtration of {sorted(a1)} is not coarser than "
                             f"that of {sorted(a2)} at t={t}"
@@ -131,16 +130,16 @@ def validate_market(m: Market) -> list[str]:
     for a, f in m.trading_filtrations.items():
         if a not in members:
             continue
-        for t in range(len(f)):
-            if not refines(m.grand_filtration.at(t), f.at(t)):
+        for t, (g, p) in enumerate(zip(m.grand_filtration.partitions, f.partitions)):
+            if not refines(g, p):
                 problems.append(
                     f"trading filtration of {sorted(a)} is finer than the grand filtration at t={t}"
                 )
                 break
 
     for aid, table in m.assets.items():
-        for t in range(space.extended_horizon + 1):
-            if not is_measurable(table[t], m.grand_filtration.at(t)):
+        for t, (row, g) in enumerate(zip(table, m.grand_filtration.partitions)):
+            if not is_measurable(row, g):
                 problems.append(f"asset {aid!r} not adapted: price at t={t} varies inside a grand-filtration atom")
                 break
     return problems

@@ -299,8 +299,7 @@ def is_subfiltration(coarse: Filtration, fine: Filtration) -> bool:
 
     The comparison runs over the shorter of the two grids.
     """
-    n = min(len(coarse), len(fine))
-    return all(refines(fine.at(t), coarse.at(t)) for t in range(n))
+    return all(map(refines, fine.partitions, coarse.partitions))
 
 
 _INT = frozenset({int})

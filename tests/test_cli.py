@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from delayedmarkets import scenarios
 from delayedmarkets.cli import main
 from delayedmarkets.documents import parse_market_document, serialize_market_document
 from delayedmarkets.rationals import rat
@@ -224,6 +225,40 @@ class TestExperiment:
             assert main(["experiment", kind, "--seed", "7", *trials]) == 0
             digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == "2434e815319b4cda803cb1fa5def8a54fec02202248600dde268a7c7fdb169fc"
+
+    def test_trial_markets_are_pinned(self, monkeypatch, capsys):
+        """The markets and delay families the five trial kinds draw at seed
+        7, serialized in draw order, hash to a pinned value: a report
+        records little per trial, so a changed draw can leave it as it was."""
+        digest = hashlib.sha256()
+        drawn = []
+
+        def market_drawer(gen):
+            def draw(*args, **kwargs):
+                m = gen(*args, **kwargs)
+                drawn.append(m)
+                digest.update(serialize_market_document(m).encode())
+                return m
+            return draw
+
+        def family_builder(cls, key):
+            def build(*args, **kwargs):
+                fam = cls(*args, **kwargs)
+                digest.update(serialize_market_document(drawn[-1], **{key: fam}).encode())
+                return fam
+            return build
+
+        for name in ("gen_martingale_market", "gen_random_market"):
+            monkeypatch.setattr(scenarios, name, market_drawer(getattr(scenarios, name)))
+        monkeypatch.setattr(scenarios, "InformationDelayFamily",
+                            family_builder(scenarios.InformationDelayFamily, "info_delays"))
+        monkeypatch.setattr(scenarios, "ExecutionDelayFamily",
+                            family_builder(scenarios.ExecutionDelayFamily, "exec_delays"))
+        for kind in ("information", "execution", "broker", "superimpose", "representation"):
+            assert main(["experiment", kind, "--seed", "7", "--trials", "30"]) == 0
+        capsys.readouterr()
+        assert len(drawn) == 150
+        assert digest.hexdigest() == "5e54f226d51e806decb7ffd536e43dedb03ec8a669ee3cb7d826f06002cd5f16"
 
     @pytest.mark.parametrize("kind, trials", [("information", "-3"), ("superimpose", "0")])
     def test_nonpositive_trials_rejected(self, kind, trials, tmp_path, capsys):

@@ -25,6 +25,7 @@ from delayedmarkets.delays import (
     validate_execution_family,
     validate_information_family,
 )
+from delayedmarkets.documents import parse_market_document, serialize_market_document
 from delayedmarkets.markets import Market, is_measurable, validate_market
 from delayedmarkets.probability import (
     Filtration,
@@ -198,6 +199,63 @@ class TestValidatesOnce:
         with pytest.raises(DelayPreconditionError) as err:
             information_delayed_market(m, fam)
         assert err.value.problems == expected
+        # a failed check is not remembered: the same problems, the same way
+        with pytest.raises(DelayPreconditionError) as err:
+            information_delayed_market(m, fam)
+        assert err.value.problems == expected
+
+    @staticmethod
+    def _counting(monkeypatch):
+        validate = delays.validate_stopping_process
+        seen = []
+        monkeypatch.setattr(delays, "validate_stopping_process",
+                            lambda sp, mode: seen.append(sp) or validate(sp, mode))
+        return seen
+
+    def test_parsed_families_are_not_checked_again(self, monkeypatch):
+        cfg = ScenarioConfig(seed=5, num_states=8, grid=3, extension=5, num_assets=3, max_index_sets=4)
+        for i in range(10):
+            rng = _rng(cfg.seed, "validate-once", i)
+            m = gen_martingale_market(cfg, rng=rng)
+            info = gen_random_delay(cfg, "information", m, rng=rng)
+            execution = gen_random_delay(cfg, "execution", m, rng=rng, capped=True)
+            doc = parse_market_document(serialize_market_document(m, info_delays=info, exec_delays=execution))
+            seen = self._counting(monkeypatch)
+            information_delayed_market(doc.market, doc.info_delays)
+            delayed_market(doc.market, doc.exec_delays)
+            assert seen == []
+            monkeypatch.undo()
+
+    def test_another_market_is_checked(self, monkeypatch):
+        """As `check --apply-delay` does: the execution family, checked on
+        the parsed market, is applied to the information-delayed one."""
+        m, *_ = four_coin_market()
+        triv = Filtration.constant(Partition.trivial(m.space.states), 4)
+        info = InformationDelayFamily({a: StoppingProcess.identity(4, triv) for a in m.index_system})
+        execution = ExecutionDelayFamily({a: StoppingProcess.identity(4, triv) for a in m.assets})
+        doc = parse_market_document(serialize_market_document(m, info_delays=info, exec_delays=execution))
+        seen = self._counting(monkeypatch)
+        delayed = information_delayed_market(doc.market, doc.info_delays)
+        assert seen == []
+        delayed_market(delayed, doc.exec_delays)
+        assert seen == list(doc.exec_delays.delays.values())
+        delayed_market(delayed, doc.exec_delays)  # the pass on `delayed` is remembered in turn
+        assert len(seen) == len(m.assets)
+
+    def test_invalid_family_raises_after_a_pass_elsewhere(self):
+        m, *_ = four_coin_market()
+        triv = Filtration.constant(Partition.trivial(m.space.states), 4)
+        fam = InformationDelayFamily({a: StoppingProcess.deterministic([0, 1, 1, 2], triv) for a in m.index_system})
+        assert validate_information_family(m, fam) == []
+        short = Market(FiniteSpace.uniform(m.space.states, 2, 2), {a: t[:3] for a, t in m.assets.items()},
+                       m.index_system, {a: f.restrict(3) for a, f in m.trading_filtrations.items()},
+                       m.grand_filtration.restrict(3))
+        expected = validate_information_family(short, fam)
+        assert len(expected) == 4 and all("must cover grid times 0..2" in p for p in expected)
+        with pytest.raises(DelayPreconditionError) as err:
+            information_delayed_market(short, fam)
+        assert err.value.problems == expected
+        assert information_delayed_market(m, fam) == information_delayed_market(m, InformationDelayFamily(fam.delays))
 
 
 class TestCoarseness:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
+import itertools
 import json
 import sys
 import tempfile
@@ -15,10 +16,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from delayedmarkets.cli import main
-from delayedmarkets.delays import delayed_market, information_delayed_market
-from delayedmarkets.documents import DocumentError, _dump, parse_market_document, serialize_market_document
+from delayedmarkets.delays import (
+    ExecutionDelayFamily,
+    InformationDelayFamily,
+    delayed_market,
+    information_delayed_market,
+)
+from delayedmarkets import documents
+from delayedmarkets.documents import DocumentError, parse_market_document, serialize_market_document
 from delayedmarkets.markets import Market
-from delayedmarkets.probability import Filtration, FiniteSpace, Partition
+from delayedmarkets.probability import Filtration, FiniteSpace, Partition, StoppingProcess
 from delayedmarkets.rationals import parse_rational, rat
 from delayedmarkets.scenarios import (
     ScenarioConfig,
@@ -33,6 +40,7 @@ from delayedmarkets.scenarios import (
 from conftest import binomial_market
 from reference_documents import parse_rational as reference_parse_rational
 from reference_documents import reference_parse_market_document
+from reference_serialize import reference_serialize_market_document
 
 
 def doc_dict(market, **kw):
@@ -291,30 +299,36 @@ def test_shipped_scenario_reserializes_byte_for_byte(path):
     assert serialize_market_document(doc.market, doc.info_delays, doc.exec_delays) == text
 
 
-def _pinned_documents():
-    """Desk markets, both delay modes, and the insider walks, from fixed seeds."""
+def _pinned_markets():
+    """Desk markets, both delay modes, and the insider walks, from fixed
+    seeds, each as (market, delay families)."""
     cfg = ScenarioConfig(seed=11, num_states=12, grid=4, extension=6, num_assets=3, max_index_sets=4, brokers=3)
     for i in range(40):
         gen = gen_martingale_market if i % 2 else gen_random_market
-        yield serialize_market_document(gen(cfg, rng=_rng(11, "ftap", i)))
+        yield gen(cfg, rng=_rng(11, "ftap", i)), {}
     for i in range(20):
         rng = _rng(11, "roundtrip", i)
         m = gen_martingale_market(cfg, rng=rng)
         info = gen_random_delay(cfg, "information", m, rng=rng)
         execution = gen_random_delay(cfg, "execution", m, rng=rng, capped=True)
-        yield serialize_market_document(m, info_delays=info, exec_delays=execution)
-        yield serialize_market_document(information_delayed_market(m, info), exec_delays=execution)
-        yield serialize_market_document(delayed_market(m, execution), info_delays=info)
+        yield m, {"info_delays": info, "exec_delays": execution}
+        yield information_delayed_market(m, info), {"exec_delays": execution}
+        yield delayed_market(m, execution), {"info_delays": info}
     m, fam = gen_insider_market(3, 1)
-    yield serialize_market_document(m, info_delays=fam)
-    yield serialize_market_document(information_delayed_market(m, fam))
+    yield m, {"info_delays": fam}
+    yield information_delayed_market(m, fam), {}
     m, fam = gen_insider_execution_market(3, 1)
-    yield serialize_market_document(m, exec_delays=fam)
-    yield serialize_market_document(delayed_market(m, fam))
+    yield m, {"exec_delays": fam}
+    yield delayed_market(m, fam), {}
+
+
+def _pinned_documents():
+    for m, families in _pinned_markets():
+        yield serialize_market_document(m, **families)
 
 
 def test_serialized_bytes_are_pinned():
-    # taken from the json.dumps-based serializer that `_dump` replaced
+    # taken from the json.dumps-based serializer that the reference's `_dump` replaced
     digest = hashlib.sha256()
     count = 0
     for text in _pinned_documents():
@@ -334,16 +348,155 @@ PAYLOADS = st.recursive(
 )
 
 
+def test_pinned_documents_serialize_as_the_reference():
+    """The 104 pinned markets, and each as parsed back from its document,
+    whose equal literals and partitions are shared objects."""
+    count = 0
+    for m, families in _pinned_markets():
+        text = serialize_market_document(m, **families)
+        assert text == reference_serialize_market_document(m, **families)
+        doc = parse_market_document(text)
+        again = {"info_delays": doc.info_delays, "exec_delays": doc.exec_delays}
+        assert serialize_market_document(doc.market, **again) == text
+        assert reference_serialize_market_document(doc.market, **again) == text
+        count += 1
+    assert count == 104
+
+
+def _named_market(states, asset_ids, prices, times):
+    """A one-step market on the given names with prices cycled from
+    `prices`, adapted to a grand filtration that splits off the first state
+    at t = 1 and is discrete at t = 2, with an information and an execution
+    delay family over it whose values are taken from `times`."""
+    states = tuple(states)
+    space = FiniteSpace.uniform(states, 1, 2)
+    grand = Filtration((Partition.trivial(states), Partition.of(states, [states[:1], states[1:]]),
+                        Partition.discrete(states)))
+    cycle = iter(prices * (3 * len(states) * len(asset_ids)))
+    assets = {}
+    for aid in asset_ids:
+        first, rest, last = next(cycle), next(cycle), [next(cycle) for _ in states]
+        assets[aid] = ((first,) * len(states), (first,) + (rest,) * (len(states) - 1), tuple(last))
+    index_set = frozenset(asset_ids)
+    market = Market(space, assets, (index_set,), {index_set: grand.restrict(2)}, grand)
+    lag, start, step = times
+    info = InformationDelayFamily({index_set: StoppingProcess.deterministic(
+        [0, lag], Filtration.constant(Partition.trivial(states), 2))})
+    execution = ExecutionDelayFamily(
+        {aid: StoppingProcess.deterministic([start, max(start, 1) + step], grand) for aid in asset_ids},
+        {asset_ids[0]: 3})
+    return market, info, execution
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(NAMES, min_size=2, max_size=4, unique=True), st.lists(NAMES, min_size=1, max_size=2, unique=True),
+       st.lists(st.integers(-3, 9) | st.fractions(-3, 9, max_denominator=6), min_size=1, max_size=5),
+       st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 1)).filter(lambda t: max(t[1], 1) + t[2] <= 2))
+def test_delayed_markets_serialize_as_the_reference(states, asset_ids, prices, times):
+    """Names with quotes, backslashes, control characters and non-ASCII
+    text, int and Fraction prices, and markets delayed in both modes."""
+    m, info, execution = _named_market(states, asset_ids, prices, times)
+    for market, families in ((m, {"info_delays": info, "exec_delays": execution}),
+                             (information_delayed_market(m, info), {"exec_delays": execution}),
+                             (delayed_market(m, execution), {"info_delays": info})):
+        text = serialize_market_document(market, **families)
+        assert text == reference_serialize_market_document(market, **families)
+        doc = parse_market_document(text)
+        again = {"info_delays": doc.info_delays, "exec_delays": doc.exec_delays}
+        assert reference_serialize_market_document(doc.market, **again) == text
+
+
+def test_memos_tell_equal_objects_apart():
+    """Equal partitions and filtrations that are distinct objects, one
+    filtration written at two depths, and an int, a Fraction and a float of
+    equal value in one price row: each is written where it stands."""
+    states = ("u", "m", "d")
+    space = FiniteSpace.uniform(states, 2, 2)
+    split = [("u",), ("m", "d")]
+    grand = Filtration((Partition.trivial(states), Partition.of(states, split), Partition.discrete(states)))
+    twin = Filtration((Partition.trivial(states), Partition.of(states, split), Partition.of(states, split)))
+    one, half = rat(1), rat(1, 2)
+    assets = {"x": ((1, one, 1.0), (rat(2), rat(1, 1), rat(1)), (half, rat(1, 2), 0.5)),
+              "y": ((one, one, one), (one, half, half), (rat(3, 4), half, 2))}
+    index = (frozenset({"x"}), frozenset({"x", "y"}))
+    market = Market(space, assets, index, {index[0]: twin, index[1]: Filtration(twin.partitions)}, grand)
+    info = InformationDelayFamily({a: StoppingProcess.identity(3, Filtration(twin.partitions)) for a in index})
+    execution = ExecutionDelayFamily({a: StoppingProcess.identity(3, grand) for a in assets})
+    assert twin.at(2) == Partition.of(states, split) and twin.at(2) is not twin.at(1)
+    for families in ({}, {"info_delays": info}, {"info_delays": info, "exec_delays": execution}):
+        assert serialize_market_document(market, **families) == reference_serialize_market_document(market, **families)
+
+
+def test_each_literal_object_is_formatted_once(monkeypatch):
+    calls = []
+    real = documents.format_rational
+    monkeypatch.setattr(documents, "format_rational", lambda v: calls.append(v) or real(v))
+    for m, families in itertools.islice(_pinned_markets(), 40, 70):
+        calls.clear()
+        serialize_market_document(m, **families)
+        literals = {id(v): v for table in m.assets.values() for row in table for v in row}
+        literals.update((id(v), v) for v in m.space.probability.values())
+        assert sorted(map(id, calls)) == sorted(literals)
+
+
+def test_a_repeated_filtration_entry_is_read_once(monkeypatch):
+    calls = []
+    real = documents._parse_partition
+    monkeypatch.setattr(documents, "_parse_partition", lambda entry, *rest: calls.append(entry) or real(entry, *rest))
+    doc = json.loads(BINOMIAL.read_text())
+    grand = doc["filtrations"]["grand"]
+    assert doc["filtrations"]["trading"][0]["partitions"] == grand
+    doc["delays"] = {"information": [dict(INFO_DELAY, info=copy.deepcopy(grand))],
+                     "execution": [dict(EXEC_DELAY, info=copy.deepcopy(grand))]}
+    parsed = parse_market_document(json.dumps(doc))
+    assert calls == grand
+    assert parsed.market.grand_filtration is parsed.market.trading_filtrations[frozenset({"stock"})]
+    assert parsed.info_delays.delays[frozenset({"stock"})].info is parsed.market.grand_filtration
+    assert parsed.exec_delays.delays["stock"].info is parsed.market.grand_filtration
+
+
+def _depth(node) -> int:
+    children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    return 1 + max(map(_depth, children), default=0) if isinstance(node, (list, dict)) else 0
+
+
+def _emit(node, depth: int = 0) -> str:
+    """A JSON tree written with the emitter's layout pieces only."""
+    if type(node) is str:
+        return documents._quote(node)
+    if type(node) is int:
+        return int.__repr__(node)
+    if type(node) is list:
+        return documents._array([_emit(v, depth + 1) for v in node], depth)
+    return documents._object([(k, _emit(v, depth + 1)) for k, v in node.items()], depth)
+
+
 @settings(max_examples=300, deadline=None)
-@given(PAYLOADS)
+@given(PAYLOADS.filter(lambda payload: _depth(payload) <= 7))
 def test_emitter_matches_json_dumps(payload):
-    assert _dump(payload) == json.dumps(payload, indent=2)
+    """The emitter's lists and objects, empty ones included, at every depth
+    a document reaches (seven nested levels, down to a delay's atoms), are
+    laid out as json.dumps lays them out."""
+    assert _emit(payload) == json.dumps(payload, indent=2)
 
 
 @pytest.mark.parametrize("value", [1.5, True, None, ("a",), [1, False], {"k": None}, {1: "a"}])
 def test_emitter_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        _dump(value)
+    """An asset id that is not a str, or a price that is not a number,
+    raises TypeError, as it did in the reference serializer. A hashable
+    value is put in as an asset id, any other as a price."""
+    try:
+        hash(value)
+        aid, price = value, rat(1)
+    except TypeError:
+        aid, price = "stock", value
+    market = binomial_market(1, 2, 1)
+    grand = market.grand_filtration
+    market = Market(market.space, {aid: ((price, rat(1)), (rat(2), rat(1)))}, (frozenset({aid}),),
+                    {frozenset({aid}): grand}, grand)
+    for serialize in (serialize_market_document, reference_serialize_market_document):
+        with pytest.raises(TypeError):
+            serialize(market)
 
 
 @settings(max_examples=60, deadline=None)
