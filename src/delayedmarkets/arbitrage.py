@@ -201,7 +201,7 @@ def find_martingale_measure(m: Market, gens: list[GainGenerator]) -> MartingaleM
 
 
 def check_naflp(m: Market, horizon: int | None = None) -> Verdict:
-    """Decide from one generator set, after one pass over it:
+    """Decide for m.at_horizon(horizon) from one generator set, after one pass over it:
 
     - the uniform measure if every generator's changes sum to zero (the
       measure LP's only optimum then, as eps = 1/n forces q = 1/n);
@@ -212,7 +212,8 @@ def check_naflp(m: Market, horizon: int | None = None) -> Verdict:
     - else the measure LP, and the free-lunch LP only when that finds no
       measure.
     """
-    gens, states = gain_generators(m, horizon), m.space.states
+    m = m.at_horizon(horizon)
+    gens, states = gain_generators(m), m.space.states
     balanced = True
     for g in gens:
         changes = [d for _, d in g.deltas]
@@ -232,25 +233,25 @@ def check_naflp(m: Market, horizon: int | None = None) -> Verdict:
 
 
 def verify_certificate(m: Market, v: Verdict, horizon: int | None = None) -> bool:
-    """Re-check a verdict's certificate from scratch, on independent code paths.
+    """Re-check a verdict's certificate on m.at_horizon(horizon) from scratch, on independent code paths.
 
     A measure is verified by comparing q-weighted atom sums of every
     asset over every date pair of every trading filtration, in integers
     (see _verify_measure), a strategy by recomputing its wealth process;
     nothing from the LP layer is reused.
     """
-    horizon = m.space.horizon if horizon is None else horizon
+    m = m.at_horizon(horizon)
     if isinstance(v, NoFreeLunch):
-        return _verify_measure(m, v.certificate, horizon)
+        return _verify_measure(m, v.certificate)
     if isinstance(v, FreeLunch):
-        return _verify_strategy(m, v.certificate, horizon)
+        return _verify_strategy(m, v.certificate)
     return False
 
 
-def _verify_measure(m: Market, cert: MartingaleMeasureCertificate, horizon: int) -> bool:
+def _verify_measure(m: Market, cert: MartingaleMeasureCertificate) -> bool:
     """True iff the weights are a strictly positive probability vector
     under which every asset of every index set is a martingale for that
-    set's trading filtration over 0..horizon.
+    set's trading filtration over 0..m.space.horizon.
 
     For each t, each atom A of F_t and each later u it requires
     sum_A q * S_u == sum_A q * S_t, on Python ints: the weights are
@@ -269,11 +270,11 @@ def _verify_measure(m: Market, cert: MartingaleMeasureCertificate, horizon: int)
     q, scale = int_multiple(weights)
     if sum(q) != scale:
         return False
-    n_states = len(states)
+    n_states, horizon = len(states), m.space.horizon
     idx = m.space.state_index
     weighted: dict[str, list[list[int]]] = {}
     for index_set in m.index_system:
-        filtration = m.trading_filtration(index_set, horizon)
+        filtration = m.trading_filtrations[index_set]
         atoms = [[[idx[s] for s in atom] for atom in filtration.at(t).atoms] for t in range(horizon + 1)]
         for asset in sorted(index_set):
             rows = weighted.get(asset)
@@ -292,14 +293,14 @@ def _verify_measure(m: Market, cert: MartingaleMeasureCertificate, horizon: int)
     return True
 
 
-def _verify_strategy(m: Market, cert: FreeLunchCertificate, horizon: int) -> bool:
+def _verify_strategy(m: Market, cert: FreeLunchCertificate) -> bool:
     terminal = cert.terminal_wealth
     if len(terminal) != len(m.space.states):
         return False
     if any(v < 0 for v in terminal) or all(v == 0 for v in terminal):
         return False
     try:
-        wealth = wealth_process(m, cert.strategy, horizon)
+        wealth = wealth_process(m, cert.strategy)
     except ValueError:
         return False
     if any(v != 0 for v in wealth[0]):

@@ -131,16 +131,12 @@ def cmd_check(args) -> int:
                 market = information_delayed_market(market, doc.info_delays)
             if doc.exec_delays is not None:
                 market = delayed_market(market, doc.exec_delays)
-        horizon = args.horizon
-        if horizon is not None and not market.space.horizon <= horizon <= market.space.extended_horizon:
-            print(f"error: horizon must lie in {market.space.horizon}..{market.space.extended_horizon}",
-                  file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        verdict = check_naflp(market, horizon)
+        market = market.at_horizon(args.horizon)
+        verdict = check_naflp(market)
     except (DocumentError, DelayPreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if not verify_certificate(market, verdict, horizon):
+    if not verify_certificate(market, verdict):
         print("internal error: certificate failed independent re-verification", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
     sys.stdout.write(render_verdict(verdict, market.space.states))

@@ -382,10 +382,12 @@ def min_delay(families: Sequence[ExecutionDelayFamily]) -> ExecutionDelayFamily:
 
 
 def enlarged_trading_filtrations(m: Market, fam: ExecutionDelayFamily) -> dict[frozenset[str], Filtration]:
-    """Per index set: the join over its assets of the pi-stopped trading field."""
+    """Per index set: the join over its assets of the pi-stopped trading
+    field, read over the extended grid (Market.at_horizon)."""
+    extended = m.at_horizon(m.space.extended_horizon).trading_filtrations
     out = {}
     for index_set in m.index_system:
-        f_ext = m.trading_filtration(index_set, m.space.extended_horizon)
+        f_ext = extended[index_set]
         parts = []
         for t in range(m.space.horizon + 1):
             stopped = [stopped_sigma_field(f_ext, fam.delays[a].at(t)) for a in sorted(index_set)]
@@ -414,6 +416,7 @@ def representation_check(m: Market, fam: ExecutionDelayFamily) -> bool:
     delay information, never the delay values.
     """
     problems = validate_execution_family(m, fam)
+    extended = m.at_horizon(m.space.extended_horizon).trading_filtrations
     for a in sorted(m.assets):
         if frozenset({a}) not in set(m.index_system):
             problems.append(f"asset {a!r} has no singleton index set")
@@ -425,13 +428,11 @@ def representation_check(m: Market, fam: ExecutionDelayFamily) -> bool:
         if any(v != 0 for v in sp.values[0]):
             problems.append(f"asset {a!r}: delay does not start at zero")
         for index_set in m.index_system:
-            if a in index_set:
-                f_ext = m.trading_filtration(index_set, m.space.extended_horizon)
-                if not is_subfiltration(sp.info, f_ext):
-                    problems.append(
-                        f"asset {a!r}: delay information is not coarser than the trading "
-                        f"filtration of {sorted(index_set)}"
-                    )
+            if a in index_set and not is_subfiltration(sp.info, extended[index_set]):
+                problems.append(
+                    f"asset {a!r}: delay information is not coarser than the trading "
+                    f"filtration of {sorted(index_set)}"
+                )
     if problems:
         raise DelayPreconditionError(problems)
 

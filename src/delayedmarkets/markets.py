@@ -11,7 +11,7 @@ generator set is produced by gain_generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -28,9 +28,10 @@ class Market:
     Asset tables span 0..extended_horizon and the grand filtration with
     them. Trading filtrations span at least 0..horizon; a market may
     declare them further out (up to the extended horizon) when trading
-    information past maturity matters, otherwise the final partition is
-    repeated on demand. Prices are taken as given, shape errors raise
-    immediately and semantic invariants are reported by validate_market.
+    information past maturity matters. Every check reads the market over
+    0..space.horizon; at_horizon gives the market traded over a longer
+    grid. Prices are taken as given, shape errors raise immediately and
+    semantic invariants are reported by validate_market.
     """
 
     space: FiniteSpace
@@ -75,17 +76,18 @@ class Market:
         that D times any price is an int; computed on first use."""
         return math.lcm(*{v.denominator for table in self.assets.values() for row in table for v in row})
 
-    def trading_filtration(self, index_set: frozenset[str], horizon: int | None = None) -> Filtration:
-        """Trading filtration of an index set over 0..horizon.
-
-        Beyond the declared grid the final partition is repeated: no new
-        information arrives unless the market declares an extension.
-        """
-        f = self.trading_filtrations[frozenset(index_set)]
-        horizon = self.space.horizon if horizon is None else horizon
-        if horizon > self.space.extended_horizon:
-            raise ValueError("horizon beyond the extended grid")
-        return f.extend_to(horizon + 1)
+    def at_horizon(self, horizon: int | None) -> "Market":
+        """The market traded over 0..horizon, for checking only: past its
+        declared grid each trading filtration repeats its final partition,
+        and None or the own horizon gives the market itself. Delay tables
+        cover 0..n, so the delay functions take a market at its own horizon."""
+        n, n_ext = self.space.horizon, self.space.extended_horizon
+        if horizon is None or horizon == n:
+            return self
+        if not n <= horizon <= n_ext:
+            raise ValueError(f"horizon must lie in {n}..{n_ext}")
+        filts = {a: f.extend_to(horizon + 1) for a, f in self.trading_filtrations.items()}
+        return replace(self, space=replace(self.space, horizon=horizon), trading_filtrations=filts)
 
     def with_trading_filtrations(self, filtrations: Mapping[frozenset[str], Filtration]) -> "Market":
         return Market(self.space, self.assets, self.index_system, filtrations, self.grand_filtration)
@@ -186,17 +188,17 @@ class Strategy:
                 raise ValueError("holdings name assets outside the index set")
 
 
-def validate_strategy(m: Market, s: Strategy, horizon: int | None = None) -> list[str]:
+def validate_strategy(m: Market, s: Strategy) -> list[str]:
     """Report contract violations of a strategy against a market."""
     problems: list[str] = []
-    horizon = m.space.horizon if horizon is None else horizon
+    horizon = m.space.horizon
     if s.index_set not in set(m.index_system):
         problems.append(f"index set {sorted(s.index_set)} is not in the index system")
         return problems
     if s.dates[0] < 0 or s.dates[-1] > horizon:
         problems.append(f"dates {s.dates} leave the grid 0..{horizon}")
         return problems
-    filtration = m.trading_filtration(s.index_set, horizon)
+    filtration = m.trading_filtrations[s.index_set]
     n_states = len(m.space.states)
     for i, h in enumerate(s.holdings):
         t_prev = s.dates[i]
@@ -211,7 +213,7 @@ def validate_strategy(m: Market, s: Strategy, horizon: int | None = None) -> lis
     return problems
 
 
-def wealth_process(m: Market, s: Strategy, horizon: int | None = None) -> tuple[tuple[Rational, ...], ...]:
+def wealth_process(m: Market, s: Strategy) -> tuple[tuple[Rational, ...], ...]:
     """Exact wealth path of a simple strategy; W_0 is identically zero.
 
     W_t(w) = sum over intervals (t_prev, t_next] started before t of
@@ -223,8 +225,8 @@ def wealth_process(m: Market, s: Strategy, horizon: int | None = None) -> tuple[
     rows 0..horizon, read from m.assets alone, by the lcm P of theirs; each
     W_t is its int accumulator divided by H * P.
     """
-    horizon = m.space.horizon if horizon is None else horizon
-    problems = validate_strategy(m, s, horizon)
+    horizon = m.space.horizon
+    problems = validate_strategy(m, s)
     if problems:
         raise ValueError("invalid strategy: " + "; ".join(problems))
     n_states = len(m.space.states)
@@ -275,7 +277,7 @@ class GainGenerator:
     deltas: tuple[tuple[int, int], ...]
 
 
-def gain_generators(m: Market, horizon: int | None = None) -> list[GainGenerator]:
+def gain_generators(m: Market) -> list[GainGenerator]:
     """Finite generator set of the attainable-terminal-wealth space.
 
     Any holding over a longer interval telescopes into per-step holdings
@@ -285,15 +287,13 @@ def gain_generators(m: Market, horizon: int | None = None) -> list[GainGenerator
     vectors of different assets stay equal. Zero vectors are dropped and
     duplicate vectors keep their first (canonical) provenance.
     """
-    horizon = m.space.horizon if horizon is None else horizon
-    if horizon > m.space.extended_horizon:
-        raise ValueError("horizon beyond the extended grid")
+    horizon = m.space.horizon
     out: list[GainGenerator] = []
     seen: set[tuple[tuple[int, int], ...]] = set()
     scale = m.price_scale
     scaled = {a: [int_multiple(row, scale)[0] for row in table[:horizon + 1]] for a, table in m.assets.items()}
     for index_set in m.index_system:
-        filtration = m.trading_filtration(index_set, horizon)
+        filtration = m.trading_filtrations[index_set]
         for asset in sorted(index_set):
             table = scaled[asset]
             for t in range(horizon):

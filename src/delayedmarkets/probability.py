@@ -58,11 +58,9 @@ class FiniteSpace:
         object.__setattr__(self, "probability", dict(zip(self.states, weights)))
 
     @classmethod
-    def uniform(cls, states: Sequence[str], horizon: int, extended_horizon: int | None = None) -> "FiniteSpace":
+    def uniform(cls, states: Sequence[str], horizon: int, extended_horizon: int) -> "FiniteSpace":
         n = len(states)
         prob = {s: rat(1, n) for s in states}
-        if extended_horizon is None:
-            extended_horizon = horizon
         return cls(tuple(states), prob, horizon, extended_horizon)
 
     @cached_property
@@ -118,7 +116,10 @@ class Partition:
         """Canonicalize arbitrary atom collections (sets, lists, any order)."""
         states = tuple(states)
         order = {s: i for i, s in enumerate(states)}
-        normal = [tuple(sorted(atom, key=order.__getitem__)) for atom in atoms]
+        try:
+            normal = [tuple(sorted(atom, key=order.__getitem__)) for atom in atoms]
+        except KeyError as exc:
+            raise ValueError(f"state {exc.args[0]!r} is not in the state set") from None
         if not all(normal):
             raise ValueError("empty atom")
         normal.sort(key=lambda a: order[a[0]])
@@ -233,15 +234,11 @@ def conditional_expectation(
         raise ValueError("vector length does not match the state set")
     if any(w <= 0 for w in q):
         raise ValueError("weights must be strictly positive")
-    idx = {s: i for i, s in enumerate(sigma.states)}
     out: list[Rational] = [None] * n  # type: ignore[list-item]
-    for atom in sigma.atoms:
-        mass = sum(q[idx[s]] for s in atom)
-        if mass == 0:
-            raise ArithmeticError("zero-mass atom under strictly positive weights")
-        avg = sum(q[idx[s]] * x[idx[s]] for s in atom) / mass
-        for s in atom:
-            out[idx[s]] = avg
+    for atom in sigma.atom_positions:
+        avg = sum(q[k] * x[k] for k in atom) / sum(q[k] for k in atom)
+        for k in atom:
+            out[k] = avg
     return tuple(out)
 
 

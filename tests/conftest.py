@@ -56,11 +56,12 @@ def one_certificate(m, horizon=None):
     """check_naflp's verdict, after running both oracles on one generator
     set: exactly one may certify (the Stiemke alternative), and the
     verdict must carry that certificate."""
-    gens = gain_generators(m, horizon)
+    m = m.at_horizon(horizon)
+    gens = gain_generators(m)
     lunch, measure = find_free_lunch(m, gens), find_martingale_measure(m, gens)
     assert (lunch is None) != (measure is None), \
         f"free lunch {'found' if lunch else 'absent'}, martingale measure {'found' if measure else 'absent'}"
-    verdict = check_naflp(m, horizon)
+    verdict = check_naflp(m)
     assert isinstance(verdict, NoFreeLunch if measure else FreeLunch)
     assert verdict.certificate == (measure or lunch)
     return verdict

@@ -20,7 +20,7 @@ from delayedmarkets.rationals import rat
 
 
 def reference_check_naflp(m: Market, horizon: int | None = None):
-    gens, states = gain_generators(m, horizon), m.space.states
+    gens, states = gain_generators(m.at_horizon(horizon)), m.space.states
     if all(sum(d for _, d in g.deltas) == 0 for g in gens):
         return NoFreeLunch(MartingaleMeasureCertificate(dict.fromkeys(states, rat(1, len(states)))))
     measure = find_martingale_measure(m, gens)

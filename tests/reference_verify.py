@@ -19,7 +19,7 @@ def reference_verify_measure(m: Market, cert: MartingaleMeasureCertificate, hori
     if any(w <= 0 for w in weights) or sum(weights) != ONE:
         return False
     for index_set in m.index_system:
-        filtration = m.trading_filtration(index_set, horizon)
+        filtration = m.at_horizon(horizon).trading_filtrations[index_set]
         for asset in sorted(index_set):
             table = m.assets[asset]
             for t in range(horizon + 1):

@@ -11,7 +11,7 @@ from delayedmarkets.rationals import ZERO
 
 def reference_wealth_process(m: Market, s: Strategy, horizon: int | None = None):
     horizon = m.space.horizon if horizon is None else horizon
-    problems = validate_strategy(m, s, horizon)
+    problems = validate_strategy(m.at_horizon(horizon), s)
     if problems:
         raise ValueError("invalid strategy: " + "; ".join(problems))
     n_states = len(m.space.states)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import islice
 from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
@@ -270,7 +271,7 @@ class TestOracleConsistency:
     def test_generators_are_built_once_per_check(self, monkeypatch, no_arbitrage_binomial, dominated_binomial):
         build = arbitrage.gain_generators
         calls = []
-        monkeypatch.setattr(arbitrage, "gain_generators", lambda m, horizon=None: calls.append(m) or build(m, horizon))
+        monkeypatch.setattr(arbitrage, "gain_generators", lambda m: calls.append(m) or build(m))
         oracles = []
         for name in ("find_martingale_measure", "find_free_lunch"):
             oracle = getattr(arbitrage, name)
@@ -512,9 +513,26 @@ class TestExtendedHorizon:
 
         disc = Partition.discrete(("g", "h"))
         triv = Partition.trivial(("g", "h"))
-        assert declared.trading_filtration(iset, 3).at(2) == disc
-        assert frozen.trading_filtration(iset, 3).at(2) == triv
-        assert declared.trading_filtration(iset).at(1) == triv  # restricted to maturity
+        assert declared.at_horizon(3).trading_filtrations[iset].at(2) == disc
+        assert frozen.at_horizon(3).trading_filtrations[iset].at(2) == triv
+        assert len(declared.at_horizon(2).trading_filtrations[iset]) == 3  # restricted to 0..2
+        assert len(frozen.at_horizon(2).trading_filtrations[iset]) == 3  # repeated to 0..2
+
+    def test_at_horizon_trades_the_same_market_over_a_longer_grid(self):
+        m = self.flatline_market(declare_extension=False)
+        assert m.at_horizon(None) is m and m.at_horizon(1) is m
+        for h in (2, 3):
+            longer = m.at_horizon(h)
+            assert longer.space.horizon == h and longer.space.extended_horizon == 3
+            assert longer.space.states == m.space.states and longer.space.probability == m.space.probability
+            assert longer.assets == m.assets and longer.index_system == m.index_system
+            assert longer.grand_filtration is m.grand_filtration
+            assert all(len(f) == h + 1 for f in longer.trading_filtrations.values())
+        for h in (0, 4):
+            with pytest.raises(ValueError, match=r"^horizon must lie in 1\.\.3$"):
+                m.at_horizon(h)
+            with pytest.raises(ValueError, match=r"^horizon must lie in 1\.\.3$"):
+                check_naflp(m, h)
 
 
 class TestGoldenFiles:
@@ -587,6 +605,27 @@ class TestGoldenFiles:
             assert verify_certificate(m, verdict)
             digest.update(render_verdict(verdict, m.space.states).encode())
         assert digest.hexdigest() == "d0c21ee7bedcc86fa96950ce018b8cace64ae384c08d797f4c0f3dc43aeaea96"
+
+    def test_horizon_sweep_verdicts_are_pinned(self):
+        """The criterion-1 desk markets checked at every horizon from n to
+        n_ext: each verdict re-verifies at its horizon, equals the reference
+        decision order's there, and all of them, rendered and joined, hash
+        to a pinned value. The 895 verdicts past maturity read prices that
+        the default horizon never reaches."""
+        count, past = 0, 0
+        digest = hashlib.sha256()
+        for label, m in islice(desk_and_walks(500), 500):  # the desk markets only
+            for h in range(m.space.horizon, m.space.extended_horizon + 1):
+                verdict, expected = check_naflp(m, h), reference_check_naflp(m, h)
+                assert verify_certificate(m, verdict, h), f"{label} at {h}"
+                rendered = render_verdict(verdict, m.space.states)
+                assert verdict == expected and rendered == render_verdict(expected, m.space.states), \
+                    f"{label} at {h}"
+                digest.update(rendered.encode())
+                count += 1
+                past += h > m.space.horizon
+        assert (count, past) == (1395, 895)
+        assert digest.hexdigest() == "b21ac668d2fdd77e627aae817f3d77aebe8fb5421e49c2c07d47b6ae575c4fd5"
 
 
 class TestMatchesReferenceVerifier:

@@ -126,8 +126,10 @@ class TestCheck:
     def test_apply_delay_without_delays(self, binomial_path):
         assert main(["check", str(binomial_path), "--apply-delay"]) == 1
 
-    def test_bad_horizon(self, binomial_path):
-        assert main(["check", str(binomial_path), "--horizon", "9"]) == 1
+    def test_bad_horizon(self, binomial_path, capsys):
+        for horizon in ("9", "0", "2"):
+            assert main(["check", str(binomial_path), "--horizon", horizon]) == 1
+            assert capsys.readouterr() == ("", "error: horizon must lie in 1..1\n")
 
 
 class TestDelay:
@@ -147,9 +149,12 @@ class TestDelay:
         assert main(["delay", str(path), "--mode", "exec", "--out", str(out_path)]) == 0
         assert main(["check", str(out_path)]) == 0
 
-    def test_missing_block(self, binomial_path, tmp_path):
-        assert main(["delay", str(binomial_path), "--mode", "info",
-                     "--out", str(tmp_path / "x.json")]) == 1
+    def test_missing_block(self, binomial_path, tmp_path, capsys):
+        out_path = tmp_path / "x.json"
+        for mode, block in (("info", "information"), ("exec", "execution")):
+            assert main(["delay", str(binomial_path), "--mode", mode, "--out", str(out_path)]) == 1
+            assert capsys.readouterr() == ("", f"error: document has no {block}-delay block\n")
+            assert not out_path.exists()
 
     def test_identity_delay_round_trips_semantically(self, tmp_path):
         m, _ = gen_insider_market(2, 1)

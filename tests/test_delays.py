@@ -520,12 +520,37 @@ class TestFamilyValidation:
         assert validate_information_family(m, fam) == []
         missing = InformationDelayFamily({})
         assert any("no information delay" in p for p in validate_information_family(m, missing))
+        [(walk, sp)] = fam.delays.items()
+        foreign = StoppingProcess.identity(3, Filtration.constant(Partition.trivial(("x", "y")), 3))
+        odd = InformationDelayFamily({walk: foreign, frozenset({"ghost"}): sp})
+        assert validate_information_family(m, odd) == [
+            "index set ['walk']: delay information lives on a different state set",
+            "information delay for unknown index set ['ghost']",
+        ]
 
     def test_execution_family_cap_violation(self):
         m, fam = gen_insider_execution_market(2, 1)
         assert validate_execution_family(m, fam) == []
         tight = ExecutionDelayFamily(fam.delays, {"walk": 2})
         assert any("cap 2 violated" in p for p in validate_execution_family(m, tight))
+
+    def test_execution_family_input_errors(self):
+        m, fam = gen_insider_execution_market(2, 1)
+        sp = fam.delays["walk"]
+        foreign = StoppingProcess.identity(3, Filtration.constant(Partition.trivial(("x", "y")), 4))
+        fine = Filtration.constant(Partition.discrete(m.space.states), 4)
+        cases = [
+            ({}, "no execution delay for asset 'walk'"),
+            ({"walk": sp, "ghost": sp}, "execution delay for unknown asset 'ghost'"),
+            ({"walk": foreign}, "asset 'walk': delay information lives on a different state set"),
+            ({"walk": StoppingProcess(sp.values[:2], sp.info)}, "asset 'walk': delay table must cover grid times 0..2"),
+            ({"walk": StoppingProcess(sp.values, sp.info.restrict(3))},
+             "asset 'walk': delay information must cover grid times 0..3"),
+            ({"walk": StoppingProcess(sp.values, fine)},
+             "asset 'walk': delay information is not coarser than the grand filtration"),
+        ]
+        for family, problem in cases:
+            assert validate_execution_family(m, ExecutionDelayFamily(family)) == [problem]
 
     def test_step_continuity_predicate(self):
         triv = Filtration.constant(Partition.trivial(("x", "y")), 6)

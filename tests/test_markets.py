@@ -122,7 +122,7 @@ def strategies_on_markets(draw):
     top = m.space.horizon if horizon is None else horizon
     index_set = draw(st.sampled_from(m.index_system))
     dates = sorted(draw(st.lists(st.integers(0, top), min_size=2, max_size=top + 1, unique=True)))
-    filtration = m.trading_filtration(index_set, top)
+    filtration = m.at_horizon(top).trading_filtrations[index_set]
     values = st.one_of(st.just(rat(0)), st.fractions(min_value=-6, max_value=6, max_denominator=12))
     holdings = []
     for t in dates[:-1]:
@@ -144,7 +144,7 @@ class TestIntegerWealthReplay:
     @given(strategies_on_markets())
     def test_matches_the_fraction_replay(self, case):
         m, s, horizon = case
-        wealth = wealth_process(m, s, horizon)
+        wealth = wealth_process(m.at_horizon(horizon), s)
         assert wealth == reference_wealth_process(m, s, horizon)
         assert all(type(v) is Rational for row in wealth for v in row)
 

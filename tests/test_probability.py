@@ -69,6 +69,12 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition.of(STATES4, [("1", "2")])
 
+    def test_reject_foreign_state(self):
+        with pytest.raises(ValueError, match=r"^state 'c' is not in the state set$"):
+            Partition.of(("a", "b"), [["a"], ["c"]])
+        with pytest.raises(ValueError, match=r"^state '5' is not in the state set$"):
+            Partition.of(STATES4, [("1", "2", "5"), ("3", "4")])
+
 
 class TestRefines:
     def test_singleton_split_refines(self):

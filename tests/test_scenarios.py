@@ -8,7 +8,7 @@ import pytest
 
 from delayedmarkets.arbitrage import FreeLunch, NoFreeLunch, check_naflp, verify_certificate
 from delayedmarkets.delays import validate_execution_family, validate_information_family
-from delayedmarkets.documents import serialize_market_document
+from delayedmarkets.documents import parse_market_document, serialize_market_document
 from delayedmarkets.markets import validate_market
 from delayedmarkets.probability import validate_stopping_process
 from delayedmarkets.scenarios import (
@@ -153,3 +153,21 @@ class TestExperiments:
         assert [f["reproduction"] for f in report.failures] == [
             {"seed": 241, "kind": "information", "index": i} for i in range(2)
         ]
+
+    def test_failed_check_carries_the_market_document(self, monkeypatch):
+        """A trial whose base check fails reproduces by the market and delay
+        family it drew: the document parses and writes back to the same bytes."""
+        import delayedmarkets.scenarios as sc
+
+        monkeypatch.setattr(sc, "check_naflp", lambda m, horizon=None: None)
+        cfg = ScenarioConfig(seed=241)
+        report = run_inheritance_experiment(cfg, "information", trials=2)
+        assert len(report.failures) == 2
+        for i, failure in enumerate(report.failures):
+            assert failure["detail"] == "martingale-built market showed a free lunch"
+            rng = _rng(cfg.seed, "information", i)
+            m = gen_martingale_market(cfg, rng=rng)
+            fam = gen_random_delay(cfg, "information", m, rng=rng)
+            doc = parse_market_document(json.dumps(failure["reproduction"]))
+            assert serialize_market_document(doc.market, info_delays=doc.info_delays) == \
+                serialize_market_document(m, info_delays=fam)
