@@ -5,8 +5,10 @@ certificate), delay (apply a document's delay family and write the
 transformed document), experiment (seeded theorem harnesses).
 
 Exit codes: 0 success or no free lunch, 1 input error, 2 free lunch
-found, 3 experiment failure, 4 internal error (neither oracle produced a
-certificate, or a certificate fails independent re-verification).
+found, 3 experiment failure, 4 internal error: a fault of the program,
+not of its input (neither oracle produced a certificate, a certificate
+fails independent re-verification, check raised after its input was
+read, or delay wrote a document that does not re-parse).
 """
 
 from __future__ import annotations
@@ -119,6 +121,13 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _internal_error(exc: Exception) -> int:
+    """Report a fault of the program, not of its input, on one stderr line."""
+    detail = str(exc) if isinstance(exc, OracleDisagreementError) else repr(exc)
+    print(f"internal error: {detail}", file=sys.stderr)
+    return EXIT_INTERNAL_ERROR
+
+
 def cmd_check(args) -> int:
     try:
         doc = _load(args.path)
@@ -132,14 +141,19 @@ def cmd_check(args) -> int:
             if doc.exec_delays is not None:
                 market = delayed_market(market, doc.exec_delays)
         market = market.at_horizon(args.horizon)
-        verdict = check_naflp(market)
     except (DocumentError, DelayPreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if not verify_certificate(market, verdict):
-        print("internal error: certificate failed independent re-verification", file=sys.stderr)
-        return EXIT_INTERNAL_ERROR
-    sys.stdout.write(render_verdict(verdict, market.space.states))
+    # the input is read: whatever fails from here on is the program's fault
+    try:
+        verdict = check_naflp(market)
+        if not verify_certificate(market, verdict):
+            print("internal error: certificate failed independent re-verification", file=sys.stderr)
+            return EXIT_INTERNAL_ERROR
+        text = render_verdict(verdict, market.space.states)
+    except Exception as exc:
+        return _internal_error(exc)
+    sys.stdout.write(text)
     return EXIT_FREE_LUNCH if isinstance(verdict, FreeLunch) else EXIT_OK
 
 
@@ -158,10 +172,13 @@ def cmd_delay(args) -> int:
                 return EXIT_INPUT_ERROR
             market = delayed_market(doc.market, doc.exec_delays)
             out = serialize_market_document(market, info_delays=doc.info_delays)
-        parse_market_document(out)  # the transformed document must re-validate
     except (DocumentError, DelayPreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    try:
+        parse_market_document(out)  # the transformed document must re-validate
+    except DocumentError as exc:
+        return _internal_error(exc)
     return _emit(out, args.out)
 
 
@@ -199,9 +216,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except OracleDisagreementError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL_ERROR
+    except OracleDisagreementError as exc:  # insider-demo checks outside any trial
+        return _internal_error(exc)
 
 
 def entry():  # console-script hook

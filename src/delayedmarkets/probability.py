@@ -101,11 +101,14 @@ class Partition:
             self._word_invalid()
 
     def _word_invalid(self):
+        universe = set(self.states)
         seen: set[str] = set()
         for atom in self.atoms:
             if not atom:
                 raise ValueError("empty atom")
             for s in atom:
+                if s not in universe:
+                    raise ValueError(f"state {s!r} is not in the state set")
                 if s in seen:
                     raise ValueError(f"state {s!r} appears in two atoms")
                 seen.add(s)
@@ -194,7 +197,8 @@ def sigma_meet(parts: Sequence[Partition]) -> Partition:
     """Finest partition coarser than every input: the intersection sigma-field.
 
     Atoms are the connected components when every input atom is read as a
-    hyperedge linking its states.
+    hyperedge linking its states. An input that every other input refines
+    is that meet already and is returned as it is.
     """
     if not parts:
         raise ValueError("sigma_meet of an empty list")
@@ -202,6 +206,9 @@ def sigma_meet(parts: Sequence[Partition]) -> Partition:
     for p in parts[1:]:
         if p.states != states:
             raise ValueError("partitions over different state sets")
+    coarsest = min(parts, key=lambda p: len(p.atoms))
+    if all(refines(p, coarsest) for p in parts):
+        return coarsest
     parent = {s: s for s in states}
 
     def find(s: str) -> str:

@@ -22,11 +22,14 @@ ONE = Rational(1)
 
 def rat(numerator, denominator=1) -> Rational:
     """Build an exact rational from ints, strings like "3/4", or rationals;
-    a Rational with the default denominator is returned as it is."""
+    a Rational with the default denominator is returned as it is, and two
+    ints make one Rational(numerator, denominator) directly."""
     if type(numerator) is Rational and denominator == 1:
         return numerator
     if denominator == 1:
         return Rational(numerator)
+    if type(numerator) is int and type(denominator) is int:
+        return Rational(numerator, denominator)
     return Rational(numerator) / Rational(denominator)
 
 

@@ -1,7 +1,9 @@
 """Structured and random market generators plus experiment harnesses.
 
-Markets built backward from a random strictly positive measure are free of
-free lunches by construction, fully random ones usually are not; both feed
+Martingale-built markets price each asset as the conditional expectation
+of a random terminal payoff under a random strictly positive measure,
+computed in integers one atom at a time, so they are free of free lunches
+by construction; fully random ones usually are not. Both feed
 the delay-inheritance, superimposition, multi-broker and representation
 harnesses, which assert exact theorem-level facts (a failing trial is a
 bug, never noise) and report reproduction material for every failure.
@@ -45,11 +47,10 @@ from .probability import (
     FiniteSpace,
     Partition,
     StoppingProcess,
-    conditional_expectation,
     sigma_join,
     sigma_meet,
 )
-from .rationals import Rational, rat
+from .rationals import Rational, int_multiple, rat
 
 
 @dataclass(frozen=True)
@@ -301,9 +302,13 @@ def gen_martingale_market(
 ):
     """A market that is free of free lunches at every horizon by construction.
 
-    Draws a strictly positive measure, random terminal payoffs, and defines
-    each asset backward as conditional expectations along the grand
-    filtration, making every asset a martingale under the drawn measure.
+    Draws a strictly positive measure q and one random terminal payoff per
+    atom of the final grand partition, and prices each asset at time t by
+    E_q[payoff | F_t] along the grand filtration, so every asset is a
+    martingale under q. The grand filtration refines, so by the tower
+    property each row is the conditional expectation of the next one. The
+    rows are computed on ints: q and each payoff are scaled to ints once,
+    and each atom of F_t gives one int sum and one rational.
     """
     rng = rng if rng is not None else _rng(cfg.seed, "martingale-market")
     space = _draw_space(rng, cfg, min_extension)
@@ -312,19 +317,23 @@ def gen_martingale_market(
     index_system = _union_closed_index_system(rng, assets, cfg.max_index_sets, singletons)
     grand, trading = _random_filtration_bundle(rng, space, index_system)
     q_map = random_positive_measure(rng, space.states)
-    q_vec = tuple(q_map[s] for s in space.states)
+    weights, _ = int_multiple(q_map[s] for s in space.states)
+    earlier = grand.partitions[:-1]
+    masses = [[sum(map(weights.__getitem__, atom)) for atom in p.atom_positions] for p in earlier]
+    final = grand.partitions[-1]
 
     tables = {}
     for a in assets:
-        terminal = [rat(0)] * len(space.states)
-        for atom in grand.at(space.extended_horizon).atoms:
-            value = rat(rng.randint(-6, 12), rng.choice((1, 1, 2, 4)))
-            for s in atom:
-                terminal[space.index(s)] = value
-        rows = [tuple(terminal)]
-        for t in range(space.extended_horizon - 1, -1, -1):
-            rows.append(conditional_expectation(rows[-1], grand.at(t), q_vec))
-        tables[a] = tuple(reversed(rows))
+        payoffs = [rat(rng.randint(-6, 12), rng.choice((1, 1, 2, 4))) for _ in final.atoms]
+        scaled, scale = int_multiple(payoffs)
+        weighted = [w * scaled[label] for w, label in zip(weights, final.labels)]
+        rows = []
+        for p, mass in zip(earlier, masses):
+            values = [Rational(sum(map(weighted.__getitem__, atom)), m * scale)
+                      for atom, m in zip(p.atom_positions, mass)]
+            rows.append(tuple(map(values.__getitem__, p.labels)))
+        rows.append(tuple(map(payoffs.__getitem__, final.labels)))
+        tables[a] = tuple(rows)
     market = Market(space, tables, tuple(index_system), trading, grand)
     if with_measure:
         return market, MartingaleMeasureCertificate(q_map)
@@ -343,13 +352,9 @@ def gen_random_market(cfg: ScenarioConfig, *, rng: random.Random | None = None) 
     tables = {}
     for a in assets:
         rows = []
-        for t in range(space.extended_horizon + 1):
-            row = [rat(0)] * len(space.states)
-            for atom in grand.at(t).atoms:
-                value = rat(rng.randint(-4, 10), rng.choice((1, 1, 2)))
-                for s in atom:
-                    row[space.index(s)] = value
-            rows.append(tuple(row))
+        for p in grand.partitions:
+            values = [rat(rng.randint(-4, 10), rng.choice((1, 1, 2))) for _ in p.atoms]
+            rows.append(tuple(map(values.__getitem__, p.labels)))
         tables[a] = tuple(rows)
     return Market(space, tables, tuple(index_system), trading, grand)
 

@@ -119,6 +119,24 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "internal error: certificate failed independent re-verification\n"
 
+    @pytest.mark.parametrize("target, fault", [
+        ("delayedmarkets.lp.solve", ValueError("value in column 3 is zero")),
+        ("delayedmarkets.lp.solve", AssertionError("phase-1 objective is bounded")),
+        ("delayedmarkets.cli.verify_certificate", KeyError("s0")),
+        ("delayedmarkets.cli.render_verdict", ValueError("line one\nline two")),
+    ], ids=["solve-value-error", "solve-assertion", "verify-key-error", "render-value-error"])
+    def test_fault_after_reading_is_internal(self, dominated_path, monkeypatch, capsys, target, fault):
+        """A fault of the oracles, the verifier or the renderer is exit 4, not an input error."""
+        def broken(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(target, broken)
+        assert main(["check", str(dominated_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {fault!r}\n"
+        assert "Traceback" not in captured.err
+
     def test_insider_delay_flag_flips_verdict(self, insider_path, capsys):
         assert main(["check", str(insider_path)]) == 2
         assert main(["check", str(insider_path), "--apply-delay"]) == 0
@@ -156,6 +174,19 @@ class TestDelay:
             assert capsys.readouterr() == ("", f"error: document has no {block}-delay block\n")
             assert not out_path.exists()
 
+    def test_output_that_does_not_reparse_is_internal(self, insider_path, tmp_path, monkeypatch, capsys):
+        """delay re-parses what it wrote; a failure there is its own fault, exit 4."""
+        import delayedmarkets.cli as cli
+
+        monkeypatch.setattr(cli, "serialize_market_document", lambda market, **family: "{}")
+        out_path = tmp_path / "delayed.json"
+        assert main(["delay", str(insider_path), "--mode", "info", "--out", str(out_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: DocumentError(")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out_path.exists()
+
     def test_identity_delay_round_trips_semantically(self, tmp_path):
         m, _ = gen_insider_market(2, 1)
         from delayedmarkets.delays import InformationDelayFamily
@@ -180,6 +211,14 @@ class TestShippedScenarios:
         assert len(files) == 4
         for path in files:
             assert main(["validate", str(path)]) == 0, path.name
+
+    def test_insider_documents_are_the_generators_output(self):
+        m, fam = gen_insider_market(2, 1)
+        assert (self.REPO / "insider_information.json").read_bytes() == \
+            serialize_market_document(m, info_delays=fam).encode("utf-8")
+        m, fam = gen_insider_execution_market(2, 1)
+        assert (self.REPO / "insider_execution.json").read_bytes() == \
+            serialize_market_document(m, exec_delays=fam).encode("utf-8")
 
     def test_shipped_verdicts(self):
         assert main(["check", str(self.REPO / "binomial.json")]) == 0

@@ -42,6 +42,11 @@ def partitions(draw, states=STATES4):
     return Partition.from_labels(states, labels)
 
 
+ALL_PARTITIONS4 = tuple({
+    p.atoms: p for p in (Partition.from_labels(STATES4, labels) for labels in itertools.product(range(4), repeat=4))
+}.values())
+
+
 @st.composite
 def rational_vectors(draw, length=4):
     return tuple(
@@ -74,6 +79,9 @@ class TestPartition:
             Partition.of(("a", "b"), [["a"], ["c"]])
         with pytest.raises(ValueError, match=r"^state '5' is not in the state set$"):
             Partition.of(STATES4, [("1", "2", "5"), ("3", "4")])
+        # a direct construction names the foreign state too, although every state is covered
+        with pytest.raises(ValueError, match=r"^state 'c' is not in the state set$"):
+            Partition(("a", "b"), (("a",), ("b", "c")))
 
 
 class TestRefines:
@@ -140,6 +148,14 @@ class TestSigmaJoin:
     def test_meet_coarser_than_both(self, p, q):
         w = sigma_meet([p, q])
         assert refines(p, w) and refines(q, w)
+
+    @given(partitions(), partitions(), partitions())
+    def test_meet_is_the_finest_common_coarsening(self, p, q, r):
+        pq, pr = sigma_join([p, q]), sigma_join([p, r])
+        for parts in ([p, q], [p, q, r], [pq, p], [pr, p, pq], [pq, pr]):
+            common = [c for c in ALL_PARTITIONS4 if all(refines(x, c) for x in parts)]
+            assert sigma_meet(parts) == max(common, key=lambda c: len(c.atoms))
+        assert sigma_meet([p, pr, pq]) is p  # an input every other input refines
 
 
 class TestConditionalExpectation:

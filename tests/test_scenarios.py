@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,7 @@ from delayedmarkets.arbitrage import FreeLunch, NoFreeLunch, check_naflp, verify
 from delayedmarkets.delays import validate_execution_family, validate_information_family
 from delayedmarkets.documents import parse_market_document, serialize_market_document
 from delayedmarkets.markets import validate_market
-from delayedmarkets.probability import validate_stopping_process
+from delayedmarkets.probability import conditional_expectation, validate_stopping_process
 from delayedmarkets.scenarios import (
     WALK_STATE_CAP,
     ScenarioConfig,
@@ -69,6 +70,23 @@ class TestGenerators:
                 avg = sum(qv[i] * table[1][i] for i in idx) / mass
                 for i in idx:
                     assert table[0][i] == avg
+
+    @pytest.mark.parametrize("cfg, options", [
+        (ScenarioConfig(seed=113, num_states=12, grid=4, extension=6, num_assets=3, max_index_sets=4), {}),
+        (ScenarioConfig(seed=127, grid=1, extension=1), {}),
+        (ScenarioConfig(seed=131), {"min_extension": 1}),
+        (ScenarioConfig(seed=137), {"singletons": True}),
+    ], ids=["desk", "one-step", "min-extension", "singletons"])
+    def test_each_row_is_the_conditional_expectation_of_the_next(self, cfg, options):
+        """The rows computed on ints from the terminal payoffs equal the
+        backward recursion of rational conditional expectations."""
+        for i in range(25):
+            m, q = gen_martingale_market(cfg, rng=_rng(cfg.seed, "tower", i), with_measure=True, **options)
+            qv = q.vector(m.space.states)
+            for table in m.assets.values():
+                assert all(type(v) is Fraction for row in table for v in row)
+                for t in range(m.space.extended_horizon):
+                    assert table[t] == conditional_expectation(table[t + 1], m.grand_filtration.at(t), qv)
 
     def test_distinct_seeds_give_distinct_markets(self):
         a = serialize_market_document(gen_martingale_market(ScenarioConfig(seed=1)))
