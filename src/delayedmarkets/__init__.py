@@ -55,15 +55,14 @@ from .probability import (
 )
 from .rationals import Rational, format_rational, parse_rational, rat
 from .scenarios import (
+    EXPERIMENTS,
     ScenarioConfig,
     gen_insider_execution_market,
     gen_insider_market,
     gen_martingale_market,
     gen_random_delay,
     gen_random_market,
-    run_inheritance_experiment,
-    run_representation_experiment,
-    run_superimposition_experiment,
+    run_experiment,
 )
 
 __version__ = "0.1.0"

@@ -5,10 +5,12 @@ certificate), delay (apply a document's delay family and write the
 transformed document), experiment (seeded theorem harnesses).
 
 Exit codes: 0 success or no free lunch, 1 input error, 2 free lunch
-found, 3 experiment failure, 4 internal error: a fault of the program,
-not of its input (neither oracle produced a certificate, a certificate
-fails independent re-verification, check raised after its input was
-read, or delay wrote a document that does not re-parse).
+found, 3 experiment failure (a trial of any kind failed or raised), 4
+internal error: a fault of the program, not of its input (neither oracle
+produced a certificate, a certificate fails independent re-verification,
+delay wrote a document that does not re-parse, or a command raised
+anything but an input error). Each command reports its own input errors;
+main catches every other fault and prints it on one line.
 """
 
 from __future__ import annotations
@@ -20,13 +22,7 @@ from pathlib import Path
 from .arbitrage import FreeLunch, OracleDisagreementError, check_naflp, render_verdict, verify_certificate
 from .delays import DelayPreconditionError, delayed_market, information_delayed_market
 from .documents import DocumentError, parse_market_document, serialize_market_document
-from .scenarios import (
-    ScenarioConfig,
-    run_inheritance_experiment,
-    run_insider_demo,
-    run_representation_experiment,
-    run_superimposition_experiment,
-)
+from .scenarios import EXPERIMENTS, INSIDER_DEMO, INSIDER_WALKS, ScenarioConfig, run_experiment
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -58,11 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("experiment", help="run a seeded theorem harness")
-    p.add_argument("kind", choices=("information", "execution", "broker",
-                                    "superimpose", "representation", "insider-demo"))
+    p.add_argument("kind", choices=EXPERIMENTS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=None,
-                   help=f"trial count (default: {DEFAULT_TRIALS}); insider-demo runs a fixed pair of walks")
+                   help=f"trial count (default: {DEFAULT_TRIALS}); {INSIDER_DEMO} runs a fixed pair of walks")
     p.add_argument("--out", default=None, help="report path (default: stdout)")
 
     return parser
@@ -121,13 +116,6 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _internal_error(exc: Exception) -> int:
-    """Report a fault of the program, not of its input, on one stderr line."""
-    detail = str(exc) if isinstance(exc, OracleDisagreementError) else repr(exc)
-    print(f"internal error: {detail}", file=sys.stderr)
-    return EXIT_INTERNAL_ERROR
-
-
 def cmd_check(args) -> int:
     try:
         doc = _load(args.path)
@@ -144,16 +132,11 @@ def cmd_check(args) -> int:
     except (DocumentError, DelayPreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    # the input is read: whatever fails from here on is the program's fault
-    try:
-        verdict = check_naflp(market)
-        if not verify_certificate(market, verdict):
-            print("internal error: certificate failed independent re-verification", file=sys.stderr)
-            return EXIT_INTERNAL_ERROR
-        text = render_verdict(verdict, market.space.states)
-    except Exception as exc:
-        return _internal_error(exc)
-    sys.stdout.write(text)
+    verdict = check_naflp(market)
+    if not verify_certificate(market, verdict):
+        print("internal error: certificate failed independent re-verification", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+    sys.stdout.write(render_verdict(verdict, market.space.states))
     return EXIT_FREE_LUNCH if isinstance(verdict, FreeLunch) else EXIT_OK
 
 
@@ -175,35 +158,34 @@ def cmd_delay(args) -> int:
     except (DocumentError, DelayPreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    try:
-        parse_market_document(out)  # the transformed document must re-validate
-    except DocumentError as exc:
-        return _internal_error(exc)
+    parse_market_document(out)  # the transformed document must re-validate
     return _emit(out, args.out)
 
 
 def cmd_experiment(args) -> int:
-    cfg = ScenarioConfig(seed=args.seed)
-    trials = DEFAULT_TRIALS if args.trials is None else args.trials
-    if args.kind == "insider-demo" and args.trials is not None:
-        print("error: insider-demo runs a fixed pair of walks and takes no --trials", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    if args.kind == INSIDER_DEMO:
+        if args.trials is not None:
+            print(f"error: {INSIDER_DEMO} runs a fixed pair of walks and takes no --trials", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        trials = len(INSIDER_WALKS)
+    else:
+        trials = DEFAULT_TRIALS if args.trials is None else args.trials
     if trials < 1:
         print(f"error: --trials must be at least 1, got {trials}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if _probe_out(args.out) != EXIT_OK:
         return EXIT_INPUT_ERROR
-    if args.kind == "insider-demo":
-        report = run_insider_demo(cfg)
-    elif args.kind in ("information", "execution", "broker"):
-        report = run_inheritance_experiment(cfg, args.kind, trials=trials)
-    elif args.kind == "superimpose":
-        report = run_superimposition_experiment(cfg, trials=trials)
-    else:
-        report = run_representation_experiment(cfg, trials=trials)
+    report = run_experiment(ScenarioConfig(seed=args.seed), args.kind, trials)
     if _emit(report.to_json() + "\n", args.out) != EXIT_OK:
         return EXIT_INPUT_ERROR
     return EXIT_OK if report.passed else EXIT_EXPERIMENT_FAILED
+
+
+def _internal_error(exc: Exception) -> int:
+    """Report a fault of the program, not of its input, on one stderr line."""
+    detail = str(exc) if isinstance(exc, OracleDisagreementError) else repr(exc)
+    print(f"internal error: {detail}", file=sys.stderr)
+    return EXIT_INTERNAL_ERROR
 
 
 def main(argv=None) -> int:
@@ -214,9 +196,10 @@ def main(argv=None) -> int:
         "delay": cmd_delay,
         "experiment": cmd_experiment,
     }
+    # each handler reports its own input errors; anything else it raises is a fault of the program
     try:
         return handlers[args.command](args)
-    except OracleDisagreementError as exc:  # insider-demo checks outside any trial
+    except Exception as exc:
         return _internal_error(exc)
 
 

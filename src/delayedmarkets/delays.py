@@ -16,7 +16,7 @@ identity on the range, and it is required wherever that identity is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import getitem
 from typing import Mapping, Sequence
 
@@ -204,7 +204,7 @@ def large_delayed_filtrations(m: Market, fam: InformationDelayFamily) -> dict[fr
 
 def information_delayed_market(m: Market, fam: InformationDelayFamily) -> Market:
     """The market with trading filtrations replaced by the delayed family."""
-    return m.with_trading_filtrations(large_delayed_filtrations(m, fam))
+    return replace(m, trading_filtrations=large_delayed_filtrations(m, fam))
 
 
 def check_coarseness(m: Market, fam: InformationDelayFamily) -> bool:
@@ -446,7 +446,7 @@ def representation_check(m: Market, fam: ExecutionDelayFamily) -> bool:
             for t in range(m.space.horizon + 1)
         )
         deltas[index_set] = StoppingProcess(values, enlarged[index_set])
-    shadow = m.with_trading_filtrations(enlarged)
+    shadow = replace(m, trading_filtrations=enlarged)
     recovered = large_delayed_filtrations(shadow, InformationDelayFamily(deltas))
     for index_set in m.index_system:
         original = m.trading_filtrations[index_set]

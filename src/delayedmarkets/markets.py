@@ -89,9 +89,6 @@ class Market:
         filts = {a: f.extend_to(horizon + 1) for a, f in self.trading_filtrations.items()}
         return replace(self, space=replace(self.space, horizon=horizon), trading_filtrations=filts)
 
-    def with_trading_filtrations(self, filtrations: Mapping[frozenset[str], Filtration]) -> "Market":
-        return Market(self.space, self.assets, self.index_system, filtrations, self.grand_filtration)
-
 
 def validate_market(m: Market) -> list[str]:
     """Diagnostic report of every violated market invariant; empty means valid."""

@@ -67,9 +67,6 @@ class FiniteSpace:
     def state_index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.states)}
 
-    def index(self, state: str) -> int:
-        return self.state_index[state]
-
 
 @dataclass(frozen=True)
 class Partition:

@@ -5,8 +5,11 @@ of a random terminal payoff under a random strictly positive measure,
 computed in integers one atom at a time, so they are free of free lunches
 by construction; fully random ones usually are not. Both feed
 the delay-inheritance, superimposition, multi-broker and representation
-harnesses, which assert exact theorem-level facts (a failing trial is a
-bug, never noise) and report reproduction material for every failure.
+trials; the insider demo's two trials check the insider walks. Every
+trial asserts exact theorem-level facts (a failing trial is a bug, never
+noise). EXPERIMENTS maps each experiment kind to its trial function, and
+run_experiment runs any kind the same way: a trial that fails or raises
+becomes a failing record with reproduction material.
 
 All randomness flows from a config seed through per-trial child generators
 derived by stable string seeding, so any single trial can be replayed in
@@ -41,6 +44,7 @@ from .delays import (
     validate_execution_family,
     validate_information_family,
 )
+from .documents import serialize_market_document
 from .markets import Market, validate_market
 from .probability import (
     Filtration,
@@ -480,18 +484,12 @@ class ExperimentReport:
         return json.dumps(payload, indent=2)
 
 
-def _reproduction(m: Market, info_fam=None, exec_fam=None) -> dict:
-    from .documents import serialize_market_document
-
-    return json.loads(serialize_market_document(m, info_delays=info_fam, exec_delays=exec_fam))
-
-
 def _fail(i: int, label: str, detail: str, m: Market | None = None,
           info_fam=None, exec_fam=None) -> TrialRecord:
     repro = None
     if m is not None:
         try:
-            repro = _reproduction(m, info_fam, exec_fam)
+            repro = json.loads(serialize_market_document(m, info_delays=info_fam, exec_delays=exec_fam))
         except Exception as exc:  # reproduction must never mask the failure itself
             repro = {"serialization_error": repr(exc)}
     return TrialRecord(i, label, False, detail, repro)
@@ -515,19 +513,8 @@ def _run_trials(cfg: ScenarioConfig, kind: str, trials: int,
     return ExperimentReport(kind, cfg.seed, tuple(records))
 
 
-def run_inheritance_experiment(cfg: ScenarioConfig, kind: str, trials: int = 200) -> ExperimentReport:
-    """Empirically validate delay inheritance at desk scale; failures carry repro."""
-    runners = {
-        "information": _information_trial,
-        "execution": _execution_trial,
-        "broker": _broker_trial,
-    }
-    if kind not in runners:
-        raise ValueError(f"unknown experiment kind {kind!r}")
-    return _run_trials(cfg, kind, trials, runners[kind])
-
-
 def _information_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> TrialRecord:
+    """Information-delay inheritance at desk scale."""
     m = gen_martingale_market(cfg, rng=rng)
     fam = gen_random_delay(cfg, "information", m, rng=rng)
     base = check_naflp(m)
@@ -542,6 +529,7 @@ def _information_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> Trial
 
 
 def _execution_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> TrialRecord:
+    """Execution-delay inheritance at desk scale."""
     m = gen_martingale_market(cfg, rng=rng, min_extension=1)
     fam = gen_random_delay(
         cfg, "execution", m,
@@ -573,17 +561,28 @@ def _inherited(i: int, label: str, delayed: Market, m: Market, **fam) -> TrialRe
     return TrialRecord(i, label, True, "inherited")
 
 
+def _draw_market(cfg: ScenarioConfig, rng: random.Random) -> Market:
+    """A martingale-built market with 0.7 odds, else a random one."""
+    if rng.random() < 0.7:
+        return gen_martingale_market(cfg, rng=rng, min_extension=1)
+    return gen_random_market(cfg, rng=rng)
+
+
+def _draw_infos_and_caps(rng: random.Random, m: Market):
+    """Per-asset delay information, then per-asset execution caps."""
+    infos = {a: _delay_info_for_asset(rng, m, a) for a in sorted(m.assets)}
+    caps = {a: rng.randint(m.space.horizon + 1, m.space.extended_horizon + 1) for a in sorted(m.assets)}
+    return infos, caps
+
+
 def _shared_info_families(cfg: ScenarioConfig, m: Market, k: int, rng: random.Random):
     """k execution families sharing per-asset delay information and caps."""
-    horizon = m.space.horizon
-    extended = m.space.extended_horizon
-    infos = {a: _delay_info_for_asset(rng, m, a) for a in sorted(m.assets)}
-    caps = {a: rng.randint(horizon + 1, extended + 1) for a in sorted(m.assets)}
+    infos, caps = _draw_infos_and_caps(rng, m)
     families = []
     for _ in range(k):
         delays = {
             a: StoppingProcess(
-                _random_exec_values(rng, infos[a], horizon, caps[a] - 1, rng.random() < 0.5),
+                _random_exec_values(rng, infos[a], m.space.horizon, caps[a] - 1, rng.random() < 0.5),
                 infos[a],
             )
             for a in sorted(m.assets)
@@ -593,11 +592,8 @@ def _shared_info_families(cfg: ScenarioConfig, m: Market, k: int, rng: random.Ra
 
 
 def _broker_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> TrialRecord:
-    use_martingale = rng.random() < 0.7
-    if use_martingale:
-        m = gen_martingale_market(cfg, rng=rng, min_extension=1)
-    else:
-        m = gen_random_market(cfg, rng=rng)
+    """The multi-broker approach: if the fastest broker's market is safe, every broker's is."""
+    m = _draw_market(cfg, rng)
     k = rng.randint(2, max(2, cfg.brokers))
     families = _shared_info_families(cfg, m, k, rng)
     fastest = min_delay(families)
@@ -619,21 +615,12 @@ def _broker_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> TrialRecor
     return TrialRecord(i, "broker", True, f"{k} brokers inherited")
 
 
-def run_superimposition_experiment(cfg: ScenarioConfig, trials: int = 100) -> ExperimentReport:
-    """Composed delays reproduce stronger-delayed prices and inherit safety."""
-    return _run_trials(cfg, "superimpose", trials, _superimpose_trial)
-
-
 def _superimpose_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> TrialRecord:
-    use_martingale = rng.random() < 0.7
-    if use_martingale:
-        m = gen_martingale_market(cfg, rng=rng, min_extension=1)
-    else:
-        m = gen_random_market(cfg, rng=rng)
+    """Composed delays reproduce stronger-delayed prices and inherit safety."""
+    m = _draw_market(cfg, rng)
     horizon = m.space.horizon
     extended = m.space.extended_horizon
-    infos = {a: _delay_info_for_asset(rng, m, a) for a in sorted(m.assets)}
-    caps = {a: rng.randint(horizon + 1, extended + 1) for a in sorted(m.assets)}
+    infos, caps = _draw_infos_and_caps(rng, m)
     base_delays = {}
     strong_delays = {}
     for a in sorted(m.assets):
@@ -674,12 +661,8 @@ def _superimpose_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> Trial
     return TrialRecord(i, "superimpose", True, "identity holds; base market unsafe, nothing to inherit")
 
 
-def run_representation_experiment(cfg: ScenarioConfig, trials: int = 100) -> ExperimentReport:
-    """Inverting execution delays must reconstruct the trading filtrations."""
-    return _run_trials(cfg, "representation", trials, _representation_trial)
-
-
 def _representation_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> TrialRecord:
+    """Inverting execution delays must reconstruct the trading filtrations."""
     m = gen_martingale_market(cfg, rng=rng, singletons=True)
     horizon = m.space.horizon
     delays = {}
@@ -709,24 +692,39 @@ def _representation_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> Tr
     return TrialRecord(i, "representation", True, "reconstruction exact")
 
 
-def run_insider_demo(cfg: ScenarioConfig) -> ExperimentReport:
-    """The converse failures: delays can remove but never create free lunches."""
-    records = []
-    steps = max(2, min(cfg.grid, 3))
-    m, info_fam = gen_insider_market(steps, 1)
+INSIDER_WALKS = (
+    ("insider-information", gen_insider_market, information_delayed_market),
+    ("insider-execution", gen_insider_execution_market, delayed_market),
+)
+
+
+def _insider_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> TrialRecord:
+    """The converse failures: delays can remove but never create free
+    lunches. Trial i checks walk i of INSIDER_WALKS and draws nothing."""
+    label, walk, delay = INSIDER_WALKS[i]
+    m, fam = walk(max(2, min(cfg.grid, 3)), 1)
     undelayed = check_naflp(m)
-    delayed = check_naflp(information_delayed_market(m, info_fam))
-    records.append(TrialRecord(
-        0, "insider-information",
+    delayed = check_naflp(delay(m, fam))
+    return TrialRecord(
+        i, label,
         isinstance(undelayed, FreeLunch) and isinstance(delayed, NoFreeLunch),
         f"undelayed={undelayed.kind}, delayed={delayed.kind}",
-    ))
-    m2, exec_fam = gen_insider_execution_market(steps, 1)
-    undelayed2 = check_naflp(m2)
-    delayed2 = check_naflp(delayed_market(m2, exec_fam))
-    records.append(TrialRecord(
-        1, "insider-execution",
-        isinstance(undelayed2, FreeLunch) and isinstance(delayed2, NoFreeLunch),
-        f"undelayed={undelayed2.kind}, delayed={delayed2.kind}",
-    ))
-    return ExperimentReport("insider-demo", cfg.seed, tuple(records))
+    )
+
+
+INSIDER_DEMO = "insider-demo"  # the one kind whose trials are fixed: one per insider walk
+EXPERIMENTS = {
+    "information": _information_trial,
+    "execution": _execution_trial,
+    "broker": _broker_trial,
+    "superimpose": _superimpose_trial,
+    "representation": _representation_trial,
+    INSIDER_DEMO: _insider_trial,
+}
+
+
+def run_experiment(cfg: ScenarioConfig, kind: str, trials: int) -> ExperimentReport:
+    """Run `trials` trials of one experiment kind; failures carry reproduction material."""
+    if kind not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    return _run_trials(cfg, kind, trials, EXPERIMENTS[kind])

@@ -31,9 +31,7 @@ from delayedmarkets.scenarios import (
     gen_martingale_market,
     gen_random_delay,
     gen_random_market,
-    run_inheritance_experiment,
-    run_representation_experiment,
-    run_superimposition_experiment,
+    run_experiment,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,7 +71,7 @@ def test_criterion_01_ftap_duality_500_markets():
 
 
 def test_criterion_02_information_delay_inheritance():
-    report = run_inheritance_experiment(DESK, "information", trials=200)
+    report = run_experiment(DESK, "information", 200)
     ok = report.passed and report.trials == 200 and all(r.ok for r in report.records)
     _report(2, ok, f"information-delay inheritance in {sum(r.ok for r in report.records)}/200 trials")
 
@@ -97,7 +95,7 @@ def test_criterion_03_insider_converse_failure():
 
 
 def test_criterion_04_execution_delay_inheritance():
-    report = run_inheritance_experiment(DESK, "execution", trials=200)
+    report = run_experiment(DESK, "execution", 200)
     ok = report.passed and report.trials == 200 and all(r.ok for r in report.records)
     _report(4, ok, f"execution-delay inheritance in {sum(r.ok for r in report.records)}/200 trials")
 
@@ -113,19 +111,19 @@ def test_criterion_05_execution_insider_converse_failure():
 
 
 def test_criterion_06_superimposition():
-    report = run_superimposition_experiment(DESK, trials=100)
+    report = run_experiment(DESK, "superimpose", 100)
     ok = report.passed and all(r.ok for r in report.records)
     _report(6, ok, "price identity and inheritance on 100/100 composed delay pairs")
 
 
 def test_criterion_07_multi_broker():
-    report = run_inheritance_experiment(DESK, "broker", trials=100)
+    report = run_experiment(DESK, "broker", 100)
     ok = report.passed and all(r.ok for r in report.records)
     _report(7, ok, "fast-broker safety implies every broker's safety, 100/100 draws")
 
 
 def test_criterion_08_representation_theorem():
-    report = run_representation_experiment(DESK, trials=100)
+    report = run_experiment(DESK, "representation", 100)
     ok = report.passed and all(r.ok for r in report.records)
     _report(8, ok, "inverse delays reconstruct trading filtrations atom-for-atom, 100/100")
 

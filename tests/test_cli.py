@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from delayedmarkets import scenarios
+from delayedmarkets.arbitrage import OracleDisagreementError
 from delayedmarkets.cli import main
 from delayedmarkets.documents import parse_market_document, serialize_market_document
 from delayedmarkets.rationals import rat
@@ -137,6 +138,21 @@ class TestCheck:
         assert captured.err == f"internal error: {fault!r}\n"
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("scenario", ["insider_information.json", "insider_execution.json"])
+    def test_fault_while_delaying_is_internal(self, scenario, monkeypatch, capsys):
+        """A fault of the delay step is the program's, not the document's: exit 4."""
+        fault = AssertionError("stopped field of a non-stopping time")
+
+        def broken(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr("delayedmarkets.delays.stopped_sigma_field", broken)
+        assert main(["check", str(SCENARIOS / scenario), "--apply-delay"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {fault!r}\n"
+        assert "Traceback" not in captured.err
+
     def test_insider_delay_flag_flips_verdict(self, insider_path, capsys):
         assert main(["check", str(insider_path)]) == 2
         assert main(["check", str(insider_path), "--apply-delay"]) == 0
@@ -185,6 +201,26 @@ class TestDelay:
         assert captured.out == ""
         assert captured.err.startswith("internal error: DocumentError(")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("scenario, mode", [
+        ("insider_information.json", "info"),
+        ("insider_execution.json", "exec"),
+    ])
+    def test_fault_while_delaying_is_internal(self, scenario, mode, tmp_path, monkeypatch, capsys):
+        """A fault of the delay step itself is exit 4 and writes nothing."""
+        fault = AssertionError("stopped field of a non-stopping time")
+
+        def broken(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr("delayedmarkets.delays.stopped_sigma_field", broken)
+        out_path = tmp_path / "delayed.json"
+        assert main(["delay", str(SCENARIOS / scenario), "--mode", mode, "--out", str(out_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {fault!r}\n"
+        assert "Traceback" not in captured.err
         assert not out_path.exists()
 
     def test_identity_delay_round_trips_semantically(self, tmp_path):
@@ -242,12 +278,33 @@ class TestExperiment:
         assert "fixed pair of walks" in capsys.readouterr().err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("target, fault", [
+        ("delayedmarkets.lp.solve", AssertionError("phase-1 objective is bounded")),
+        ("delayedmarkets.scenarios.check_naflp", OracleDisagreementError("oracles disagree")),
+    ], ids=["solve-assertion", "oracle-disagreement"])
+    def test_insider_demo_fault_fails_its_trials(self, target, fault, tmp_path, monkeypatch, capsys):
+        """A fault in an insider walk is a failing trial with its replay key, exit 3."""
+        def broken(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(target, broken)
+        out_path = tmp_path / "report.json"
+        assert main(["experiment", "insider-demo", "--seed", "5", "--out", str(out_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == ""
+        payload = json.loads(out_path.read_text())
+        assert payload["passed"] is False and payload["trials"] == 2
+        assert [f["detail"] for f in payload["failures"]] == [f"exception: {fault!r}"] * 2
+        assert [f["reproduction"] for f in payload["failures"]] == [
+            {"seed": 5, "kind": "insider-demo", "index": i} for i in range(2)
+        ]
+
     def test_trials_default_to_one_hundred(self, monkeypatch, capsys):
         import delayedmarkets.cli as cli
 
         calls = []
         report = SimpleNamespace(passed=True, to_json=lambda: "{}")
-        monkeypatch.setattr(cli, "run_representation_experiment", lambda cfg, trials: calls.append(trials) or report)
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg, kind, trials: calls.append(trials) or report)
         assert main(["experiment", "representation", "--seed", "4"]) == 0
         assert main(["experiment", "representation", "--seed", "4", "--trials", "3"]) == 0
         assert calls == [100, 3]
@@ -318,18 +375,14 @@ class TestUnwritableOutput:
         assert main(["experiment", "information", "--seed", "4", "--trials", "2", "--out", str(out_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {out_path}: ")
 
-    @pytest.mark.parametrize("kind, runner", [
-        ("information", "run_inheritance_experiment"),
-        ("superimpose", "run_superimposition_experiment"),
-        ("insider-demo", "run_insider_demo"),
-    ])
-    def test_experiment_fails_before_any_trial(self, kind, runner, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("kind", ["information", "superimpose", "insider-demo"])
+    def test_experiment_fails_before_any_trial(self, kind, tmp_path, monkeypatch, capsys):
         import delayedmarkets.cli as cli
 
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran although --out cannot be written")
 
-        monkeypatch.setattr(cli, runner, no_trials)
+        monkeypatch.setattr(cli, "run_experiment", no_trials)
         out_path = tmp_path / "missing" / "report.json"
         assert main(["experiment", kind, "--out", str(out_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {out_path}: ")
@@ -340,8 +393,8 @@ class TestUnwritableOutput:
         out_path = tmp_path / "report.json"
         seen = []
         report = SimpleNamespace(passed=True, to_json=lambda: "{}")
-        monkeypatch.setattr(cli, "run_representation_experiment",
-                            lambda cfg, trials: seen.append(out_path.exists()) or report)
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda cfg, kind, trials: seen.append(out_path.exists()) or report)
         assert main(["experiment", "representation", "--trials", "1", "--out", str(out_path)]) == 0
         assert seen == [False] and out_path.read_text() == "{}\n"
 

@@ -235,7 +235,7 @@ def random_strategy(m: Market, rng: random.Random) -> Strategy | None:
             for atom in sigma.atoms:
                 value = rat(rng.randint(-3, 3), rng.choice((1, 2)))
                 for s in atom:
-                    vec[m.space.index(s)] = value
+                    vec[m.space.state_index[s]] = value
             h[asset] = tuple(vec)
         holdings.append(h)
     return Strategy(index_set, dates, tuple(holdings))

@@ -21,10 +21,7 @@ from delayedmarkets.scenarios import (
     gen_martingale_market,
     gen_random_delay,
     gen_random_market,
-    run_inheritance_experiment,
-    run_insider_demo,
-    run_representation_experiment,
-    run_superimposition_experiment,
+    run_experiment,
 )
 
 from conftest import one_certificate
@@ -65,7 +62,7 @@ class TestGenerators:
         qv = q.vector(m.space.states)
         for aid, table in m.assets.items():
             for atom in m.grand_filtration.at(0).atoms:
-                idx = [m.space.index(s) for s in atom]
+                idx = [m.space.state_index[s] for s in atom]
                 mass = sum(qv[i] for i in idx)
                 avg = sum(qv[i] * table[1][i] for i in idx) / mass
                 for i in idx:
@@ -121,33 +118,33 @@ class TestExperiments:
         monkeypatch.setattr(sc, "check_naflp", one_certificate)
 
     def test_information_inheritance_smoke(self):
-        report = run_inheritance_experiment(ScenarioConfig(seed=211), "information", trials=10)
+        report = run_experiment(ScenarioConfig(seed=211), "information", 10)
         assert report.passed and report.trials == 10
 
     def test_execution_inheritance_smoke(self):
-        report = run_inheritance_experiment(ScenarioConfig(seed=223), "execution", trials=10)
+        report = run_experiment(ScenarioConfig(seed=223), "execution", 10)
         assert report.passed
 
     def test_broker_smoke(self):
-        report = run_inheritance_experiment(ScenarioConfig(seed=227), "broker", trials=10)
+        report = run_experiment(ScenarioConfig(seed=227), "broker", 10)
         assert report.passed
 
     def test_superimpose_smoke(self):
-        report = run_superimposition_experiment(ScenarioConfig(seed=229), trials=8)
+        report = run_experiment(ScenarioConfig(seed=229), "superimpose", 8)
         assert report.passed
 
     def test_representation_smoke(self):
-        report = run_representation_experiment(ScenarioConfig(seed=233), trials=8)
+        report = run_experiment(ScenarioConfig(seed=233), "representation", 8)
         assert report.passed
 
     def test_insider_demo_shows_converse_failure(self):
-        report = run_insider_demo(ScenarioConfig(seed=1))
+        report = run_experiment(ScenarioConfig(seed=1), "insider-demo", 2)
         assert report.passed
         assert all("undelayed=free-lunch" in r.detail and "delayed=no-free-lunch" in r.detail
                    for r in report.records)
 
     def test_report_serializes(self):
-        report = run_inheritance_experiment(ScenarioConfig(seed=239), "information", trials=3)
+        report = run_experiment(ScenarioConfig(seed=239), "information", 3)
         payload = json.loads(report.to_json())
         assert payload["format_version"] == 1
         assert payload["passed"] is True
@@ -155,7 +152,7 @@ class TestExperiments:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            run_inheritance_experiment(ScenarioConfig(seed=1), "sideways")
+            run_experiment(ScenarioConfig(seed=1), "sideways", 1)
 
     def test_failures_carry_reproduction(self, monkeypatch):
         # force a failing verdict to confirm the report captures a repro document
@@ -165,7 +162,7 @@ class TestExperiments:
             raise AssertionError("forced")
 
         monkeypatch.setattr(sc, "check_naflp", always_lunch)
-        report = run_inheritance_experiment(ScenarioConfig(seed=241), "information", trials=2)
+        report = run_experiment(ScenarioConfig(seed=241), "information", 2)
         assert not report.passed
         assert len(report.failures) == 2
         assert [f["reproduction"] for f in report.failures] == [
@@ -179,7 +176,7 @@ class TestExperiments:
 
         monkeypatch.setattr(sc, "check_naflp", lambda m, horizon=None: None)
         cfg = ScenarioConfig(seed=241)
-        report = run_inheritance_experiment(cfg, "information", trials=2)
+        report = run_experiment(cfg, "information", 2)
         assert len(report.failures) == 2
         for i, failure in enumerate(report.failures):
             assert failure["detail"] == "martingale-built market showed a free lunch"
