@@ -71,8 +71,8 @@ def _load(path: str):
     return parse_market_document(text)
 
 
-def _cannot_write(out: str, exc: OSError) -> int:
-    print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+def _input_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
     return EXIT_INPUT_ERROR
 
 
@@ -84,7 +84,7 @@ def _emit(text: str, out: str | None) -> int:
     try:
         Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
-        return _cannot_write(out, exc)
+        return _input_error(f"cannot write {out}: {exc}")
     return EXIT_OK
 
 
@@ -99,7 +99,7 @@ def _probe_out(out: str | None) -> int:
         with path.open("a", encoding="utf-8"):
             pass
     except OSError as exc:
-        return _cannot_write(out, exc)
+        return _input_error(f"cannot write {out}: {exc}")
     if not existed:
         path.unlink()
     return EXIT_OK
@@ -122,16 +122,17 @@ def cmd_check(args) -> int:
         market = doc.market
         if args.apply_delay:
             if doc.info_delays is None and doc.exec_delays is None:
-                print("error: --apply-delay but the document carries no delays", file=sys.stderr)
-                return EXIT_INPUT_ERROR
+                return _input_error("--apply-delay but the document carries no delays")
             if doc.info_delays is not None:
                 market = information_delayed_market(market, doc.info_delays)
             if doc.exec_delays is not None:
                 market = delayed_market(market, doc.exec_delays)
+    except (DocumentError, DelayPreconditionError) as exc:
+        return _input_error(exc)
+    try:
         market = market.at_horizon(args.horizon)
-    except (DocumentError, DelayPreconditionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except ValueError as exc:  # the horizon argument lies outside n..n_ext
+        return _input_error(exc)
     verdict = check_naflp(market)
     if not verify_certificate(market, verdict):
         print("internal error: certificate failed independent re-verification", file=sys.stderr)
@@ -145,19 +146,16 @@ def cmd_delay(args) -> int:
         doc = _load(args.path)
         if args.mode == "info":
             if doc.info_delays is None:
-                print("error: document has no information-delay block", file=sys.stderr)
-                return EXIT_INPUT_ERROR
+                return _input_error("document has no information-delay block")
             market = information_delayed_market(doc.market, doc.info_delays)
             out = serialize_market_document(market, exec_delays=doc.exec_delays)
         else:
             if doc.exec_delays is None:
-                print("error: document has no execution-delay block", file=sys.stderr)
-                return EXIT_INPUT_ERROR
+                return _input_error("document has no execution-delay block")
             market = delayed_market(doc.market, doc.exec_delays)
             out = serialize_market_document(market, info_delays=doc.info_delays)
-    except (DocumentError, DelayPreconditionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except (DocumentError, DelayPreconditionError) as exc:
+        return _input_error(exc)
     parse_market_document(out)  # the transformed document must re-validate
     return _emit(out, args.out)
 
@@ -165,14 +163,12 @@ def cmd_delay(args) -> int:
 def cmd_experiment(args) -> int:
     if args.kind == INSIDER_DEMO:
         if args.trials is not None:
-            print(f"error: {INSIDER_DEMO} runs a fixed pair of walks and takes no --trials", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            return _input_error(f"{INSIDER_DEMO} runs a fixed pair of walks and takes no --trials")
         trials = len(INSIDER_WALKS)
     else:
         trials = DEFAULT_TRIALS if args.trials is None else args.trials
     if trials < 1:
-        print(f"error: --trials must be at least 1, got {trials}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(f"--trials must be at least 1, got {trials}")
     if _probe_out(args.out) != EXIT_OK:
         return EXIT_INPUT_ERROR
     report = run_experiment(ScenarioConfig(seed=args.seed), args.kind, trials)

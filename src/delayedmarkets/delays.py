@@ -403,17 +403,14 @@ def representation_check(m: Market, fam: ExecutionDelayFamily) -> bool:
     execution times), the inverse information-delay family (per index set
     the pointwise minimum over its assets), recursively delays the
     enlarged family, and compares atoms with the original trading
-    filtrations at every time.
+    filtrations on the range the inverse delays reach: for index set A,
+    the order times from max over a in A of max(pi_a(0)) to n. Before
+    that time some order of A is still waiting for its first execution,
+    so the inverse has no order time to map it back to.
 
     Preconditions (violations raise, they are never reported as False):
-    singleton index sets for all assets, step-continuous delays starting
-    at zero, and delay information coarser than every containing trading
-    filtration.
-
-    Starting at zero and moving by 0 or 1 per step give value(t) <= t,
-    and every execution delay has value(t) >= t, so the identity is the
-    only delay table that passes. The check therefore varies only the
-    delay information, never the delay values.
+    singleton index sets for all assets, step-continuous delays, and
+    delay information coarser than every containing trading filtration.
     """
     problems = validate_execution_family(m, fam)
     extended = m.at_horizon(m.space.extended_horizon).trading_filtrations
@@ -425,8 +422,6 @@ def representation_check(m: Market, fam: ExecutionDelayFamily) -> bool:
             continue
         if not is_step_continuous(sp):
             problems.append(f"asset {a!r}: delay is not step-continuous")
-        if any(v != 0 for v in sp.values[0]):
-            problems.append(f"asset {a!r}: delay does not start at zero")
         for index_set in m.index_system:
             if a in index_set and not is_subfiltration(sp.info, extended[index_set]):
                 problems.append(
@@ -451,7 +446,8 @@ def representation_check(m: Market, fam: ExecutionDelayFamily) -> bool:
     for index_set in m.index_system:
         original = m.trading_filtrations[index_set]
         back = recovered[index_set]
-        for t in range(m.space.horizon + 1):
+        start = max(max(fam.delays[a].values[0]) for a in index_set)
+        for t in range(start, m.space.horizon + 1):
             if original.at(t).atoms != back.at(t).atoms:
                 return False
     return True

@@ -176,17 +176,26 @@ def refines(fine: Partition, coarse: Partition) -> bool:
     return len(set(zip(fine.labels, coarse.labels))) == len(fine.atoms)
 
 
+def _common_states(parts: Sequence[Partition], name: str) -> tuple[str, ...]:
+    if not parts:
+        raise ValueError(f"{name} of an empty list")
+    states = parts[0].states
+    if any(p.states != states for p in parts[1:]):
+        raise ValueError("partitions over different state sets")
+    return states
+
+
 def sigma_join(parts: Sequence[Partition]) -> Partition:
     """Coarsest common refinement: the sigma-field generated by the union.
 
-    Atoms are the nonempty intersections of one atom from each input.
+    Atoms are the nonempty intersections of one atom from each input. An
+    input that refines every other input is that join already and is
+    returned as it is.
     """
-    if not parts:
-        raise ValueError("sigma_join of an empty list")
-    states = parts[0].states
-    for p in parts[1:]:
-        if p.states != states:
-            raise ValueError("partitions over different state sets")
+    states = _common_states(parts, "sigma_join")
+    finest = max(parts, key=lambda p: len(p.atoms))
+    if all(refines(finest, p) for p in parts):
+        return finest
     return Partition.from_labels(states, list(zip(*[p.labels for p in parts])))
 
 
@@ -197,12 +206,7 @@ def sigma_meet(parts: Sequence[Partition]) -> Partition:
     hyperedge linking its states. An input that every other input refines
     is that meet already and is returned as it is.
     """
-    if not parts:
-        raise ValueError("sigma_meet of an empty list")
-    states = parts[0].states
-    for p in parts[1:]:
-        if p.states != states:
-            raise ValueError("partitions over different state sets")
+    states = _common_states(parts, "sigma_meet")
     coarsest = min(parts, key=lambda p: len(p.atoms))
     if all(refines(p, coarsest) for p in parts):
         return coarsest

@@ -125,7 +125,7 @@ def test_criterion_07_multi_broker():
 def test_criterion_08_representation_theorem():
     report = run_experiment(DESK, "representation", 100)
     ok = report.passed and all(r.ok for r in report.records)
-    _report(8, ok, "inverse delays reconstruct trading filtrations atom-for-atom, 100/100")
+    _report(8, ok, "inverse delays reconstruct trading filtrations atom-for-atom on each delay's range, 100/100")
 
 
 def test_criterion_09_coarseness_and_filtration_laws():

@@ -22,6 +22,25 @@ from delayedmarkets.scenarios import gen_insider_execution_market, gen_insider_m
 from conftest import binomial_market
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+DELAY_VALUE_ERROR = ValueError("index out of range in stopped field")
+
+# sha256 of each kind's seed-7 report (30 trials; insider-demo's fixed pair)
+REPORT_PINS = {
+    "information": "72e4df44b02fb4e91340150949a6560c095c4c353e2f58ee2142675a728543aa",
+    "execution": "48bd4a16e96b7750f4933cdf9cfa4ccae94f20779b8dc59f106ba830b4469a33",
+    "broker": "2b8b5815eb12c11d98ae3ac644afe4270dcc73726c7ad48644659d472d78b368",
+    "superimpose": "977fbc62b24fbc0cad3294f584d3274b1ad3873f02a42006c1be030be3a6e162",
+    "representation": "36ab6ff737585859f8e8b63e61bfd4ce5d091df9b5dac4afc9cd0416113dbb58",
+    "insider-demo": "b7607fb1c040c579788425043413d6de6154d01a9cc95e7e9b3936ecdcf47294",
+}
+# sha256 of the markets and delay families each kind draws in those 30 trials
+TRIAL_MARKET_PINS = {
+    "information": "ebe3c22a8a11ea0324d4f80245334bece11b4eb8fabe4e4a93420ff4de58d149",
+    "execution": "99b2e60337a95997b424b3956b497daf788f5b83f06e40e37d823f2c6609ef88",
+    "broker": "ab8c9181e47cacad00fa223f2a9652d946b762b6ca831d04decd0d619f8fa291",
+    "superimpose": "ae7e0f284358d62dbf9704febdc458413494fcea83577b87994840d5efff041e",
+    "representation": "f770b0a35318c68c9c92ced5c329b05641aa3f438a5da6db2af149f417b95106",
+}
 
 
 @pytest.fixture
@@ -223,6 +242,22 @@ class TestDelay:
         assert "Traceback" not in captured.err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("argv, code, err", [
+        (["check", "insider_information.json", "--apply-delay"], 4, f"internal error: {DELAY_VALUE_ERROR!r}\n"),
+        (["delay", "insider_execution.json", "--mode", "exec"], 4, f"internal error: {DELAY_VALUE_ERROR!r}\n"),
+        (["check", "binomial.json", "--horizon", "99"], 1, "error: horizon must lie in 1..1\n"),
+    ], ids=["check-apply-delay", "delay-exec", "check-bad-horizon"])
+    def test_value_error_is_input_error_only_for_the_horizon(self, argv, code, err, monkeypatch, capsys):
+        """A ValueError of the delay step is the program's fault, exit 4;
+        a horizon outside n..n_ext stays an input error, exit 1."""
+        def broken(*args, **kwargs):
+            raise DELAY_VALUE_ERROR
+
+        monkeypatch.setattr("delayedmarkets.delays.stopped_sigma_field", broken)
+        command, name, *options = argv
+        assert main([command, str(SCENARIOS / name), *options]) == code
+        assert capsys.readouterr() == ("", err)
+
     def test_identity_delay_round_trips_semantically(self, tmp_path):
         m, _ = gen_insider_market(2, 1)
         from delayedmarkets.delays import InformationDelayFamily
@@ -317,21 +352,21 @@ class TestExperiment:
         assert payload["trials"] == 5 and payload["failures"] == []
 
     def test_reports_are_pinned(self, capsys):
-        """The seed-7 JSON reports of every experiment kind, joined, hash
-        to a pinned value, so a generator change that moves a random draw
-        shows wherever it changes some trial's detail."""
-        digest = hashlib.sha256()
-        for kind in ("information", "execution", "broker", "superimpose", "representation", "insider-demo"):
+        """The seed-7 JSON report of each experiment kind hashes to its own
+        pinned value, so a generator change that moves a random draw shows
+        in the kind whose trial details it changes."""
+        digests = {}
+        for kind in REPORT_PINS:
             trials = [] if kind == "insider-demo" else ["--trials", "30"]
             assert main(["experiment", kind, "--seed", "7", *trials]) == 0
-            digest.update(capsys.readouterr().out.encode())
-        assert digest.hexdigest() == "2434e815319b4cda803cb1fa5def8a54fec02202248600dde268a7c7fdb169fc"
+            digests[kind] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == REPORT_PINS
 
     def test_trial_markets_are_pinned(self, monkeypatch, capsys):
-        """The markets and delay families the five trial kinds draw at seed
-        7, serialized in draw order, hash to a pinned value: a report
+        """The markets and delay families each trial kind draws at seed 7,
+        serialized in draw order, hash to that kind's pinned value: a report
         records little per trial, so a changed draw can leave it as it was."""
-        digest = hashlib.sha256()
+        digests = {}
         drawn = []
 
         def market_drawer(gen):
@@ -355,11 +390,13 @@ class TestExperiment:
                             family_builder(scenarios.InformationDelayFamily, "info_delays"))
         monkeypatch.setattr(scenarios, "ExecutionDelayFamily",
                             family_builder(scenarios.ExecutionDelayFamily, "exec_delays"))
-        for kind in ("information", "execution", "broker", "superimpose", "representation"):
+        for kind in TRIAL_MARKET_PINS:
+            digest = hashlib.sha256()
             assert main(["experiment", kind, "--seed", "7", "--trials", "30"]) == 0
+            digests[kind] = digest.hexdigest()
         capsys.readouterr()
         assert len(drawn) == 150
-        assert digest.hexdigest() == "5e54f226d51e806decb7ffd536e43dedb03ec8a669ee3cb7d826f06002cd5f16"
+        assert digests == TRIAL_MARKET_PINS
 
     @pytest.mark.parametrize("kind, trials", [("information", "-3"), ("superimpose", "0")])
     def test_nonpositive_trials_rejected(self, kind, trials, tmp_path, capsys):

@@ -42,7 +42,10 @@ from delayedmarkets.scenarios import (
     gen_insider_market,
     gen_martingale_market,
     gen_random_delay,
+    run_experiment,
 )
+
+from test_acceptance import DESK
 
 
 def ladder(states, length):
@@ -480,17 +483,30 @@ class TestRepresentation:
         fam = ExecutionDelayFamily({a: StoppingProcess.identity(horizon + 1, triv) for a in m.assets})
         assert representation_check(m, fam) is True
 
-    def test_shift_violates_start_at_zero(self):
-        m = gen_martingale_market(ScenarioConfig(seed=71), singletons=True, min_extension=1)
-        horizon, extended = m.space.horizon, m.space.extended_horizon
-        triv = Filtration.constant(Partition.trivial(m.space.states), extended + 1)
-        fam = ExecutionDelayFamily({
-            a: StoppingProcess.deterministic([min(t + 1, extended) for t in range(horizon + 1)], triv)
-            for a in m.assets
-        })
-        with pytest.raises(DelayPreconditionError) as err:
-            representation_check(m, fam)
-        assert any("start at zero" in p for p in err.value.problems)
+    def test_shift_reconstructs_on_its_range(self):
+        """A delay that starts at 1 is inverted on order times 1..n."""
+        for seed in range(71, 76):
+            m = gen_martingale_market(ScenarioConfig(seed=seed), singletons=True, min_extension=1)
+            horizon, extended = m.space.horizon, m.space.extended_horizon
+            triv = Filtration.constant(Partition.trivial(m.space.states), extended + 1)
+            fam = ExecutionDelayFamily({
+                a: StoppingProcess.deterministic([min(t + 1, extended) for t in range(horizon + 1)], triv)
+                for a in m.assets
+            })
+            assert representation_check(m, fam) is True, seed
+
+    def test_late_inverse_is_caught(self, monkeypatch):
+        """Negative control: an inverse one step later, capped at t, fails
+        to reconstruct on some desk representation draw."""
+        def late(pi):
+            inverse = invert_delay(pi)
+            values = tuple(tuple(min(v + 1, t) for v in row) for t, row in enumerate(inverse.values))
+            return StoppingProcess(values, inverse.info)
+
+        monkeypatch.setattr(delays, "invert_delay", late)
+        report = run_experiment(DESK, "representation", 100)
+        details = {f["detail"] for f in report.failures}
+        assert details == {"reconstructed filtration differs from the original"}
 
     def test_gap_filtration_tolerates_shift(self):
         """Where the trading filtration is flat, a shifted delay still

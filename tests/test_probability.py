@@ -144,6 +144,20 @@ class TestSigmaJoin:
         j = sigma_join([p, q])
         assert refines(j, p) and refines(j, q)
 
+    def test_refining_input_is_the_join(self):
+        """Over every pair of partitions of four states the join is the
+        common refinement of their labels, and an input that refines the
+        other is returned as it is."""
+        for p, q in itertools.product(ALL_PARTITIONS4, repeat=2):
+            joined = sigma_join([p, q])
+            assert joined == Partition.from_labels(STATES4, list(zip(p.labels, q.labels)))
+            if refines(p, q):
+                assert joined is p
+            elif refines(q, p):
+                assert joined is q
+        for p in ALL_PARTITIONS4:
+            assert sigma_join([p]) is p
+
     @given(partitions(), partitions())
     def test_meet_coarser_than_both(self, p, q):
         w = sigma_meet([p, q])

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from delayedmarkets.arbitrage import FreeLunch, NoFreeLunch, check_naflp, verify_certificate
-from delayedmarkets.delays import validate_execution_family, validate_information_family
+from delayedmarkets.delays import representation_check, validate_execution_family, validate_information_family
 from delayedmarkets.documents import parse_market_document, serialize_market_document
 from delayedmarkets.markets import validate_market
 from delayedmarkets.probability import conditional_expectation, validate_stopping_process
@@ -25,6 +25,7 @@ from delayedmarkets.scenarios import (
 )
 
 from conftest import one_certificate
+from test_acceptance import DESK
 
 
 class TestGenerators:
@@ -136,6 +137,23 @@ class TestExperiments:
     def test_representation_smoke(self):
         report = run_experiment(ScenarioConfig(seed=233), "representation", 8)
         assert report.passed
+
+    def test_representation_inverts_non_identity_delays(self, monkeypatch):
+        """At least half the desk representation trials invert a delay
+        table that is not the identity."""
+        import delayedmarkets.scenarios as sc
+
+        shifted = []
+
+        def recording(m, fam):
+            shifted.append(any(v != t for sp in fam.delays.values()
+                               for t, row in enumerate(sp.values) for v in row))
+            return representation_check(m, fam)
+
+        monkeypatch.setattr(sc, "representation_check", recording)
+        report = run_experiment(DESK, "representation", 100)
+        assert report.passed and len(shifted) == 100
+        assert sum(shifted) >= 50
 
     def test_insider_demo_shows_converse_failure(self):
         report = run_experiment(ScenarioConfig(seed=1), "insider-demo", 2)
