@@ -47,9 +47,11 @@ from .probability import (
     Partition,
     StoppingProcess,
     conditional_expectation,
+    join_each,
     refines,
     sigma_join,
     sigma_meet,
+    stopped_fields,
     stopped_sigma_field,
     validate_stopping_process,
 )

@@ -6,7 +6,9 @@ priced. Both are stopping-time processes against a declared
 delay-information filtration; this module builds the delayed filtrations
 and delayed markets, inverts execution delays into information delays,
 superimposes one execution delay over another, and takes pointwise minima
-across brokers.
+across brokers. Every delayed filtration comes from two primitives of
+probability: stopped_fields reads a filtration at each row of a delay
+table, and join_each joins several such sequences time by time.
 
 A delay table is "step-continuous" when every path moves by 0 or 1 per
 grid step, which makes each path's range a full integer interval; that is
@@ -25,9 +27,8 @@ from .probability import (
     Filtration,
     StoppingProcess,
     is_subfiltration,
-    refines,
-    sigma_join,
-    stopped_sigma_field,
+    join_each,
+    stopped_fields,
     validate_stopping_process,
 )
 
@@ -165,40 +166,25 @@ def is_step_continuous(sp: StoppingProcess) -> bool:
     )
 
 
-def _delayed_filtration(f: Filtration, delta: StoppingProcess) -> Filtration:
-    """Filtration t -> sigma-field of the delta(t)-past of f.
-
-    delta must be a valid information delay whose information is coarser
-    than f, as validate_information_family checks; path-wise monotonicity
-    then makes the stopped fields refine in t.
-    """
-    return Filtration(tuple(stopped_sigma_field(f, delta.at(t)) for t in range(delta.grid_length())))
-
-
 def large_delayed_filtrations(m: Market, fam: InformationDelayFamily) -> dict[frozenset[str], Filtration]:
     """Recursively delayed trading filtrations for the whole index system.
 
-    Each index set joins its own delayed filtration with the results of
-    every proper subset in the system, so the delayed family again agrees
-    with the index system: monotone in the set order and refining in time.
-    validate_information_family checks each delay against its trading
-    filtration once, so the per-set delay skips those checks; a family
-    that already passed on m, as a parsed document's has, is not checked
-    again.
+    Each index set joins its own trading filtration, stopped at each row
+    of its delay, with the results of every proper subset in the system,
+    so the delayed family again agrees with the index system: monotone in
+    the set order and refining in time. validate_information_family checks
+    each delay against its trading filtration (which makes the stopped
+    fields refine in t) once; a family that already passed on m, as a
+    parsed document's has, is not checked again.
     """
     problems = validate_information_family(m, fam)
     if problems:
         raise DelayPreconditionError(problems)
     out: dict[frozenset[str], Filtration] = {}
     for index_set in m.index_system:  # canonical order puts subsets first
-        own = _delayed_filtration(m.trading_filtrations[index_set], fam.delays[index_set])
-        subs = [out[a] for a in m.index_system if a < index_set]
-        if subs:
-            length = len(own)
-            own = Filtration(tuple(
-                sigma_join([own.at(t)] + [s.at(t) for s in subs]) for t in range(length)
-            ))
-        out[index_set] = own
+        own = stopped_fields(m.trading_filtrations[index_set], fam.delays[index_set].values)
+        subs = [out[a].partitions for a in m.index_system if a < index_set]
+        out[index_set] = Filtration(join_each([own, *subs]))
     return out
 
 
@@ -210,12 +196,7 @@ def information_delayed_market(m: Market, fam: InformationDelayFamily) -> Market
 def check_coarseness(m: Market, fam: InformationDelayFamily) -> bool:
     """Delayed trading fields never exceed the originals; true for valid input."""
     delayed = large_delayed_filtrations(m, fam)
-    for index_set, f in delayed.items():
-        original = m.trading_filtrations[index_set]
-        for t in range(len(f)):
-            if not refines(original.at(t), f.at(t)):
-                return False
-    return True
+    return all(is_subfiltration(f, m.trading_filtrations[a]) for a, f in delayed.items())
 
 
 def _extended_rows(sp: StoppingProcess, upto: int) -> list[tuple[int, ...]]:
@@ -256,54 +237,51 @@ def delayed_market(m: Market, fam: ExecutionDelayFamily, extended_horizon: int |
         if top > space.extended_horizon:
             raise ValueError(f"asset {a!r}: delayed time {top} exceeds the extended grid")
 
-    new_assets = {}
-    for a, table in m.assets.items():
-        rows = rows_by_asset[a]
-        new_assets[a] = tuple(
-            tuple(map(getitem, map(table.__getitem__, rows[t]), range(n_states))) for t in range(upto + 1)
-        )
-    grand = Filtration(tuple(
-        sigma_join([stopped_sigma_field(m.grand_filtration, rows_by_asset[a][t]) for a in sorted(m.assets)])
-        for t in range(upto + 1)
-    ))
-    new_space = type(space)(space.states, space.probability, space.horizon, upto)
-    trading = {
-        a: f if len(f) <= upto + 1 else f.restrict(upto + 1)
-        for a, f in m.trading_filtrations.items()
+    new_assets = {
+        a: tuple(tuple(map(getitem, map(table.__getitem__, row), range(n_states))) for row in rows_by_asset[a])
+        for a, table in m.assets.items()
     }
+    grand = Filtration(join_each([stopped_fields(m.grand_filtration, rows_by_asset[a]) for a in sorted(m.assets)]))
+    new_space = type(space)(space.states, space.probability, space.horizon, upto)
+    trading = {a: f.restrict(min(len(f), upto + 1)) for a, f in m.trading_filtrations.items()}
     return Market(new_space, new_assets, m.index_system, trading, grand)
+
+
+def _first_reach(rows: Sequence[Sequence[int]], targets: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Per target row and state i, the first index s with rows[s][i] >= target[i].
+
+    rows must be path-wise monotone and reach every target by their last row.
+    """
+    return tuple(
+        tuple(next(s for s, row in enumerate(rows) if row[i] >= v) for i, v in enumerate(target))
+        for target in targets
+    )
 
 
 def invert_delay(pi: StoppingProcess) -> StoppingProcess:
     """The information delay matching an execution delay.
 
-    value(t) is the first order time whose execution reaches t, capped at
-    the end of the trading grid; its information at t is the delay
-    information stopped at pi(t), so the inverse is a stopping time there.
+    value(t) is the first order time whose execution reaches t, which the
+    execution bound pi(top) >= top guarantees on the whole grid; its
+    information at t is the delay information stopped at pi(t), so the
+    inverse is a stopping time there.
     """
     problems = validate_stopping_process(pi, "execution")
     if problems:
         raise DelayPreconditionError(problems)
-    top = pi.grid_length() - 1
     n_states = len(pi.states)
-    values = []
-    for t in range(top + 1):
-        row = []
-        for i in range(n_states):
-            row.append(next((s for s in range(top + 1) if pi.values[s][i] >= t), top))
-        values.append(tuple(row))
-    info = Filtration(tuple(stopped_sigma_field(pi.info, pi.at(t)) for t in range(top + 1)))
-    return StoppingProcess(tuple(values), info)
+    values = _first_reach(pi.values, [(t,) * n_states for t in range(pi.grid_length())])
+    return StoppingProcess(values, Filtration(stopped_fields(pi.info, pi.values)))
 
 
 def superimpose_delays(fam: ExecutionDelayFamily, stronger: ExecutionDelayFamily) -> ExecutionDelayFamily:
     """The residual delay that turns the fam-delayed market into the stronger one.
 
     Requires fam <= stronger pointwise, step-continuous fam, and fam's
-    information coarser than stronger's. The result maps order time t to
-    the first fam-delayed time whose original price index reaches
-    stronger(t); pricing the fam-delayed market there reproduces the
-    stronger-delayed prices exactly.
+    information coarser than stronger's on the same grid. The result maps
+    order time t to the first fam-delayed time from t on whose original
+    price index reaches stronger(t); pricing the fam-delayed market there
+    reproduces the stronger-delayed prices exactly.
     """
     problems: list[str] = []
     if set(fam.delays) != set(stronger.delays):
@@ -322,34 +300,26 @@ def superimpose_delays(fam: ExecutionDelayFamily, stronger: ExecutionDelayFamily
             b > s for rb, rs in zip(base.values, tilde.values) for b, s in zip(rb, rs)
         ):
             problems.append(f"{label}: base delay exceeds the stronger delay somewhere")
-        if not is_subfiltration(base.info, tilde.info):
+        if len(base.info) != len(tilde.info):
+            problems.append(f"{label}: delay informations cover different grids")
+        elif not is_subfiltration(base.info, tilde.info):
             problems.append(f"{label}: base delay information is not coarser than the stronger one")
     if problems:
         raise DelayPreconditionError(problems)
 
     out: dict[str, StoppingProcess] = {}
-    caps: dict[str, int] = {}
     for a in fam.delays:
         base, tilde = fam.delays[a], stronger.delays[a]
-        top = base.grid_length() - 1
-        info_top = len(base.info) - 1
-        ext = _extended_rows(base, info_top)
-        n_states = len(base.states)
-        values = []
-        for t in range(top + 1):
-            row = []
-            for i in range(n_states):
-                target = tilde.values[t][i]
-                hit = next(s for s in range(info_top + 1) if ext[s][i] >= target)
-                row.append(max(t, hit))
-            values.append(tuple(row))
-        info = Filtration(tuple(
-            stopped_sigma_field(tilde.info, ext[u]) for u in range(info_top + 1)
-        ))
-        out[a] = StoppingProcess(tuple(values), info)
-        if a in stronger.caps:
-            caps[a] = stronger.caps[a]
-    return ExecutionDelayFamily(out, caps)
+        ext = _extended_rows(base, len(base.info) - 1)
+        # base is monotone, so the first reach from t on is the first reach or t
+        values = tuple(tuple(max(t, s) for s in row) for t, row in enumerate(_first_reach(ext, tilde.values)))
+        out[a] = StoppingProcess(values, Filtration(stopped_fields(tilde.info, ext)))
+    return ExecutionDelayFamily(out, {a: stronger.caps[a] for a in fam.delays if a in stronger.caps})
+
+
+def _pointwise_min(procs: Sequence[StoppingProcess]) -> tuple[tuple[int, ...], ...]:
+    """The smallest of the procs' values at each order time and state."""
+    return tuple(tuple(map(min, zip(*rows))) for rows in zip(*(p.values for p in procs)))
 
 
 def min_delay(families: Sequence[ExecutionDelayFamily]) -> ExecutionDelayFamily:
@@ -370,11 +340,7 @@ def min_delay(families: Sequence[ExecutionDelayFamily]) -> ExecutionDelayFamily:
                 raise DelayPreconditionError([f"asset {a!r}: broker delay informations differ"])
             if p.grid_length() != procs[0].grid_length():
                 raise DelayPreconditionError([f"asset {a!r}: broker delay tables cover different grids"])
-        values = tuple(
-            tuple(min(p.values[t][i] for p in procs) for i in range(len(procs[0].states)))
-            for t in range(procs[0].grid_length())
-        )
-        out[a] = StoppingProcess(values, info)
+        out[a] = StoppingProcess(_pointwise_min(procs), info)
         declared = [fam.caps[a] for fam in families if a in fam.caps]
         if declared:
             caps[a] = min(declared)
@@ -385,15 +351,20 @@ def enlarged_trading_filtrations(m: Market, fam: ExecutionDelayFamily) -> dict[f
     """Per index set: the join over its assets of the pi-stopped trading
     field, read over the extended grid (Market.at_horizon)."""
     extended = m.at_horizon(m.space.extended_horizon).trading_filtrations
-    out = {}
-    for index_set in m.index_system:
-        f_ext = extended[index_set]
-        parts = []
-        for t in range(m.space.horizon + 1):
-            stopped = [stopped_sigma_field(f_ext, fam.delays[a].at(t)) for a in sorted(index_set)]
-            parts.append(sigma_join(stopped))
-        out[index_set] = Filtration(tuple(parts))
-    return out
+    return {
+        index_set: Filtration(join_each([
+            stopped_fields(extended[index_set], fam.delays[a].values) for a in sorted(index_set)
+        ]))
+        for index_set in m.index_system
+    }
+
+
+def first_compared_times(m: Market, fam: ExecutionDelayFamily) -> dict[frozenset[str], int]:
+    """Per index set A, the first order time representation_check compares:
+    max over a in A of max(pi_a(0)). Before it some order of A is still
+    waiting for its first execution, so the inverse has no order time to
+    map it back to."""
+    return {A: max(max(fam.delays[a].values[0]) for a in A) for A in m.index_system}
 
 
 def representation_check(m: Market, fam: ExecutionDelayFamily) -> bool:
@@ -404,13 +375,12 @@ def representation_check(m: Market, fam: ExecutionDelayFamily) -> bool:
     the pointwise minimum over its assets), recursively delays the
     enlarged family, and compares atoms with the original trading
     filtrations on the range the inverse delays reach: for index set A,
-    the order times from max over a in A of max(pi_a(0)) to n. Before
-    that time some order of A is still waiting for its first execution,
-    so the inverse has no order time to map it back to.
+    the order times from first_compared_times(m, fam)[A] to n.
 
     Preconditions (violations raise, they are never reported as False):
-    singleton index sets for all assets, step-continuous delays, and
-    delay information coarser than every containing trading filtration.
+    singleton index sets for all assets, step-continuous delays, delay
+    information coarser than every containing trading filtration, and a
+    non-empty comparison range for every index set.
     """
     problems = validate_execution_family(m, fam)
     extended = m.at_horizon(m.space.extended_horizon).trading_filtrations
@@ -428,26 +398,24 @@ def representation_check(m: Market, fam: ExecutionDelayFamily) -> bool:
                     f"asset {a!r}: delay information is not coarser than the trading "
                     f"filtration of {sorted(index_set)}"
                 )
+    n = m.space.horizon
+    if not problems:
+        starts = first_compared_times(m, fam)
+        problems = [
+            f"index set {sorted(A)}: nothing to compare, its first execution lands at {s} > n = {n}"
+            for A, s in starts.items() if s > n
+        ]
     if problems:
         raise DelayPreconditionError(problems)
 
     enlarged = enlarged_trading_filtrations(m, fam)
     inverses = {a: invert_delay(fam.delays[a]) for a in m.assets}
-    deltas = {}
-    for index_set in m.index_system:
-        procs = [inverses[a] for a in sorted(index_set)]
-        values = tuple(
-            tuple(min(p.values[t][i] for p in procs) for i in range(len(m.space.states)))
-            for t in range(m.space.horizon + 1)
-        )
-        deltas[index_set] = StoppingProcess(values, enlarged[index_set])
-    shadow = replace(m, trading_filtrations=enlarged)
-    recovered = large_delayed_filtrations(shadow, InformationDelayFamily(deltas))
-    for index_set in m.index_system:
-        original = m.trading_filtrations[index_set]
-        back = recovered[index_set]
-        start = max(max(fam.delays[a].values[0]) for a in index_set)
-        for t in range(start, m.space.horizon + 1):
-            if original.at(t).atoms != back.at(t).atoms:
-                return False
-    return True
+    deltas = {
+        A: StoppingProcess(_pointwise_min([inverses[a] for a in sorted(A)]), enlarged[A])
+        for A in m.index_system
+    }
+    recovered = large_delayed_filtrations(replace(m, trading_filtrations=enlarged), InformationDelayFamily(deltas))
+    return all(
+        m.trading_filtrations[A].at(t).atoms == recovered[A].at(t).atoms
+        for A, start in starts.items() for t in range(start, n + 1)
+    )

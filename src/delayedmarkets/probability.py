@@ -199,6 +199,14 @@ def sigma_join(parts: Sequence[Partition]) -> Partition:
     return Partition.from_labels(states, list(zip(*[p.labels for p in parts])))
 
 
+def join_each(seqs: Sequence[Sequence[Partition]]) -> tuple[Partition, ...]:
+    """The sigma_join of the sequences' partitions at each position; one
+    sequence comes back as its own partitions."""
+    if len(seqs) == 1:
+        return tuple(seqs[0])
+    return tuple(map(sigma_join, zip(*seqs, strict=True)))
+
+
 def sigma_meet(parts: Sequence[Partition]) -> Partition:
     """Finest partition coarser than every input: the intersection sigma-field.
 
@@ -384,6 +392,12 @@ def stopped_sigma_field(f: Filtration, tau: Sequence[int]) -> Partition:
         if len(p.atoms) < len(states) and len(set(zip(p.labels, map(eq, tau, repeat(s))))) != len(p.atoms):
             raise ValueError("tau is not a stopping time for this filtration")
     return Partition.from_labels(states, list(zip(tau, [parts[v].labels[i] for i, v in enumerate(tau)])))
+
+
+def stopped_fields(f: Filtration, rows: Iterable[Sequence[int]]) -> tuple[Partition, ...]:
+    """stopped_sigma_field(f, row) for each row: a delay table's rows give
+    the sigma-fields of its stopped pasts, one per order time."""
+    return tuple(stopped_sigma_field(f, row) for row in rows)
 
 
 _INFORMATION = "information"

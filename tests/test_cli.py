@@ -30,7 +30,7 @@ REPORT_PINS = {
     "execution": "48bd4a16e96b7750f4933cdf9cfa4ccae94f20779b8dc59f106ba830b4469a33",
     "broker": "2b8b5815eb12c11d98ae3ac644afe4270dcc73726c7ad48644659d472d78b368",
     "superimpose": "977fbc62b24fbc0cad3294f584d3274b1ad3873f02a42006c1be030be3a6e162",
-    "representation": "36ab6ff737585859f8e8b63e61bfd4ce5d091df9b5dac4afc9cd0416113dbb58",
+    "representation": "16a2f5c0e3ab015b6ac4c52d636cfbf85489a4d6ed4a471c28987ac0cdc9f5c4",
     "insider-demo": "b7607fb1c040c579788425043413d6de6154d01a9cc95e7e9b3936ecdcf47294",
 }
 # sha256 of the markets and delay families each kind draws in those 30 trials
@@ -165,7 +165,7 @@ class TestCheck:
         def broken(*args, **kwargs):
             raise fault
 
-        monkeypatch.setattr("delayedmarkets.delays.stopped_sigma_field", broken)
+        monkeypatch.setattr("delayedmarkets.probability.stopped_sigma_field", broken)
         assert main(["check", str(SCENARIOS / scenario), "--apply-delay"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -233,7 +233,7 @@ class TestDelay:
         def broken(*args, **kwargs):
             raise fault
 
-        monkeypatch.setattr("delayedmarkets.delays.stopped_sigma_field", broken)
+        monkeypatch.setattr("delayedmarkets.probability.stopped_sigma_field", broken)
         out_path = tmp_path / "delayed.json"
         assert main(["delay", str(SCENARIOS / scenario), "--mode", mode, "--out", str(out_path)]) == 4
         captured = capsys.readouterr()
@@ -253,7 +253,7 @@ class TestDelay:
         def broken(*args, **kwargs):
             raise DELAY_VALUE_ERROR
 
-        monkeypatch.setattr("delayedmarkets.delays.stopped_sigma_field", broken)
+        monkeypatch.setattr("delayedmarkets.probability.stopped_sigma_field", broken)
         command, name, *options = argv
         assert main([command, str(SCENARIOS / name), *options]) == code
         assert capsys.readouterr() == ("", err)

@@ -33,6 +33,7 @@ from delayedmarkets.probability import (
     Partition,
     StoppingProcess,
     refines,
+    stopped_fields,
 )
 from delayedmarkets.rationals import rat
 from delayedmarkets.scenarios import (
@@ -64,19 +65,19 @@ class TestDelayedTradingFiltration:
         f = ladder(tuple("abcdefgh"), 4)
         triv = Filtration.constant(Partition.trivial(f.states), 4)
         delta = StoppingProcess.identity(4, triv)
-        assert delays._delayed_filtration(f, delta) == f
+        assert Filtration(stopped_fields(f, delta.values)) == f
 
     def test_total_delay_freezes_time_zero(self):
         f = ladder(tuple("abcdefgh"), 4)
         triv = Filtration.constant(Partition.trivial(f.states), 4)
         delta = StoppingProcess.deterministic([0, 0, 0, 0], triv)
-        out = delays._delayed_filtration(f, delta)
+        out = Filtration(stopped_fields(f, delta.values))
         assert all(out.at(t) == f.at(0) for t in range(4))
 
     def test_insider_delay_never_anticipates(self):
         m, fam = gen_insider_market(3, 1)
         index_set = frozenset({"walk"})
-        out = delays._delayed_filtration(m.trading_filtrations[index_set], fam.delays[index_set])
+        out = Filtration(stopped_fields(m.trading_filtrations[index_set], fam.delays[index_set].values))
         states = m.space.states
 
         def prefix(k):
@@ -127,7 +128,7 @@ class TestLargeDelayedFiltrations:
         m, fam = gen_insider_market(2, 1)
         index_set = frozenset({"walk"})
         large = large_delayed_filtrations(m, fam)
-        direct = delays._delayed_filtration(m.trading_filtrations[index_set], fam.delays[index_set])
+        direct = Filtration(stopped_fields(m.trading_filtrations[index_set], fam.delays[index_set].values))
         assert large[index_set] == direct
 
     def test_zero_delays_return_originals(self):
@@ -430,6 +431,16 @@ class TestSuperimpose:
         with pytest.raises(DelayPreconditionError):
             superimpose_delays(ExecutionDelayFamily({"a": base}), ExecutionDelayFamily({"a": strong}))
 
+    @pytest.mark.parametrize("base_length, strong_length", [(4, 3), (3, 4)])
+    def test_informations_on_different_grids_rejected(self, base_length, strong_length):
+        """The residual delay is stopped on the stronger information along the
+        base's extended rows, so both informations must cover one grid."""
+        base = deterministic_exec([0, 1, 2], self.STATES, base_length)
+        strong = deterministic_exec([0, 1, 2], self.STATES, strong_length)
+        with pytest.raises(DelayPreconditionError) as caught:
+            superimpose_delays(ExecutionDelayFamily({"a": base}), ExecutionDelayFamily({"a": strong}))
+        assert caught.value.problems == ["asset 'a': delay informations cover different grids"]
+
 
 class TestMinDelay:
     def test_single_family_unchanged(self):
@@ -508,6 +519,30 @@ class TestRepresentation:
         details = {f["detail"] for f in report.failures}
         assert details == {"reconstructed filtration differs from the original"}
 
+    def test_empty_range_is_a_precondition_error(self):
+        """A delay whose first execution lands after n leaves no order time
+        to compare, which is an error, not a pass."""
+        seeds = []
+        for seed in range(71, 91):
+            m = gen_martingale_market(ScenarioConfig(seed=seed), singletons=True, min_extension=1)
+            horizon, extended = m.space.horizon, m.space.extended_horizon
+            if extended < 2 * horizon + 1:
+                continue
+            seeds.append(seed)
+            triv = Filtration.constant(Partition.trivial(m.space.states), extended + 1)
+            fam = ExecutionDelayFamily({
+                a: StoppingProcess.deterministic([t + horizon + 1 for t in range(horizon + 1)], triv)
+                for a in m.assets
+            })
+            with pytest.raises(DelayPreconditionError) as caught:
+                representation_check(m, fam)
+            assert caught.value.problems == [
+                f"index set {sorted(a)}: nothing to compare, its first execution lands at "
+                f"{horizon + 1} > n = {horizon}"
+                for a in m.index_system
+            ], seed
+        assert len(seeds) >= 5
+
     def test_gap_filtration_tolerates_shift(self):
         """Where the trading filtration is flat, a shifted delay still
         reconstructs it: the composition lands inside the flat stretch."""
@@ -525,7 +560,7 @@ class TestRepresentation:
         fam = ExecutionDelayFamily({"a": pi})
         enlarged = enlarged_trading_filtrations(m, fam)[iset]
         delta = invert_delay(pi)
-        rebuilt = delays._delayed_filtration(enlarged, StoppingProcess(delta.values, enlarged))
+        rebuilt = Filtration(stopped_fields(enlarged, delta.values))
         for t in range(3):
             assert rebuilt.at(t).atoms == trading.at(t).atoms
 

@@ -15,15 +15,19 @@ from delayedmarkets.probability import (
     Partition,
     StoppingProcess,
     conditional_expectation,
+    join_each,
     refines,
     sigma_join,
     sigma_meet,
+    stopped_fields,
     stopped_sigma_field,
     validate_stopping_process,
 )
 from delayedmarkets.rationals import rat
+from delayedmarkets.scenarios import _rng, gen_martingale_market, gen_random_delay
 
 from reference_stopping import reference_validate_stopping_process
+from test_acceptance import DESK
 
 STATES4 = ("1", "2", "3", "4")
 
@@ -343,6 +347,50 @@ class TestStoppedAgainstBruteForce:
                 assert stopped_sigma_field(f, tau).atoms == brute_force_stopped_atoms(f, tau)
                 checked += 1
         assert checked > 0
+
+
+def desk_draws(count=20):
+    """Seeded desk markets with one information and one execution family each."""
+    for i in range(count):
+        rng = _rng(DESK.seed, "primitives", i)
+        m = gen_martingale_market(DESK, rng=rng, min_extension=1)
+        yield m, gen_random_delay(DESK, "information", m, rng=rng), gen_random_delay(DESK, "execution", m, rng=rng)
+
+
+class TestDelayPrimitives:
+    """stopped_fields and join_each against stopped_sigma_field and
+    sigma_join, one position at a time."""
+
+    def test_stopped_fields_stops_each_row(self):
+        for m, info, execution in desk_draws():
+            tables = [(m.trading_filtrations[a], sp) for a, sp in info.delays.items()]
+            tables += [(m.grand_filtration, sp) for sp in execution.delays.values()]
+            for f, sp in tables:
+                assert stopped_fields(f, sp.values) == tuple(stopped_sigma_field(f, row) for row in sp.values)
+
+    def test_join_each_joins_each_position(self):
+        rng = random.Random(5)
+        new_partitions = 0
+        for m, info, execution in desk_draws():
+            states = m.space.states
+            trading = [f.partitions for f in m.trading_filtrations.values()]
+            stopped = [stopped_fields(m.grand_filtration, sp.values) for sp in execution.delays.values()]
+            # the generators' filtrations are mostly nested, random partitions rarely are
+            crossing = [[Partition.from_labels(states, [rng.randrange(3) for _ in states]) for _ in trading[0]]
+                        for _ in range(2)]
+            for seqs in (trading, stopped, crossing):
+                joined = join_each(seqs)
+                assert joined == tuple(sigma_join([s[t] for s in seqs]) for t in range(len(seqs[0])))
+                new_partitions += sum(all(j is not s[t] for s in seqs) for t, j in enumerate(joined))
+        assert new_partitions > 0
+
+    def test_join_each_of_one_sequence_returns_its_partitions(self):
+        for m, _, execution in desk_draws():
+            seqs = [f.partitions for f in m.trading_filtrations.values()]
+            seqs += [stopped_fields(m.grand_filtration, sp.values) for sp in execution.delays.values()]
+            for seq in seqs:
+                joined = join_each([seq])
+                assert len(joined) == len(seq) and all(j is p for j, p in zip(joined, seq))
 
 
 class TestValidateStoppingProcess:

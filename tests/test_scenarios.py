@@ -155,6 +155,26 @@ class TestExperiments:
         assert report.passed and len(shifted) == 100
         assert sum(shifted) >= 50
 
+    def test_representation_detail_counts_what_was_compared(self, monkeypatch):
+        """A passing representation record names the (index set, time) pairs
+        it compared and how many of its delays are not the identity."""
+        import delayedmarkets.scenarios as sc
+
+        expected = []
+
+        def recording(m, fam):
+            n = m.space.horizon
+            pairs = sum(n + 1 - max(max(fam.delays[a].values[0]) for a in index_set)
+                        for index_set in m.index_system)
+            moved = sum(any(v != t for t, row in enumerate(sp.values) for v in row) for sp in fam.delays.values())
+            expected.append(f"reconstruction exact; (index set, time) pairs compared: {pairs}; "
+                            f"delays not the identity: {moved} of {len(fam.delays)}")
+            return representation_check(m, fam)
+
+        monkeypatch.setattr(sc, "representation_check", recording)
+        report = run_experiment(DESK, "representation", 30)
+        assert report.passed and [r.detail for r in report.records] == expected
+
     def test_insider_demo_shows_converse_failure(self):
         report = run_experiment(ScenarioConfig(seed=1), "insider-demo", 2)
         assert report.passed
