@@ -237,13 +237,18 @@ def delayed_market(m: Market, fam: ExecutionDelayFamily, extended_horizon: int |
         if top > space.extended_horizon:
             raise ValueError(f"asset {a!r}: delayed time {top} exceeds the extended grid")
 
-    new_assets = {
-        a: tuple(tuple(map(getitem, map(table.__getitem__, row), range(n_states))) for row in rows_by_asset[a])
-        for a, table in m.assets.items()
-    }
+    new_assets = {}
+    for a, table in m.assets.items():
+        rows = rows_by_asset[a]
+        new_assets[a] = tuple(
+            tuple(map(getitem, map(table.__getitem__, rows[t]), range(n_states))) for t in range(upto + 1)
+        )
     grand = Filtration(join_each([stopped_fields(m.grand_filtration, rows_by_asset[a]) for a in sorted(m.assets)]))
     new_space = type(space)(space.states, space.probability, space.horizon, upto)
-    trading = {a: f.restrict(min(len(f), upto + 1)) for a, f in m.trading_filtrations.items()}
+    trading = {
+        a: f if len(f) <= upto + 1 else f.restrict(upto + 1)
+        for a, f in m.trading_filtrations.items()
+    }
     return Market(new_space, new_assets, m.index_system, trading, grand)
 
 
@@ -308,13 +313,16 @@ def superimpose_delays(fam: ExecutionDelayFamily, stronger: ExecutionDelayFamily
         raise DelayPreconditionError(problems)
 
     out: dict[str, StoppingProcess] = {}
+    caps: dict[str, int] = {}
     for a in fam.delays:
         base, tilde = fam.delays[a], stronger.delays[a]
         ext = _extended_rows(base, len(base.info) - 1)
         # base is monotone, so the first reach from t on is the first reach or t
         values = tuple(tuple(max(t, s) for s in row) for t, row in enumerate(_first_reach(ext, tilde.values)))
         out[a] = StoppingProcess(values, Filtration(stopped_fields(tilde.info, ext)))
-    return ExecutionDelayFamily(out, {a: stronger.caps[a] for a in fam.delays if a in stronger.caps})
+        if a in stronger.caps:
+            caps[a] = stronger.caps[a]
+    return ExecutionDelayFamily(out, caps)
 
 
 def _pointwise_min(procs: Sequence[StoppingProcess]) -> tuple[tuple[int, ...], ...]:

@@ -201,9 +201,7 @@ def sigma_join(parts: Sequence[Partition]) -> Partition:
 
 def join_each(seqs: Sequence[Sequence[Partition]]) -> tuple[Partition, ...]:
     """The sigma_join of the sequences' partitions at each position; one
-    sequence comes back as its own partitions."""
-    if len(seqs) == 1:
-        return tuple(seqs[0])
+    sequence comes back as its own partitions, since each refines itself."""
     return tuple(map(sigma_join, zip(*seqs, strict=True)))
 
 
