@@ -232,10 +232,6 @@ def delayed_market(m: Market, fam: ExecutionDelayFamily, extended_horizon: int |
         raise ValueError(f"extended horizon {upto} outside {space.horizon}..{space.extended_horizon}")
     n_states = len(space.states)
     rows_by_asset = {a: _extended_rows(fam.delays[a], upto) for a in m.assets}
-    for a, rows in rows_by_asset.items():
-        top = max(map(max, rows))
-        if top > space.extended_horizon:
-            raise ValueError(f"asset {a!r}: delayed time {top} exceeds the extended grid")
 
     new_assets = {}
     for a, table in m.assets.items():

@@ -4,12 +4,14 @@ Martingale-built markets price each asset as the conditional expectation
 of a random terminal payoff under a random strictly positive measure,
 computed in integers one atom at a time, so they are free of free lunches
 by construction; fully random ones usually are not. Every delay trial
-draws a martingale-built market, so each one has a safety to inherit;
-the insider demo's two trials check the insider walks. Every
-trial asserts exact theorem-level facts (a failing trial is a bug, never
-noise). EXPERIMENTS maps each experiment kind to its trial function, and
-run_experiment runs any kind the same way: a trial that fails or raises
-becomes a failing record with reproduction material.
+draws a martingale-built market, so each one has a safety to inherit,
+and every market it checks is validated, checked and re-verified by
+_check_safe; the insider demo's two trials check and re-verify the
+insider walks. Every trial asserts exact theorem-level facts (a failing
+trial is a bug, never noise). EXPERIMENTS maps each experiment kind to
+its trial function, and run_experiment runs any kind the same way: a
+failed check becomes a failing record reproduced by its market document,
+and a trial that raises anything else one reproduced by its seed.
 
 All randomness flows from a config seed through per-trial child generators
 derived by stable string seeding, so any single trial can be replayed in
@@ -482,28 +484,48 @@ class ExperimentReport:
         return json.dumps(payload, indent=2)
 
 
-def _fail(i: int, label: str, detail: str, m: Market | None = None,
-          info_fam=None, exec_fam=None) -> TrialRecord:
-    repro = None
-    if m is not None:
+class _TrialFailure(Exception):
+    """A trial's failed check: its detail, plus the market and delay family
+    (keyword arguments of serialize_market_document) that reproduce it."""
+
+    def __init__(self, detail: str, m: Market, **delays):
+        super().__init__(detail)
+        self.market, self.delays = m, delays
+
+    def reproduction(self) -> dict:
         try:
-            repro = json.loads(serialize_market_document(m, info_delays=info_fam, exec_delays=exec_fam))
+            return json.loads(serialize_market_document(self.market, **self.delays))
         except Exception as exc:  # reproduction must never mask the failure itself
-            repro = {"serialization_error": repr(exc)}
-    return TrialRecord(i, label, False, detail, repro)
+            return {"serialization_error": repr(exc)}
+
+
+def _check_safe(what: str, market: Market, horizon: int | None, m: Market, **delays) -> None:
+    """Validate `market`, check it at `horizon` and re-verify its certificate
+    there; a failure names `what` and reproduces by m and its delays."""
+    problems = validate_market(market)
+    if problems:
+        raise _TrialFailure(f"{what} failed validation: {problems[0]}", m, **delays)
+    verdict = check_naflp(market, horizon)
+    if not isinstance(verdict, NoFreeLunch):
+        raise _TrialFailure(f"{what} showed a free lunch", m, **delays)
+    if not verify_certificate(market, verdict, horizon):
+        raise _TrialFailure(f"{what} failed re-verification of its measure certificate", m, **delays)
 
 
 def _run_trials(cfg: ScenarioConfig, kind: str, trials: int,
                 trial: Callable[[ScenarioConfig, random.Random, int], TrialRecord]) -> ExperimentReport:
     """Run trial i on its own generator _rng(seed, kind, i).
 
-    A trial that raises is a failing trial, not a crash of the run; its
-    reproduction is the replay key of that generator.
+    A failed check is a failing trial reproduced by its market document;
+    a trial that raises anything else is a failing trial, not a crash of
+    the run, reproduced by the replay key of that generator.
     """
     records: list[TrialRecord] = []
     for i in range(trials):
         try:
             record = trial(cfg, _rng(cfg.seed, kind, i), i)
+        except _TrialFailure as failure:
+            record = TrialRecord(i, kind, False, str(failure), failure.reproduction())
         except Exception as exc:
             record = TrialRecord(i, kind, False, f"exception: {exc!r}",
                                  {"seed": cfg.seed, "kind": kind, "index": i})
@@ -515,15 +537,14 @@ def _information_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> Trial
     """Information-delay inheritance at desk scale."""
     m = gen_martingale_market(cfg, rng=rng)
     fam = gen_random_delay(cfg, "information", m, rng=rng)
-    base = check_naflp(m)
-    if not isinstance(base, NoFreeLunch):
-        return _fail(i, "information", "martingale-built market showed a free lunch", m, info_fam=fam)
+    _check_safe("martingale-built market", m, None, m, info_delays=fam)
     problems = validate_information_family(m, fam)
     if problems:
-        return _fail(i, "information", f"generated delay family invalid: {problems[0]}", m, info_fam=fam)
+        raise _TrialFailure(f"generated delay family invalid: {problems[0]}", m, info_delays=fam)
     if not check_coarseness(m, fam):
-        return _fail(i, "information", "delayed filtration finer than the original", m, info_fam=fam)
-    return _inherited(i, "information", information_delayed_market(m, fam), m, info_fam=fam)
+        raise _TrialFailure("delayed filtration finer than the original", m, info_delays=fam)
+    _check_safe("information-delayed market", information_delayed_market(m, fam), None, m, info_delays=fam)
+    return TrialRecord(i, "information", True, "inherited")
 
 
 def _execution_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> TrialRecord:
@@ -537,26 +558,10 @@ def _execution_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> TrialRe
     )
     problems = validate_execution_family(m, fam)
     if problems:
-        return _fail(i, "execution", f"generated delay family invalid: {problems[0]}", m, exec_fam=fam)
-    horizon = max(m.space.horizon, fam.reach(m.space.extended_horizon))
-    base = check_naflp(m, horizon)
-    if not isinstance(base, NoFreeLunch):
-        return _fail(i, "execution", "martingale-built market showed a free lunch on the extended horizon",
-                     m, exec_fam=fam)
-    return _inherited(i, "execution", delayed_market(m, fam), m, exec_fam=fam)
-
-
-def _inherited(i: int, label: str, delayed: Market, m: Market, **fam) -> TrialRecord:
-    """The delayed market of a martingale-built market m is valid and
-    carries a re-verified martingale measure."""
-    if validate_market(delayed):
-        return _fail(i, label, "delayed market failed validation", m, **fam)
-    verdict = check_naflp(delayed)
-    if not isinstance(verdict, NoFreeLunch):
-        return _fail(i, label, f"free lunch appeared after an {label} delay", m, **fam)
-    if not verify_certificate(delayed, verdict):
-        return _fail(i, label, "delayed measure certificate failed re-verification", m, **fam)
-    return TrialRecord(i, label, True, "inherited")
+        raise _TrialFailure(f"generated delay family invalid: {problems[0]}", m, exec_delays=fam)
+    _check_safe("martingale-built market", m, fam.reach(m.space.extended_horizon), m, exec_delays=fam)
+    _check_safe("execution-delayed market", delayed_market(m, fam), None, m, exec_delays=fam)
+    return TrialRecord(i, "execution", True, "inherited")
 
 
 def _draw_infos_and_caps(rng: random.Random, m: Market):
@@ -566,7 +571,7 @@ def _draw_infos_and_caps(rng: random.Random, m: Market):
     return infos, caps
 
 
-def _shared_info_families(cfg: ScenarioConfig, m: Market, k: int, rng: random.Random):
+def _shared_info_families(m: Market, k: int, rng: random.Random):
     """k execution families sharing per-asset delay information and caps."""
     infos, caps = _draw_infos_and_caps(rng, m)
     families = []
@@ -586,22 +591,18 @@ def _broker_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> TrialRecor
     """The multi-broker approach: if the fastest broker's market is safe, every broker's is."""
     m = gen_martingale_market(cfg, rng=rng, min_extension=1)
     k = rng.randint(2, max(2, cfg.brokers))
-    families = _shared_info_families(cfg, m, k, rng)
+    families = _shared_info_families(m, k, rng)
     fastest = min_delay(families)
     for fam in families:
         for a in fam.delays:
             fast, slow = fastest.delays[a].values, fam.delays[a].values
             if any(f > s for rf, rs in zip(fast, slow) for f, s in zip(rf, rs)):
-                return _fail(i, "broker", "minimum delay exceeds a broker delay", m, exec_fam=fastest)
-    horizon = max(m.space.horizon, fastest.reach(m.space.extended_horizon))
+                raise _TrialFailure("minimum delay exceeds a broker delay", m, exec_delays=fastest)
+    horizon = fastest.reach(m.space.extended_horizon)
     fast_market = delayed_market(m, fastest, extended_horizon=horizon)
-    if not isinstance(check_naflp(fast_market, horizon), NoFreeLunch):
-        return _fail(i, "broker", "fastest broker's market shows a free lunch", m, exec_fam=fastest)
+    _check_safe("fastest broker's market", fast_market, horizon, m, exec_delays=fastest)
     for l, fam in enumerate(families):
-        verdict = check_naflp(delayed_market(m, fam))
-        if not isinstance(verdict, NoFreeLunch):
-            return _fail(i, "broker", f"broker {l} shows a free lunch despite a safe fastest market",
-                         m, exec_fam=fam)
+        _check_safe(f"broker {l}'s market", delayed_market(m, fam), None, m, exec_delays=fam)
     return TrialRecord(i, "broker", True, f"{k} brokers inherited")
 
 
@@ -629,23 +630,12 @@ def _superimpose_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> Trial
     base_market = delayed_market(m, base_fam, extended_horizon=extended)
     strong_market = delayed_market(m, strong_fam)
     if validate_execution_family(base_market, composed):
-        return _fail(i, "superimpose", "composed delay failed validation on the delayed market",
-                     m, exec_fam=strong_fam)
-    n_states = len(m.space.states)
-    for a in sorted(m.assets):
-        for t in range(horizon + 1):
-            for w in range(n_states):
-                shifted = composed.delays[a].values[t][w]
-                if base_market.assets[a][shifted][w] != strong_market.assets[a][t][w]:
-                    return _fail(i, "superimpose",
-                                 f"price identity broken: asset {a}, t={t}, state {m.space.states[w]}",
-                                 m, exec_fam=strong_fam)
-    check_horizon = max(horizon, strong_fam.reach(extended))
-    if not isinstance(check_naflp(base_market, check_horizon), NoFreeLunch):
-        return _fail(i, "superimpose", "base-delayed market shows a free lunch", m, exec_fam=base_fam)
-    if not isinstance(check_naflp(strong_market), NoFreeLunch):
-        return _fail(i, "superimpose", "stronger delay lost safety the base market had",
-                     m, exec_fam=strong_fam)
+        raise _TrialFailure("composed delay failed validation on the delayed market", m, exec_delays=strong_fam)
+    if delayed_market(base_market, composed).assets != strong_market.assets:
+        raise _TrialFailure("price identity broken: delaying the base-delayed market by the composed "
+                            "delay does not give the stronger-delayed prices", m, exec_delays=strong_fam)
+    _check_safe("base-delayed market", base_market, strong_fam.reach(extended), m, exec_delays=base_fam)
+    _check_safe("stronger-delayed market", strong_market, None, m, exec_delays=strong_fam)
     return TrialRecord(i, "superimpose", True, "identity and inheritance hold")
 
 
@@ -661,8 +651,7 @@ def _representation_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> Tr
         delays[a] = StoppingProcess(values, info)
     fam = ExecutionDelayFamily(delays)
     if not representation_check(m, fam):
-        return _fail(i, "representation", "reconstructed filtration differs from the original",
-                     m, exec_fam=fam)
+        raise _TrialFailure("reconstructed filtration differs from the original", m, exec_delays=fam)
     pairs = sum(horizon + 1 - start for start in first_compared_times(m, fam).values())
     moved = sum(any(v != t for t, row in enumerate(sp.values) for v in row) for sp in delays.values())
     detail = (f"reconstruction exact; (index set, time) pairs compared: {pairs}; "
@@ -681,12 +670,15 @@ def _insider_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> TrialReco
     lunches. Trial i checks walk i of INSIDER_WALKS and draws nothing."""
     label, walk, delay = INSIDER_WALKS[i]
     m, fam = walk(max(2, min(cfg.grid, 3)), 1)
-    undelayed = check_naflp(m)
-    delayed = check_naflp(delay(m, fam))
+    markets = {"undelayed": m, "delayed": delay(m, fam)}
+    verdicts = {name: check_naflp(market) for name, market in markets.items()}
+    rejected = [f"{name} market failed re-verification of its certificate"
+                for name, market in markets.items() if not verify_certificate(market, verdicts[name])]
     return TrialRecord(
         i, label,
-        isinstance(undelayed, FreeLunch) and isinstance(delayed, NoFreeLunch),
-        f"undelayed={undelayed.kind}, delayed={delayed.kind}",
+        isinstance(verdicts["undelayed"], FreeLunch) and isinstance(verdicts["delayed"], NoFreeLunch)
+        and not rejected,
+        ", ".join([f"{name}={v.kind}" for name, v in verdicts.items()] + rejected),
     )
 
 

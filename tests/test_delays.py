@@ -311,11 +311,12 @@ class TestDelayedMarket:
             rng = _rng(cfg.seed, "adapted", i)
             m = gen_martingale_market(cfg, rng=rng, min_extension=1)
             fam = gen_random_delay(cfg, "execution", m, rng=rng, capped=rng.random() < 0.5)
-            dm = delayed_market(m, fam)
-            assert validate_market(dm) == []
-            for a in dm.assets:
-                for t in range(dm.space.horizon + 1):
-                    assert is_measurable(dm.assets[a][t], dm.grand_filtration.at(t))
+            for upto in range(m.space.horizon, m.space.extended_horizon + 1):
+                dm = delayed_market(m, fam, extended_horizon=upto)
+                assert dm.space.extended_horizon == upto and validate_market(dm) == []
+                for a in dm.assets:
+                    for t in range(upto + 1):
+                        assert is_measurable(dm.assets[a][t], dm.grand_filtration.at(t))
 
     def test_delaying_a_market_with_declared_trading_extension(self):
         import sys
@@ -467,7 +468,7 @@ class TestMinDelay:
         for i in range(10):
             rng = _rng(cfg.seed, "broker-min", i)
             m = gen_martingale_market(cfg, rng=rng, min_extension=1)
-            families = _shared_info_families(cfg, m, rng.randint(2, 3), rng)
+            families = _shared_info_families(m, rng.randint(2, 3), rng)
             fastest = min_delay(families)
             assert validate_execution_family(m, fastest) == []
             for fam in families:

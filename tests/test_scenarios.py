@@ -224,3 +224,42 @@ class TestExperiments:
             doc = parse_market_document(json.dumps(failure["reproduction"]))
             assert serialize_market_document(doc.market, info_delays=doc.info_delays) == \
                 serialize_market_document(m, info_delays=fam)
+
+    REVERIFIED = {
+        "information": "martingale-built market",
+        "execution": "martingale-built market",
+        "broker": "fastest broker's market",
+        "superimpose": "base-delayed market",
+    }
+
+    @pytest.mark.parametrize("kind", [*REVERIFIED, "insider-demo"])
+    def test_rejected_certificate_fails_the_trial(self, kind, monkeypatch):
+        """Every certificate a trial relies on is re-verified: when
+        re-verification rejects them all, every trial fails and its detail
+        names the market whose certificate was rejected."""
+        import delayedmarkets.scenarios as sc
+
+        monkeypatch.setattr(sc, "verify_certificate", lambda m, v, horizon=None: False)
+        if kind == "insider-demo":
+            report = run_experiment(ScenarioConfig(seed=1), kind, 2)
+            assert [f["detail"] for f in report.failures] == [
+                "undelayed=free-lunch, delayed=no-free-lunch, "
+                "undelayed market failed re-verification of its certificate, "
+                "delayed market failed re-verification of its certificate"
+            ] * 2
+            return
+        report = run_experiment(ScenarioConfig(seed=251), kind, 3)
+        assert len(report.failures) == 3
+        for failure in report.failures:
+            assert failure["detail"] == f"{self.REVERIFIED[kind]} failed re-verification of its measure certificate"
+            parse_market_document(json.dumps(failure["reproduction"]))
+
+    @pytest.mark.parametrize("kind", REVERIFIED)
+    def test_invalid_market_fails_the_trial(self, kind, monkeypatch):
+        """Every market a delay trial checks is validated first."""
+        import delayedmarkets.scenarios as sc
+
+        monkeypatch.setattr(sc, "validate_market", lambda m: ["forced problem"])
+        report = run_experiment(ScenarioConfig(seed=251), kind, 3)
+        assert [f["detail"] for f in report.failures] == \
+            [f"{self.REVERIFIED[kind]} failed validation: forced problem"] * 3
