@@ -117,8 +117,10 @@ def validate_market(m: Market) -> list[str]:
     for a1 in m.index_system:
         for a2 in m.index_system:
             if a1 < a2 and a1 in m.trading_filtrations and a2 in m.trading_filtrations:
+                # compared on the grid at_horizon pads both filtrations to
                 f1, f2 = m.trading_filtrations[a1], m.trading_filtrations[a2]
-                for t, (p1, p2) in enumerate(zip(f1.partitions, f2.partitions)):
+                length = max(len(f1), len(f2))
+                for t, (p1, p2) in enumerate(zip(f1.extend_to(length).partitions, f2.extend_to(length).partitions)):
                     if not refines(p2, p1):
                         problems.append(
                             f"monotonicity property violated: filtration of {sorted(a1)} is not coarser than "

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from operator import eq, le
 from typing import Iterable, Mapping, Sequence
 
@@ -68,88 +68,75 @@ class FiniteSpace:
         return {s: i for i, s in enumerate(self.states)}
 
 
+_INT = frozenset({int})
+
+
 @dataclass(frozen=True)
 class Partition:
-    """A sigma-field on a finite state set, given by its atoms.
+    """A sigma-field on a finite state set, given by its canonical labels.
 
-    Canonical form: each atom lists states in universe order and atoms are
-    ordered by the index of their smallest state, so equal sigma-fields
-    compare (and serialize) identically. labels[i] is the number of the
-    atom holding the i-th state: trivial, discrete and from_labels pass it
-    in, and of and a direct construction number the atoms' states.
+    labels[i] is the number of the atom holding the i-th state, and atoms
+    are numbered 0, 1, ... in the order their first state appears; that
+    vector is the only thing a Partition is built from, so equal
+    sigma-fields compare (and serialize) identically. Each atom lists its
+    states in universe order. from_labels renumbers any labels into this
+    form, and of reads a collection of atoms.
     """
 
     states: tuple[str, ...]
-    atoms: tuple[tuple[str, ...], ...]
-    labels: tuple[int, ...] = field(default=None, compare=False, repr=False)
+    labels: tuple[int, ...]
+    atoms: tuple[tuple[str, ...], ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.labels is None:
-            # numbering the states by atom shows a repeated or a missing state
-            number = {s: i for i, atom in enumerate(self.atoms) for s in atom}
-            if not (all(self.atoms) and len(number) == sum(map(len, self.atoms))
-                    and number.keys() == set(self.states)):
-                self._word_invalid()
-            object.__setattr__(self, "labels", tuple(map(number.__getitem__, self.states)))
-        elif not all(self.atoms) or len(set(self.states)) != len(self.states):
-            # the classmethods that pass labels build the atoms from the
-            # states, so only an empty state set or a repeated state can
-            # spoil them
-            self._word_invalid()
-
-    def _word_invalid(self):
-        universe = set(self.states)
-        seen: set[str] = set()
-        for atom in self.atoms:
-            if not atom:
-                raise ValueError("empty atom")
-            for s in atom:
-                if s not in universe:
-                    raise ValueError(f"state {s!r} is not in the state set")
-                if s in seen:
-                    raise ValueError(f"state {s!r} appears in two atoms")
-                seen.add(s)
-        raise ValueError("atoms do not cover the state set")
+        states, labels = self.states, self.labels
+        if len(set(states)) != len(states):
+            raise ValueError("duplicate state names")
+        if len(labels) != len(states):
+            raise ValueError("one label per state required")
+        # the labels in order of first appearance must read 0, 1, ...
+        if not (type(labels) is tuple and _INT.issuperset(map(type, labels))
+                and list(first := dict.fromkeys(labels)) == list(range(len(first)))):
+            raise ValueError("labels must be a tuple of ints numbering the atoms in order of first appearance")
+        atoms: list[list[str]] = [[] for _ in first]
+        for s, label in zip(states, labels):
+            atoms[label].append(s)
+        object.__setattr__(self, "atoms", tuple(map(tuple, atoms)))
 
     @classmethod
     def of(cls, states: Sequence[str], atoms: Iterable[Iterable[str]]) -> "Partition":
-        """Canonicalize arbitrary atom collections (sets, lists, any order)."""
+        """The partition with these atoms (sets, lists, any order)."""
         states = tuple(states)
-        order = {s: i for i, s in enumerate(states)}
-        try:
-            normal = [tuple(sorted(atom, key=order.__getitem__)) for atom in atoms]
-        except KeyError as exc:
-            raise ValueError(f"state {exc.args[0]!r} is not in the state set") from None
-        if not all(normal):
+        universe = set(states)
+        atoms = [tuple(atom) for atom in atoms]
+        for s in chain.from_iterable(atoms):
+            if s not in universe:
+                raise ValueError(f"state {s!r} is not in the state set")
+        if not all(atoms):
             raise ValueError("empty atom")
-        normal.sort(key=lambda a: order[a[0]])
-        return cls(states, tuple(normal))
+        number: dict[str, int] = {}
+        for i, atom in enumerate(atoms):
+            for s in atom:
+                if s in number:
+                    raise ValueError(f"state {s!r} appears in two atoms")
+                number[s] = i
+        if number.keys() != universe:
+            raise ValueError("atoms do not cover the state set")
+        return cls.from_labels(states, [number[s] for s in states])
 
     @classmethod
     def trivial(cls, states: Sequence[str]) -> "Partition":
-        states = tuple(states)
-        return cls(states, (states,), (0,) * len(states))
+        return cls(tuple(states), (0,) * len(states))
 
     @classmethod
     def discrete(cls, states: Sequence[str]) -> "Partition":
-        states = tuple(states)
-        return cls(states, tuple((s,) for s in states), tuple(range(len(states))))
+        return cls(tuple(states), tuple(range(len(states))))
 
     @classmethod
     def from_labels(cls, states: Sequence[str], labels: Sequence) -> "Partition":
-        """Group states that share a label; labels may be any hashables.
-
-        Atoms are numbered in the order their first state appears, which
-        is the canonical order, and list their states in universe order.
-        """
-        if len(labels) != len(states):
-            raise ValueError("one label per state required")
+        """Group states that share a label; labels may be any hashables,
+        renumbered in the order their first state appears."""
         number: dict = {}
-        numbers = [number.setdefault(lab, len(number)) for lab in labels]
-        atoms: list[list[str]] = [[] for _ in number]
-        for s, i in zip(states, numbers):
-            atoms[i].append(s)
-        return cls(tuple(states), tuple(map(tuple, atoms)), tuple(numbers))
+        return cls(tuple(states), tuple([number.setdefault(lab, len(number)) for lab in labels]))
 
     @cached_property
     def atom_positions(self) -> tuple[tuple[int, ...], ...]:
@@ -311,9 +298,6 @@ def is_subfiltration(coarse: Filtration, fine: Filtration) -> bool:
     The comparison runs over the shorter of the two grids.
     """
     return all(map(refines, fine.partitions, coarse.partitions))
-
-
-_INT = frozenset({int})
 
 
 def _int_row(row) -> tuple[int, ...]:

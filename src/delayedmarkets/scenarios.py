@@ -36,7 +36,6 @@ from .arbitrage import (
 from .delays import (
     ExecutionDelayFamily,
     InformationDelayFamily,
-    check_coarseness,
     delayed_market,
     first_compared_times,
     information_delayed_market,
@@ -53,6 +52,7 @@ from .probability import (
     FiniteSpace,
     Partition,
     StoppingProcess,
+    is_subfiltration,
     join_each,
     sigma_meet,
 )
@@ -541,9 +541,10 @@ def _information_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> Trial
     problems = validate_information_family(m, fam)
     if problems:
         raise _TrialFailure(f"generated delay family invalid: {problems[0]}", m, info_delays=fam)
-    if not check_coarseness(m, fam):
+    delayed = information_delayed_market(m, fam)
+    if not all(is_subfiltration(f, m.trading_filtrations[a]) for a, f in delayed.trading_filtrations.items()):
         raise _TrialFailure("delayed filtration finer than the original", m, info_delays=fam)
-    _check_safe("information-delayed market", information_delayed_market(m, fam), None, m, info_delays=fam)
+    _check_safe("information-delayed market", delayed, None, m, info_delays=fam)
     return TrialRecord(i, "information", True, "inherited")
 
 

@@ -106,6 +106,33 @@ class TestValidate:
         else:
             assert f"cap {n_ext + 2} outside 1..{n_ext + 1}" in out
 
+    def test_monotonicity_is_checked_past_a_short_declaration(self, tmp_path, capsys):
+        """{a} declares its filtration to n_ext and {a, b} only to n; a check
+        at n_ext pads {a, b} with its final partition, so monotonicity is
+        compared there too."""
+        whole, split = [["u", "d"]], [["u"], ["d"]]
+        doc = {
+            "format_version": 1,
+            "states": [{"name": "u", "probability": "1/2"}, {"name": "d", "probability": "1/2"}],
+            "grid": {"n": 1, "n_ext": 2},
+            "assets": {"a": [["1", "1"]] * 3, "b": [["1", "1"]] * 3},
+            "index_system": [["a"], ["a", "b"]],
+            "filtrations": {
+                "grand": [whole, whole, split],
+                "trading": [
+                    {"index_set": ["a"], "partitions": [whole, whole, split]},
+                    {"index_set": ["a", "b"], "partitions": [whole, whole]},
+                ],
+            },
+        }
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        problem = "monotonicity property violated: filtration of ['a'] is not coarser than that of ['a', 'b'] at t=2"
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == f"invalid: {problem}\n"
+        assert main(["check", str(path), "--horizon", "2"]) == 1
+        assert capsys.readouterr() == ("", f"error: {problem}\n")
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 1
 

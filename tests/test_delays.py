@@ -342,6 +342,15 @@ class TestDelayedMarket:
         with pytest.raises((DelayPreconditionError, ValueError)):
             delayed_market(m, fam)
 
+    def test_extended_horizon_outside_the_grid_rejected(self):
+        m = gen_martingale_market(ScenarioConfig(seed=2), min_extension=1)
+        horizon, extended = m.space.horizon, m.space.extended_horizon
+        triv = Filtration.constant(Partition.trivial(m.space.states), extended + 1)
+        fam = ExecutionDelayFamily({a: StoppingProcess.identity(horizon + 1, triv) for a in m.assets})
+        for upto in (horizon - 1, extended + 1):
+            with pytest.raises(ValueError, match=rf"^extended horizon {upto} outside {horizon}\.\.{extended}$"):
+                delayed_market(m, fam, extended_horizon=upto)
+
 
 def deterministic_exec(schedule, states, info_length):
     triv = Filtration.constant(Partition.trivial(states), info_length)
@@ -442,6 +451,20 @@ class TestSuperimpose:
             superimpose_delays(ExecutionDelayFamily({"a": base}), ExecutionDelayFamily({"a": strong}))
         assert caught.value.problems == ["asset 'a': delay informations cover different grids"]
 
+    def test_preconditions_are_worded(self):
+        identity = deterministic_exec([0, 1, 2, 3], self.STATES, 6)
+        short = deterministic_exec([0, 1, 2], self.STATES, 6)
+        fine = StoppingProcess.deterministic([0, 1, 2, 3], Filtration.constant(Partition.discrete(self.STATES), 6))
+        cases = [
+            ({"a": identity}, {"b": identity}, "families delay different asset sets"),
+            ({"a": short}, {"a": identity}, "asset 'a': delay tables cover different grids"),
+            ({"a": fine}, {"a": identity}, "asset 'a': base delay information is not coarser than the stronger one"),
+        ]
+        for base, strong, problem in cases:
+            with pytest.raises(DelayPreconditionError) as caught:
+                superimpose_delays(ExecutionDelayFamily(base), ExecutionDelayFamily(strong))
+            assert caught.value.problems == [problem]
+
 
 class TestMinDelay:
     def test_single_family_unchanged(self):
@@ -485,6 +508,17 @@ class TestMinDelay:
         f2 = ExecutionDelayFamily({"a": StoppingProcess.identity(4, disc)})
         with pytest.raises(DelayPreconditionError):
             min_delay([f1, f2])
+
+    def test_preconditions_are_worded(self):
+        with pytest.raises(ValueError, match=r"^min_delay of an empty list$"):
+            min_delay([])
+        identity = deterministic_exec([0, 1, 2, 3], ("x", "y"), 6)
+        with pytest.raises(ValueError, match=r"^families delay different asset sets$"):
+            min_delay([ExecutionDelayFamily({"a": identity}), ExecutionDelayFamily({"b": identity})])
+        short = deterministic_exec([0, 1, 2], ("x", "y"), 6)
+        with pytest.raises(DelayPreconditionError) as caught:
+            min_delay([ExecutionDelayFamily({"a": identity}), ExecutionDelayFamily({"a": short})])
+        assert caught.value.problems == ["asset 'a': broker delay tables cover different grids"]
 
 
 class TestRepresentation:
@@ -564,6 +598,37 @@ class TestRepresentation:
         rebuilt = Filtration(stopped_fields(enlarged, delta.values))
         for t in range(3):
             assert rebuilt.at(t).atoms == trading.at(t).atoms
+
+    @pytest.mark.parametrize("index_sets, grand_reveals_at, schedule, info_reveals_at, problems", [
+        ([{"a", "b"}], 2, [0, 1, 2], 3, ["asset 'a' has no singleton index set",
+                                         "asset 'b' has no singleton index set"]),
+        ([{"a"}, {"b"}, {"a", "b"}], 2, [0, 2, 3], 3, ["asset 'a': delay is not step-continuous"]),
+        ([{"a"}, {"b"}, {"a", "b"}], 1, [0, 1, 2], 1, [
+            "asset 'a': delay information is not coarser than the trading filtration of ['a']",
+            "asset 'a': delay information is not coarser than the trading filtration of ['a', 'b']"]),
+    ], ids=["no-singleton", "not-step-continuous", "information-too-fine"])
+    def test_preconditions_are_worded(self, index_sets, grand_reveals_at, schedule, info_reveals_at, problems):
+        """Two constant assets on two states traded on information revealed
+        at t=2; asset a's delay runs on `schedule` over an information
+        revealed at `info_reveals_at`, asset b's is the identity."""
+        states = ("x", "y")
+        trivial, discrete = Partition.trivial(states), Partition.discrete(states)
+
+        def revealed_at(t, length):
+            return Filtration(tuple(trivial if s < t else discrete for s in range(length)))
+
+        space = FiniteSpace.uniform(states, 2, 3)
+        prices = {a: tuple((rat(1), rat(1)) for _ in range(4)) for a in "ab"}
+        trading = {frozenset(a): revealed_at(2, 3) for a in index_sets}
+        m = Market(space, prices, tuple(map(frozenset, index_sets)), trading, revealed_at(grand_reveals_at, 4))
+        assert validate_market(m) == []
+        fam = ExecutionDelayFamily({
+            "a": StoppingProcess.deterministic(schedule, revealed_at(info_reveals_at, 4)),
+            "b": StoppingProcess.identity(3, revealed_at(3, 4)),
+        })
+        with pytest.raises(DelayPreconditionError) as caught:
+            representation_check(m, fam)
+        assert caught.value.problems == problems
 
 
 class TestFamilyValidation:

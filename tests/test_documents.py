@@ -262,6 +262,53 @@ def test_duplicate_declaration_is_a_document_error(name, tmp_path, capsys):
     assert problem in capsys.readouterr().err
 
 
+def _ghost_index_set(d):
+    d["index_system"].append(["ghost", "walk"])
+    d["filtrations"]["trading"].append(dict(d["filtrations"]["trading"][0], index_set=["ghost", "walk"]))
+
+
+# an edit of a shipped scenario (returning the new document, or None when
+# it edits in place) and the exact problems the document then has
+WORDED_PROBLEMS = {
+    "root-not-object": ("binomial.json", lambda d: [d], ["document root must be an object"]),
+    "trading-not-a-list": ("binomial.json", lambda d: d["filtrations"].update(trading={}),
+                           ["filtrations.trading: expected a list"]),
+    "trading-entry-not-an-object": ("binomial.json", lambda d: d["filtrations"]["trading"].__setitem__(0, []),
+                                    ["filtrations.trading[0]: expected an object"]),
+    "information-delays-not-a-list": ("binomial.json", lambda d: d.update(delays={"information": {}}),
+                                      ["delays.information: expected a list"]),
+    "information-delay-not-an-object": ("binomial.json", lambda d: d.update(delays={"information": [[]]}),
+                                        ["delays.information[0]: expected an object"]),
+    "execution-delays-not-a-list": ("binomial.json", lambda d: d.update(delays={"execution": {}}),
+                                    ["delays.execution: expected a list"]),
+    "unknown-information-reference": (
+        "binomial.json", lambda d: d.update(delays={"information": [dict(INFO_DELAY, info="sometimes")]}),
+        ["delays.information[0].info: delay information must be 'trivial', 'grand', or an inline filtration"]),
+    "coarsening-grand-filtration": (
+        "insider_information.json", lambda d: d["filtrations"]["grand"].__setitem__(3, d["filtrations"]["grand"][1]),
+        ["filtrations.grand: partition at time 3 does not refine time 2"]),
+    "index-set-of-unknown-assets": ("insider_information.json", _ghost_index_set,
+                                    ["index set ['ghost', 'walk'] names unknown assets"]),
+}
+
+
+@pytest.mark.parametrize("name", WORDED_PROBLEMS)
+def test_malformed_document_reports_exactly_its_problems(name, tmp_path, capsys):
+    scenario, edit, problems = WORDED_PROBLEMS[name]
+    doc = json.loads((BINOMIAL.parent / scenario).read_text())
+    doc = edit(doc) or doc
+    text = json.dumps(doc)
+    with pytest.raises(DocumentError) as err:
+        parse_market_document(text)
+    assert err.value.problems == problems
+    path = tmp_path / scenario
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == "".join(f"invalid: {p}\n" for p in problems)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {'; '.join(problems)}\n"
+
+
 class TestInfoReferences:
     def test_trivial_and_grand_references(self, no_arbitrage_binomial):
         doc = doc_dict(no_arbitrage_binomial)

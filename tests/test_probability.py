@@ -83,9 +83,35 @@ class TestPartition:
             Partition.of(("a", "b"), [["a"], ["c"]])
         with pytest.raises(ValueError, match=r"^state '5' is not in the state set$"):
             Partition.of(STATES4, [("1", "2", "5"), ("3", "4")])
-        # a direct construction names the foreign state too, although every state is covered
         with pytest.raises(ValueError, match=r"^state 'c' is not in the state set$"):
-            Partition(("a", "b"), (("a",), ("b", "c")))
+            Partition.of(("a", "b"), [["a"], ["b", "c"]])
+
+    def test_of_words_the_first_problem(self):
+        # a foreign state, then an empty atom, then a repeated state, then a gap
+        with pytest.raises(ValueError, match=r"^state 'x' is not in the state set$"):
+            Partition.of(STATES4, [(), ("1", "1"), ("x",)])
+        with pytest.raises(ValueError, match=r"^empty atom$"):
+            Partition.of(STATES4, [("1", "1"), ()])
+        with pytest.raises(ValueError, match=r"^state '1' appears in two atoms$"):
+            Partition.of(STATES4, [("1", "2"), ("1",)])
+        with pytest.raises(ValueError, match=r"^atoms do not cover the state set$"):
+            Partition.of(STATES4, [("1", "2"), ("3",)])
+
+    def test_only_canonical_labels_construct(self):
+        states = ("a", "b", "c")
+        p = Partition.from_labels(states, ["x", "x", "y"])
+        assert p.labels == (0, 0, 1) and p.atoms == (("a", "b"), ("c",))
+        assert p == Partition.of(states, [["c"], ["b", "a"]]) == Partition(states, (0, 0, 1))
+        assert hash(p) == hash(Partition.of(states, [["c"], ["b", "a"]]))
+        for labels in [(1, 1, 0), (0, 2, 1), (0, 0, -1), (0, 0, 1.0), (0, 0, True), [0, 0, 1]]:
+            with pytest.raises(ValueError, match="numbering the atoms in order of first appearance"):
+                Partition(states, labels)
+        with pytest.raises(ValueError, match="numbering the atoms"):
+            Partition(("a", "b"), (("a",), ("b",)))  # atoms are not labels
+        with pytest.raises(ValueError, match=r"^one label per state required$"):
+            Partition(states, (0, 1))
+        with pytest.raises(ValueError, match=r"^duplicate state names$"):
+            Partition(("a", "a"), (0, 1))
 
 
 class TestRefines:

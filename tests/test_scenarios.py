@@ -8,7 +8,12 @@ from fractions import Fraction
 import pytest
 
 from delayedmarkets.arbitrage import FreeLunch, NoFreeLunch, check_naflp, verify_certificate
-from delayedmarkets.delays import representation_check, validate_execution_family, validate_information_family
+from delayedmarkets.delays import (
+    large_delayed_filtrations,
+    representation_check,
+    validate_execution_family,
+    validate_information_family,
+)
 from delayedmarkets.documents import parse_market_document, serialize_market_document
 from delayedmarkets.markets import validate_market
 from delayedmarkets.probability import conditional_expectation, validate_stopping_process
@@ -121,6 +126,21 @@ class TestExperiments:
     def test_information_inheritance_smoke(self):
         report = run_experiment(ScenarioConfig(seed=211), "information", 10)
         assert report.passed and report.trials == 10
+
+    def test_information_trial_delays_each_market_once(self, monkeypatch):
+        """A trial builds the delayed filtrations once, for the delayed
+        market, and checks their coarseness on that market."""
+        import delayedmarkets.delays as delays
+
+        calls = []
+
+        def counting(m, fam):
+            calls.append(m)
+            return large_delayed_filtrations(m, fam)
+
+        monkeypatch.setattr(delays, "large_delayed_filtrations", counting)
+        report = run_experiment(ScenarioConfig(seed=7), "information", 30)
+        assert report.passed and len(calls) == 30
 
     def test_execution_inheritance_smoke(self):
         report = run_experiment(ScenarioConfig(seed=223), "execution", 10)
