@@ -506,10 +506,7 @@ class _Writer:
 
     def prices(self, row) -> str:
         """A price row, at depth 3."""
-        texts = list(map(self.values.get, map(id, row)))
-        if None in texts:
-            texts = [text or self.value(v) for text, v in zip(texts, row)]
-        return _array(texts, 3)
+        return _array(list(map(self.value, row)), 3)
 
     def partition(self, p: Partition, depth: int) -> str:
         memo = self.partitions.setdefault(depth, {})

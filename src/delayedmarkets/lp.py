@@ -4,6 +4,9 @@ Two-phase primal simplex with Bland's rule: no tolerances exist anywhere
 in this module, so optimal solutions re-substitute exactly. Bland's
 smallest-index rule trades speed for a termination guarantee, which is
 the right trade at the problem sizes the arbitrage oracles produce.
+Artificial columns exist only during phase 1, which runs only when some
+row cannot start on its slack; it ends by deleting them, which leaves a
+fully dependent equality row empty.
 
 Problems come in standard form: maximize c . x subject to equality rows
 and <= rows, with x >= 0 implicit. A caller with a free variable passes
@@ -155,9 +158,10 @@ def row_basis(rows: Sequence[Row]) -> list[Row]:
 class _Tableau:
     """Sparse simplex tableau on integer rows with Bland pivoting.
 
-    Columns are the problem's variables, then one slack per <= row, then
-    one artificial per row; a row whose slack can start basic (its
-    right-hand side is nonnegative) leaves its artificial column at zero.
+    Columns are the problem's variables, then one slack per <= row, then,
+    during phase 1 only, one artificial per row that cannot start on its
+    slack (an equality, or a <= row with a negative right-hand side): the
+    artificial columns are the columns from n_real up.
 
     Each row is a dict of its nonzero ints, keyed by column, with the
     right-hand side under RHS. A problem row enters as it is, negated if
@@ -168,6 +172,10 @@ class _Tableau:
     rhs / a of the ratio test is d-free: two ratios are compared by
     cross-multiplying. The cost row has the same form with its
     denominator under DEN, and holds minus the objective value under RHS.
+
+    Phase 1 ends by deleting every artificial column. A fully dependent
+    row is then left empty, still basic on its artificial, and every loop
+    passes over it, since it has no entry in any column.
     """
 
     def __init__(self, p: LpProblem):
@@ -176,8 +184,6 @@ class _Tableau:
         self.n_real = n + len(p.inequalities)
         self.rows: list[dict[int, int]] = []
         self.basis: list[int] = []
-        self.live: list[int] = list(range(len(rows)))
-        self.artificials: set[int] = set()
         self.cost: dict[int, int] = {}
 
         slack = n
@@ -193,7 +199,6 @@ class _Tableau:
             else:
                 art = self.n_real + i
                 line[art] = 1
-                self.artificials.add(art)
                 self.basis.append(art)
             if is_ineq:
                 slack += 1
@@ -205,11 +210,10 @@ class _Tableau:
             # only a drive-out pivot meets a negative entry, on a row whose rhs is zero
             prow = self.rows[i] = {k: -v for k, v in prow.items()}
         p = prow[j]
-        for r in self.live:
-            if r != i:
-                f = self.rows[r].get(j)
-                if f:
-                    self.rows[r] = _eliminate(self.rows[r], f, p, prow)
+        for r, row in enumerate(self.rows):
+            f = row.get(j)
+            if f and r != i:
+                self.rows[r] = _eliminate(row, f, p, prow)
         f = self.cost.get(j)
         if f:
             self.cost = _eliminate(self.cost, f, p, prow)
@@ -218,27 +222,22 @@ class _Tableau:
     def set_cost(self, costs: dict[int, int]):
         """Install an int cost vector and reduce it against the current basis."""
         cost = {**costs, DEN: 1}
-        for i in self.live:
-            cb = cost.get(self.basis[i])
+        for row, j in zip(self.rows, self.basis):
+            cb = cost.get(j)
             if cb:
-                cost = _eliminate(cost, cb, self.rows[i][self.basis[i]], self.rows[i])
+                cost = _eliminate(cost, cb, row[j], row)
         self.cost = cost
 
     def value(self) -> Rational:
         return Rational(-self.cost.get(RHS, 0), self.cost[DEN])
 
-    def bland(self, allow_artificial: bool) -> str:
+    def bland(self) -> str:
         while True:
-            enter = min(
-                (k for k, c in self.cost.items()
-                 if c > 0 and k >= 0 and (allow_artificial or k not in self.artificials)),
-                default=-1,
-            )
+            enter = min((k for k, c in self.cost.items() if c > 0 and k >= 0), default=-1)
             if enter < 0:
                 return OPTIMAL
             leave = -1
-            for i in self.live:
-                row = self.rows[i]
+            for i, row in enumerate(self.rows):
                 a = row.get(enter, 0)
                 if a > 0:
                     b = row.get(RHS, 0)
@@ -256,34 +255,30 @@ class _Tableau:
 def solve(p: LpProblem) -> LpOutcome:
     """Exact two-phase simplex with Bland's rule; deterministic for equal inputs."""
     tab = _Tableau(p)
+    n_real = tab.n_real
 
-    # phase 1: maximize minus the sum of artificials, from the all-slack/artificial basis
-    tab.set_cost({c: -1 for c in tab.artificials})
-    status = tab.bland(allow_artificial=True)
-    if status != OPTIMAL:
-        raise AssertionError("phase-1 objective is bounded; unbounded signal is a solver bug")
-    if tab.value() < 0:
-        return LpOutcome(status=INFEASIBLE)
+    if any(j >= n_real for j in tab.basis):
+        # phase 1: maximize minus the sum of the artificials, which start basic
+        tab.set_cost({j: -1 for j in tab.basis if j >= n_real})
+        if tab.bland() != OPTIMAL:
+            raise AssertionError("phase-1 objective is bounded; unbounded signal is a solver bug")
+        if tab.value() < 0:
+            return LpOutcome(status=INFEASIBLE)
+        # drive leftover artificials out of the basis, then delete every artificial column
+        for i, row in enumerate(tab.rows):
+            if tab.basis[i] >= n_real:
+                target = min((k for k in row if 0 <= k < n_real), default=None)
+                if target is not None:
+                    tab.pivot(i, target)
+        tab.rows = [{k: v for k, v in row.items() if k < n_real} for row in tab.rows]
 
-    # drive leftover artificials out of the basis; fully dependent rows are dropped
-    for i in list(tab.live):
-        if tab.basis[i] in tab.artificials:
-            target = min((k for k in tab.rows[i] if 0 <= k < tab.n_real), default=None)
-            if target is None:
-                tab.live.remove(i)
-            else:
-                tab.pivot(i, target)
-
-    # phase 2: the caller's objective, artificials barred from re-entering
+    # phase 2: the caller's objective
     tab.set_cost(dict(p.objective))
-    status = tab.bland(allow_artificial=False)
-    if status == UNBOUNDED:
+    if tab.bland() == UNBOUNDED:
         return LpOutcome(status=UNBOUNDED)
 
     z = [ZERO] * p.num_vars
-    for i in tab.live:
-        j = tab.basis[i]
+    for row, j in zip(tab.rows, tab.basis):
         if j < p.num_vars:
-            row = tab.rows[i]
             z[j] = Rational(row.get(RHS, 0), row[j])
     return LpOutcome(status=OPTIMAL, solution=tuple(z), objective=tab.value())

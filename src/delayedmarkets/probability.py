@@ -300,13 +300,6 @@ def is_subfiltration(coarse: Filtration, fine: Filtration) -> bool:
     return all(map(refines, fine.partitions, coarse.partitions))
 
 
-def _int_row(row) -> tuple[int, ...]:
-    """A delay row as a tuple of ints; one that already is is kept as it is."""
-    if type(row) is tuple and _INT.issuperset(map(type, row)):
-        return row
-    return tuple(map(int, row))
-
-
 @dataclass(frozen=True)
 class StoppingProcess:
     """A time-indexed table of grid-valued stopping times with its information.
@@ -327,7 +320,7 @@ class StoppingProcess:
         for row in self.values:
             if len(row) != n:
                 raise ValueError("value row length differs from state count")
-        object.__setattr__(self, "values", tuple(map(_int_row, self.values)))
+        object.__setattr__(self, "values", tuple(tuple(map(int, row)) for row in self.values))
 
     @classmethod
     def deterministic(cls, schedule: Sequence[int], info: Filtration) -> "StoppingProcess":
@@ -344,9 +337,6 @@ class StoppingProcess:
 
     def grid_length(self) -> int:
         return len(self.values)
-
-    def at(self, t: int) -> tuple[int, ...]:
-        return self.values[t]
 
 
 def stopped_sigma_field(f: Filtration, tau: Sequence[int]) -> Partition:

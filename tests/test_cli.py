@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from delayedmarkets import scenarios
+from delayedmarkets import cli, scenarios
 from delayedmarkets.arbitrage import OracleDisagreementError
 from delayedmarkets.cli import main
 from delayedmarkets.documents import parse_market_document, serialize_market_document
@@ -516,11 +516,28 @@ class TestUnreadableDocuments:
         assert "set_int_max_str_digits" not in captured.out + captured.err
 
 
-def test_python_dash_m_runs_the_cli():
-    src = Path(__file__).parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    scenario = Path(__file__).parent.parent / "scenarios" / "dominated_binomial.json"
-    done = subprocess.run([sys.executable, "-m", "delayedmarkets", "check", str(scenario)],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 2, done.stderr
-    assert done.stdout.startswith("verdict: free-lunch\n")
+# each shipped scenario command, its exit code and its golden stdout
+ENTRY_RUNS = (
+    (["binomial.json"], 0, "binomial_no_free_lunch"),
+    (["dominated_binomial.json"], 2, "binomial_free_lunch"),
+    (["insider_information.json"], 2, "insider_undelayed"),
+    (["insider_information.json", "--apply-delay"], 0, "insider_delayed"),
+)
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    """`python -m delayedmarkets check` prints each golden file with its exit
+    code, and the console-script hook exits with main's code."""
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    for (name, *options), code, golden in ENTRY_RUNS:
+        argv = ["check", str(SCENARIOS / name), *options]
+        done = subprocess.run([sys.executable, "-m", "delayedmarkets", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == code, done.stderr
+        assert done.stdout == (root / "tests" / "golden" / f"{golden}.txt").read_text(), golden
+        monkeypatch.setattr(sys, "argv", ["delayedmarkets", *argv])
+        with pytest.raises(SystemExit) as exited:
+            cli.entry()
+        assert exited.value.code == code
+        assert capsys.readouterr().out == done.stdout

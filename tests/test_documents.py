@@ -267,6 +267,14 @@ def _ghost_index_set(d):
     d["filtrations"]["trading"].append(dict(d["filtrations"]["trading"][0], index_set=["ghost", "walk"]))
 
 
+def _two_unjoined_assets(d):
+    stock = d["assets"].pop("stock")
+    trading = d["filtrations"]["trading"].pop()
+    d["assets"].update(a=stock, b=stock)
+    d["index_system"] = [["a"], ["b"]]
+    d["filtrations"]["trading"] = [dict(trading, index_set=["a"]), dict(trading, index_set=["b"])]
+
+
 # an edit of a shipped scenario (returning the new document, or None when
 # it edits in place) and the exact problems the document then has
 WORDED_PROBLEMS = {
@@ -289,6 +297,9 @@ WORDED_PROBLEMS = {
         ["filtrations.grand: partition at time 3 does not refine time 2"]),
     "index-set-of-unknown-assets": ("insider_information.json", _ghost_index_set,
                                     ["index set ['ghost', 'walk'] names unknown assets"]),
+    "index-system-missing-a-union": (
+        "binomial.json", _two_unjoined_assets,
+        ["refining property violated: union of ['a'] and ['b'] is not in the index system"]),
 }
 
 
