@@ -10,7 +10,8 @@ internal error: a fault of the program, not of its input (neither oracle
 produced a certificate, a certificate fails independent re-verification,
 delay wrote a document that does not re-parse, or a command raised
 anything but an input error). Each command reports its own input errors;
-main catches every other fault and prints it on one line.
+main catches every other fault and prints it on one line. A bad command
+line is an input error too.
 """
 
 from __future__ import annotations
@@ -32,8 +33,17 @@ EXIT_INTERNAL_ERROR = 4
 DEFAULT_TRIALS = 100
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error as an input error: exit 1, not 2,
+    which here means a free lunch was found. Subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delayedmarkets",
         description="finite markets with delays: validation, free-lunch verdicts, experiments",
     )

@@ -5,15 +5,16 @@ lists of state names, so documents are diff-stable and self-validating
 without reconstruction logic. Parsing is strict: unknown fields are
 rejected and every structural problem is reported with the invariant it
 violates, an over-long integer included. Each parse keeps its own
-interner of rational literals, partitions and filtrations, so each
-distinct literal is parsed, each distinct partition entry checked and
-each distinct filtration entry read once per document, on C builtins
-where the check succeeds; the per-item loops run only to word a failure.
+interner of rational literals and partitions, so each distinct literal is
+parsed and each distinct partition entry checked once per document, on C
+builtins where the check succeeds; the per-item loops run only to word a
+failure. A partition entry is looked up by the JSON entry itself, and
+every filtration entry is a new Filtration of the shared partitions.
 Serialization is canonical, so parse -> serialize -> parse is the
 identity. The canonical bytes are the json.dumps layout at indent=2 plus
 a final newline, written directly in the document's layout by
-`serialize_market_document`, which formats each distinct literal,
-partition and filtration object once per call.
+`serialize_market_document`, which formats each distinct literal and
+partition object once per call.
 """
 
 from __future__ import annotations
@@ -78,22 +79,21 @@ class _Literals(dict):
 
 
 class _Interner:
-    """One document's parsed literals, partitions and filtrations, by content.
+    """One document's parsed literals and partitions, by content.
 
     Only successes are kept, so a malformed entry is reported at every
     place it occurs, with the same wording as without the cache. Each
-    filtration is kept with its raw entry (a JSON list), and a later entry
-    equal to it is the same filtration, so its partitions are not read
-    again. Equal raw entries hold equal names only: a name is a str, and a
-    str equals nothing but a str.
+    partition is kept with its JSON entry, and a later entry equal to that
+    entry is the same Partition: only a list of lists of the same names
+    equals it, since a name is a str and a str equals nothing but a str.
+    Filtration entries are not kept; each is built from the kept partitions.
     """
 
-    __slots__ = ("rationals", "partitions", "filtrations")
+    __slots__ = ("rationals", "partitions")
 
     def __init__(self):
         self.rationals = _Literals()
-        self.partitions: dict[tuple[tuple[str, ...], ...], Partition] = {}
-        self.filtrations: list[tuple[list, Filtration]] = []
+        self.partitions: list[tuple[list, Partition]] = []
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str, problems: list[str]):
@@ -127,28 +127,22 @@ def _parse_asset_ids(entry, where: str, problems: list[str]) -> frozenset[str] |
 
 
 def _parse_partition(entry, states, where: str, problems: list[str], cache: _Interner) -> Partition | None:
-    # keyed only once every atom is a list: a flat list of strings would
-    # give the same key as the atoms of its characters
-    if isinstance(entry, list) and all(map(isinstance, entry, repeat(list))):
-        key = tuple(map(tuple, entry))
-        try:
-            partition = cache.partitions.get(key)
-        except TypeError:  # an atom holds a list or an object, so the name check fails
-            partition = None
-        if partition is not None:
-            # a hit was checked when it was kept, and only strs equal its names
+    for raw, partition in cache.partitions:
+        if raw == entry:
             return partition
-        if all(map(isinstance, chain.from_iterable(entry), repeat(str))):
-            # each name numbered by its atom: a repeated or a missing name shows
-            number = {s: i for i, atom in enumerate(entry) for s in atom}
-            if len(number) != sum(map(len, entry)) or number.keys() != set(states):
-                problems.append(f"{where}: atoms must partition the state set")
-                return None
-            if not all(entry):
-                problems.append(f"{where}: empty atom")
-                return None
-            partition = cache.partitions[key] = Partition.from_labels(states, tuple(map(number.__getitem__, states)))
-            return partition
+    if (isinstance(entry, list) and all(map(isinstance, entry, repeat(list)))
+            and all(map(isinstance, chain.from_iterable(entry), repeat(str)))):
+        # each name numbered by its atom: a repeated or a missing name shows
+        number = {s: i for i, atom in enumerate(entry) for s in atom}
+        if len(number) != sum(map(len, entry)) or number.keys() != set(states):
+            problems.append(f"{where}: atoms must partition the state set")
+            return None
+        if not all(entry):
+            problems.append(f"{where}: empty atom")
+            return None
+        partition = Partition.from_labels(states, tuple(map(number.__getitem__, states)))
+        cache.partitions.append((entry, partition))
+        return partition
     problems.append(f"{where}: a partition must be a list of atoms (lists of state names)")
     return None
 
@@ -158,9 +152,6 @@ def _parse_filtration(entry, states, length: int, where: str, problems: list[str
     if not isinstance(entry, list) or len(entry) != length:
         problems.append(f"{where}: expected {length} per-time partitions")
         return None
-    for raw, f in cache.filtrations:
-        if raw == entry:
-            return f
     parts = []
     for t, p in enumerate(entry):
         p = _parse_partition(p, states, f"{where}[t={t}]", problems, cache)
@@ -168,12 +159,10 @@ def _parse_filtration(entry, states, length: int, where: str, problems: list[str
             return None
         parts.append(p)
     try:
-        f = Filtration(tuple(parts))
+        return Filtration(tuple(parts))
     except ValueError as exc:
         problems.append(f"{where}: {exc}")
         return None
-    cache.filtrations.append((entry, f))
-    return f
 
 
 def _resolve_info(entry, states, length: int, grand: Filtration, where: str, problems: list[str],
@@ -360,13 +349,11 @@ def _parse_values(entry, length: int, n_states: int, where: str, problems: list[
     if not isinstance(entry, list) or len(entry) != length:
         problems.append(f"{where}: expected {length} time rows of grid values")
         return None
-    rows = []
     for t, row in enumerate(entry):
         if not isinstance(row, list) or len(row) != n_states or not _INT.issuperset(map(type, row)):
             problems.append(f"{where}[t={t}]: expected {n_states} integer grid values")
             return None
-        rows.append(tuple(row))
-    return tuple(rows)
+    return entry  # StoppingProcess turns each row into an int tuple
 
 
 def _parse_info_delays(entries, market: Market, problems: list[str], cache: _Interner):
@@ -485,18 +472,18 @@ def _values(sp: StoppingProcess) -> str:
 
 class _Writer:
     """One serialization's memos, keyed by object identity: the quoted text
-    of each price or probability, and the text of each Partition and each
-    Filtration at each depth. Every keyed object is reachable from the
-    serialized market and families for the whole call, so no id is reused
-    within it; a memo keyed by value would hash each Fraction in Python.
+    of each price or probability, and the text of each Partition at each
+    depth. Every keyed object is reachable from the serialized market and
+    families for the whole call, so no id is reused within it; a memo keyed
+    by value would hash each Fraction in Python. A filtration is laid out
+    from its partitions' texts each time it is written.
     """
 
-    __slots__ = ("values", "partitions", "filtrations")
+    __slots__ = ("values", "partitions")
 
     def __init__(self):
         self.values: dict[int, str] = {}
         self.partitions: dict[int, dict[int, str]] = {}
-        self.filtrations: dict[int, dict[int, str]] = {}
 
     def value(self, v) -> str:
         text = self.values.get(id(v))
@@ -516,11 +503,7 @@ class _Writer:
         return text
 
     def filtration(self, f: Filtration, depth: int) -> str:
-        memo = self.filtrations.setdefault(depth, {})
-        text = memo.get(id(f))
-        if text is None:
-            text = memo[id(f)] = _array([self.partition(p, depth + 1) for p in f.partitions], depth)
-        return text
+        return _array([self.partition(p, depth + 1) for p in f.partitions], depth)
 
 
 def serialize_market_document(
@@ -530,8 +513,7 @@ def serialize_market_document(
 ) -> str:
     """Canonical JSON for a market and optional delay families: the
     json.dumps layout at indent=2 plus a final newline, written directly,
-    with each distinct literal, partition and filtration object formatted
-    once."""
+    with each distinct literal and partition object formatted once."""
     w = _Writer()
     space = market.space
     states = [_STATE % (_quote(s), w.value(space.probability[s])) for s in space.states]

@@ -471,6 +471,40 @@ class TestUnwritableOutput:
 COMMANDS = (["validate"], ["check"], ["delay", "--mode", "info"])
 
 
+# command lines argparse rejects, with a word of the message each prints
+USAGE_ERRORS = (
+    (["check", str(SCENARIOS / "binomial.json"), "--horizon", "abc"], "invalid int value: 'abc'"),
+    (["check"], "the following arguments are required: path"),
+    (["nosuchcommand"], "invalid choice: 'nosuchcommand'"),
+    (["experiment", "nosuchkind"], "invalid choice: 'nosuchkind'"),
+    (["experiment", "information", "--trials", "x"], "invalid int value: 'x'"),
+    (["delay", str(SCENARIOS / "binomial.json")], "the following arguments are required: --mode"),
+)
+
+
+class TestUsageErrors:
+    """A bad command line is an input error, exit 1: argparse's own exit 2
+    would read as a free lunch found."""
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+    def test_usage_error_exits_one(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: delayedmarkets")
+        last = captured.err.splitlines()[-1]
+        assert ": error: " in last and message in last
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: delayedmarkets")
+
+
 class TestUnreadableDocuments:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_non_utf8_file_names_the_path(self, command, tmp_path, capsys):
@@ -527,7 +561,8 @@ ENTRY_RUNS = (
 
 def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
     """`python -m delayedmarkets check` prints each golden file with its exit
-    code, and the console-script hook exits with main's code."""
+    code, and the console-script hook exits with main's code. A usage error
+    exits 1 there too."""
     root = Path(__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     for (name, *options), code, golden in ENTRY_RUNS:
@@ -541,3 +576,7 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
             cli.entry()
         assert exited.value.code == code
         assert capsys.readouterr().out == done.stdout
+    done = subprocess.run([sys.executable, "-m", "delayedmarkets", "check"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.endswith("delayedmarkets check: error: the following arguments are required: path\n")

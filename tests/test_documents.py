@@ -497,20 +497,46 @@ def test_each_literal_object_is_formatted_once(monkeypatch):
         assert sorted(map(id, calls)) == sorted(literals)
 
 
-def test_a_repeated_filtration_entry_is_read_once(monkeypatch):
+def test_each_partition_object_is_formatted_once_per_depth(monkeypatch):
+    """A grand partition is written at depth 3, a trading or delay
+    information partition at depth 5; each object's atoms are laid out once
+    per depth it is written at, however many times it is written there."""
     calls = []
-    real = documents._parse_partition
-    monkeypatch.setattr(documents, "_parse_partition", lambda entry, *rest: calls.append(entry) or real(entry, *rest))
+    real = documents._names
+    monkeypatch.setattr(documents, "_names", lambda names, depth: calls.append((names, depth)) or real(names, depth))
+    for m, families in itertools.islice(_pinned_markets(), 40, 70):
+        calls.clear()
+        serialize_market_document(m, **families)
+        written = {(id(p), 3): p for p in m.grand_filtration.partitions}
+        infos = [sp.info for family in families.values() for sp in family.delays.values()]
+        written.update(((id(p), 5), p) for f in (*m.trading_filtrations.values(), *infos) for p in f.partitions)
+        atoms = [(atom, depth + 1) for (_, depth), p in written.items() for atom in p.atoms]
+        # an atom is written from its tuple, an index set from a sorted list
+        assert sorted(c for c in calls if type(c[0]) is tuple) == sorted(atoms)
+
+
+def test_each_partition_entry_is_built_once(monkeypatch):
+    """Each distinct partition entry is checked and built once per parse:
+    the grand, trading and delay-information filtrations that repeat it,
+    within one filtration too, all hold that one Partition. Filtration
+    entries are not kept, so equal entries give equal, distinct objects."""
+    built = []
+    real = Partition.from_labels
+    monkeypatch.setattr(Partition, "from_labels", lambda states, labels: built.append(labels) or real(states, labels))
     doc = json.loads(BINOMIAL.read_text())
     grand = doc["filtrations"]["grand"]
     assert doc["filtrations"]["trading"][0]["partitions"] == grand
-    doc["delays"] = {"information": [dict(INFO_DELAY, info=copy.deepcopy(grand))],
-                     "execution": [dict(EXEC_DELAY, info=copy.deepcopy(grand))]}
+    doc["delays"] = {"information": [dict(INFO_DELAY, info=[grand[0], grand[0]])],
+                     "execution": [dict(EXEC_DELAY, info=grand)]}
     parsed = parse_market_document(json.dumps(doc))
-    assert calls == grand
-    assert parsed.market.grand_filtration is parsed.market.trading_filtrations[frozenset({"stock"})]
-    assert parsed.info_delays.delays[frozenset({"stock"})].info is parsed.market.grand_filtration
-    assert parsed.exec_delays.delays["stock"].info is parsed.market.grand_filtration
+    assert built == [(0, 0), (0, 1)]
+    market = parsed.market
+    coarse, fine = market.grand_filtration.partitions
+    filtrations = (market.grand_filtration, market.trading_filtrations[frozenset({"stock"})],
+                   parsed.info_delays.delays[frozenset({"stock"})].info, parsed.exec_delays.delays["stock"].info)
+    assert [list(map(id, f.partitions)) for f in filtrations] == [[id(coarse), id(fine)]] * 2 + [
+        [id(coarse), id(coarse)], [id(coarse), id(fine)]]
+    assert filtrations[3] == filtrations[0] and filtrations[3] is not filtrations[0]
 
 
 def _depth(node) -> int:
@@ -585,13 +611,28 @@ def _is_list_of_lists(node) -> bool:
     return isinstance(node, list) and bool(node) and all(isinstance(v, list) for v in node)
 
 
+def _is_partition_site(path) -> bool:
+    """A per-time position of the grand, a trading or a delay-information filtration."""
+    if not isinstance(path[-1], int):
+        return False
+    return (len(path) == 3 and path[:2] == ("filtrations", "grand")
+            or len(path) == 5 and (path[0], path[3]) in {("filtrations", "partitions"), ("delays", "info")})
+
+
 TARGETS = {
     "drop": lambda path, node: True,
     "retype": lambda path, node: True,
     "empty": lambda path, node: isinstance(node, (list, dict, str)),
     "duplicate": lambda path, node: isinstance(path[-1], int),   # a repeated partition, atom or row
     "add-empty": lambda path, node: _is_list_of_lists(node),     # an empty atom, row or partition
+    "transplant": lambda path, node: _is_partition_site(path),   # one site's partition, valid or not, at another
 }
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 def _mutate(doc, op: str, pick: int, junk) -> None:
@@ -600,9 +641,7 @@ def _mutate(doc, op: str, pick: int, junk) -> None:
     if not targets:
         return
     *head, key = targets[pick % len(targets)]
-    parent = doc
-    for k in head:
-        parent = parent[k]
+    parent = _at(doc, head)
     node = parent[key]
     if op == "drop":
         del parent[key]
@@ -612,6 +651,8 @@ def _mutate(doc, op: str, pick: int, junk) -> None:
         parent[key] = type(node)()
     elif op == "duplicate":
         parent.insert(key, copy.deepcopy(node))
+    elif op == "transplant":
+        parent[key] = copy.deepcopy(_at(doc, targets[pick // len(targets) % len(targets)]))
     else:
         node.insert(pick % (len(node) + 1), [])
 
