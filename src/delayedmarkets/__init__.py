@@ -16,6 +16,7 @@ from .arbitrage import (
     find_free_lunch,
     find_martingale_measure,
     render_verdict,
+    terminal_wealth,
     verify_certificate,
 )
 from .delays import (
@@ -39,7 +40,6 @@ from .markets import (
     gain_generators,
     validate_market,
     validate_strategy,
-    wealth_process,
 )
 from .probability import (
     Filtration,

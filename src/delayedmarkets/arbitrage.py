@@ -21,7 +21,7 @@ from math import gcd
 from typing import Mapping
 
 from . import lp
-from .markets import GainGenerator, Market, Strategy, gain_generators, wealth_process
+from .markets import GainGenerator, Market, Strategy, gain_generators, validate_strategy
 from .rationals import Rational, ZERO, format_rational, int_multiple, rat
 
 
@@ -237,7 +237,8 @@ def verify_certificate(m: Market, v: Verdict, horizon: int | None = None) -> boo
 
     A measure is verified by comparing q-weighted atom sums of every
     asset over every date pair of every trading filtration, in integers
-    (see _verify_measure), a strategy by recomputing its wealth process;
+    (see _verify_measure), a strategy by replaying its terminal wealth in
+    integers (see terminal_wealth) and comparing it with the claimed one;
     nothing from the LP layer is reused.
     """
     m = m.at_horizon(horizon)
@@ -300,12 +301,45 @@ def _verify_strategy(m: Market, cert: FreeLunchCertificate) -> bool:
     if any(v < 0 for v in terminal) or all(v == 0 for v in terminal):
         return False
     try:
-        wealth = wealth_process(m, cert.strategy)
+        return terminal_wealth(m, cert.strategy) == tuple(terminal)
     except ValueError:
         return False
-    if any(v != 0 for v in wealth[0]):
-        return False
-    return wealth[-1] == tuple(terminal)
+
+
+def terminal_wealth(m: Market, s: Strategy) -> tuple[Rational, ...]:
+    """Exact terminal wealth of a simple strategy: per state w, the sum over
+    its intervals (t_prev, t_next] and traded assets of
+    holding(w) * (price(t_next, w) - price(t_prev, w)); wealth starts at
+    zero and stays put after the last date.
+
+    Raises ValueError for a strategy validate_strategy rejects. The replay
+    runs on Python ints: the holdings are scaled by the lcm H of their
+    denominators and the traded assets' prices at the strategy's dates,
+    read from m.assets alone, by the lcm P of theirs; each nonzero entry
+    is its int sum divided by H * P.
+    """
+    problems = validate_strategy(m, s)
+    if problems:
+        raise ValueError("invalid strategy: " + "; ".join(problems))
+    n_states = len(m.space.states)
+    flat, h_scale = int_multiple(v for h in s.holdings for vec in h.values() for v in vec)
+    vectors = _state_rows(flat, n_states)
+    traded = sorted({aid for h in s.holdings for aid in h})
+    flat, p_scale = int_multiple(v for aid in traded for t in s.dates for v in m.assets[aid][t])
+    rows = _state_rows(flat, n_states)
+    prices = {aid: [next(rows) for _ in s.dates] for aid in traded}
+    total = [0] * n_states
+    for i, h in enumerate(s.holdings):
+        for aid in h:
+            vec, now, then = next(vectors), prices[aid][i + 1], prices[aid][i]
+            for k in range(n_states):
+                total[k] += vec[k] * (now[k] - then[k])
+    return tuple(_as_rationals(total, 1, h_scale * p_scale))
+
+
+def _state_rows(flat: list[int], n_states: int):
+    """The consecutive n_states-long rows of a flat list, in order."""
+    return (flat[k:k + n_states] for k in range(0, len(flat), n_states))
 
 
 def render_verdict(v: Verdict, states: tuple[str, ...]) -> str:

@@ -3,9 +3,11 @@
 A market bundles grid-indexed asset prices, a union-closed index system of
 tradeable asset subsets, one trading filtration per index set, and a grand
 filtration carrying all market information. Simple strategies hold
-atom-measurable positions between finitely many dates; their wealth
-processes generate the attainable terminal claims, for which a finite
-generator set is produced by gain_generators.
+atom-measurable positions between finitely many dates (validate_strategy
+checks one against a market); their terminal wealths are the attainable
+claims, for which gain_generators produces a finite generator set. The
+certificate checker replays a strategy's terminal wealth itself
+(arbitrage.terminal_wealth).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .probability import Filtration, FiniteSpace, Partition, refines
-from .rationals import Rational, ZERO, int_multiple
+from .rationals import Rational, int_multiple
 
 PriceTable = tuple[tuple[Rational, ...], ...]  # time-major: table[t][state]
 
@@ -210,51 +212,6 @@ def validate_strategy(m: Market, s: Strategy) -> list[str]:
                     f"holding for {aid!r} over ({t_prev}, {s.dates[i + 1]}] is not measurable at time {t_prev}"
                 )
     return problems
-
-
-def wealth_process(m: Market, s: Strategy) -> tuple[tuple[Rational, ...], ...]:
-    """Exact wealth path of a simple strategy; W_0 is identically zero.
-
-    W_t(w) = sum over intervals (t_prev, t_next] started before t of
-    holding(w) * (price(min(t_next, t), w) - price(t_prev, w)), summed over
-    the traded assets. That telescopes into one-step gains: W_t - W_(t-1)
-    is the holding of the interval containing (t - 1, t] times the price
-    change over that step. The replay runs on Python ints: the holdings
-    are scaled by the lcm H of their denominators and the traded assets'
-    rows 0..horizon, read from m.assets alone, by the lcm P of theirs; each
-    W_t is its int accumulator divided by H * P.
-    """
-    horizon = m.space.horizon
-    problems = validate_strategy(m, s)
-    if problems:
-        raise ValueError("invalid strategy: " + "; ".join(problems))
-    n_states = len(m.space.states)
-    flat, h_scale = int_multiple(v for h in s.holdings for vec in h.values() for v in vec)
-    vectors = _state_rows(flat, n_states)
-    holdings = [{aid: next(vectors) for aid in h} for h in s.holdings]
-    traded = sorted({aid for h in s.holdings for aid in h})
-    flat, p_scale = int_multiple(v for aid in traded for row in m.assets[aid][:horizon + 1] for v in row)
-    rows = _state_rows(flat, n_states)
-    prices = {aid: [next(rows) for _ in range(horizon + 1)] for aid in traded}
-    gains = [[0] * n_states for _ in range(horizon + 1)]  # gains[t]: over (t - 1, t]
-    for i, h in enumerate(holdings):
-        for t in range(s.dates[i] + 1, s.dates[i + 1] + 1):
-            acc = gains[t]
-            for aid, vec in h.items():
-                now, then = prices[aid][t], prices[aid][t - 1]
-                for k in range(n_states):
-                    acc[k] += vec[k] * (now[k] - then[k])
-    scale = h_scale * p_scale
-    wealth, total = [], [0] * n_states
-    for gain in gains:
-        total = [a + b for a, b in zip(total, gain)]
-        wealth.append(tuple(Rational(a, scale) if a else ZERO for a in total))
-    return tuple(wealth)
-
-
-def _state_rows(flat: list[int], n_states: int):
-    """The consecutive n_states-long rows of a flat list, in order."""
-    return (flat[k:k + n_states] for k in range(0, len(flat), n_states))
 
 
 @dataclass(frozen=True)

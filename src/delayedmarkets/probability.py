@@ -16,7 +16,6 @@ arithmetic with no tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, repeat
 from operator import eq, le
 from typing import Iterable, Mapping, Sequence
@@ -36,11 +35,13 @@ class FiniteSpace:
     probability: Mapping[str, Rational]
     horizon: int
     extended_horizon: int
+    state_index: dict[str, int] = field(init=False, compare=False, repr=False)  # state -> position
 
     def __post_init__(self):
         if len(self.states) == 0:
             raise ValueError("state set is empty")
-        if len(set(self.states)) != len(self.states):
+        state_index = dict(zip(self.states, range(len(self.states))))
+        if len(state_index) != len(self.states):
             raise ValueError("duplicate state names")
         if self.horizon < 1:
             raise ValueError("grid horizon must be at least 1")
@@ -56,16 +57,13 @@ class FiniteSpace:
             raise ValueError("probabilities must sum to exactly 1")
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "probability", dict(zip(self.states, weights)))
+        object.__setattr__(self, "state_index", state_index)
 
     @classmethod
     def uniform(cls, states: Sequence[str], horizon: int, extended_horizon: int) -> "FiniteSpace":
         n = len(states)
         prob = {s: rat(1, n) for s in states}
         return cls(tuple(states), prob, horizon, extended_horizon)
-
-    @cached_property
-    def state_index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.states)}
 
 
 _INT = frozenset({int})
@@ -86,6 +84,8 @@ class Partition:
     states: tuple[str, ...]
     labels: tuple[int, ...]
     atoms: tuple[tuple[str, ...], ...] = field(init=False, compare=False)
+    # each atom as the universe-order positions of its states, increasing
+    atom_positions: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         states, labels = self.states, self.labels
@@ -98,9 +98,12 @@ class Partition:
                 and list(first := dict.fromkeys(labels)) == list(range(len(first)))):
             raise ValueError("labels must be a tuple of ints numbering the atoms in order of first appearance")
         atoms: list[list[str]] = [[] for _ in first]
-        for s, label in zip(states, labels):
+        positions: list[list[int]] = [[] for _ in first]
+        for i, (s, label) in enumerate(zip(states, labels)):
             atoms[label].append(s)
+            positions[label].append(i)
         object.__setattr__(self, "atoms", tuple(map(tuple, atoms)))
+        object.__setattr__(self, "atom_positions", tuple(map(tuple, positions)))
 
     @classmethod
     def of(cls, states: Sequence[str], atoms: Iterable[Iterable[str]]) -> "Partition":
@@ -137,14 +140,6 @@ class Partition:
         renumbered in the order their first state appears."""
         number: dict = {}
         return cls(tuple(states), tuple([number.setdefault(lab, len(number)) for lab in labels]))
-
-    @cached_property
-    def atom_positions(self) -> tuple[tuple[int, ...], ...]:
-        """Each atom as the universe-order positions of its states, increasing."""
-        positions: list[list[int]] = [[] for _ in self.atoms]
-        for i, label in enumerate(self.labels):
-            positions[label].append(i)
-        return tuple(map(tuple, positions))
 
 
 def refines(fine: Partition, coarse: Partition) -> bool:

@@ -10,6 +10,8 @@ from delayedmarkets.markets import Market, gain_generators
 from delayedmarkets.probability import Filtration, FiniteSpace, Partition
 from delayedmarkets.rationals import int_multiple, rat
 
+from reference_wealth import reference_wealth_process
+
 
 def sparse(values) -> tuple:
     """A dense vector as a sparse row: (column, value) per nonzero entry."""
@@ -22,6 +24,12 @@ def dense(row, width: int) -> tuple:
     for k, v in row:
         out[k] = v
     return tuple(out)
+
+
+def reference_terminal_wealth(m, s, horizon=None) -> tuple:
+    """The last row of the reference Fraction wealth replay of s on m,
+    traded over 0..horizon; raises ValueError for an invalid strategy."""
+    return reference_wealth_process(m, s, horizon)[-1]
 
 
 def int_row(row) -> tuple:

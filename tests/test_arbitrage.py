@@ -25,11 +25,12 @@ from delayedmarkets.arbitrage import (
     find_free_lunch,
     find_martingale_measure,
     render_verdict,
+    terminal_wealth,
     verify_certificate,
 )
 from delayedmarkets.delays import delayed_market, information_delayed_market
 from delayedmarkets.documents import parse_market_document, serialize_market_document
-from delayedmarkets.markets import Market, gain_generators, validate_market, wealth_process
+from delayedmarkets.markets import Market, Strategy, gain_generators, validate_market
 from delayedmarkets.probability import Filtration, FiniteSpace, Partition, conditional_expectation
 from delayedmarkets.rationals import ONE, ZERO, Rational, rat
 from delayedmarkets.scenarios import (
@@ -42,7 +43,7 @@ from delayedmarkets.scenarios import (
 )
 
 import reference_lp
-from conftest import binomial_market, dense, one_certificate, single_signed
+from conftest import binomial_market, dense, one_certificate, reference_terminal_wealth, single_signed
 from reference_check import reference_check_naflp
 from reference_free_lunch import reference_find_free_lunch
 from reference_lp import reference_row_basis, reference_solve
@@ -86,9 +87,7 @@ class TestVerifyCertificate:
 
     def test_strategy_certificate_recomputed_independently(self, dominated_binomial):
         cert = find_free_lunch(dominated_binomial, gain_generators(dominated_binomial))
-        wealth = wealth_process(dominated_binomial, cert.strategy)
-        assert wealth[-1] == cert.terminal_wealth
-        assert all(v == 0 for v in wealth[0])
+        assert terminal_wealth(dominated_binomial, cert.strategy) == cert.terminal_wealth
         assert verify_certificate(dominated_binomial, FreeLunch(cert))
 
     def test_tampered_terminal_rejected(self, dominated_binomial):
@@ -100,6 +99,56 @@ class TestVerifyCertificate:
         cert = find_free_lunch(dominated_binomial, gain_generators(dominated_binomial))
         zero = FreeLunchCertificate(cert.strategy, (rat(0), rat(0)))
         assert not verify_certificate(dominated_binomial, FreeLunch(zero))
+
+    def test_strategy_mutants_accepted_iff_the_reference_replays_the_claim(self):
+        """Tamper with the strategy of the first 60 seed-2024 desk free
+        lunches, keeping the claimed terminal wealth: one holding entry or
+        one atom's entries moved by 1 either way, the last interval dropped,
+        the index set swapped for another that holds the traded assets."""
+        rng = random.Random(2024)
+        lunches, accepted, rejected = 0, 0, 0
+        for label, m in islice(desk_and_walks(500), 500):
+            verdict = check_naflp(m)
+            if not isinstance(verdict, FreeLunch):
+                continue
+            cert = verdict.certificate
+            for mutant in strategy_mutants(m, cert.strategy, rng):
+                try:
+                    expected = reference_terminal_wealth(m, mutant) == cert.terminal_wealth
+                except ValueError:
+                    expected = False
+                forged = FreeLunch(FreeLunchCertificate(mutant, cert.terminal_wealth))
+                assert verify_certificate(m, forged) is expected, (label, mutant)
+                accepted += expected
+                rejected += not expected
+            lunches += 1
+            if lunches == 60:
+                break
+        assert lunches == 60
+        assert accepted >= 20 and rejected >= 200, (accepted, rejected)
+
+
+def strategy_mutants(m: Market, s: Strategy, rng: random.Random):
+    """Strategies that pass Strategy's constructor and differ from s in one
+    holding entry or one atom's entries (by +1 and -1, at a drawn interval
+    and asset), in the missing last interval, or in the index set."""
+    for i in sorted({rng.randrange(len(s.holdings)) for _ in range(2)}):
+        h = s.holdings[i]
+        asset = rng.choice(sorted(h))
+        atoms = m.trading_filtrations[s.index_set].at(s.dates[i]).atom_positions
+        for positions in ((rng.randrange(len(m.space.states)),), rng.choice(atoms)):
+            for step in (1, -1):
+                vec = list(h[asset])
+                for k in positions:
+                    vec[k] += step
+                changed = s.holdings[:i] + ({**h, asset: tuple(vec)},) + s.holdings[i + 1:]
+                yield Strategy(s.index_set, s.dates, changed)
+    if len(s.dates) > 2:
+        yield Strategy(s.index_set, s.dates[:-1], s.holdings[:-1])
+    traded = {aid for h in s.holdings for aid in h}
+    for index_set in m.index_system:
+        if index_set != s.index_set and traded <= index_set:
+            yield Strategy(index_set, s.dates, s.holdings)
 
 
 def desk_and_walks(count):

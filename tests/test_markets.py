@@ -1,4 +1,4 @@
-"""Market invariants, wealth processes, and gain generators."""
+"""Market invariants, terminal-wealth replay, and gain generators."""
 
 from __future__ import annotations
 
@@ -15,15 +15,13 @@ from delayedmarkets.markets import (
     is_measurable,
     validate_market,
     validate_strategy,
-    wealth_process,
 )
 from delayedmarkets.probability import Filtration, FiniteSpace, Partition
-from delayedmarkets.arbitrage import FreeLunch, check_naflp, verify_certificate
+from delayedmarkets.arbitrage import FreeLunch, check_naflp, terminal_wealth, verify_certificate
 from delayedmarkets.rationals import Rational, rat
 from delayedmarkets.scenarios import ScenarioConfig, _rng, gen_martingale_market, gen_random_market
 
-from conftest import binomial_market, dense, in_span, sparse, two_step_market
-from reference_wealth import reference_wealth_process
+from conftest import binomial_market, dense, in_span, reference_terminal_wealth, sparse, two_step_market
 
 
 class TestValidateMarket:
@@ -74,28 +72,26 @@ class TestWealthProcess:
     def test_buy_and_hold_gain(self):
         m = binomial_market(4, 8, 2)
         s = Strategy(frozenset({"stock"}), (0, 1), ({"stock": (rat(1), rat(1))},))
-        wealth = wealth_process(m, s)
-        assert wealth[0] == (rat(0), rat(0))
-        assert wealth[1] == (rat(4), rat(-2))
+        assert terminal_wealth(m, s) == (rat(4), rat(-2))
 
     def test_zero_holdings(self):
         m = binomial_market(4, 8, 2)
         s = Strategy(frozenset({"stock"}), (0, 1), ({"stock": (rat(0), rat(0))},))
-        assert all(v == 0 for row in wealth_process(m, s) for v in row)
+        assert all(v == 0 for v in terminal_wealth(m, s))
 
     def test_telescoping_identity(self):
         m = two_step_market()
         hold = (rat(3), rat(3), rat(3), rat(3))
         one_leg = Strategy(frozenset({"stock"}), (0, 2), ({"stock": hold},))
         two_legs = Strategy(frozenset({"stock"}), (0, 1, 2), ({"stock": hold}, {"stock": hold}))
-        assert wealth_process(m, one_leg)[-1] == wealth_process(m, two_legs)[-1]
+        assert terminal_wealth(m, one_leg) == terminal_wealth(m, two_legs)
 
     def test_unmeasurable_holding_rejected(self):
         m = two_step_market()
         s = Strategy(frozenset({"stock"}), (0, 1), ({"stock": (rat(1), rat(1), rat(0), rat(0))},))
         assert any("not measurable" in p for p in validate_strategy(m, s))
         with pytest.raises(ValueError):
-            wealth_process(m, s)
+            terminal_wealth(m, s)
 
     def test_dates_outside_grid_rejected(self):
         m = two_step_market()
@@ -103,10 +99,12 @@ class TestWealthProcess:
         assert any("leave the grid" in p for p in validate_strategy(m, s))
 
     def test_intermediate_value_uses_running_price(self):
+        # 1 * (S_1 - S_0) + h * (S_2 - S_1): with h != 1 the t = 1 price stays in the sum
         m = two_step_market()
-        s = Strategy(frozenset({"stock"}), (0, 2), ({"stock": (rat(1),) * 4},))
-        wealth = wealth_process(m, s)
-        assert wealth[1] == (rat(4), rat(4), rat(-2), rat(-2))
+        hold = (rat(2), rat(2), rat(0), rat(0))
+        s = Strategy(frozenset({"stock"}), (0, 1, 2), ({"stock": (rat(1),) * 4}, {"stock": hold}))
+        assert terminal_wealth(m, s) == (rat(20), rat(-4), rat(-2), rat(-2))
+        assert terminal_wealth(m, s) == reference_terminal_wealth(m, s)
 
 
 @st.composite
@@ -144,20 +142,20 @@ class TestIntegerWealthReplay:
     @given(strategies_on_markets())
     def test_matches_the_fraction_replay(self, case):
         m, s, horizon = case
-        wealth = wealth_process(m.at_horizon(horizon), s)
-        assert wealth == reference_wealth_process(m, s, horizon)
-        assert all(type(v) is Rational for row in wealth for v in row)
+        wealth = terminal_wealth(m.at_horizon(horizon), s)
+        assert wealth == reference_terminal_wealth(m, s, horizon)
+        assert all(type(v) is Rational for v in wealth)
 
     def test_never_reads_the_price_scale(self, monkeypatch):
         def refuse(self):
-            raise AssertionError("wealth_process read Market.price_scale")
+            raise AssertionError("terminal_wealth read Market.price_scale")
 
         m = binomial_market(1, 2, 1)
         verdict = check_naflp(m)
         assert isinstance(verdict, FreeLunch)
         monkeypatch.setattr(Market, "price_scale", property(refuse))
         s = verdict.certificate.strategy
-        assert wealth_process(m, s) == reference_wealth_process(m, s)
+        assert terminal_wealth(m, s) == reference_terminal_wealth(m, s)
         assert verify_certificate(m, verdict)
 
 
@@ -207,7 +205,7 @@ class TestSpanProperty:
             strategy = random_strategy(m, rng)
             if strategy is None:
                 continue
-            terminal = wealth_process(m, strategy)[-1]
+            terminal = terminal_wealth(m, strategy)
             rows = [g.deltas for g in gain_generators(m)]
             if all(v == 0 for v in terminal):
                 continue

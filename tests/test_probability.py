@@ -113,6 +113,15 @@ class TestPartition:
         with pytest.raises(ValueError, match=r"^duplicate state names$"):
             Partition(("a", "a"), (0, 1))
 
+    def test_atom_positions_are_built_with_the_partition(self):
+        for labels in itertools.product(range(4), repeat=4):
+            p = Partition.from_labels(STATES4, labels)
+            assert "atom_positions" in vars(p)
+            grouped = tuple(tuple(i for i, label in enumerate(p.labels) if label == a) for a in range(len(p.atoms)))
+            assert vars(p)["atom_positions"] == grouped
+            assert all(tuple(STATES4[k] for k in pos) == atom for pos, atom in zip(grouped, p.atoms))
+        assert "atom_positions" not in repr(p)
+
 
 class TestRefines:
     def test_singleton_split_refines(self):
@@ -545,3 +554,9 @@ class TestFiltration:
             FiniteSpace(("a", "b"), {"a": rat(1), "b": rat(0)}, 1, 1)
         with pytest.raises(ValueError):
             FiniteSpace(("a", "b"), {"a": rat(1, 2), "b": rat(1, 2)}, 1, 0)
+
+    def test_space_indexes_its_states_when_built(self):
+        space = FiniteSpace.uniform(("b", "a", "c"), 1, 2)
+        assert vars(space)["state_index"] == {"b": 0, "a": 1, "c": 2}
+        with pytest.raises(ValueError, match=r"^duplicate state names$"):
+            FiniteSpace(("a", "b", "a"), {"a": rat(1, 2), "b": rat(1, 2)}, 1, 1)
