@@ -23,7 +23,6 @@ from .delays import (
     DelayPreconditionError,
     ExecutionDelayFamily,
     InformationDelayFamily,
-    check_coarseness,
     delayed_market,
     information_delayed_market,
     invert_delay,

@@ -193,12 +193,6 @@ def information_delayed_market(m: Market, fam: InformationDelayFamily) -> Market
     return replace(m, trading_filtrations=large_delayed_filtrations(m, fam))
 
 
-def check_coarseness(m: Market, fam: InformationDelayFamily) -> bool:
-    """Delayed trading fields never exceed the originals; true for valid input."""
-    delayed = large_delayed_filtrations(m, fam)
-    return all(is_subfiltration(f, m.trading_filtrations[a]) for a, f in delayed.items())
-
-
 def _extended_rows(sp: StoppingProcess, upto: int) -> list[tuple[int, ...]]:
     """Delay rows for order times 0..upto, pushing past the table's end.
 

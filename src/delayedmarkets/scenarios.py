@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -248,29 +249,29 @@ def gen_random_delay(
 def _union_closed_index_system(rng: random.Random, assets, max_sets: int, singletons: bool):
     ids = list(assets)
     if singletons:
-        family = {frozenset([a]) for a in ids}
-        family.add(frozenset(ids))
-        extra = {frozenset(rng.sample(ids, rng.randint(1, len(ids)))) for _ in range(2)}
-        family |= extra
-    else:
-        for attempt in range(6):
-            k = rng.randint(1, max(1, min(max_sets - 1, len(ids))))
-            family = {frozenset(rng.sample(ids, rng.randint(1, len(ids)))) for _ in range(k)}
-            family = _close_under_union(family)
-            if len(family) <= max_sets:
-                break
-        else:
-            family = {frozenset(ids)}
-    return _close_under_union(family)
+        drawn = [frozenset([a]) for a in ids] + [frozenset(ids)]
+        drawn += [frozenset(rng.sample(ids, rng.randint(1, len(ids)))) for _ in range(2)]
+        return _union_closure(drawn)
+    for _ in range(6):
+        k = rng.randint(1, max(1, min(max_sets - 1, len(ids))))
+        drawn = [frozenset(rng.sample(ids, rng.randint(1, len(ids)))) for _ in range(k)]
+        family = _union_closure(drawn, max_sets)
+        if family is not None:
+            return family
+    return _union_closure([frozenset(ids)])
 
 
-def _close_under_union(family: set[frozenset]) -> set[frozenset]:
-    closed = set(family)
-    while True:
-        fresh = {a | b for a in closed for b in closed} - closed
-        if not fresh:
-            return closed
-        closed |= fresh
+def _union_closure(sets, max_sets=math.inf) -> set[frozenset] | None:
+    """The union closure of `sets`, folding in one set at a time: the closure
+    of C and s is C, s and s | c for each c in C. None as soon as it holds
+    more than max_sets sets, since the closure only grows."""
+    closed: set[frozenset] = set()
+    for s in sets:
+        closed |= {s | c for c in closed}
+        closed.add(s)
+        if len(closed) > max_sets:
+            return None
+    return closed
 
 
 def _random_filtration_bundle(rng: random.Random, space: FiniteSpace, index_system):
@@ -372,17 +373,29 @@ def _walk_states(length: int):
     return tuple("".join(p) for p in itertools.product("+-", repeat=length))
 
 
-def _walk_prices(states, upto: int) -> tuple[tuple[Rational, ...], ...]:
-    rows = []
-    for t in range(upto + 1):
-        rows.append(tuple(rat(2 * s[:t].count("+") - t) for s in states))
-    return tuple(rows)
-
-
 def _prefix_filtration(states, horizons) -> Filtration:
     return Filtration(tuple(
         Partition.from_labels(states, [s[:k] for s in states]) for k in horizons
     ))
+
+
+def _insider_walk(steps: int, lookahead: int, length: int, peek):
+    """The walk over all +/- paths of `length` steps that both insider
+    generators share: uniform, priced and known `lookahead` steps ahead up
+    to the extended horizon steps + lookahead, with one index set trading on
+    path prefixes of the lengths in `peek`. Returns the market and the
+    trivial delay information over its extended horizon."""
+    if steps < 1 or lookahead < 0 or lookahead > steps:
+        raise ValueError("need steps >= 1 and 0 <= lookahead <= steps")
+    states = _walk_states(length)
+    extended = steps + lookahead
+    space = FiniteSpace.uniform(states, steps, extended)
+    prices = tuple(tuple(rat(2 * s[:t].count("+") - t) for s in states) for t in range(extended + 1))
+    grand = _prefix_filtration(states, [min(t + lookahead, length) for t in range(extended + 1)])
+    index_set = frozenset({"walk"})
+    trading = {index_set: _prefix_filtration(states, peek)}
+    market = Market(space, {"walk": prices}, (index_set,), trading, grand)
+    return market, Filtration.constant(Partition.trivial(states), extended + 1)
 
 
 def gen_insider_market(steps: int, lookahead: int):
@@ -393,20 +406,11 @@ def gen_insider_market(steps: int, lookahead: int):
     filtration (trading at time 0 is blind, so nothing is known there
     either) and with it the uniform martingale measure.
     """
-    if steps < 1 or lookahead < 0 or lookahead > steps:
-        raise ValueError("need steps >= 1 and 0 <= lookahead <= steps")
-    length = steps + lookahead
-    states = _walk_states(length)
-    space = FiniteSpace.uniform(states, steps, length)
-    prices = {"walk": _walk_prices(states, length)}
-    grand = _prefix_filtration(states, [min(t + lookahead, length) for t in range(length + 1)])
-    peek = [0] + [min(t + lookahead, length) for t in range(1, steps + 1)]
-    trading = _prefix_filtration(states, peek)
-    index_set = frozenset({"walk"})
-    market = Market(space, prices, (index_set,), {index_set: trading}, grand)
-    trivial = Filtration.constant(Partition.trivial(states), steps + 1)
-    delta = StoppingProcess.deterministic([max(t - lookahead, 0) for t in range(steps + 1)], trivial)
-    return market, InformationDelayFamily({index_set: delta})
+    peek = [0] + [t + lookahead for t in range(1, steps + 1)]
+    market, trivial = _insider_walk(steps, lookahead, steps + lookahead, peek)
+    delays = [max(t - lookahead, 0) for t in range(steps + 1)]
+    delta = StoppingProcess.deterministic(delays, trivial.restrict(steps + 1))
+    return market, InformationDelayFamily({frozenset({"walk"}): delta})
 
 
 def gen_insider_execution_market(steps: int, lookahead: int):
@@ -416,21 +420,10 @@ def gen_insider_execution_market(steps: int, lookahead: int):
     order by the lookahead executes at prices the information no longer
     anticipates, and the uniform measure prices the delayed market.
     """
-    if steps < 1 or lookahead < 0 or lookahead > steps:
-        raise ValueError("need steps >= 1 and 0 <= lookahead <= steps")
-    length = steps + 2 * lookahead
-    states = _walk_states(length)
-    extended = steps + lookahead
-    space = FiniteSpace.uniform(states, steps, extended)
-    prices = {"walk": _walk_prices(states, extended)}
-    grand = _prefix_filtration(states, [min(t + lookahead, length) for t in range(extended + 1)])
-    trading = _prefix_filtration(states, [t + lookahead for t in range(steps + 1)])
-    index_set = frozenset({"walk"})
-    market = Market(space, prices, (index_set,), {index_set: trading}, grand)
-    trivial = Filtration.constant(Partition.trivial(states), extended + 1)
-    pi = StoppingProcess.deterministic([t + lookahead for t in range(steps + 1)], trivial)
-    fam = ExecutionDelayFamily({"walk": pi}, {"walk": steps + lookahead + 1})
-    return market, fam
+    peek = [t + lookahead for t in range(steps + 1)]
+    market, trivial = _insider_walk(steps, lookahead, steps + 2 * lookahead, peek)
+    pi = StoppingProcess.deterministic(peek, trivial)  # an order placed at t executes at t + lookahead
+    return market, ExecutionDelayFamily({"walk": pi}, {"walk": steps + lookahead + 1})
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from delayedmarkets.delays import (
     DelayPreconditionError,
     ExecutionDelayFamily,
     InformationDelayFamily,
-    check_coarseness,
     delayed_market,
     enlarged_trading_filtrations,
     information_delayed_market,
@@ -32,6 +31,7 @@ from delayedmarkets.probability import (
     FiniteSpace,
     Partition,
     StoppingProcess,
+    is_subfiltration,
     refines,
     stopped_fields,
 )
@@ -267,14 +267,16 @@ class TestCoarseness:
         m, *_ = four_coin_market()
         triv = Filtration.constant(Partition.trivial(m.space.states), 4)
         fam = InformationDelayFamily({a: StoppingProcess.identity(4, triv) for a in m.index_system})
-        assert check_coarseness(m, fam)
+        for a, f in large_delayed_filtrations(m, fam).items():
+            original = m.trading_filtrations[a]
+            assert is_subfiltration(f, original) and is_subfiltration(original, f)
 
     def test_insider_strictly_coarser_before_maturity(self):
         m, fam = gen_insider_market(2, 1)
         index_set = frozenset({"walk"})
         delayed = large_delayed_filtrations(m, fam)[index_set]
         original = m.trading_filtrations[index_set]
-        assert check_coarseness(m, fam)
+        assert is_subfiltration(delayed, original)
         assert len(delayed.at(1).atoms) < len(original.at(1).atoms)
 
     def test_random_families_always_coarser(self):
@@ -283,7 +285,8 @@ class TestCoarseness:
             rng = _rng(cfg.seed, "coarse", i)
             m = gen_martingale_market(cfg, rng=rng)
             fam = gen_random_delay(cfg, "information", m, rng=rng)
-            assert check_coarseness(m, fam)
+            delayed = large_delayed_filtrations(m, fam)
+            assert all(is_subfiltration(f, m.trading_filtrations[a]) for a, f in delayed.items())
 
 
 class TestDelayedMarket:

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
+import random
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import delayedmarkets
 from delayedmarkets.arbitrage import FreeLunch, NoFreeLunch, check_naflp, verify_certificate
 from delayedmarkets.delays import (
     large_delayed_filtrations,
@@ -21,6 +28,7 @@ from delayedmarkets.scenarios import (
     WALK_STATE_CAP,
     ScenarioConfig,
     _rng,
+    _union_closed_index_system,
     gen_insider_execution_market,
     gen_insider_market,
     gen_martingale_market,
@@ -30,7 +38,17 @@ from delayedmarkets.scenarios import (
 )
 
 from conftest import one_certificate
+from reference_scenarios import _union_closed_index_system as reference_index_system
 from test_acceptance import DESK
+
+# sha256 over the text of every item that perfbench/workloads.py generates and
+# serializes at full size, in order, per workload and seed
+BENCH_INPUT_PINS = {
+    ("desk-sweep", 2024): "4842cb65d27db9668cecc69dc9013bddf600dabf598fe1f82e0e3d4e2e4319a1",
+    ("desk-sweep", 2718): "dc3684d0581a7be8062dc0614768926fa586fddf90de16adce6bd7044101325c",
+    ("delay-roundtrip", 2024): "d825b671aad6b86e0076a98e0abbd7aaf8c178886f42152205e9bd67fa591976",
+    ("delay-roundtrip", 2718): "48f85bd93c98ef3642286af422f5e5d6ea945ddb27f348f2a6527d0209068fda",
+}
 
 
 class TestGenerators:
@@ -113,6 +131,55 @@ class TestGenerators:
         assert isinstance(check_naflp(m), NoFreeLunch)
         m2, fam2 = gen_insider_execution_market(2, 0)
         assert isinstance(check_naflp(m2), NoFreeLunch)
+
+
+class TestIndexSystems:
+    def test_draws_match_the_reference(self):
+        """Equal families and an equal generator state after every draw.
+        The singletons branch ignores max_sets and closes to all 2^n - 1
+        nonempty sets, which the reference takes seconds to reach past 9 assets."""
+        cases = [(n, k, False) for n in range(1, 13) for k in range(2, 17)]
+        cases += [(n, 4, True) for n in range(1, 10)]
+        for n, k, singletons in cases:
+            ids = [f"a{i}" for i in range(n)]
+            seed = f"index:{n}:{k}:{singletons}"
+            ours, ref = random.Random(seed), random.Random(seed)
+            for draw in range(3):
+                family = _union_closed_index_system(ours, ids, k, singletons)
+                assert family == reference_index_system(ref, ids, k, singletons), (n, k, singletons, draw)
+                assert ours.getstate() == ref.getstate(), (n, k, singletons, draw)
+
+    @pytest.mark.parametrize("n, k", [(32, 64), (100, 128)])
+    def test_large_draws_stay_fast(self, n, k):
+        rng = random.Random(f"scale:{n}:{k}")
+        ids = [f"a{i}" for i in range(n)]
+        start = time.perf_counter()
+        for _ in range(10):
+            family = _union_closed_index_system(rng, ids, k, False)
+            assert 1 <= len(family) <= k
+            assert all(a | b in family for a in family for b in family)
+        assert time.perf_counter() - start < 10
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    """perfbench/workloads.py, loaded read-only under its own module name."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("pinned_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, seed", list(BENCH_INPUT_PINS))
+def test_bench_inputs_are_pinned(bench_workloads, name, seed):
+    workload = bench_workloads.WORKLOADS[name]
+    digest = hashlib.sha256()
+    for i, entry in enumerate(workload.generate(delayedmarkets, seed, workload.size)):
+        for item in workload.serialize(delayedmarkets, i, entry):
+            digest.update(item.text.encode())
+    assert digest.hexdigest() == BENCH_INPUT_PINS[name, seed]
 
 
 class TestExperiments:
