@@ -16,11 +16,11 @@ certifying is a solver bug; the tests run both on generated markets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Mapping
 
 from . import lp
+from .frozen import Frozen
 from .markets import GainGenerator, Market, Strategy, gain_generators, validate_strategy
 from .rationals import Rational, ZERO, format_rational, int_multiple, rat
 
@@ -29,37 +29,44 @@ class OracleDisagreementError(RuntimeError):
     """Neither oracle produced a certificate: an internal inconsistency."""
 
 
-@dataclass(frozen=True)
-class FreeLunchCertificate:
+class FreeLunchCertificate(Frozen):
     """A simple strategy whose terminal wealth is nonnegative and not zero."""
 
-    strategy: Strategy
-    terminal_wealth: tuple[Rational, ...]
+    _fields = ("strategy", "terminal_wealth")
+
+    def __init__(self, strategy: Strategy, terminal_wealth: tuple[Rational, ...]):
+        self.__dict__.update(strategy=strategy, terminal_wealth=terminal_wealth)
 
 
-@dataclass(frozen=True)
-class MartingaleMeasureCertificate:
+class MartingaleMeasureCertificate(Frozen):
     """A strictly positive measure making every traded asset a martingale
     for the trading filtration of every index set."""
 
-    q: Mapping[str, Rational]
+    _fields = ("q",)
+
+    def __init__(self, q: Mapping[str, Rational]):
+        self.__dict__.update(q=q)
 
     def vector(self, states: tuple[str, ...]) -> tuple[Rational, ...]:
         return tuple(self.q[s] for s in states)
 
 
-@dataclass(frozen=True)
-class FreeLunch:
-    certificate: FreeLunchCertificate
+class FreeLunch(Frozen):
+    _fields = ("certificate",)
+
+    def __init__(self, certificate: FreeLunchCertificate):
+        self.__dict__.update(certificate=certificate)
 
     @property
     def kind(self) -> str:
         return "free-lunch"
 
 
-@dataclass(frozen=True)
-class NoFreeLunch:
-    certificate: MartingaleMeasureCertificate
+class NoFreeLunch(Frozen):
+    _fields = ("certificate",)
+
+    def __init__(self, certificate: MartingaleMeasureCertificate):
+        self.__dict__.update(certificate=certificate)
 
     @property
     def kind(self) -> str:

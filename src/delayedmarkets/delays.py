@@ -18,10 +18,10 @@ identity on the range, and it is required wherever that identity is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from operator import getitem
 from typing import Mapping, Sequence
 
+from .frozen import Frozen
 from .markets import Market
 from .probability import (
     Filtration,
@@ -41,34 +41,29 @@ class DelayPreconditionError(ValueError):
         self.problems = list(problems)
 
 
-@dataclass(frozen=True)
-class InformationDelayFamily:
+class InformationDelayFamily(Frozen):
     """One information delay per index set of the market."""
 
-    delays: Mapping[frozenset[str], StoppingProcess]
-    # the market this family last passed its check on
-    _valid_on: Market | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("delays",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "delays", {frozenset(k): v for k, v in self.delays.items()})
+    def __init__(self, delays: Mapping[frozenset[str], StoppingProcess]):
+        # _valid_on: the market this family last passed its check on
+        self.__dict__.update(delays={frozenset(k): v for k, v in delays.items()}, _valid_on=None)
 
 
-@dataclass(frozen=True)
-class ExecutionDelayFamily:
+class ExecutionDelayFamily(Frozen):
     """One execution delay per asset, with optional strict caps.
 
     A cap c for asset a promises value < c everywhere; uncapped assets
     default to the top of the extended grid plus one.
     """
 
-    delays: Mapping[str, StoppingProcess]
-    caps: Mapping[str, int] = field(default_factory=dict)
-    # the market this family last passed its check on
-    _valid_on: Market | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("delays", "caps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "delays", dict(self.delays))
-        object.__setattr__(self, "caps", {a: int(c) for a, c in self.caps.items()})
+    def __init__(self, delays: Mapping[str, StoppingProcess], caps: Mapping[str, int] | None = None):
+        caps = {} if caps is None else {a: int(c) for a, c in caps.items()}
+        # _valid_on: the market this family last passed its check on
+        self.__dict__.update(delays=dict(delays), caps=caps, _valid_on=None)
 
     def cap(self, asset: str, extended_horizon: int) -> int:
         return self.caps.get(asset, extended_horizon + 1)
@@ -82,7 +77,7 @@ def _remember(fam, m: Market, problems: list[str]) -> list[str]:
     """Keep m on the family if it passed there. Markets and families are
     frozen, so the pass holds for as long as the family keeps m."""
     if not problems:
-        object.__setattr__(fam, "_valid_on", m)
+        fam.__dict__["_valid_on"] = m
     return problems
 
 
@@ -190,7 +185,7 @@ def large_delayed_filtrations(m: Market, fam: InformationDelayFamily) -> dict[fr
 
 def information_delayed_market(m: Market, fam: InformationDelayFamily) -> Market:
     """The market with trading filtrations replaced by the delayed family."""
-    return replace(m, trading_filtrations=large_delayed_filtrations(m, fam))
+    return Market(m.space, m.assets, m.index_system, large_delayed_filtrations(m, fam), m.grand_filtration)
 
 
 def _extended_rows(sp: StoppingProcess, upto: int) -> list[tuple[int, ...]]:
@@ -412,7 +407,8 @@ def representation_check(m: Market, fam: ExecutionDelayFamily) -> bool:
         A: StoppingProcess(_pointwise_min([inverses[a] for a in sorted(A)]), enlarged[A])
         for A in m.index_system
     }
-    recovered = large_delayed_filtrations(replace(m, trading_filtrations=enlarged), InformationDelayFamily(deltas))
+    enlarged_market = Market(m.space, m.assets, m.index_system, enlarged, m.grand_filtration)
+    recovered = large_delayed_filtrations(enlarged_market, InformationDelayFamily(deltas))
     return all(
         m.trading_filtrations[A].at(t).atoms == recovered[A].at(t).atoms
         for A, start in starts.items() for t in range(start, n + 1)

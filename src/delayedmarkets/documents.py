@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from itertools import chain, repeat
 
 from .delays import (
@@ -31,6 +30,7 @@ from .delays import (
     validate_execution_family,
     validate_information_family,
 )
+from .frozen import Frozen
 from .markets import Market, validate_market
 from .probability import Filtration, FiniteSpace, Partition, StoppingProcess
 from .rationals import Rational, format_rational, parse_rational, sums_to_one, too_many_digits
@@ -47,11 +47,12 @@ class DocumentError(ValueError):
         self.problems = problems
 
 
-@dataclass(frozen=True)
-class MarketDocument:
-    market: Market
-    info_delays: InformationDelayFamily | None = None
-    exec_delays: ExecutionDelayFamily | None = None
+class MarketDocument(Frozen):
+    _fields = ("market", "info_delays", "exec_delays")
+
+    def __init__(self, market: Market, info_delays: InformationDelayFamily | None = None,
+                 exec_delays: ExecutionDelayFamily | None = None):
+        self.__dict__.update(market=market, info_delays=info_delays, exec_delays=exec_delays)
 
 
 class _Literals(dict):

@@ -32,9 +32,9 @@ way out, for the solution and the objective value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from .frozen import Frozen
 from .rationals import Rational, ZERO
 
 OPTIMAL = "optimal"
@@ -64,34 +64,34 @@ def _check_row(row: Row, rhs: int, n: int, what: str):
         raise TypeError(f"{what} right-hand side {rhs!r} is not an int")
 
 
-@dataclass(frozen=True)
-class LpProblem:
+class LpProblem(Frozen):
     """maximize objective . x subject to equality rows, <= rows, and x >= 0.
 
     The objective and each constraint's coefficients are sparse int rows
     (see Row); a constraint is a (row, int right-hand side) pair.
     """
 
-    num_vars: int
-    objective: Row
-    equalities: tuple[tuple[Row, int], ...] = ()
-    inequalities: tuple[tuple[Row, int], ...] = ()
+    _fields = ("num_vars", "objective", "equalities", "inequalities")
 
-    def __post_init__(self):
-        if self.num_vars < 1:
+    def __init__(self, num_vars: int, objective: Row, equalities: tuple[tuple[Row, int], ...] = (),
+                 inequalities: tuple[tuple[Row, int], ...] = ()):
+        if num_vars < 1:
             raise ValueError("a problem needs at least one variable")
-        _check_row(self.objective, 0, self.num_vars, "objective")
-        for row, b in self.equalities:
-            _check_row(row, b, self.num_vars, "equality")
-        for row, b in self.inequalities:
-            _check_row(row, b, self.num_vars, "inequality")
+        _check_row(objective, 0, num_vars, "objective")
+        for row, b in equalities:
+            _check_row(row, b, num_vars, "equality")
+        for row, b in inequalities:
+            _check_row(row, b, num_vars, "inequality")
+        self.__dict__.update(num_vars=num_vars, objective=objective, equalities=equalities,
+                             inequalities=inequalities)
 
 
-@dataclass(frozen=True)
-class LpOutcome:
-    status: str
-    solution: tuple[Rational, ...] | None = None
-    objective: Rational | None = None
+class LpOutcome(Frozen):
+    _fields = ("status", "solution", "objective")
+
+    def __init__(self, status: str, solution: tuple[Rational, ...] | None = None,
+                 objective: Rational | None = None):
+        self.__dict__.update(status=status, solution=solution, objective=objective)
 
 
 def _reduced(row: dict[int, int]) -> dict[int, int]:

@@ -13,19 +13,18 @@ certificate checker replays a strategy's terminal wealth itself
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Sequence
 
+from .frozen import Frozen
 from .probability import Filtration, FiniteSpace, Partition, refines
 from .rationals import Rational, int_multiple
 
 PriceTable = tuple[tuple[Rational, ...], ...]  # time-major: table[t][state]
 
 
-@dataclass(frozen=True)
-class Market:
+class Market(Frozen):
     """Assets, index system, trading filtrations, and grand filtration.
 
     Asset tables span 0..extended_horizon and the grand filtration with
@@ -37,41 +36,36 @@ class Market:
     semantic invariants are reported by validate_market.
     """
 
-    space: FiniteSpace
-    assets: Mapping[str, PriceTable]
-    index_system: tuple[frozenset[str], ...]
-    trading_filtrations: Mapping[frozenset[str], Filtration]
-    grand_filtration: Filtration
+    _fields = ("space", "assets", "index_system", "trading_filtrations", "grand_filtration")
 
-    def __post_init__(self):
-        n_states = len(self.space.states)
-        rows = self.space.extended_horizon + 1
+    def __init__(self, space: FiniteSpace, assets: Mapping[str, PriceTable], index_system: Sequence[frozenset[str]],
+                 trading_filtrations: Mapping[frozenset[str], Filtration], grand_filtration: Filtration):
+        n_states = len(space.states)
+        rows = space.extended_horizon + 1
         frozen_assets = {}
-        for aid, table in self.assets.items():
+        for aid, table in assets.items():
             table = tuple(map(tuple, table))
             if len(table) != rows:
                 raise ValueError(f"asset {aid!r}: price table must have {rows} time rows")
             if any(len(r) != n_states for r in table):
                 raise ValueError(f"asset {aid!r}: price rows must have {n_states} entries")
             frozen_assets[aid] = table
-        object.__setattr__(self, "assets", frozen_assets)
-        index_system = tuple(sorted({frozenset(a) for a in self.index_system},
-                                    key=lambda a: (len(a), sorted(a))))
-        object.__setattr__(self, "index_system", index_system)
-        filts = {frozenset(k): v for k, v in self.trading_filtrations.items()}
-        object.__setattr__(self, "trading_filtrations", filts)
-        if len(self.grand_filtration) != rows:
+        index_system = tuple(sorted({frozenset(a) for a in index_system}, key=lambda a: (len(a), sorted(a))))
+        filts = {frozenset(k): v for k, v in trading_filtrations.items()}
+        if len(grand_filtration) != rows:
             raise ValueError(f"grand filtration must span 0..{rows - 1}")
-        if self.grand_filtration.states != self.space.states:
+        if grand_filtration.states != space.states:
             raise ValueError("grand filtration state set differs from the space")
         for a, f in filts.items():
-            if f.states != self.space.states:
+            if f.states != space.states:
                 raise ValueError(f"trading filtration for {set(a)} has a different state set")
-            if not self.space.horizon + 1 <= len(f) <= rows:
+            if not space.horizon + 1 <= len(f) <= rows:
                 raise ValueError(
-                    f"trading filtration for {set(a)} must span at least 0..{self.space.horizon} "
-                    f"and at most 0..{self.space.extended_horizon}"
+                    f"trading filtration for {set(a)} must span at least 0..{space.horizon} "
+                    f"and at most 0..{space.extended_horizon}"
                 )
+        self.__dict__.update(space=space, assets=frozen_assets, index_system=index_system,
+                             trading_filtrations=filts, grand_filtration=grand_filtration)
 
     @cached_property
     def price_scale(self) -> int:
@@ -90,7 +84,8 @@ class Market:
         if not n <= horizon <= n_ext:
             raise ValueError(f"horizon must lie in {n}..{n_ext}")
         filts = {a: f.extend_to(horizon + 1) for a, f in self.trading_filtrations.items()}
-        return replace(self, space=replace(self.space, horizon=horizon), trading_filtrations=filts)
+        space = FiniteSpace(self.space.states, self.space.probability, horizon, n_ext)
+        return Market(space, self.assets, self.index_system, filts, self.grand_filtration)
 
 
 def validate_market(m: Market) -> list[str]:
@@ -160,8 +155,7 @@ def is_measurable(x: Sequence[Rational], sigma: Partition) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Frozen):
     """Piecewise-constant holdings on one index set between ordered dates.
 
     holdings[i] maps each traded asset to a state vector held over the
@@ -169,24 +163,23 @@ class Strategy:
     index set's trading filtration at dates[i].
     """
 
-    index_set: frozenset[str]
-    dates: tuple[int, ...]
-    holdings: tuple[Mapping[str, tuple[Rational, ...]], ...]
+    _fields = ("index_set", "dates", "holdings")
 
-    def __post_init__(self):
-        object.__setattr__(self, "index_set", frozenset(self.index_set))
-        object.__setattr__(self, "dates", tuple(int(t) for t in self.dates))
-        if len(self.dates) < 2:
+    def __init__(self, index_set: frozenset[str], dates: Sequence[int],
+                 holdings: Sequence[Mapping[str, Sequence[Rational]]]):
+        index_set = frozenset(index_set)
+        dates = tuple(int(t) for t in dates)
+        if len(dates) < 2:
             raise ValueError("a strategy needs at least two dates")
-        if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
+        if any(a >= b for a, b in zip(dates, dates[1:])):
             raise ValueError("dates must be strictly increasing")
-        if len(self.holdings) != len(self.dates) - 1:
+        if len(holdings) != len(dates) - 1:
             raise ValueError("one holdings map per interval between consecutive dates")
-        frozen = tuple({aid: tuple(vec) for aid, vec in h.items()} for h in self.holdings)
-        object.__setattr__(self, "holdings", frozen)
+        frozen = tuple({aid: tuple(vec) for aid, vec in h.items()} for h in holdings)
         for h in frozen:
-            if not set(h) <= self.index_set:
+            if not set(h) <= index_set:
                 raise ValueError("holdings name assets outside the index set")
+        self.__dict__.update(index_set=index_set, dates=dates, holdings=frozen)
 
 
 def validate_strategy(m: Market, s: Strategy) -> list[str]:
@@ -214,8 +207,7 @@ def validate_strategy(m: Market, s: Strategy) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class GainGenerator:
+class GainGenerator(Frozen):
     """One-step gain of holding an atom indicator of one asset.
 
     Its gain vector is 1_atom(w) * (price(step + 1, w) - price(step, w)),
@@ -226,11 +218,11 @@ class GainGenerator:
     wealths.
     """
 
-    index_set: frozenset[str]
-    asset: str
-    step: int
-    atom: tuple[str, ...]
-    deltas: tuple[tuple[int, int], ...]
+    _fields = ("index_set", "asset", "step", "atom", "deltas")
+
+    def __init__(self, index_set: frozenset[str], asset: str, step: int, atom: tuple[str, ...],
+                 deltas: tuple[tuple[int, int], ...]):
+        self.__dict__.update(index_set=index_set, asset=asset, step=step, atom=atom, deltas=deltas)
 
 
 def gain_generators(m: Market) -> list[GainGenerator]:

@@ -15,49 +15,44 @@ arithmetic with no tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import eq, le
 from typing import Iterable, Mapping, Sequence
 
+from .frozen import Frozen
 from .rationals import Rational, int_multiple, rat
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(Frozen):
     """Finite state set with strictly positive probabilities and a time grid.
 
     The trading grid is 0..horizon; prices may extend to extended_horizon
     to make room for order executions that land after maturity.
     """
 
-    states: tuple[str, ...]
-    probability: Mapping[str, Rational]
-    horizon: int
-    extended_horizon: int
-    state_index: dict[str, int] = field(init=False, compare=False, repr=False)  # state -> position
+    _fields = ("states", "probability", "horizon", "extended_horizon")
 
-    def __post_init__(self):
-        if len(self.states) == 0:
+    def __init__(self, states: Sequence[str], probability: Mapping[str, Rational], horizon: int,
+                 extended_horizon: int):
+        if len(states) == 0:
             raise ValueError("state set is empty")
-        state_index = dict(zip(self.states, range(len(self.states))))
-        if len(state_index) != len(self.states):
+        state_index = dict(zip(states, range(len(states))))  # state -> position
+        if len(state_index) != len(states):
             raise ValueError("duplicate state names")
-        if self.horizon < 1:
+        if horizon < 1:
             raise ValueError("grid horizon must be at least 1")
-        if self.extended_horizon < self.horizon:
+        if extended_horizon < horizon:
             raise ValueError("extended horizon must be >= horizon")
-        if set(self.probability) != set(self.states):
+        if set(probability) != set(states):
             raise ValueError("probability keys do not match the state set")
-        weights = [self.probability[s] for s in self.states]
+        weights = [probability[s] for s in states]
         ints, scale = int_multiple(weights)
         if min(ints) <= 0:
             raise ValueError("all state probabilities must be strictly positive")
         if sum(ints) != scale:
             raise ValueError("probabilities must sum to exactly 1")
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "probability", dict(zip(self.states, weights)))
-        object.__setattr__(self, "state_index", state_index)
+        self.__dict__.update(states=tuple(states), probability=dict(zip(states, weights)), horizon=horizon,
+                             extended_horizon=extended_horizon, state_index=state_index)
 
     @classmethod
     def uniform(cls, states: Sequence[str], horizon: int, extended_horizon: int) -> "FiniteSpace":
@@ -69,8 +64,7 @@ class FiniteSpace:
 _INT = frozenset({int})
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """A sigma-field on a finite state set, given by its canonical labels.
 
     labels[i] is the number of the atom holding the i-th state, and atoms
@@ -81,14 +75,9 @@ class Partition:
     form, and of reads a collection of atoms.
     """
 
-    states: tuple[str, ...]
-    labels: tuple[int, ...]
-    atoms: tuple[tuple[str, ...], ...] = field(init=False, compare=False)
-    # each atom as the universe-order positions of its states, increasing
-    atom_positions: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    _fields = ("states", "labels")
 
-    def __post_init__(self):
-        states, labels = self.states, self.labels
+    def __init__(self, states: tuple[str, ...], labels: tuple[int, ...]):
         if len(set(states)) != len(states):
             raise ValueError("duplicate state names")
         if len(labels) != len(states):
@@ -102,8 +91,9 @@ class Partition:
         for i, (s, label) in enumerate(zip(states, labels)):
             atoms[label].append(s)
             positions[label].append(i)
-        object.__setattr__(self, "atoms", tuple(map(tuple, atoms)))
-        object.__setattr__(self, "atom_positions", tuple(map(tuple, positions)))
+        # atom_positions: each atom as the universe-order positions of its states, increasing
+        self.__dict__.update(states=states, labels=labels, atoms=tuple(map(tuple, atoms)),
+                             atom_positions=tuple(map(tuple, positions)))
 
     @classmethod
     def of(cls, states: Sequence[str], atoms: Iterable[Iterable[str]]) -> "Partition":
@@ -238,21 +228,21 @@ def conditional_expectation(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(Frozen):
     """A refining sequence of partitions indexed by grid times 0..len-1."""
 
-    partitions: tuple[Partition, ...]
+    _fields = ("partitions",)
 
-    def __post_init__(self):
-        if not self.partitions:
+    def __init__(self, partitions: tuple[Partition, ...]):
+        if not partitions:
             raise ValueError("empty filtration")
-        states = self.partitions[0].states
-        for t, p in enumerate(self.partitions):
+        states = partitions[0].states
+        for t, p in enumerate(partitions):
             if p.states != states:
                 raise ValueError("filtration mixes state sets")
-            if t > 0 and not refines(p, self.partitions[t - 1]):
+            if t > 0 and not refines(p, partitions[t - 1]):
                 raise ValueError(f"partition at time {t} does not refine time {t - 1}")
+        self.__dict__.update(partitions=partitions)
 
     @classmethod
     def constant(cls, partition: Partition, length: int) -> "Filtration":
@@ -295,8 +285,7 @@ def is_subfiltration(coarse: Filtration, fine: Filtration) -> bool:
     return all(map(refines, fine.partitions, coarse.partitions))
 
 
-@dataclass(frozen=True)
-class StoppingProcess:
+class StoppingProcess(Frozen):
     """A time-indexed table of grid-valued stopping times with its information.
 
     values[t][i] is the stopped grid time for order time t and state i (in
@@ -305,17 +294,16 @@ class StoppingProcess:
     the constructor, so diagnostic reports can be produced for bad tables.
     """
 
-    values: tuple[tuple[int, ...], ...]
-    info: Filtration
+    _fields = ("values", "info")
 
-    def __post_init__(self):
-        n = len(self.info.states)
-        if not self.values:
+    def __init__(self, values: Sequence[Sequence[int]], info: Filtration):
+        n = len(info.states)
+        if not values:
             raise ValueError("empty value table")
-        for row in self.values:
+        for row in values:
             if len(row) != n:
                 raise ValueError("value row length differs from state count")
-        object.__setattr__(self, "values", tuple(tuple(map(int, row)) for row in self.values))
+        self.__dict__.update(values=tuple(tuple(map(int, row)) for row in values), info=info)
 
     @classmethod
     def deterministic(cls, schedule: Sequence[int], info: Filtration) -> "StoppingProcess":

@@ -24,7 +24,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 from .arbitrage import (
@@ -47,6 +46,7 @@ from .delays import (
     validate_information_family,
 )
 from .documents import serialize_market_document
+from .frozen import Frozen
 from .markets import Market, validate_market
 from .probability import (
     Filtration,
@@ -60,25 +60,27 @@ from .probability import (
 from .rationals import Rational, int_multiple, rat
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Upper bounds and knobs for generated scenarios; sizes are drawn per trial."""
+class ScenarioConfig(Frozen):
+    """Upper bounds and knobs for generated scenarios; sizes are drawn per trial.
 
-    seed: int = 0
-    num_states: int = 10
-    grid: int = 3                  # trading horizon N
-    extension: int = 5             # extended horizon for prices
-    num_assets: int = 2
-    max_index_sets: int = 4
-    brokers: int = 3
+    grid is the trading horizon N and extension the extended horizon for prices."""
 
-    def __post_init__(self):
+    _fields = ("seed", "num_states", "grid", "extension", "num_assets", "max_index_sets", "brokers")
+
+    def __init__(self, seed: int = 0, num_states: int = 10, grid: int = 3, extension: int = 5, num_assets: int = 2,
+                 max_index_sets: int = 4, brokers: int = 3):
+        self.__dict__.update(seed=seed, num_states=num_states, grid=grid, extension=extension,
+                             num_assets=num_assets, max_index_sets=max_index_sets, brokers=brokers)
         positive = ("num_states", "grid", "num_assets", "max_index_sets", "brokers")
         for name in positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.extension < self.grid:
             raise ValueError("extension must be at least the grid length")
+
+
+# every price and payoff a generated market draws, n/d by (n, d), built once
+_SMALL_RATIONALS = {(n, d): rat(n, d) for n in range(-6, 13) for d in (1, 2, 4)}
 
 
 def _rng(seed, *path) -> random.Random:
@@ -96,17 +98,21 @@ def random_positive_measure(rng: random.Random, states) -> dict[str, Rational]:
 
 
 def _random_split(rng: random.Random, part: Partition) -> Partition:
-    atoms = []
-    for atom in part.atoms:
-        if len(atom) >= 2 and rng.random() < 0.6:
-            shuffled = list(atom)
+    """Cut each atom of two or more states in two with probability 0.6: a
+    random cut of its shuffled positions, the part after the cut under a
+    new label (shuffle draws by length alone, so positions shuffle as
+    names would)."""
+    labels = list(part.labels)
+    fresh = len(part.atoms)
+    for positions in part.atom_positions:
+        if len(positions) >= 2 and rng.random() < 0.6:
+            shuffled = list(positions)
             rng.shuffle(shuffled)
             cut = rng.randint(1, len(shuffled) - 1)
-            atoms.append(shuffled[:cut])
-            atoms.append(shuffled[cut:])
-        else:
-            atoms.append(list(atom))
-    return Partition.of(part.states, atoms)
+            for k in shuffled[cut:]:
+                labels[k] = fresh
+            fresh += 1
+    return Partition.from_labels(part.states, labels)
 
 
 def random_refining_filtration(rng: random.Random, states, length: int) -> Filtration:
@@ -329,7 +335,7 @@ def gen_martingale_market(
 
     tables = {}
     for a in assets:
-        payoffs = [rat(rng.randint(-6, 12), rng.choice((1, 1, 2, 4))) for _ in final.atoms]
+        payoffs = [_SMALL_RATIONALS[rng.randint(-6, 12), rng.choice((1, 1, 2, 4))] for _ in final.atoms]
         scaled, scale = int_multiple(payoffs)
         weighted = [w * scaled[label] for w, label in zip(weights, final.labels)]
         rows = []
@@ -358,7 +364,7 @@ def gen_random_market(cfg: ScenarioConfig, *, rng: random.Random | None = None) 
     for a in assets:
         rows = []
         for p in grand.partitions:
-            values = [rat(rng.randint(-4, 10), rng.choice((1, 1, 2))) for _ in p.atoms]
+            values = [_SMALL_RATIONALS[rng.randint(-4, 10), rng.choice((1, 1, 2))] for _ in p.atoms]
             rows.append(tuple(map(values.__getitem__, p.labels)))
         tables[a] = tuple(rows)
     return Market(space, tables, tuple(index_system), trading, grand)
@@ -430,20 +436,18 @@ def gen_insider_execution_market(steps: int, lookahead: int):
 # experiment harnesses
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    index: int
-    label: str
-    ok: bool
-    detail: str = ""
-    reproduction: dict | None = None
+class TrialRecord(Frozen):
+    _fields = ("index", "label", "ok", "detail", "reproduction")
+
+    def __init__(self, index: int, label: str, ok: bool, detail: str = "", reproduction: dict | None = None):
+        self.__dict__.update(index=index, label=label, ok=ok, detail=detail, reproduction=reproduction)
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    kind: str
-    seed: int
-    records: tuple[TrialRecord, ...]
+class ExperimentReport(Frozen):
+    _fields = ("kind", "seed", "records")
+
+    def __init__(self, kind: str, seed: int, records: tuple[TrialRecord, ...]):
+        self.__dict__.update(kind=kind, seed=seed, records=records)
 
     @property
     def trials(self) -> int:

@@ -1,13 +1,32 @@
-"""The index-system draw that `delayedmarkets.scenarios` replaced, kept
-unchanged as the reference that `test_scenarios.py` compares it against:
-it closes each drawn family with repeated all-pairs union rounds and then
-closes the result once more. The two must give equal families and leave
-the generator in the same state.
+"""Scenario draws that `delayedmarkets.scenarios` replaced, kept unchanged
+as the references that `test_scenarios.py` compares them against; each
+pair must give equal results and leave the generator in the same state.
+
+The index-system draw closes each drawn family with repeated all-pairs
+union rounds and then closes the result once more. The partition split
+shuffles each atom's state names and rebuilds the partition from its
+atoms with `Partition.of`.
 """
 
 from __future__ import annotations
 
 import random
+
+from delayedmarkets.probability import Partition
+
+
+def _random_split(rng: random.Random, part: Partition) -> Partition:
+    atoms = []
+    for atom in part.atoms:
+        if len(atom) >= 2 and rng.random() < 0.6:
+            shuffled = list(atom)
+            rng.shuffle(shuffled)
+            cut = rng.randint(1, len(shuffled) - 1)
+            atoms.append(shuffled[:cut])
+            atoms.append(shuffled[cut:])
+        else:
+            atoms.append(list(atom))
+    return Partition.of(part.states, atoms)
 
 
 def _union_closed_index_system(rng: random.Random, assets, max_sets: int, singletons: bool):

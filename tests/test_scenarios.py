@@ -23,10 +23,13 @@ from delayedmarkets.delays import (
 )
 from delayedmarkets.documents import parse_market_document, serialize_market_document
 from delayedmarkets.markets import validate_market
-from delayedmarkets.probability import conditional_expectation, validate_stopping_process
+from delayedmarkets.probability import Partition, conditional_expectation, validate_stopping_process
+from delayedmarkets.rationals import rat
 from delayedmarkets.scenarios import (
+    _SMALL_RATIONALS,
     WALK_STATE_CAP,
     ScenarioConfig,
+    _random_split,
     _rng,
     _union_closed_index_system,
     gen_insider_execution_market,
@@ -38,6 +41,7 @@ from delayedmarkets.scenarios import (
 )
 
 from conftest import one_certificate
+from reference_scenarios import _random_split as reference_split
 from reference_scenarios import _union_closed_index_system as reference_index_system
 from test_acceptance import DESK
 
@@ -131,6 +135,27 @@ class TestGenerators:
         assert isinstance(check_naflp(m), NoFreeLunch)
         m2, fam2 = gen_insider_execution_market(2, 0)
         assert isinstance(check_naflp(m2), NoFreeLunch)
+
+
+class TestDraws:
+    def test_splits_match_the_reference(self):
+        """Equal partitions and an equal generator state after every split of
+        a chain that starts from the trivial partition, over 2 to 16 states."""
+        for n in range(2, 17):
+            states = tuple(f"s{i}" for i in range(n))
+            for chain in range(12):
+                seed = f"split:{n}:{chain}"
+                ours, ref = random.Random(seed), random.Random(seed)
+                part = expected = Partition.trivial(states)
+                for step in range(8):
+                    part, expected = _random_split(ours, part), reference_split(ref, expected)
+                    assert part == expected, (n, chain, step)
+                    assert ours.getstate() == ref.getstate(), (n, chain, step)
+
+    def test_shared_rationals_are_the_drawn_values(self):
+        assert len(_SMALL_RATIONALS) == 19 * 3
+        for (n, d), value in _SMALL_RATIONALS.items():
+            assert type(value) is Fraction and value == rat(n, d)
 
 
 class TestIndexSystems:
