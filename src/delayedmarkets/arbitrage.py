@@ -5,24 +5,35 @@ subspace K spanned by the one-step gain generators, so "no free lunch"
 collapses to the Stiemke alternative: either some nonzero nonnegative
 vector lies in K (a free-lunch strategy), or some strictly positive
 measure annihilates K (an equivalent martingale measure for every trading
-filtration of the index system). Both sides are exact rational LPs over
-one generator set and only one can ever certify, so check_naflp solves
-at most one LP per certified verdict where it can: none when the
-uniform measure annihilates K, only the free-lunch LP when a generator
-whose changes share one sign already is a free lunch, else the measure
-LP and the free-lunch LP only when that finds no measure. Neither oracle
-certifying is a solver bug; the tests run both on generated markets.
+filtration of the index system). Both sides are exact and only one can
+ever certify, so check_naflp solves at most one LP per certified verdict
+where it can:
+
+- only the free-lunch LP when a generator whose changes share one sign
+  already is a free lunch;
+- none when the projection of the uniform weights onto the orthogonal
+  complement of K is strictly positive. That projection is Schweizer's
+  variance-optimal signed martingale measure ("Approximation pricing and
+  the variance-optimal martingale measure", Ann. Probab. 24(1), 1996)
+  for uniform reference weights, and is uniform when every generator's
+  changes sum to zero;
+- else the measure LP, and the free-lunch LP only when that finds no
+  measure.
+
+Neither oracle certifying is a solver bug; the tests run both on
+generated markets.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Mapping
 
 from . import lp
 from .frozen import Frozen
 from .markets import GainGenerator, Market, Strategy, gain_generators, validate_strategy
-from .rationals import Rational, ZERO, format_rational, int_multiple, rat
+from .rationals import Rational, ZERO, format_rational, int_multiple
 
 
 class OracleDisagreementError(RuntimeError):
@@ -93,8 +104,11 @@ def find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificat
     A positive column scale keeps every Bland choice and ratio-test
     winner, so it changes no pivot. Every row, right-hand side and
     objective entry is an int, so the LP takes the rows as they are. The
-    certificate is summed on ints too: the unit coefficients are u_j / L
-    for ints u_j and their common denominator L, and each nonzero entry
+    certificate is assembled on ints too. The two columns of a pair are
+    each other's negatives, so no basis holds both and at most one is
+    nonzero: its value n / d gives the unit coefficient n / (d * c_j),
+    reduced by gcd(n, c_j). The unit coefficients are u_j / L for ints
+    u_j and the lcm L of those denominators, and each nonzero entry
     becomes one rational at the end.
     """
     if not gens:
@@ -127,7 +141,13 @@ def find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificat
     if outcome.objective == 0:
         return None
     x = outcome.solution
-    units, scale = int_multiple((x[2 * j] - x[2 * j + 1]) / c for j, c in enumerate(scales))
+    ratios = []
+    for j, c in enumerate(scales):
+        n, d = (x[2 * j] or -x[2 * j + 1]).as_integer_ratio()
+        g = gcd(n, c)
+        ratios.append((n // g, d * (c // g)))
+    scale = lcm(*(d for _, d in ratios))
+    units = [n * (scale // d) for n, d in ratios]
     terminal = [0] * n_states
     for u, g in zip(units, gens):
         if u:
@@ -138,8 +158,10 @@ def find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificat
 
 
 def _as_rationals(values: list[int], factor: int, scale: int) -> list[Rational]:
-    """factor * v / scale per int v, with ZERO for each zero."""
-    return [Rational(factor * v, scale) if v else ZERO for v in values]
+    """factor * v / scale per int v, one shared Rational per distinct v
+    and ZERO for each zero."""
+    shared = {v: Rational(factor * v, scale) if v else ZERO for v in set(values)}
+    return [shared[v] for v in values]
 
 
 def _strategy_from_active(m: Market, gens: list[GainGenerator], units: list[int], scale: int) -> Strategy:
@@ -180,18 +202,73 @@ def _strategy_from_active(m: Market, gens: list[GainGenerator], units: list[int]
 
 
 def find_martingale_measure(m: Market, gens: list[GainGenerator]) -> MartingaleMeasureCertificate | None:
-    """Search for a strictly positive measure annihilating every gain generator.
+    """A strictly positive measure annihilating every gain generator, or None.
 
-    Maximizes the floor eps under the constraints sum(q) = 1, q_w >= eps,
-    and orthogonality of q to a row basis of the generator span; a
-    positive optimum is returned as a certificate, anything else is None.
+    The candidate is p = 1 - P_K 1, the projection of the uniform weights
+    onto the orthogonal complement of the generator span K: Schweizer's
+    variance-optimal signed martingale measure (Ann. Probab. 24(1), 1996)
+    for uniform reference weights. p annihilates every generator by
+    construction, so q = p / sum(p) is returned when every p_w is
+    positive. When every generator's changes sum to zero, 1 is orthogonal
+    to K, p = 1 and q is uniform, with no basis computed. Otherwise the
+    measure LP decides on the same row basis (see _measure_lp).
     Orthogonality to consecutive-step generators gives the martingale
     property for all date pairs by the tower property.
     """
     n_states = len(m.space.states)
+    if any(sum(d for _, d in g.deltas) for g in gens):
+        basis = lp.row_basis([g.deltas for g in gens])
+        p = _projection(basis, n_states)
+        if min(p) <= 0:
+            return _measure_lp(m, basis)
+    else:
+        p = [1] * n_states
+    return MartingaleMeasureCertificate(dict(zip(m.space.states, _as_rationals(p, 1, sum(p)))))
+
+
+def _projection(basis: list[lp.Row], n_states: int) -> list[int]:
+    """A positive int multiple of p = 1 - P_K 1, for K the span of the
+    independent int rows of basis (B).
+
+    P_K 1 = B^T y for the solution y of the r x r normal equations
+    B B^T y = B 1, which lp.row_basis solves fraction-free: the reduced
+    basis of the augmented rows [B B^T | B 1] is one row (a_i, c_i) per
+    unknown, with y_i = c_i / a_i and a_i > 0. With L the lcm of the a_i,
+    L * p = L * 1 - sum_i (L * y_i) * B_i holds only ints.
+    """
+    r = len(basis)
+    dense = []
+    for values in basis:
+        row = [0] * n_states
+        for k, v in values:
+            row[k] = v
+        dense.append(row)
+    normal = []
+    for a in dense:
+        entries = [(k, v) for k, v in enumerate(sum(map(mul, a, b)) for b in dense) if v]
+        if rhs := sum(a):
+            entries.append((r, rhs))
+        normal.append(tuple(entries))
+    solved = lp.row_basis(normal)
+    scale = lcm(*(row[0][1] for row in solved))
+    p = [scale] * n_states
+    for (i, a), *rhs in solved:
+        if rhs:
+            y = rhs[0][1] * (scale // a)
+            for k, v in basis[i]:
+                p[k] -= y * v
+    return p
+
+
+def _measure_lp(m: Market, basis: list[lp.Row]) -> MartingaleMeasureCertificate | None:
+    """The measure LP: maximize the floor eps under the constraints
+    sum(q) = 1, q_w >= eps, and orthogonality of q to the generator
+    span's row basis; a positive optimum is returned as a certificate,
+    anything else is None."""
+    n_states = len(m.space.states)
     eps = n_states  # columns: q per state, then eps
     equalities = [(tuple((w, 1) for w in range(n_states)), 1)]
-    equalities += ((row, 0) for row in lp.row_basis([g.deltas for g in gens]))
+    equalities += ((row, 0) for row in basis)
     problem = lp.LpProblem(
         num_vars=n_states + 1,
         objective=((eps, 1),),
@@ -210,26 +287,22 @@ def find_martingale_measure(m: Market, gens: list[GainGenerator]) -> MartingaleM
 def check_naflp(m: Market, horizon: int | None = None) -> Verdict:
     """Decide for m.at_horizon(horizon) from one generator set, after one pass over it:
 
-    - the uniform measure if every generator's changes sum to zero (the
-      measure LP's only optimum then, as eps = 1/n forces q = 1/n);
     - the free-lunch LP alone if some generator's changes all share one
       sign: that generator (or its negative) is a free lunch in the span,
-      so no strictly positive measure annihilates it and the measure LP
-      could only return None;
-    - else the measure LP, and the free-lunch LP only when that finds no
-      measure.
+      so no strictly positive measure annihilates it and the measure
+      oracle could only return None;
+    - else find_martingale_measure, whose projected measure (Schweizer
+      1996) certifies without an LP wherever it is strictly positive, the
+      uniform measure included, and the free-lunch LP only when that
+      finds no measure.
     """
     m = m.at_horizon(horizon)
-    gens, states = gain_generators(m), m.space.states
-    balanced = True
+    gens = gain_generators(m)
     for g in gens:
         changes = [d for _, d in g.deltas]
         if min(changes) > 0 or max(changes) < 0:
             break
-        balanced = balanced and sum(changes) == 0
     else:
-        if balanced:
-            return NoFreeLunch(MartingaleMeasureCertificate(dict.fromkeys(states, rat(1, len(states)))))
         measure = find_martingale_measure(m, gens)
         if measure is not None:
             return NoFreeLunch(measure)

@@ -1,11 +1,12 @@
 """Exact rational arithmetic used everywhere in the core.
 
 Rational is fractions.Fraction. It does not sit in the LP, which takes
-ints only, or in the certificate checks: int_multiple is the one place
-where a list of rationals becomes Python ints (times the lcm of its
-denominators), for a market's price scale, the free-lunch certificate's
-coefficients, both certificate verifiers and the tests of state
+ints only, or in the certificate checks: int_multiple turns a list of
+rationals into Python ints (times the lcm of its denominators) for a
+market's price scale, both certificate verifiers and the tests of state
 probabilities (sums_to_one, and FiniteSpace's positivity and sum) alike.
+The free-lunch oracle reads its few LP coefficients with
+as_integer_ratio itself.
 parse_rational accepts a literal with one regular-expression match.
 """
 

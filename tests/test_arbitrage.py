@@ -44,7 +44,7 @@ from delayedmarkets.scenarios import (
 
 import reference_lp
 from conftest import binomial_market, dense, one_certificate, reference_terminal_wealth, single_signed
-from reference_check import reference_check_naflp
+from reference_check import reference_check_naflp, reference_projection
 from reference_free_lunch import reference_find_free_lunch
 from reference_lp import reference_row_basis, reference_solve
 from reference_verify import reference_verify_measure
@@ -234,34 +234,6 @@ class TestOracleConsistency:
         with pytest.raises(OracleDisagreementError):
             check_naflp(no_arbitrage_binomial)
 
-    def test_uniform_shortcut_is_the_measure_lp_optimum(self, monkeypatch):
-        """Wherever check_naflp skips the measure LP and finds no free
-        lunch, that LP returns exactly the uniform measure the shortcut
-        gave; where it skips it and finds a free lunch, some generator is
-        single-signed and that LP finds no measure."""
-        measure_lp = arbitrage.find_martingale_measure
-        solved = []
-        monkeypatch.setattr(arbitrage, "find_martingale_measure",
-                            lambda m, gens: solved.append(m) or measure_lp(m, gens))
-        skipped, signed = [], []
-        for label, m in desk_and_walks(160):
-            verdict = check_naflp(m)
-            if solved and solved[-1] is m:
-                continue
-            gens = gain_generators(m)
-            if isinstance(verdict, NoFreeLunch):
-                states = m.space.states
-                uniform = {s: rat(1, len(states)) for s in states}
-                assert verdict.certificate.q == uniform, label
-                assert measure_lp(m, gens).q == uniform, label
-                skipped.append(label)
-            else:
-                assert any(single_signed(g) for g in gens), label
-                assert measure_lp(m, gens) is None, label
-                signed.append(label)
-        assert len(skipped) >= 10 and "delayed information walk 4" in skipped
-        assert len(signed) >= 50
-
     def test_measure_certificate_skips_free_lunch_lp(self, monkeypatch):
         def refuse(m, gens):
             raise AssertionError("free-lunch LP ran after the measure LP certified")
@@ -331,7 +303,7 @@ class TestOracleConsistency:
             (no_arbitrage_binomial, ["find_martingale_measure"]),
             (dominated_binomial, ["find_free_lunch"]),  # its one generator is single-signed
             (im, ["find_free_lunch"]),
-            (information_delayed_market(im, fam), []),  # the uniform shortcut
+            (information_delayed_market(im, fam), ["find_martingale_measure"]),  # the uniform projection
         ]
         for m, expected in reached:
             calls.clear()
@@ -411,11 +383,12 @@ def reference_find_martingale_measure(m: Market, gens) -> MartingaleMeasureCerti
 
 class TestIntegerMeasureLp:
     def test_matches_the_fraction_measure_lp(self, monkeypatch):
-        """find_martingale_measure hands the tableau primitive int basis rows
-        with artificial coefficient 1, where the measure LP it replaced held
-        each rational basis row (pivot 1) with artificial coefficient 1. On
-        every market, whether or not check_naflp would solve its measure LP,
-        both give equal certificates after equal pivot sequences."""
+        """The measure LP that find_martingale_measure falls back on hands
+        the tableau primitive int basis rows with artificial coefficient 1,
+        where the measure LP it replaced held each rational basis row
+        (pivot 1) with artificial coefficient 1. On every market, whether
+        or not check_naflp would solve it, both give equal certificates
+        after equal pivot sequences."""
         pivots = {"new": [], "ref": []}
         for side, tableau in (("new", lp._Tableau), ("ref", reference_lp._Tableau)):
             def recorded(self, i, j, pivot=tableau.pivot, seen=pivots[side]):
@@ -427,12 +400,96 @@ class TestIntegerMeasureLp:
             gens = gain_generators(m)
             pivots["new"].clear()
             pivots["ref"].clear()
-            cert = find_martingale_measure(m, gens)
+            cert = arbitrage._measure_lp(m, lp.row_basis([g.deltas for g in gens]))
             assert cert == reference_find_martingale_measure(m, gens), label
             assert pivots["new"] == pivots["ref"], label
             found += cert is not None
             missing += cert is None
         assert found >= 250 and missing >= 250, (found, missing)
+
+
+def projected(m, gens) -> list[int]:
+    """The int multiple of the projection that find_martingale_measure
+    computes, from the generators' row basis."""
+    return arbitrage._projection(lp.row_basis([g.deltas for g in gens]), len(m.space.states))
+
+
+def normalized(values) -> tuple:
+    """values divided by their sum, or values as they are if it is 0."""
+    total = sum(values)
+    return tuple(rat(v) / total for v in values) if total else tuple(values)
+
+
+class TestProjection:
+    """find_martingale_measure's projected measure p / sum(p), with
+    p = 1 - P_K 1 for K the span of the gain generators."""
+
+    def test_matches_the_fraction_normal_equations(self):
+        """The int projection is a positive multiple of the dense Fraction
+        reference on every market, and zero exactly where it is."""
+        positive = 0
+        for label, m in [*desk_and_walks(500), *random_consistency_markets(100)]:
+            gens = gain_generators(m)
+            p, expected = projected(m, gens), reference_projection(len(m.space.states), gens)
+            assert normalized(p) == normalized(expected), label
+            assert sum(p) > 0 if any(expected) else not any(p), label
+            positive += min(p) > 0
+        assert positive >= 250, positive
+
+    def test_certifies_only_where_the_measure_lp_finds_a_measure(self):
+        """Where the projection is strictly positive, find_martingale_measure
+        returns it normalized, the measure LP also finds a measure, and the
+        certificate re-verifies; elsewhere the measure LP decides."""
+        projected_count = fallback = 0
+        for label, m in [*desk_and_walks(500), *random_consistency_markets(100)]:
+            gens = gain_generators(m)
+            p, cert = projected(m, gens), find_martingale_measure(m, gens)
+            measure_lp = arbitrage._measure_lp(m, lp.row_basis([g.deltas for g in gens]))
+            if min(p) > 0:
+                assert cert.vector(m.space.states) == normalized(p), label
+                assert measure_lp is not None, label
+                assert verify_certificate(m, NoFreeLunch(cert)), label
+                projected_count += 1
+            else:
+                assert cert == measure_lp, label
+                fallback += 1
+        assert projected_count >= 250 and fallback >= 250, (projected_count, fallback)
+
+    def test_balanced_markets_project_to_uniform(self, monkeypatch):
+        """When every generator's changes sum to 0, 1 is orthogonal to K, so
+        p = 1: the measure is exactly uniform, from the normal equations
+        too, and no LP runs."""
+        monkeypatch.setattr(lp, "solve", lambda p: pytest.fail("an LP ran on a balanced market"))
+        balanced = []
+        for label, m in desk_and_walks(160):
+            gens = gain_generators(m)
+            if any(sum(d for _, d in g.deltas) for g in gens):
+                continue
+            states = m.space.states
+            uniform = {s: rat(1, len(states)) for s in states}
+            assert find_martingale_measure(m, gens).q == uniform, label
+            assert check_naflp(m).certificate.q == uniform, label
+            assert len(set(projected(m, gens))) == 1, label
+            balanced.append(label)
+        assert len(balanced) >= 10 and "delayed information walk 4" in balanced
+
+    def test_moved_mass_is_rejected(self):
+        """Negative control: part of one state's projected mass moved to a
+        state of another final grand atom fails re-verification on most
+        seeded markets, so the projection's certificates are not accepted
+        for free."""
+        moved = rejected = 0
+        for label, m in [*desk_and_walks(500), *random_consistency_markets(100)]:
+            gens = gain_generators(m)
+            if min(projected(m, gens)) <= 0:
+                continue
+            q = find_martingale_measure(m, gens).q
+            forged = TestMatchesReferenceVerifier.moved_mass(_rng(2024, "moved", label), m, q)
+            if forged is None:
+                continue
+            moved += 1
+            rejected += not verify_certificate(m, NoFreeLunch(MartingaleMeasureCertificate(forged)))
+        assert moved >= 200 and rejected >= 0.9 * moved, (rejected, moved)
 
 
 class TestIntegerFreeLunch:
@@ -626,7 +683,7 @@ class TestGoldenFiles:
             verdict = check_naflp(m)
             assert verify_certificate(m, verdict)
             digest.update(render_verdict(verdict, m.space.states).encode())
-        assert digest.hexdigest() == "bed0567bc3446435d56d7e05e600b5300cda6fd173a692e8fb5d0b8d755c49b8"
+        assert digest.hexdigest() == "917167e313e5dc6cd3549d0c5b3df6dd663889a03f66fdd007a6c62140c90772"
 
     def test_held_out_desk_and_large_walk_verdicts_are_pinned(self):
         """The verdicts of the held-out desk seed and of the larger insider
@@ -653,7 +710,7 @@ class TestGoldenFiles:
             verdict = check_naflp(m)
             assert verify_certificate(m, verdict)
             digest.update(render_verdict(verdict, m.space.states).encode())
-        assert digest.hexdigest() == "d0c21ee7bedcc86fa96950ce018b8cace64ae384c08d797f4c0f3dc43aeaea96"
+        assert digest.hexdigest() == "fabbc4a8ad725858d769acad05ca7e5acbc8030588b967914d68e02f11d92f60"
 
     def test_horizon_sweep_verdicts_are_pinned(self):
         """The criterion-1 desk markets checked at every horizon from n to
@@ -674,7 +731,7 @@ class TestGoldenFiles:
                 count += 1
                 past += h > m.space.horizon
         assert (count, past) == (1395, 895)
-        assert digest.hexdigest() == "b21ac668d2fdd77e627aae817f3d77aebe8fb5421e49c2c07d47b6ae575c4fd5"
+        assert digest.hexdigest() == "9fddb197dd0493417776ad705b12350f16d4c7eeda77d2e8020420eec0303838"
 
 
 class TestMatchesReferenceVerifier:
