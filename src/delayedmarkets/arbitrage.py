@@ -5,11 +5,13 @@ subspace K spanned by the one-step gain generators, so "no free lunch"
 collapses to the Stiemke alternative: either some nonzero nonnegative
 vector lies in K (a free-lunch strategy), or some strictly positive
 measure annihilates K (an equivalent martingale measure for every trading
-filtration of the index system). Both sides are exact and only one can
-ever certify, so check_naflp solves at most one LP per certified verdict
-where it can:
+filtration of the index system). LP duality proves the alternative from
+one LP (Goldman and Tucker, "Theory of linear programming", 1956): the
+free-lunch LP's optimum is a free lunch when it is positive, and its
+duals are a martingale measure when it is zero. So check_naflp solves at
+most one LP per call:
 
-- only the free-lunch LP when a generator whose changes share one sign
+- the free-lunch LP when a generator whose changes share one sign
   already is a free lunch;
 - none when the projection of the uniform weights onto the orthogonal
   complement of K is strictly positive. That projection is Schweizer's
@@ -17,11 +19,9 @@ where it can:
   the variance-optimal martingale measure", Ann. Probab. 24(1), 1996)
   for uniform reference weights, and is uniform when every generator's
   changes sum to zero;
-- else the measure LP, and the free-lunch LP only when that finds no
-  measure.
+- else the free-lunch LP, which certifies either side.
 
-Neither oracle certifying is a solver bug; the tests run both on
-generated markets.
+An LP that proves neither side is a solver bug and raises.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .rationals import Rational, ZERO, format_rational, int_multiple
 
 
 class OracleDisagreementError(RuntimeError):
-    """Neither oracle produced a certificate: an internal inconsistency."""
+    """The free-lunch LP proved neither side: an internal inconsistency."""
 
 
 class FreeLunchCertificate(Frozen):
@@ -87,32 +87,42 @@ class NoFreeLunch(Frozen):
 Verdict = FreeLunch | NoFreeLunch
 
 
-def find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificate | None:
-    """Search the span of the gain generators for a nonnegative nonzero claim.
+def find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificate | MartingaleMeasureCertificate:
+    """The certificate the free-lunch LP proves: a free lunch in the span
+    of the gain generators, or a martingale measure from the LP's duals.
 
     Maximizes the total mass of v = sum_j coeff_j * generator_j subject to
-    0 <= v <= 1 per state; a positive optimum yields a certificate whose
-    strategy is rebuilt from the active generators, a zero optimum means
-    only v = 0 is attainable. Each free coefficient is the difference of
-    an adjacent pair of nonnegative LP columns (2j, 2j + 1). The rows are
-    built from the generators' int deltas (price changes times the
-    market's price_scale D), each divided by c_j, the gcd of generator j's
-    deltas, so no column carries a common factor such as D into the
-    tableau: state w's rows -v_w <= 0 and v_w <= 1 hold (-d, d) and
-    (d, -d) on the pair of each generator j whose delta at w is c_j * d,
-    and no other entry, so (x[2j] - x[2j + 1]) / c_j is coefficient j / D.
-    A positive column scale keeps every Bland choice and ratio-test
-    winner, so it changes no pivot. Every row, right-hand side and
-    objective entry is an int, so the LP takes the rows as they are. The
-    certificate is assembled on ints too. The two columns of a pair are
-    each other's negatives, so no basis holds both and at most one is
-    nonzero: its value n / d gives the unit coefficient n / (d * c_j),
-    reduced by gcd(n, c_j). The unit coefficients are u_j / L for ints
-    u_j and the lcm L of those denominators, and each nonzero entry
-    becomes one rational at the end.
+    -v <= 0 (duals w >= 0) and v <= 1 (duals u >= 0) per state; a positive
+    optimum yields a certificate whose strategy is rebuilt from the active
+    generators. At a zero optimum strong duality gives 1 . u = 0, so u = 0,
+    and the dual constraint of each generator's column pair reads
+    sum_w (1 + w_w) * delta_w = 0: q = 1 + w, normalized, is a strictly
+    positive measure annihilating every generator. With no generator
+    K = {0}, and the uniform measure is returned without an LP.
+
+    Each free coefficient is the difference of an adjacent pair of
+    nonnegative LP columns (2j, 2j + 1). The rows are built from the
+    generators' int deltas (price changes times the market's price_scale
+    D), each divided by c_j, the gcd of generator j's deltas, so no column
+    carries a common factor such as D into the tableau: state w's rows
+    -v_w <= 0 and v_w <= 1 hold (-d, d) and (d, -d) on the pair of each
+    generator j whose delta at w is c_j * d, and no other entry, so
+    (x[2j] - x[2j + 1]) / c_j is coefficient j / D. A positive column
+    scale keeps every Bland choice and ratio-test winner, so it changes no
+    pivot. Every row, right-hand side and objective entry is an int, so
+    the LP takes the rows as they are. The free-lunch certificate is
+    assembled on ints too.
+    The two columns of a pair are each other's negatives, so no basis
+    holds both and at most one is nonzero: its value n / d gives the unit
+    coefficient n / (d * c_j), reduced by gcd(n, c_j). The unit
+    coefficients are u_j / L for ints u_j and the lcm L of those
+    denominators, and each nonzero entry becomes one rational at the end.
+
+    Raises OracleDisagreementError when the LP ends other than optimal or
+    a zero optimum has a nonzero dual on a v <= 1 row.
     """
     if not gens:
-        return None
+        return find_martingale_measure(m, gens)
     n_states = len(m.space.states)
     lower: list[list] = [[] for _ in range(n_states)]
     upper: list[list] = [[] for _ in range(n_states)]
@@ -139,7 +149,11 @@ def find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificat
     if outcome.status != lp.OPTIMAL:
         raise OracleDisagreementError(f"free-lunch search ended {outcome.status}; the claim box is compact")
     if outcome.objective == 0:
-        return None
+        if any(outcome.duals[n_states:]):
+            raise OracleDisagreementError("oracles disagree: zero free-lunch optimum with a nonzero v <= 1 dual")
+        q = [1 + w for w in outcome.duals[:n_states]]
+        total = sum(q)
+        return MartingaleMeasureCertificate(dict(zip(m.space.states, (v / total for v in q))))
     x = outcome.solution
     ratios = []
     for j, c in enumerate(scales):
@@ -202,7 +216,7 @@ def _strategy_from_active(m: Market, gens: list[GainGenerator], units: list[int]
 
 
 def find_martingale_measure(m: Market, gens: list[GainGenerator]) -> MartingaleMeasureCertificate | None:
-    """A strictly positive measure annihilating every gain generator, or None.
+    """The projected martingale measure, when it is strictly positive, or None.
 
     The candidate is p = 1 - P_K 1, the projection of the uniform weights
     onto the orthogonal complement of the generator span K: Schweizer's
@@ -210,17 +224,16 @@ def find_martingale_measure(m: Market, gens: list[GainGenerator]) -> MartingaleM
     for uniform reference weights. p annihilates every generator by
     construction, so q = p / sum(p) is returned when every p_w is
     positive. When every generator's changes sum to zero, 1 is orthogonal
-    to K, p = 1 and q is uniform, with no basis computed. Otherwise the
-    measure LP decides on the same row basis (see _measure_lp).
+    to K, p = 1 and q is uniform, with no basis computed. None says only
+    that the projection does not certify; the free-lunch LP decides then.
     Orthogonality to consecutive-step generators gives the martingale
     property for all date pairs by the tower property.
     """
     n_states = len(m.space.states)
     if any(sum(d for _, d in g.deltas) for g in gens):
-        basis = lp.row_basis([g.deltas for g in gens])
-        p = _projection(basis, n_states)
+        p = _projection(lp.row_basis([g.deltas for g in gens]), n_states)
         if min(p) <= 0:
-            return _measure_lp(m, basis)
+            return None
     else:
         p = [1] * n_states
     return MartingaleMeasureCertificate(dict(zip(m.space.states, _as_rationals(p, 1, sum(p)))))
@@ -260,41 +273,17 @@ def _projection(basis: list[lp.Row], n_states: int) -> list[int]:
     return p
 
 
-def _measure_lp(m: Market, basis: list[lp.Row]) -> MartingaleMeasureCertificate | None:
-    """The measure LP: maximize the floor eps under the constraints
-    sum(q) = 1, q_w >= eps, and orthogonality of q to the generator
-    span's row basis; a positive optimum is returned as a certificate,
-    anything else is None."""
-    n_states = len(m.space.states)
-    eps = n_states  # columns: q per state, then eps
-    equalities = [(tuple((w, 1) for w in range(n_states)), 1)]
-    equalities += ((row, 0) for row in basis)
-    problem = lp.LpProblem(
-        num_vars=n_states + 1,
-        objective=((eps, 1),),
-        equalities=tuple(equalities),
-        inequalities=tuple((((w, -1), (eps, 1)), 0) for w in range(n_states)),
-    )
-    outcome = lp.solve(problem)
-    if outcome.status == lp.INFEASIBLE or (outcome.status == lp.OPTIMAL and outcome.objective == 0):
-        return None
-    if outcome.status != lp.OPTIMAL:
-        raise OracleDisagreementError(f"measure search ended {outcome.status}; eps is bounded by 1/|states|")
-    q = dict(zip(m.space.states, outcome.solution[:n_states]))
-    return MartingaleMeasureCertificate(q=q)
-
-
 def check_naflp(m: Market, horizon: int | None = None) -> Verdict:
     """Decide for m.at_horizon(horizon) from one generator set, after one pass over it:
 
     - the free-lunch LP alone if some generator's changes all share one
       sign: that generator (or its negative) is a free lunch in the span,
-      so no strictly positive measure annihilates it and the measure
-      oracle could only return None;
+      so no strictly positive measure annihilates it and the projection
+      could not certify;
     - else find_martingale_measure, whose projected measure (Schweizer
       1996) certifies without an LP wherever it is strictly positive, the
-      uniform measure included, and the free-lunch LP only when that
-      finds no measure.
+      uniform measure included, and the free-lunch LP, which certifies
+      either side, only when it does not.
     """
     m = m.at_horizon(horizon)
     gens = gain_generators(m)
@@ -306,10 +295,8 @@ def check_naflp(m: Market, horizon: int | None = None) -> Verdict:
         measure = find_martingale_measure(m, gens)
         if measure is not None:
             return NoFreeLunch(measure)
-    lunch = find_free_lunch(m, gens)
-    if lunch is not None:
-        return FreeLunch(lunch)
-    raise OracleDisagreementError("oracles disagree: free lunch absent, martingale measure absent")
+    cert = find_free_lunch(m, gens)
+    return FreeLunch(cert) if isinstance(cert, FreeLunchCertificate) else NoFreeLunch(cert)
 
 
 def verify_certificate(m: Market, v: Verdict, horizon: int | None = None) -> bool:

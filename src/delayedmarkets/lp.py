@@ -1,16 +1,16 @@
 """Exact linear programming over rationals, computed on integers.
 
-Two-phase primal simplex with Bland's rule: no tolerances exist anywhere
-in this module, so optimal solutions re-substitute exactly. Bland's
+Primal simplex with Bland's rule: no tolerances exist anywhere in this
+module, so optimal solutions re-substitute exactly. Bland's
 smallest-index rule trades speed for a termination guarantee, which is
 the right trade at the problem sizes the arbitrage oracles produce.
-Artificial columns exist only during phase 1, which runs only when some
-row cannot start on its slack; it ends by deleting them, which leaves a
-fully dependent equality row empty.
 
-Problems come in standard form: maximize c . x subject to equality rows
-and <= rows, with x >= 0 implicit. A caller with a free variable passes
-it as an adjacent (column, -column) pair and reads back the difference.
+Problems come in a form whose all-slack basis is always feasible:
+maximize c . x subject to <= rows with right-hand sides >= 0, and
+x >= 0 implicit. So the simplex has one phase, and an optimum comes with
+its duals, one per row, read off the final cost row. A caller with a
+free variable passes it as an adjacent (column, -column) pair and reads
+back the difference.
 
 Every row, the objective included, is sparse: a tuple of (column, value)
 pairs, one per nonzero entry, in increasing column order. That is the
@@ -26,7 +26,7 @@ update. A positive factor keeps each sign, each zero and each ratio
 between two entries of a row, which is all that Bland's rule and the
 ratio test read, so the pivots, and with them the solutions, are those
 of the same simplex run on fractions. Rationals are built only on the
-way out, for the solution and the objective value.
+way out, for the solution, the objective value and the duals.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .frozen import Frozen
 from .rationals import Rational, ZERO
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 Row = tuple[tuple[int, int], ...]  # (column, nonzero value), increasing column
@@ -65,33 +64,34 @@ def _check_row(row: Row, rhs: int, n: int, what: str):
 
 
 class LpProblem(Frozen):
-    """maximize objective . x subject to equality rows, <= rows, and x >= 0.
+    """maximize objective . x subject to <= rows and x >= 0.
 
-    The objective and each constraint's coefficients are sparse int rows
-    (see Row); a constraint is a (row, int right-hand side) pair.
+    The objective and each row's coefficients are sparse int rows (see
+    Row); a row is a (coefficients, int right-hand side >= 0) pair.
     """
 
-    _fields = ("num_vars", "objective", "equalities", "inequalities")
+    _fields = ("num_vars", "objective", "inequalities")
+    equalities = ()  # no equality rows; the benchmark's problem-size note reads this
 
-    def __init__(self, num_vars: int, objective: Row, equalities: tuple[tuple[Row, int], ...] = (),
-                 inequalities: tuple[tuple[Row, int], ...] = ()):
+    def __init__(self, num_vars: int, objective: Row, inequalities: tuple[tuple[Row, int], ...] = ()):
         if num_vars < 1:
             raise ValueError("a problem needs at least one variable")
         _check_row(objective, 0, num_vars, "objective")
-        for row, b in equalities:
-            _check_row(row, b, num_vars, "equality")
-        for row, b in inequalities:
+        for i, (row, b) in enumerate(inequalities):
             _check_row(row, b, num_vars, "inequality")
-        self.__dict__.update(num_vars=num_vars, objective=objective, equalities=equalities,
-                             inequalities=inequalities)
+            if b < 0:
+                raise ValueError(f"inequality {i} has right-hand side {b}; it must be at least 0")
+        self.__dict__.update(num_vars=num_vars, objective=objective, inequalities=inequalities)
 
 
 class LpOutcome(Frozen):
-    _fields = ("status", "solution", "objective")
+    """An optimal outcome carries a point, its value and one dual per row."""
+
+    _fields = ("status", "solution", "objective", "duals")
 
     def __init__(self, status: str, solution: tuple[Rational, ...] | None = None,
-                 objective: Rational | None = None):
-        self.__dict__.update(status=status, solution=solution, objective=objective)
+                 objective: Rational | None = None, duals: tuple[Rational, ...] | None = None):
+        self.__dict__.update(status=status, solution=solution, objective=objective, duals=duals)
 
 
 def _reduced(row: dict[int, int]) -> dict[int, int]:
@@ -158,57 +158,34 @@ def row_basis(rows: Sequence[Row]) -> list[Row]:
 class _Tableau:
     """Sparse simplex tableau on integer rows with Bland pivoting.
 
-    Columns are the problem's variables, then one slack per <= row, then,
-    during phase 1 only, one artificial per row that cannot start on its
-    slack (an equality, or a <= row with a negative right-hand side): the
-    artificial columns are the columns from n_real up.
+    Columns are the problem's variables, then one slack per row, on which
+    the row starts basic: its right-hand side is at least 0.
 
     Each row is a dict of its nonzero ints, keyed by column, with the
-    right-hand side under RHS. A problem row enters as it is, negated if
-    its right-hand side is negative, with its slack coefficient 1 (-1 when
-    negated) and its artificial coefficient 1. Its basic column holds the
-    row's positive factor d, so the rational tableau row is the dict
-    divided by d, the basic variable's value is rhs / d, and the ratio
-    rhs / a of the ratio test is d-free: two ratios are compared by
-    cross-multiplying. The cost row has the same form with its
-    denominator under DEN, and holds minus the objective value under RHS.
-
-    Phase 1 ends by deleting every artificial column. A fully dependent
-    row is then left empty, still basic on its artificial, and every loop
-    passes over it, since it has no entry in any column.
+    right-hand side under RHS. A problem row enters as it is, with its
+    slack coefficient 1. Its basic column holds the row's positive factor
+    d, so the rational tableau row is the dict divided by d, the basic
+    variable's value is rhs / d, and the ratio rhs / a of the ratio test
+    is d-free: two ratios are compared by cross-multiplying. The cost row
+    has the same form with its denominator under DEN, and holds minus the
+    objective value under RHS. It starts as the objective, which the
+    all-slack basis leaves reduced.
     """
 
     def __init__(self, p: LpProblem):
-        rows = [(row, b, False) for row, b in p.equalities] + [(row, b, True) for row, b in p.inequalities]
         n = p.num_vars
-        self.n_real = n + len(p.inequalities)
         self.rows: list[dict[int, int]] = []
-        self.basis: list[int] = []
-        self.cost: dict[int, int] = {}
-
-        slack = n
-        for i, (row, b, is_ineq) in enumerate(rows):
-            sign = -1 if b < 0 else 1
-            line = dict(row) if sign > 0 else {k: -v for k, v in row}
+        for i, (row, b) in enumerate(p.inequalities):
+            line = dict(row)
             if b:
-                line[RHS] = sign * b
-            if is_ineq:
-                line[slack] = sign
-            if is_ineq and sign > 0:
-                self.basis.append(slack)
-            else:
-                art = self.n_real + i
-                line[art] = 1
-                self.basis.append(art)
-            if is_ineq:
-                slack += 1
+                line[RHS] = b
+            line[n + i] = 1
             self.rows.append(line)
+        self.basis = list(range(n, n + len(self.rows)))
+        self.cost = {**dict(p.objective), DEN: 1}
 
     def pivot(self, i: int, j: int):
         prow = self.rows[i]
-        if prow[j] < 0:
-            # only a drive-out pivot meets a negative entry, on a row whose rhs is zero
-            prow = self.rows[i] = {k: -v for k, v in prow.items()}
         p = prow[j]
         for r, row in enumerate(self.rows):
             f = row.get(j)
@@ -218,18 +195,6 @@ class _Tableau:
         if f:
             self.cost = _eliminate(self.cost, f, p, prow)
         self.basis[i] = j
-
-    def set_cost(self, costs: dict[int, int]):
-        """Install an int cost vector and reduce it against the current basis."""
-        cost = {**costs, DEN: 1}
-        for row, j in zip(self.rows, self.basis):
-            cb = cost.get(j)
-            if cb:
-                cost = _eliminate(cost, cb, row[j], row)
-        self.cost = cost
-
-    def value(self) -> Rational:
-        return Rational(-self.cost.get(RHS, 0), self.cost[DEN])
 
     def bland(self) -> str:
         while True:
@@ -253,32 +218,21 @@ class _Tableau:
 
 
 def solve(p: LpProblem) -> LpOutcome:
-    """Exact two-phase simplex with Bland's rule; deterministic for equal inputs."""
+    """Exact simplex with Bland's rule from the all-slack basis;
+    deterministic for equal inputs.
+
+    At an optimum, row i's dual is minus the reduced cost of its slack
+    column, -cost[num_vars + i] / cost[DEN]: the duals are nonnegative,
+    satisfy A^T y >= c, and b . y equals the optimal value.
+    """
     tab = _Tableau(p)
-    n_real = tab.n_real
-
-    if any(j >= n_real for j in tab.basis):
-        # phase 1: maximize minus the sum of the artificials, which start basic
-        tab.set_cost({j: -1 for j in tab.basis if j >= n_real})
-        if tab.bland() != OPTIMAL:
-            raise AssertionError("phase-1 objective is bounded; unbounded signal is a solver bug")
-        if tab.value() < 0:
-            return LpOutcome(status=INFEASIBLE)
-        # drive leftover artificials out of the basis, then delete every artificial column
-        for i, row in enumerate(tab.rows):
-            if tab.basis[i] >= n_real:
-                target = min((k for k in row if 0 <= k < n_real), default=None)
-                if target is not None:
-                    tab.pivot(i, target)
-        tab.rows = [{k: v for k, v in row.items() if k < n_real} for row in tab.rows]
-
-    # phase 2: the caller's objective
-    tab.set_cost(dict(p.objective))
     if tab.bland() == UNBOUNDED:
         return LpOutcome(status=UNBOUNDED)
-
-    z = [ZERO] * p.num_vars
+    n, cost = p.num_vars, tab.cost
+    z = [ZERO] * n
     for row, j in zip(tab.rows, tab.basis):
-        if j < p.num_vars:
+        if j < n:
             z[j] = Rational(row.get(RHS, 0), row[j])
-    return LpOutcome(status=OPTIMAL, solution=tuple(z), objective=tab.value())
+    den = cost[DEN]
+    duals = tuple(Rational(-cost[k], den) if k in cost else ZERO for k in range(n, n + len(tab.rows)))
+    return LpOutcome(status=OPTIMAL, solution=tuple(z), objective=Rational(-cost.get(RHS, 0), den), duals=duals)

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from delayedmarkets.arbitrage import FreeLunch, NoFreeLunch, check_naflp, find_free_lunch, find_martingale_measure
+from delayedmarkets.arbitrage import (
+    MartingaleMeasureCertificate,
+    NoFreeLunch,
+    check_naflp,
+    find_free_lunch,
+    find_martingale_measure,
+    verify_certificate,
+)
 from delayedmarkets.lp import row_basis
 from delayedmarkets.markets import Market, gain_generators
 from delayedmarkets.probability import Filtration, FiniteSpace, Partition
@@ -61,17 +68,20 @@ def single_signed(g) -> bool:
 
 
 def one_certificate(m, horizon=None):
-    """check_naflp's verdict, after running both oracles on one generator
-    set: exactly one may certify (the Stiemke alternative), and the
-    verdict must carry that certificate."""
+    """check_naflp's verdict, after running the free-lunch LP and the
+    projection on one generator set: wherever the projection certifies,
+    the LP must prove no free lunch too (the Stiemke alternative), any
+    measure the LP reads off its duals must re-verify, and the verdict
+    must carry the projection's measure or else the LP's certificate."""
     m = m.at_horizon(horizon)
     gens = gain_generators(m)
-    lunch, measure = find_free_lunch(m, gens), find_martingale_measure(m, gens)
-    assert (lunch is None) != (measure is None), \
-        f"free lunch {'found' if lunch else 'absent'}, martingale measure {'found' if measure else 'absent'}"
+    cert, measure = find_free_lunch(m, gens), find_martingale_measure(m, gens)
+    if measure is not None:
+        assert isinstance(cert, MartingaleMeasureCertificate), "free lunch found, projected measure found"
+    if isinstance(cert, MartingaleMeasureCertificate):
+        assert verify_certificate(m, NoFreeLunch(cert)), "the LP's dual measure failed re-verification"
     verdict = check_naflp(m)
-    assert isinstance(verdict, NoFreeLunch if measure else FreeLunch)
-    assert verdict.certificate == (measure or lunch)
+    assert verdict.certificate == (measure or cert)
     return verdict
 
 

@@ -1,18 +1,29 @@
 """The Fraction certificate assembly that
 `delayedmarkets.arbitrage.find_free_lunch` replaced, kept as the
 reference that `test_arbitrage.py` compares the integer assembly against:
-the same LP, then the terminal wealth and the holdings summed as
-fractions. The two must return equal certificates. Its right-hand sides
-are the ints 0 and 1, equal to the Fraction constants it once passed, as
-the LP takes ints only.
+the same LP, solved by the dense Fraction simplex of `reference_lp`, then
+the terminal wealth and the holdings summed as fractions. The two must
+return equal free-lunch certificates. This side returns None where the
+optimum is 0; it reads no duals.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 from delayedmarkets import lp
 from delayedmarkets.arbitrage import FreeLunchCertificate, OracleDisagreementError
 from delayedmarkets.markets import GainGenerator, Market, Strategy
 from delayedmarkets.rationals import Rational, ZERO
+
+from reference_lp import reference_solve
+
+
+def _dense(row, width: int) -> tuple[Rational, ...]:
+    out = [ZERO] * width
+    for k, v in row:
+        out[k] = Rational(v)
+    return tuple(out)
 
 
 def reference_find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunchCertificate | None:
@@ -31,12 +42,15 @@ def reference_find_free_lunch(m: Market, gens: list[GainGenerator]) -> FreeLunch
             total += d
         if total:
             objective += ((2 * j, total), (2 * j + 1, -total))
-    problem = lp.LpProblem(
-        num_vars=2 * len(gens),
-        objective=tuple(objective),
-        inequalities=tuple((tuple(row), 0) for row in lower) + tuple((tuple(row), 1) for row in upper),
+    width = 2 * len(gens)
+    problem = SimpleNamespace(
+        num_vars=width,
+        objective=_dense(objective, width),
+        equalities=(),
+        inequalities=tuple((_dense(row, width), ZERO) for row in lower)
+        + tuple((_dense(row, width), Rational(1)) for row in upper),
     )
-    outcome = lp.solve(problem)
+    outcome = reference_solve(problem)
     if outcome.status != lp.OPTIMAL:
         raise OracleDisagreementError(f"free-lunch search ended {outcome.status}; the claim box is compact")
     if outcome.objective == 0:

@@ -1,15 +1,22 @@
-"""The dense simplex and row basis over Fraction arithmetic that
-`delayedmarkets.lp` replaced, kept unchanged as the reference that
+"""The dense two-phase simplex and row basis over Fraction arithmetic
+that `delayedmarkets.lp` replaced, kept as the reference that
 `test_lp.py` compares the integer implementations against: same status,
-solution and objective, same pivots, same row basis.
+solution and objective, same pivots, same row basis. It still takes
+equality rows and negative right-hand sides, which `delayedmarkets.lp`
+no longer does, so the reference measure LP of `reference_check.py`
+runs on it. A problem is any object with `num_vars`, a dense
+`objective`, and dense `(row, rhs)` pairs in `equalities` and
+`inequalities`.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from delayedmarkets.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem, Row
+from delayedmarkets.lp import OPTIMAL, UNBOUNDED, LpOutcome, Row
 from delayedmarkets.rationals import ONE, Rational, ZERO
+
+INFEASIBLE = "infeasible"
 
 
 def reference_row_basis(rows: Sequence[Sequence[Rational]]) -> list[Row]:
@@ -49,7 +56,7 @@ class _Tableau:
     right-hand side is nonnegative) leaves its artificial column at zero.
     """
 
-    def __init__(self, p: LpProblem):
+    def __init__(self, p):
         rows = [(row, b, False) for row, b in p.equalities] + [(row, b, True) for row, b in p.inequalities]
         m = len(rows)
         n = p.num_vars
@@ -147,7 +154,7 @@ class _Tableau:
             self.pivot(leave, enter)
 
 
-def reference_solve(p: LpProblem) -> LpOutcome:
+def reference_solve(p) -> LpOutcome:
     """Exact two-phase simplex with Bland's rule; deterministic for equal inputs."""
     tab = _Tableau(p)
 

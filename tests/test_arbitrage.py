@@ -7,7 +7,6 @@ import random
 from itertools import islice
 from math import gcd
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -42,11 +41,9 @@ from delayedmarkets.scenarios import (
     gen_random_market,
 )
 
-import reference_lp
-from conftest import binomial_market, dense, one_certificate, reference_terminal_wealth, single_signed
-from reference_check import reference_check_naflp, reference_projection
+from conftest import binomial_market, one_certificate, reference_terminal_wealth, single_signed
+from reference_check import reference_check_naflp, reference_find_martingale_measure, reference_projection
 from reference_free_lunch import reference_find_free_lunch
-from reference_lp import reference_row_basis, reference_solve
 from reference_verify import reference_verify_measure
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -58,7 +55,8 @@ class TestBinomialOracles:
         cert = find_martingale_measure(no_arbitrage_binomial, gens)
         assert cert is not None
         assert cert.q == {"u": rat(1, 3), "d": rat(2, 3)}
-        assert find_free_lunch(no_arbitrage_binomial, gens) is None
+        # the measure is unique, so the free-lunch LP's duals give it too
+        assert find_free_lunch(no_arbitrage_binomial, gens) == cert
 
     def test_dominating_asset_free_lunch(self, dominated_binomial):
         gens = gain_generators(dominated_binomial)
@@ -151,15 +149,20 @@ def strategy_mutants(m: Market, s: Strategy, rng: random.Random):
             yield Strategy(index_set, s.dates, s.holdings)
 
 
+def desk_market(seed: int, i: int) -> Market:
+    """Criterion-1 desk market i of a seed."""
+    desk = ScenarioConfig(seed=seed, num_states=12, grid=4, extension=6,
+                          num_assets=3, max_index_sets=4, brokers=3)
+    rng = _rng(seed, "ftap", i)
+    gen = gen_martingale_market if rng.random() < 0.45 else gen_random_market
+    return gen(desk, rng=rng)
+
+
 def desk_and_walks(count):
     """The first count criterion-1 desk markets, then the information and
     execution insider walks of 2 to 4 steps, plain and delayed."""
-    desk = ScenarioConfig(seed=2024, num_states=12, grid=4, extension=6,
-                          num_assets=3, max_index_sets=4, brokers=3)
     for i in range(count):
-        rng = _rng(desk.seed, "ftap", i)
-        gen = gen_martingale_market if rng.random() < 0.45 else gen_random_market
-        yield f"desk {i}", gen(desk, rng=rng)
+        yield f"desk {i}", desk_market(2024, i)
     for steps in (2, 3, 4):
         m, fam = gen_insider_market(steps, 1)
         yield f"information walk {steps}", m
@@ -228,15 +231,22 @@ class TestOracleConsistency:
         for label, m in desk_and_walks(0):
             assert verify_certificate(m, one_certificate(m)), label
 
-    def test_disagreement_raises(self, no_arbitrage_binomial, monkeypatch):
-        monkeypatch.setattr(arbitrage, "find_free_lunch", lambda m, gens: None)
-        monkeypatch.setattr(arbitrage, "find_martingale_measure", lambda m, gens: None)
-        with pytest.raises(OracleDisagreementError):
-            check_naflp(no_arbitrage_binomial)
+    def test_disagreement_raises(self, dominated_binomial, monkeypatch):
+        """The free-lunch LP proves neither side: it ends unbounded, or its
+        zero optimum has a nonzero dual on a v <= 1 row."""
+        def zero_optimum(p):
+            duals = (ZERO,) * (len(p.inequalities) - 1) + (ONE,)
+            return lp.LpOutcome(lp.OPTIMAL, (ZERO,) * p.num_vars, ZERO, duals)
+
+        for fake, message in ((lambda p: lp.LpOutcome(lp.UNBOUNDED), "free-lunch search ended unbounded"),
+                              (zero_optimum, "oracles disagree: zero free-lunch optimum")):
+            monkeypatch.setattr(lp, "solve", fake)
+            with pytest.raises(OracleDisagreementError, match=message):
+                check_naflp(dominated_binomial)
 
     def test_measure_certificate_skips_free_lunch_lp(self, monkeypatch):
         def refuse(m, gens):
-            raise AssertionError("free-lunch LP ran after the measure LP certified")
+            raise AssertionError("free-lunch LP ran after the projection certified")
 
         monkeypatch.setattr(arbitrage, "find_free_lunch", refuse)
         certified = 0
@@ -248,7 +258,7 @@ class TestOracleConsistency:
 
     def test_single_signed_generator_skips_the_measure_lp(self, monkeypatch):
         def refuse(m, gens):
-            raise AssertionError("measure LP ran on a market with a single-signed generator")
+            raise AssertionError("projection ran on a market with a single-signed generator")
 
         monkeypatch.setattr(arbitrage, "find_martingale_measure", refuse)
         signed = 0
@@ -270,11 +280,12 @@ class TestOracleConsistency:
         gens = gain_generators(m)
         if any(single_signed(g) for g in gens):
             assert find_martingale_measure(m, gens) is None
-            assert find_free_lunch(m, gens) is not None
+            assert isinstance(find_free_lunch(m, gens), FreeLunchCertificate)
 
     def test_matches_the_reference_decision_order(self):
-        """Equal verdicts and rendered bytes to the measure-LP-first order on
-        the desk markets, random markets and the insider walks."""
+        """Equal verdicts and rendered bytes to the measure-LP-first order,
+        computed by the Fraction references, on the desk markets, random
+        markets and the insider walks."""
         cfg = ScenarioConfig(seed=23)
         random_markets = []
         for i in range(100):
@@ -312,6 +323,19 @@ class TestOracleConsistency:
             assert calls == [m]
             assert oracles == expected
 
+    def test_at_most_one_lp_per_check(self, monkeypatch):
+        """check_naflp solves no LP where the projection certifies and
+        otherwise the free-lunch LP alone, which decides either side."""
+        solve, calls = lp.solve, []
+        monkeypatch.setattr(lp, "solve", lambda p: calls.append(p) or solve(p))
+        ran = 0
+        for label, m in desk_and_walks(500):
+            calls.clear()
+            check_naflp(m)
+            assert len(calls) <= 1, label
+            ran += len(calls)
+        assert ran >= 200, ran
+
     def test_measure_valid_for_all_date_pairs(self):
         m = gen_martingale_market(ScenarioConfig(seed=31))
         verdict = check_naflp(m)
@@ -326,6 +350,33 @@ class TestOracleConsistency:
                         lhs = conditional_expectation(m.assets[asset][u], f.at(t), q)
                         rhs = conditional_expectation(m.assets[asset][t], f.at(t), q)
                         assert lhs == rhs
+
+
+class TestDualMeasure:
+    """The measure that the free-lunch LP reads off its duals at a zero
+    optimum: q = 1 + w over the duals w of the rows -v <= 0."""
+
+    # the (desk market, horizon) pairs of seed 2718 where no free lunch
+    # exists and the projection is not strictly positive
+    PAIRS = ((429, 2), (429, 3), (445, 1))
+
+    def test_seed_2718_pairs_are_decided_by_the_duals(self):
+        """Each pair gets the LP's dual measure, and it re-verifies. At
+        (429, 2) and (445, 1) it is the measure that the Fraction measure
+        LP finds; at (429, 3) the market has more than one, and the duals
+        give another."""
+        for i, h in self.PAIRS:
+            m = desk_market(2718, i)
+            at = m.at_horizon(h)
+            gens = gain_generators(at)
+            assert find_martingale_measure(at, gens) is None, (i, h)
+            cert = find_free_lunch(at, gens)
+            assert isinstance(cert, MartingaleMeasureCertificate), (i, h)
+            verdict = check_naflp(m, h)
+            assert verdict == NoFreeLunch(cert) and verify_certificate(m, verdict, h), (i, h)
+            expected = reference_check_naflp(m, h)
+            assert isinstance(expected, NoFreeLunch) and verify_certificate(m, expected, h), (i, h)
+            assert (verdict == expected) == ((i, h) != (429, 3)), (i, h)
 
 
 def random_consistency_markets(count):
@@ -362,52 +413,6 @@ def large_literal_markets(count, digits):
                                                    {index_set: trading}, grand)
 
 
-def reference_find_martingale_measure(m: Market, gens) -> MartingaleMeasureCertificate | None:
-    """The measure LP over Fractions: the generators' reduced row echelon
-    basis, each row with pivot 1, solved by the dense Fraction simplex,
-    which gives every row the artificial coefficient 1 at that scale."""
-    n = len(m.space.states)
-    basis = reference_row_basis([dense(g.deltas, n) for g in gens])
-    unit = [tuple(ONE if k == w else ZERO for k in range(n + 1)) for w in range(n + 1)]
-    problem = SimpleNamespace(
-        num_vars=n + 1,
-        objective=unit[n],
-        equalities=((tuple(ONE - u for u in unit[n]), ONE), *((row + (ZERO,), ZERO) for row in basis)),
-        inequalities=tuple((tuple(e - u for e, u in zip(unit[n], unit[w])), ZERO) for w in range(n)),
-    )
-    outcome = reference_solve(problem)
-    if outcome.status != lp.OPTIMAL or outcome.objective == 0:
-        return None
-    return MartingaleMeasureCertificate(dict(zip(m.space.states, outcome.solution[:n])))
-
-
-class TestIntegerMeasureLp:
-    def test_matches_the_fraction_measure_lp(self, monkeypatch):
-        """The measure LP that find_martingale_measure falls back on hands
-        the tableau primitive int basis rows with artificial coefficient 1,
-        where the measure LP it replaced held each rational basis row
-        (pivot 1) with artificial coefficient 1. On every market, whether
-        or not check_naflp would solve it, both give equal certificates
-        after equal pivot sequences."""
-        pivots = {"new": [], "ref": []}
-        for side, tableau in (("new", lp._Tableau), ("ref", reference_lp._Tableau)):
-            def recorded(self, i, j, pivot=tableau.pivot, seen=pivots[side]):
-                seen.append((i, j))
-                return pivot(self, i, j)
-            monkeypatch.setattr(tableau, "pivot", recorded)
-        found = missing = 0
-        for label, m in [*desk_and_walks(500), *random_consistency_markets(100)]:
-            gens = gain_generators(m)
-            pivots["new"].clear()
-            pivots["ref"].clear()
-            cert = arbitrage._measure_lp(m, lp.row_basis([g.deltas for g in gens]))
-            assert cert == reference_find_martingale_measure(m, gens), label
-            assert pivots["new"] == pivots["ref"], label
-            found += cert is not None
-            missing += cert is None
-        assert found >= 250 and missing >= 250, (found, missing)
-
-
 def projected(m, gens) -> list[int]:
     """The int multiple of the projection that find_martingale_measure
     computes, from the generators' row basis."""
@@ -438,20 +443,19 @@ class TestProjection:
 
     def test_certifies_only_where_the_measure_lp_finds_a_measure(self):
         """Where the projection is strictly positive, find_martingale_measure
-        returns it normalized, the measure LP also finds a measure, and the
-        certificate re-verifies; elsewhere the measure LP decides."""
+        returns it normalized, the Fraction measure LP also finds a measure,
+        and the certificate re-verifies; elsewhere it returns None."""
         projected_count = fallback = 0
         for label, m in [*desk_and_walks(500), *random_consistency_markets(100)]:
             gens = gain_generators(m)
             p, cert = projected(m, gens), find_martingale_measure(m, gens)
-            measure_lp = arbitrage._measure_lp(m, lp.row_basis([g.deltas for g in gens]))
             if min(p) > 0:
                 assert cert.vector(m.space.states) == normalized(p), label
-                assert measure_lp is not None, label
+                assert reference_find_martingale_measure(m, gens) is not None, label
                 assert verify_certificate(m, NoFreeLunch(cert)), label
                 projected_count += 1
             else:
-                assert cert == measure_lp, label
+                assert cert is None, label
                 fallback += 1
         assert projected_count >= 250 and fallback >= 250, (projected_count, fallback)
 
@@ -501,9 +505,11 @@ class TestIntegerFreeLunch:
         for label, m in [*desk_and_walks(500), *random_consistency_markets(100), *large]:
             gens = gain_generators(m)
             cert, expected = find_free_lunch(m, gens), reference_find_free_lunch(m, gens)
-            assert cert == expected, label
-            if cert is None:
+            if expected is None:
+                assert isinstance(cert, MartingaleMeasureCertificate), label
+                assert verify_certificate(m, NoFreeLunch(cert)), label
                 continue
+            assert cert == expected, label
             found += 1
             states = m.space.states
             assert render_verdict(FreeLunch(cert), states) == render_verdict(FreeLunch(expected), states), label
@@ -520,11 +526,10 @@ class TestIntegerFreeLunch:
         for _, m in desk_and_walks(40):
             gens = gain_generators(m)
             solved += bool(gens)
-            found += find_free_lunch(m, gens) is not None
+            found += isinstance(find_free_lunch(m, gens), FreeLunchCertificate)
         assert found >= 15 and len(problems) == solved >= 40
         for p in problems:
             rows = [p.objective, *(row for row, _ in p.inequalities)]
-            assert not p.equalities
             assert all(type(v) is int for row in rows for _, v in row)
             assert all(type(b) is int for _, b in p.inequalities)
 

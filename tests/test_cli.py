@@ -16,7 +16,7 @@ from delayedmarkets import cli, scenarios
 from delayedmarkets.arbitrage import OracleDisagreementError
 from delayedmarkets.cli import main
 from delayedmarkets.documents import parse_market_document, serialize_market_document
-from delayedmarkets.rationals import rat
+from delayedmarkets.rationals import ONE, ZERO, rat
 from delayedmarkets.scenarios import gen_insider_execution_market, gen_insider_market
 
 from conftest import binomial_market
@@ -147,12 +147,16 @@ class TestCheck:
         assert main(["check", str(dominated_path)]) == 2
         assert "free-lunch" in capsys.readouterr().out
 
-    def test_oracle_disagreement_exit_four(self, binomial_path, monkeypatch, capsys):
-        import delayedmarkets.arbitrage as arbitrage
+    def test_oracle_disagreement_exit_four(self, dominated_path, monkeypatch, capsys):
+        import delayedmarkets.lp as lp
 
-        # the binomial has no free lunch, so a missing measure leaves neither oracle certifying
-        monkeypatch.setattr(arbitrage, "find_martingale_measure", lambda m, gens: None)
-        assert main(["check", str(binomial_path)]) == 4
+        # a zero free-lunch optimum whose v <= 1 rows carry a nonzero dual proves neither side
+        def zero_optimum(p):
+            duals = (ZERO,) * (len(p.inequalities) - 1) + (ONE,)
+            return lp.LpOutcome(lp.OPTIMAL, (ZERO,) * p.num_vars, ZERO, duals)
+
+        monkeypatch.setattr(lp, "solve", zero_optimum)
+        assert main(["check", str(dominated_path)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("internal error: oracles disagree")
@@ -168,7 +172,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("target, fault", [
         ("delayedmarkets.lp.solve", ValueError("value in column 3 is zero")),
-        ("delayedmarkets.lp.solve", AssertionError("phase-1 objective is bounded")),
+        ("delayedmarkets.lp.solve", AssertionError("tableau row lost its basic column")),
         ("delayedmarkets.cli.verify_certificate", KeyError("s0")),
         ("delayedmarkets.cli.render_verdict", ValueError("line one\nline two")),
     ], ids=["solve-value-error", "solve-assertion", "verify-key-error", "render-value-error"])
@@ -341,7 +345,7 @@ class TestExperiment:
         assert not out_path.exists()
 
     @pytest.mark.parametrize("target, fault", [
-        ("delayedmarkets.lp.solve", AssertionError("phase-1 objective is bounded")),
+        ("delayedmarkets.lp.solve", AssertionError("tableau row lost its basic column")),
         ("delayedmarkets.scenarios.check_naflp", OracleDisagreementError("oracles disagree")),
     ], ids=["solve-assertion", "oracle-disagreement"])
     def test_insider_demo_fault_fails_its_trials(self, target, fault, tmp_path, monkeypatch, capsys):

@@ -85,9 +85,8 @@ BUILDERS = {
     ExecutionDelayFamily: execution_family,
     MarketDocument: lambda: MarketDocument(market=market(), info_delays=information_family(),
                                            exec_delays=execution_family()),
-    LpProblem: lambda: LpProblem(num_vars=2, objective=((0, 1),), equalities=((((1, 1),), 1),),
-                                 inequalities=((((0, 1), (1, -1)), 0),)),
-    LpOutcome: lambda: LpOutcome(status="optimal", solution=(rat(1), rat(0)), objective=rat(1)),
+    LpProblem: lambda: LpProblem(num_vars=2, objective=((0, 1),), inequalities=((((0, 1), (1, -1)), 0),)),
+    LpOutcome: lambda: LpOutcome(status="optimal", solution=(rat(1), rat(0)), objective=rat(1), duals=(rat(1),)),
     ScenarioConfig: lambda: ScenarioConfig(seed=7, num_states=4, grid=2, extension=3, num_assets=2,
                                            max_index_sets=3, brokers=2),
     TrialRecord: lambda: TrialRecord(index=0, label="information", ok=True, detail="inherited", reproduction=None),
@@ -108,8 +107,8 @@ DERIVED = {
 DEFAULTS = [
     (lambda: ExecutionDelayFamily(delays={}), {"caps": {}}),
     (lambda: MarketDocument(market=market()), {"info_delays": None, "exec_delays": None}),
-    (lambda: LpProblem(num_vars=1, objective=()), {"equalities": (), "inequalities": ()}),
-    (lambda: LpOutcome(status="infeasible"), {"solution": None, "objective": None}),
+    (lambda: LpProblem(num_vars=1, objective=()), {"inequalities": ()}),
+    (lambda: LpOutcome(status="unbounded"), {"solution": None, "objective": None, "duals": None}),
     (lambda: ScenarioConfig(), {"seed": 0, "num_states": 10, "grid": 3, "extension": 5, "num_assets": 2,
                                 "max_index_sets": 4, "brokers": 3}),
     (lambda: TrialRecord(index=1, label="broker", ok=False), {"detail": "", "reproduction": None}),
