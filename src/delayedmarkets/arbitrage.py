@@ -27,7 +27,6 @@ An LP that proves neither side is a solver bug and raises.
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import mul
 from typing import Mapping
 
 from . import lp
@@ -224,14 +223,15 @@ def find_martingale_measure(m: Market, gens: list[GainGenerator]) -> MartingaleM
     for uniform reference weights. p annihilates every generator by
     construction, so q = p / sum(p) is returned when every p_w is
     positive. When every generator's changes sum to zero, 1 is orthogonal
-    to K, p = 1 and q is uniform, with no basis computed. None says only
-    that the projection does not certify; the free-lunch LP decides then.
-    Orthogonality to consecutive-step generators gives the martingale
-    property for all date pairs by the tower property.
+    to K, p = 1 and q is uniform, with no elimination; else _projection
+    eliminates once. None says only that the projection does not certify;
+    the free-lunch LP decides then. Orthogonality to consecutive-step
+    generators gives the martingale property for all date pairs by the
+    tower property.
     """
     n_states = len(m.space.states)
     if any(sum(d for _, d in g.deltas) for g in gens):
-        p = _projection(lp.row_basis([g.deltas for g in gens]), n_states)
+        p = _projection(gens, n_states)
         if min(p) <= 0:
             return None
     else:
@@ -239,37 +239,37 @@ def find_martingale_measure(m: Market, gens: list[GainGenerator]) -> MartingaleM
     return MartingaleMeasureCertificate(dict(zip(m.space.states, _as_rationals(p, 1, sum(p)))))
 
 
-def _projection(basis: list[lp.Row], n_states: int) -> list[int]:
-    """A positive int multiple of p = 1 - P_K 1, for K the span of the
-    independent int rows of basis (B).
+def _projection(gens: list[GainGenerator], n_states: int) -> list[int]:
+    """A positive int multiple of p = 1 - P_K 1, K the span of the deltas G of gens.
 
-    P_K 1 = B^T y for the solution y of the r x r normal equations
-    B B^T y = B 1, which lp.row_basis solves fraction-free: the reduced
-    basis of the augmented rows [B B^T | B 1] is one row (a_i, c_i) per
-    unknown, with y_i = c_i / a_i and a_i > 0. With L the lcm of the a_i,
-    L * p = L * 1 - sum_i (L * y_i) * B_i holds only ints.
+    P_K 1 = G^T y for every solution y of G G^T y = G 1, built sparse per
+    state from its (generator, delta) pairs, so only generators sharing a
+    state meet; G 1 is column r for r generators, and zeros are dropped.
+    The system is consistent, maybe singular: lp.row_basis solves it with
+    each free unknown at 0, each reduced row leading with (i, a_i), a_i > 0,
+    and ending with (r, c_i) when y_i = c_i / a_i is nonzero. With L the
+    lcm of the a_i, L * p = L * 1 - sum_i (L * y_i) * G_i holds only ints.
     """
-    r = len(basis)
-    dense = []
-    for values in basis:
-        row = [0] * n_states
-        for k, v in values:
-            row[k] = v
-        dense.append(row)
-    normal = []
-    for a in dense:
-        entries = [(k, v) for k, v in enumerate(sum(map(mul, a, b)) for b in dense) if v]
-        if rhs := sum(a):
-            entries.append((r, rhs))
-        normal.append(tuple(entries))
-    solved = lp.row_basis(normal)
+    r = len(gens)
+    at: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
+    normal = [{r: sum(d for _, d in g.deltas)} for g in gens]
+    for i, g in enumerate(gens):
+        for w, d in g.deltas:
+            at[w].append((i, d))
+    for pairs in at:
+        for i, a in pairs:
+            row = normal[i]
+            for k, b in pairs:
+                row[k] = row.get(k, 0) + a * b
+    solved = lp.row_basis([tuple(sorted((k, v) for k, v in row.items() if v)) for row in normal])
     scale = lcm(*(row[0][1] for row in solved))
     p = [scale] * n_states
-    for (i, a), *rhs in solved:
-        if rhs:
-            y = rhs[0][1] * (scale // a)
-            for k, v in basis[i]:
-                p[k] -= y * v
+    for row in solved:
+        (i, a), (k, c) = row[0], row[-1]
+        if k == r:
+            y = c * (scale // a)
+            for w, d in gens[i].deltas:
+                p[w] -= y * d
     return p
 
 

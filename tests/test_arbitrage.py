@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 from itertools import islice
 from math import gcd
 from pathlib import Path
@@ -29,7 +30,7 @@ from delayedmarkets.arbitrage import (
 )
 from delayedmarkets.delays import delayed_market, information_delayed_market
 from delayedmarkets.documents import parse_market_document, serialize_market_document
-from delayedmarkets.markets import Market, Strategy, gain_generators, validate_market
+from delayedmarkets.markets import GainGenerator, Market, Strategy, gain_generators, validate_market
 from delayedmarkets.probability import Filtration, FiniteSpace, Partition, conditional_expectation
 from delayedmarkets.rationals import ONE, ZERO, Rational, rat
 from delayedmarkets.scenarios import (
@@ -415,8 +416,8 @@ def large_literal_markets(count, digits):
 
 def projected(m, gens) -> list[int]:
     """The int multiple of the projection that find_martingale_measure
-    computes, from the generators' row basis."""
-    return arbitrage._projection(lp.row_basis([g.deltas for g in gens]), len(m.space.states))
+    computes, from the generators' own normal equations."""
+    return arbitrage._projection(gens, len(m.space.states))
 
 
 def normalized(values) -> tuple:
@@ -494,6 +495,90 @@ class TestProjection:
             moved += 1
             rejected += not verify_certificate(m, NoFreeLunch(MartingaleMeasureCertificate(forged)))
         assert moved >= 200 and rejected >= 0.9 * moved, (rejected, moved)
+
+
+def hand_generators(*rows) -> list[GainGenerator]:
+    """Generators of one asset from sparse int delta rows; the projection
+    reads only their deltas."""
+    index_set = frozenset({"a"})
+    return [GainGenerator(index_set, "a", 0, (), tuple(row)) for row in rows]
+
+
+class TestSparseNormalEquations:
+    """_projection builds G G^T y = G 1 from the generators' own deltas and
+    solves it with one lp.row_basis call."""
+
+    def test_projects_a_1024_state_walk_quickly(self):
+        """The plain 1024-state information walk, whose 1021 generators a
+        dense r x r system took seconds to project. Its peek makes the
+        constant 1 attainable, so p is exactly 0. Every second generator
+        alone leaves 1 outside the span, and there p is not constant.
+        Each p annihilates its generators on ints."""
+        m = gen_insider_market(9, 1)[0]
+        gens = gain_generators(m)
+        assert len(m.space.states) == 1024 and len(gens) == 1021
+        for subset, zero in ((gens, True), (gens[::2], False)):
+            start = time.perf_counter()
+            p = arbitrage._projection(subset, 1024)
+            assert time.perf_counter() - start < 2
+            assert not any(p) if zero else len(set(p)) > 1
+            for g in subset:
+                assert sum(d * p[w] for w, d in g.deltas) == 0
+
+    @pytest.mark.parametrize("label, rows", [
+        # g0 . g1 = 1 - 1 = 0: a cancelled Gram entry left of g1's diagonal
+        ("cancelling", [((0, 1), (1, 1)), ((0, 1), (1, -1), (2, 1)), ((2, 2), (3, -1))]),
+        # g2 = g0 + g1 and g4 = g3 - g0: two free unknowns
+        ("singular", [((0, 1), (1, 2)), ((1, -1), (2, 3)), ((0, 1), (1, 1), (2, 3)),
+                      ((2, 1), (3, 1)), ((0, -1), (1, -2), (2, 1), (3, 1))]),
+        # g1 = -g0 on shared states, and g0 . g2 cancels
+        ("both", [((0, 2), (1, -1)), ((0, -2), (1, 1)), ((0, 1), (1, 2), (3, 1))]),
+    ])
+    def test_singular_and_cancelling_systems(self, label, rows):
+        """Cancelled Gram entries and dependent generators give the dense
+        Fraction reference's projection."""
+        gens = hand_generators(*rows)
+        p, expected = arbitrage._projection(gens, 4), reference_projection(4, gens)
+        assert normalized(p) == normalized(expected), label
+        assert sum(p) > 0 if any(expected) else not any(p), label
+
+    def test_random_small_systems(self):
+        """Random sign patterns on five states, where cancelled Gram
+        entries and dependent generators are common."""
+        rng = random.Random(2024)
+        singular = 0
+        for _ in range(300):
+            rows = [[(w, d) for w in range(5) if (d := rng.choice((-1, 0, 0, 1, 2)))]
+                    for _ in range(rng.randint(1, 6))]
+            gens = hand_generators(*filter(None, rows))
+            if not gens:
+                continue
+            p, expected = arbitrage._projection(gens, 5), reference_projection(5, gens)
+            assert normalized(p) == normalized(expected), rows
+            singular += len(lp.row_basis([g.deltas for g in gens])) < len(gens)
+        assert singular >= 30, singular
+
+    def test_one_elimination_per_projection(self, monkeypatch):
+        """A market that reaches the projection makes exactly one
+        lp.row_basis call; a balanced market and one with a one-sign
+        generator make none."""
+        calls = []
+        row_basis = lp.row_basis
+        monkeypatch.setattr(lp, "row_basis", lambda rows: calls.append(1) or row_basis(rows))
+        seen = set()
+        for label, m in desk_and_walks(60):
+            gens = gain_generators(m)
+            if any(single_signed(g) for g in gens):
+                kind = "one-sign"
+            elif any(sum(d for _, d in g.deltas) for g in gens):
+                kind = "projected"
+            else:
+                kind = "balanced"
+            calls.clear()
+            check_naflp(m)
+            assert len(calls) == (kind == "projected"), label
+            seen.add(kind)
+        assert seen == {"one-sign", "projected", "balanced"}, seen
 
 
 class TestIntegerFreeLunch:
