@@ -96,19 +96,19 @@ def validate_information_family(m: Market, fam: InformationDelayFamily) -> list[
         if a not in fam.delays:
             problems.append(f"no information delay for index set {sorted(a)}")
     for a, sp in fam.delays.items():
-        label = f"index set {sorted(a)}"
         if a not in members:
-            problems.append(f"information delay for unknown {label}")
+            problems.append(f"information delay for unknown index set {sorted(a)}")
             continue
         if sp.info.states != m.space.states:
-            problems.append(f"{label}: delay information lives on a different state set")
-            continue
-        if sp.grid_length() != horizon + 1:
-            problems.append(f"{label}: delay table must cover grid times 0..{horizon}")
-            continue
-        problems += [f"{label}: {p}" for p in validate_stopping_process(sp, "information")]
-        if not is_subfiltration(sp.info, m.trading_filtrations[a]):
-            problems.append(f"{label}: delay information is not coarser than the trading filtration")
+            found = ["delay information lives on a different state set"]
+        elif sp.grid_length() != horizon + 1:
+            found = [f"delay table must cover grid times 0..{horizon}"]
+        else:
+            found = validate_stopping_process(sp, "information")
+            if not is_subfiltration(sp.info, m.trading_filtrations[a]):
+                found.append("delay information is not coarser than the trading filtration")
+        if found:
+            problems += [f"index set {sorted(a)}: {p}" for p in found]
     return _remember(fam, m, problems)
 
 
@@ -124,31 +124,30 @@ def validate_execution_family(m: Market, fam: ExecutionDelayFamily) -> list[str]
         if a not in fam.delays:
             problems.append(f"no execution delay for asset {a!r}")
     for a, sp in fam.delays.items():
-        label = f"asset {a!r}"
         if a not in m.assets:
-            problems.append(f"execution delay for unknown {label}")
+            problems.append(f"execution delay for unknown asset {a!r}")
             continue
         if sp.info.states != m.space.states:
-            problems.append(f"{label}: delay information lives on a different state set")
-            continue
-        if sp.grid_length() != horizon + 1:
-            problems.append(f"{label}: delay table must cover grid times 0..{horizon}")
-            continue
-        if len(sp.info) != extended + 1:
-            problems.append(f"{label}: delay information must cover grid times 0..{extended}")
-            continue
-        problems += [f"{label}: {p}" for p in validate_stopping_process(sp, "execution")]
-        if not is_subfiltration(sp.info, m.grand_filtration):
-            problems.append(f"{label}: delay information is not coarser than the grand filtration")
-        cap = fam.cap(a, extended)
-        if not 1 <= cap <= extended + 1:
-            problems.append(f"{label}: cap {cap} outside 1..{extended + 1}")
-        if max(map(max, sp.values)) >= cap:
-            for t, row in enumerate(sp.values):
-                bad = [v for v in row if v >= cap]
-                if bad:
-                    problems.append(f"{label}: cap {cap} violated at t={t} (value {bad[0]})")
-                    break
+            found = ["delay information lives on a different state set"]
+        elif sp.grid_length() != horizon + 1:
+            found = [f"delay table must cover grid times 0..{horizon}"]
+        elif len(sp.info) != extended + 1:
+            found = [f"delay information must cover grid times 0..{extended}"]
+        else:
+            found = validate_stopping_process(sp, "execution")
+            if not is_subfiltration(sp.info, m.grand_filtration):
+                found.append("delay information is not coarser than the grand filtration")
+            cap = fam.cap(a, extended)
+            if not 1 <= cap <= extended + 1:
+                found.append(f"cap {cap} outside 1..{extended + 1}")
+            if max(map(max, sp.values)) >= cap:
+                for t, row in enumerate(sp.values):
+                    bad = [v for v in row if v >= cap]
+                    if bad:
+                        found.append(f"cap {cap} violated at t={t} (value {bad[0]})")
+                        break
+        if found:
+            problems += [f"asset {a!r}: {p}" for p in found]
     return _remember(fam, m, problems)
 
 

@@ -8,8 +8,10 @@ violates, an over-long integer included. Each parse keeps its own
 interner of rational literals and partitions, so each distinct literal is
 parsed and each distinct partition entry checked once per document, on C
 builtins where the check succeeds; the per-item loops run only to word a
-failure. A partition entry is looked up by the JSON entry itself, and
-every filtration entry is a new Filtration of the shared partitions.
+failure, and a location such as states[3] or filtrations.grand[t=2] is
+worded only when a problem there is reported. A partition entry is looked
+up by the JSON entry itself, and built by Partition.from_labels in one
+pass; every filtration entry is a new Filtration of the shared partitions.
 Serialization is canonical, so parse -> serialize -> parse is the
 identity. The canonical bytes are the json.dumps layout at indent=2 plus
 a final newline, written directly in the document's layout by
@@ -97,10 +99,26 @@ class _Interner:
         self.partitions: list[tuple[list, Partition]] = []
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str, problems: list[str]):
+# the fields each object of a document may hold, and must
+_DOCUMENT_FIELDS = frozenset({"format_version", "states", "grid", "assets", "index_system", "filtrations", "delays"})
+_REQUIRED_DOCUMENT_FIELDS = _DOCUMENT_FIELDS - {"delays"}
+_STATE_FIELDS = frozenset({"name", "probability"})
+_GRID_FIELDS = frozenset({"n", "n_ext"})
+_FILTRATIONS_FIELDS = frozenset({"grand", "trading"})
+_TRADING_FIELDS = frozenset({"index_set", "partitions"})
+_DELAYS_FIELDS = frozenset({"information", "execution"})
+_INFO_DELAY_FIELDS = frozenset({"index_set", "values", "info"})
+_EXEC_DELAY_FIELDS = frozenset({"asset", "values", "info", "cap"})
+_REQUIRED_EXEC_DELAY_FIELDS = _EXEC_DELAY_FIELDS - {"cap"}
+
+
+def _require_keys(obj: dict, allowed: frozenset[str], required: frozenset[str], where: str, problems: list[str],
+                  index: int | None = None):
+    """Report obj's unknown and missing fields, if any, at where.format(index)."""
     keys = obj.keys()
     if keys <= allowed and keys >= required:
         return
+    where = where.format(index)
     unknown = set(obj) - allowed
     for key in sorted(unknown):
         problems.append(f"{where}: unknown field {key!r}")
@@ -114,20 +132,20 @@ def _is_int(value) -> bool:
 
 
 _INT = frozenset({int})  # the type of a JSON integer; a bool is not one
+_NOT_ASSET_IDS = "expected a non-empty list of asset ids"
 
 
-def _is_names(entry) -> bool:
-    return isinstance(entry, list) and all(map(isinstance, entry, repeat(str)))
+def _asset_ids(entry) -> frozenset[str] | None:
+    """The index set a JSON entry names, or None: the caller words _NOT_ASSET_IDS."""
+    if isinstance(entry, list) and entry and all(map(isinstance, entry, repeat(str))):
+        return frozenset(entry)
+    return None
 
 
-def _parse_asset_ids(entry, where: str, problems: list[str]) -> frozenset[str] | None:
-    if not _is_names(entry) or not entry:
-        problems.append(f"{where}: expected a non-empty list of asset ids")
-        return None
-    return frozenset(entry)
+# The readers below return what they read or, as a str, the problem with it
+# located relative to the caller's entry, which the caller then names.
 
-
-def _parse_partition(entry, states, where: str, problems: list[str], cache: _Interner) -> Partition | None:
+def _parse_partition(entry, states, cache: _Interner) -> Partition | str:
     for raw, partition in cache.partitions:
         if raw == entry:
             return partition
@@ -136,46 +154,47 @@ def _parse_partition(entry, states, where: str, problems: list[str], cache: _Int
         # each name numbered by its atom: a repeated or a missing name shows
         number = {s: i for i, atom in enumerate(entry) for s in atom}
         if len(number) != sum(map(len, entry)) or number.keys() != set(states):
-            problems.append(f"{where}: atoms must partition the state set")
-            return None
+            return ": atoms must partition the state set"
         if not all(entry):
-            problems.append(f"{where}: empty atom")
-            return None
+            return ": empty atom"
         partition = Partition.from_labels(states, tuple(map(number.__getitem__, states)))
         cache.partitions.append((entry, partition))
         return partition
-    problems.append(f"{where}: a partition must be a list of atoms (lists of state names)")
-    return None
+    return ": a partition must be a list of atoms (lists of state names)"
 
 
-def _parse_filtration(entry, states, length: int, where: str, problems: list[str],
-                      cache: _Interner) -> Filtration | None:
+def _parse_filtration(entry, states, length: int, cache: _Interner) -> Filtration | str:
     if not isinstance(entry, list) or len(entry) != length:
-        problems.append(f"{where}: expected {length} per-time partitions")
-        return None
+        return f": expected {length} per-time partitions"
     parts = []
     for t, p in enumerate(entry):
-        p = _parse_partition(p, states, f"{where}[t={t}]", problems, cache)
-        if p is None:
-            return None
+        p = _parse_partition(p, states, cache)
+        if type(p) is str:
+            return f"[t={t}]{p}"
         parts.append(p)
     try:
         return Filtration(tuple(parts))
     except ValueError as exc:
-        problems.append(f"{where}: {exc}")
-        return None
+        return f": {exc}"
 
 
-def _resolve_info(entry, states, length: int, grand: Filtration, where: str, problems: list[str],
-                  cache: _Interner):
+def _resolve_info(entry, states, length: int, grand: Filtration, cache: _Interner) -> Filtration | str:
     if entry == "trivial":
         return Filtration.constant(Partition.trivial(states), length)
     if entry == "grand":
         return grand.extend_to(length)
     if isinstance(entry, list):
-        return _parse_filtration(entry, states, length, where, problems, cache)
-    problems.append(f"{where}: delay information must be 'trivial', 'grand', or an inline filtration")
-    return None
+        return _parse_filtration(entry, states, length, cache)
+    return ": delay information must be 'trivial', 'grand', or an inline filtration"
+
+
+def _parse_values(entry, length: int, n_states: int) -> list | str:
+    if not isinstance(entry, list) or len(entry) != length:
+        return f": expected {length} time rows of grid values"
+    for t, row in enumerate(entry):
+        if not isinstance(row, list) or len(row) != n_states or not _INT.issuperset(map(type, row)):
+            return f"[t={t}]: expected {n_states} integer grid values"
+    return entry  # StoppingProcess turns each row into an int tuple
 
 
 # a JSON string, or a JSON number split as json.scanner.NUMBER_RE splits it;
@@ -211,12 +230,7 @@ def parse_market_document(text: str) -> MarketDocument:
         raise DocumentError(["document root must be an object"])
     problems: list[str] = []
     cache = _Interner()
-    _require_keys(
-        doc,
-        {"format_version", "states", "grid", "assets", "index_system", "filtrations", "delays"},
-        {"format_version", "states", "grid", "assets", "index_system", "filtrations"},
-        "document", problems,
-    )
+    _require_keys(doc, _DOCUMENT_FIELDS, _REQUIRED_DOCUMENT_FIELDS, "document", problems)
     if problems:
         raise DocumentError(problems)
     if not _is_int(doc["format_version"]) or doc["format_version"] != FORMAT_VERSION:
@@ -227,22 +241,24 @@ def parse_market_document(text: str) -> MarketDocument:
         raise DocumentError(["states: expected a non-empty list"])
     states: list[str] = []
     probability = {}
+    literal = cache.rationals.one
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             problems.append(f"states[{i}]: expected an object")
             continue
-        _require_keys(entry, {"name", "probability"}, {"name", "probability"}, f"states[{i}]", problems)
+        _require_keys(entry, _STATE_FIELDS, _STATE_FIELDS, "states[{}]", problems, i)
         if problems:
             continue
-        if not isinstance(entry["name"], str):
+        name = entry["name"]
+        if not isinstance(name, str):
             problems.append(f"states[{i}]: name must be a string")
             continue
-        states.append(entry["name"])
+        states.append(name)
         try:
-            p = cache.rationals.one(entry["probability"])
+            p = literal(entry["probability"])
             if p.numerator <= 0:
                 problems.append(f"states[{i}]: probability must be strictly positive")
-            probability[entry["name"]] = p
+            probability[name] = p
         except ValueError as exc:
             problems.append(f"states[{i}]: {exc}")
     if len(set(states)) != len(states):
@@ -251,7 +267,7 @@ def parse_market_document(text: str) -> MarketDocument:
         problems.append("measure not normalized: probabilities must sum to exactly 1")
 
     grid = doc["grid"]
-    _require_keys(grid if isinstance(grid, dict) else {}, {"n", "n_ext"}, {"n", "n_ext"}, "grid", problems)
+    _require_keys(grid if isinstance(grid, dict) else {}, _GRID_FIELDS, _GRID_FIELDS, "grid", problems)
     if problems:
         raise DocumentError(problems)
     horizon, extended = grid["n"], grid["n_ext"]
@@ -261,6 +277,7 @@ def parse_market_document(text: str) -> MarketDocument:
         space = FiniteSpace(tuple(states), probability, horizon, extended)
     except ValueError as exc:
         raise DocumentError([f"states: {exc}"]) from None
+    states = space.states
 
     assets = {}
     if not isinstance(doc["assets"], dict) or not doc["assets"]:
@@ -288,40 +305,50 @@ def parse_market_document(text: str) -> MarketDocument:
         raise DocumentError(["index_system: expected a list of index sets"])
     index_system = []
     for i, ids in enumerate(doc["index_system"]):
-        index_set = _parse_asset_ids(ids, f"index_system[{i}]", problems)
-        if index_set is not None:
+        index_set = _asset_ids(ids)
+        if index_set is None:
+            problems.append(f"index_system[{i}]: {_NOT_ASSET_IDS}")
+        else:
             index_system.append(index_set)
 
     filt = doc["filtrations"]
-    _require_keys(filt if isinstance(filt, dict) else {}, {"grand", "trading"}, {"grand", "trading"},
+    _require_keys(filt if isinstance(filt, dict) else {}, _FILTRATIONS_FIELDS, _FILTRATIONS_FIELDS,
                   "filtrations", problems)
     if problems:
         raise DocumentError(problems)
-    grand = _parse_filtration(filt["grand"], space.states, extended + 1, "filtrations.grand", problems, cache)
+    grand = _parse_filtration(filt["grand"], states, extended + 1, cache)
+    if type(grand) is str:
+        problems.append(f"filtrations.grand{grand}")
     trading = {}
     if not isinstance(filt["trading"], list):
         problems.append("filtrations.trading: expected a list")
     else:
+        where = "filtrations.trading[{}]"
         for i, entry in enumerate(filt["trading"]):
-            where = f"filtrations.trading[{i}]"
             if not isinstance(entry, dict):
-                problems.append(f"{where}: expected an object")
+                problems.append(f"{where.format(i)}: expected an object")
                 continue
-            _require_keys(entry, {"index_set", "partitions"}, {"index_set", "partitions"}, where, problems)
+            _require_keys(entry, _TRADING_FIELDS, _TRADING_FIELDS, where, problems, i)
             if problems:
                 continue
-            index_set = _parse_asset_ids(entry["index_set"], f"{where}.index_set", problems)
+            index_set = _asset_ids(entry["index_set"])
+            if index_set is None:
+                problems.append(f"{where.format(i)}.index_set: {_NOT_ASSET_IDS}")
             declared = entry["partitions"]
             if not isinstance(declared, list) or not horizon + 1 <= len(declared) <= extended + 1:
-                problems.append(f"{where}: expected between {horizon + 1} and {extended + 1} per-time partitions")
+                problems.append(f"{where.format(i)}: expected between {horizon + 1} and {extended + 1} "
+                                "per-time partitions")
                 continue
-            f = _parse_filtration(declared, space.states, len(declared), where, problems, cache)
-            if f is not None and index_set is not None:
+            f = _parse_filtration(declared, states, len(declared), cache)
+            if type(f) is str:
+                problems.append(where.format(i) + f)
+            elif index_set is not None:
                 if index_set in trading:
-                    problems.append(f"{where}: duplicate trading filtration for index set {sorted(index_set)}")
+                    problems.append(f"{where.format(i)}: duplicate trading filtration for index set "
+                                    f"{sorted(index_set)}")
                 trading[index_set] = f
-    if problems or grand is None:
-        raise DocumentError(problems or ["filtrations.grand unreadable"])
+    if problems:
+        raise DocumentError(problems)
 
     try:
         market = Market(space, assets, tuple(index_system), trading, grand)
@@ -336,7 +363,7 @@ def parse_market_document(text: str) -> MarketDocument:
     if delays is not None:
         if not isinstance(delays, dict):
             raise DocumentError(["delays: expected an object"])
-        _require_keys(delays, {"information", "execution"}, set(), "delays", problems)
+        _require_keys(delays, _DELAYS_FIELDS, frozenset(), "delays", problems)
         if "information" in delays:
             info_fam = _parse_info_delays(delays["information"], market, problems, cache)
         if "execution" in delays:
@@ -346,40 +373,33 @@ def parse_market_document(text: str) -> MarketDocument:
     return MarketDocument(market, info_fam, exec_fam)
 
 
-def _parse_values(entry, length: int, n_states: int, where: str, problems: list[str]):
-    if not isinstance(entry, list) or len(entry) != length:
-        problems.append(f"{where}: expected {length} time rows of grid values")
-        return None
-    for t, row in enumerate(entry):
-        if not isinstance(row, list) or len(row) != n_states or not _INT.issuperset(map(type, row)):
-            problems.append(f"{where}[t={t}]: expected {n_states} integer grid values")
-            return None
-    return entry  # StoppingProcess turns each row into an int tuple
-
-
 def _parse_info_delays(entries, market: Market, problems: list[str], cache: _Interner):
     if not isinstance(entries, list):
         problems.append("delays.information: expected a list")
         return None
     space = market.space
     delays = {}
+    where = "delays.information[{}]"
     for i, entry in enumerate(entries):
-        where = f"delays.information[{i}]"
         if not isinstance(entry, dict):
-            problems.append(f"{where}: expected an object")
+            problems.append(f"{where.format(i)}: expected an object")
             continue
-        _require_keys(entry, {"index_set", "values", "info"}, {"index_set", "values", "info"}, where, problems)
+        _require_keys(entry, _INFO_DELAY_FIELDS, _INFO_DELAY_FIELDS, where, problems, i)
         if problems:
             continue
-        index_set = _parse_asset_ids(entry["index_set"], f"{where}.index_set", problems)
-        values = _parse_values(entry["values"], space.horizon + 1, len(space.states), where, problems)
-        info = _resolve_info(entry["info"], space.states, space.horizon + 1,
-                             market.grand_filtration, f"{where}.info", problems, cache)
-        if index_set is None or values is None or info is None:
-            continue
-        if index_set in delays:
-            problems.append(f"{where}: duplicate information delay for index set {sorted(index_set)}")
-        delays[index_set] = StoppingProcess(values, info)
+        index_set = _asset_ids(entry["index_set"])
+        if index_set is None:
+            problems.append(f"{where.format(i)}.index_set: {_NOT_ASSET_IDS}")
+        values = _parse_values(entry["values"], space.horizon + 1, len(space.states))
+        if type(values) is str:
+            problems.append(where.format(i) + values)
+        info = _resolve_info(entry["info"], space.states, space.horizon + 1, market.grand_filtration, cache)
+        if type(info) is str:
+            problems.append(f"{where.format(i)}.info{info}")
+        elif index_set is not None and type(values) is not str:
+            if index_set in delays:
+                problems.append(f"{where.format(i)}: duplicate information delay for index set {sorted(index_set)}")
+            delays[index_set] = StoppingProcess(values, info)
     if problems:
         return None
     fam = InformationDelayFamily(delays)
@@ -394,30 +414,34 @@ def _parse_exec_delays(entries, market: Market, problems: list[str], cache: _Int
     space = market.space
     delays = {}
     caps = {}
+    where = "delays.execution[{}]"
     for i, entry in enumerate(entries):
-        where = f"delays.execution[{i}]"
         if not isinstance(entry, dict):
-            problems.append(f"{where}: expected an object")
+            problems.append(f"{where.format(i)}: expected an object")
             continue
-        _require_keys(entry, {"asset", "values", "info", "cap"}, {"asset", "values", "info"}, where, problems)
+        _require_keys(entry, _EXEC_DELAY_FIELDS, _REQUIRED_EXEC_DELAY_FIELDS, where, problems, i)
         if problems:
             continue
-        if not isinstance(entry["asset"], str):
-            problems.append(f"{where}: asset must be a string")
+        asset = entry["asset"]
+        if not isinstance(asset, str):
+            problems.append(f"{where.format(i)}: asset must be a string")
             continue
-        values = _parse_values(entry["values"], space.horizon + 1, len(space.states), where, problems)
-        info = _resolve_info(entry["info"], space.states, space.extended_horizon + 1,
-                             market.grand_filtration, f"{where}.info", problems, cache)
-        if values is None or info is None:
+        values = _parse_values(entry["values"], space.horizon + 1, len(space.states))
+        if type(values) is str:
+            problems.append(where.format(i) + values)
+        info = _resolve_info(entry["info"], space.states, space.extended_horizon + 1, market.grand_filtration, cache)
+        if type(info) is str:
+            problems.append(f"{where.format(i)}.info{info}")
+        if type(values) is str or type(info) is str:
             continue
-        if entry["asset"] in delays:
-            problems.append(f"{where}: duplicate execution delay for asset {entry['asset']!r}")
-        delays[entry["asset"]] = StoppingProcess(values, info)
+        if asset in delays:
+            problems.append(f"{where.format(i)}: duplicate execution delay for asset {asset!r}")
+        delays[asset] = StoppingProcess(values, info)
         if "cap" in entry:
             if not _is_int(entry["cap"]):
-                problems.append(f"{where}: cap must be an integer")
+                problems.append(f"{where.format(i)}: cap must be an integer")
             else:
-                caps[entry["asset"]] = entry["cap"]
+                caps[asset] = entry["cap"]
     if problems:
         return None
     fam = ExecutionDelayFamily(delays, caps)

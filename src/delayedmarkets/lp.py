@@ -32,6 +32,7 @@ way out, for the solution, the objective value and the duals.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import Sequence
 
 from .frozen import Frozen
@@ -130,29 +131,36 @@ def row_basis(rows: Sequence[Row]) -> list[Row]:
     and elimination by a positive pivot keeps every sign. The reduced row
     echelon form of a row space is unique, so each returned row is a
     positive multiple of the row that elimination over fractions gives:
-    that row times |pivot|, the lcm of its denominators.
+    that row times |pivot|, the lcm of its denominators. A row meets only
+    the basis rows whose pivot columns it holds, and a new pivot only the
+    basis rows that hold its column, so sparse rows cost about their size.
     """
     basis: list[dict[int, int]] = []
-    pivots: list[int] = []
+    by_pivot: dict[int, int] = {}  # pivot column -> its row's place in basis
+    holding: defaultdict[int, set[int]] = defaultdict(set)  # column -> places of the basis rows holding it
     for values in rows:
         row = _reduced(dict(values))
-        for prow, pcol in zip(basis, pivots):
-            f = row.get(pcol)
-            if f:
-                row = _eliminate(row, f, prow[pcol], prow)
+        # a basis row is 0 in the other pivot columns, so eliminating it brings in none
+        for i, pcol in sorted([(by_pivot[k], k) for k in row if k in by_pivot]):
+            row = _eliminate(row, row[pcol], basis[i][pcol], basis[i])
         if not row:
             continue
         lead = min(row)
         if row[lead] < 0:
             row = {k: -v for k, v in row.items()}
-        for i, prow in enumerate(basis):
-            f = prow.get(lead)
-            if f:
-                basis[i] = _eliminate(prow, f, row[lead], row)
+        # back-substitution changes a basis row only in the new row's columns
+        for i in sorted(holding[lead]):
+            prow = basis[i] = _eliminate(basis[i], basis[i][lead], row[lead], row)
+            for k in row:
+                if k in prow:
+                    holding[k].add(i)
+                else:
+                    holding[k].discard(i)
+        for k in row:
+            holding[k].add(len(basis))
+        by_pivot[lead] = len(basis)
         basis.append(row)
-        pivots.append(lead)
-    order = sorted(range(len(basis)), key=pivots.__getitem__)
-    return [tuple(sorted(basis[i].items())) for i in order]
+    return [tuple(sorted(basis[i].items())) for _, i in sorted(by_pivot.items())]
 
 
 class _Tableau:

@@ -3,10 +3,11 @@
 Sigma-fields on a finite state set are represented by their atom
 partitions, so every measurability question reduces to a union-of-atoms
 test and every conditional expectation to exact weighted block averages.
-Filtrations are refining sequences of partitions over an integer time
-grid; stopping-time processes (the raw material for market delays) are
-per-time tables of grid values validated against a delay-information
-filtration.
+A partition is built from its labels in one pass that numbers them and
+groups the states. Filtrations are refining sequences of partitions over
+an integer time grid; stopping-time processes (the raw material for
+market delays) are per-time tables of grid values validated against a
+delay-information filtration.
 
 Everything is immutable and exact: state probabilities, conditional
 expectations and stopped sigma-fields are computed in rational
@@ -72,28 +73,19 @@ class Partition(Frozen):
     vector is the only thing a Partition is built from, so equal
     sigma-fields compare (and serialize) identically. Each atom lists its
     states in universe order. from_labels renumbers any labels into this
-    form, and of reads a collection of atoms.
+    form, grouping the states in the same pass; the constructor takes
+    labels already in it, and of reads a collection of atoms.
     """
 
     _fields = ("states", "labels")
 
     def __init__(self, states: tuple[str, ...], labels: tuple[int, ...]):
-        if len(set(states)) != len(states):
-            raise ValueError("duplicate state names")
-        if len(labels) != len(states):
-            raise ValueError("one label per state required")
-        # the labels in order of first appearance must read 0, 1, ...
-        if not (type(labels) is tuple and _INT.issuperset(map(type, labels))
-                and list(first := dict.fromkeys(labels)) == list(range(len(first)))):
+        # canonical labels are the tuples of ints that renumbering leaves as they are
+        built = (Partition.from_labels(states, labels)
+                 if type(labels) is tuple and _INT.issuperset(map(type, labels)) else None)
+        if built is None or built.labels != labels:
             raise ValueError("labels must be a tuple of ints numbering the atoms in order of first appearance")
-        atoms: list[list[str]] = [[] for _ in first]
-        positions: list[list[int]] = [[] for _ in first]
-        for i, (s, label) in enumerate(zip(states, labels)):
-            atoms[label].append(s)
-            positions[label].append(i)
-        # atom_positions: each atom as the universe-order positions of its states, increasing
-        self.__dict__.update(states=states, labels=labels, atoms=tuple(map(tuple, atoms)),
-                             atom_positions=tuple(map(tuple, positions)))
+        self.__dict__.update(vars(built))
 
     @classmethod
     def of(cls, states: Sequence[str], atoms: Iterable[Iterable[str]]) -> "Partition":
@@ -128,8 +120,31 @@ class Partition(Frozen):
     def from_labels(cls, states: Sequence[str], labels: Sequence) -> "Partition":
         """Group states that share a label; labels may be any hashables,
         renumbered in the order their first state appears."""
+        states = tuple(states)
+        if len(set(states)) != len(states):
+            raise ValueError("duplicate state names")
+        if len(labels) != len(states):
+            raise ValueError("one label per state required")
+        # one pass numbers the labels and collects each atom's states and positions
         number: dict = {}
-        return cls(tuple(states), tuple([number.setdefault(lab, len(number)) for lab in labels]))
+        canonical: list[int] = []
+        atoms: list[list[str]] = []
+        positions: list[list[int]] = []
+        for i, s, label in zip(range(len(states)), states, labels):
+            k = number.get(label)
+            if k is None:
+                k = number[label] = len(atoms)
+                atoms.append([s])
+                positions.append([i])
+            else:
+                atoms[k].append(s)
+                positions[k].append(i)
+            canonical.append(k)
+        p = cls.__new__(cls)
+        # atom_positions: each atom as the universe-order positions of its states, increasing
+        p.__dict__.update(states=states, labels=tuple(canonical), atoms=tuple(map(tuple, atoms)),
+                          atom_positions=tuple(map(tuple, positions)))
+        return p
 
 
 def refines(fine: Partition, coarse: Partition) -> bool:
@@ -381,6 +396,8 @@ def validate_stopping_process(sp: StoppingProcess, mode: str) -> list[str]:
             for st, v in zip(states, row):
                 if not lo <= v <= hi:
                     problems.append(f"{mode} bound violated: value {v} at (t={t}, state={st}) outside [{lo}, {hi}]")
+        if low == high:
+            continue  # {value <= s} of a constant row holds everywhere or nowhere
         # {value <= s} only changes at the row's values (values below 0 all
         # enter at s = 0) and F_s only refines as s grows, so the first grid
         # time s at which it cuts an atom of F_s is one of those values. It

@@ -7,13 +7,13 @@ market's price scale, both certificate verifiers and the tests of state
 probabilities (sums_to_one, and FiniteSpace's positivity and sum) alike.
 The free-lunch oracle reads its few LP coefficients with
 as_integer_ratio itself.
-parse_rational accepts a literal with one regular-expression match.
+parse_rational accepts a literal on str builtins (partition, strip,
+isascii, isdigit) and int(), and words only a rejection.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import sys
 from fractions import Fraction as Rational
 
@@ -51,26 +51,28 @@ def sums_to_one(values) -> bool:
     return sum(ints) == scale
 
 
-# a literal parse_rational accepts: a sign and ASCII digits on each side of an
-# optional "/", each side with optional surrounding whitespace (\s is the set
-# str.strip() removes)
-_LITERAL = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([+-]?[0-9]+)\s*)?")
-
-
 def parse_rational(text: str) -> Rational:
     """Parse a "p/q" (or bare "p") string of ASCII digits, each side with an
     optional sign and surrounding whitespace; rejects floats, "_" digit
     separators, non-ASCII digits and empty input.
 
-    One match accepts a literal; the per-part checks below run only to word
-    a rejection."""
-    match = _LITERAL.fullmatch(text) if isinstance(text, str) else None
-    if match is not None:
-        num, den = match.groups()
-        try:
-            return Rational(int(num)) if den is None else Rational(int(num), int(den))
-        except (ValueError, ZeroDivisionError):
-            pass  # q = 0, or a side past int()'s digit limit: worded below
+    A literal is accepted on str builtins: each side, stripped and with its
+    sign off, must be ASCII digits that int() reads. The per-part checks
+    below run only to word a rejection."""
+    if isinstance(text, str):
+        num, slash, den = text.partition("/")
+        num = num.strip()
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if digits.isdigit() and digits.isascii():
+            try:
+                if not slash:
+                    return Rational(int(num))
+                den = den.strip()
+                digits = den[1:] if den[:1] in ("+", "-") else den
+                if digits.isdigit() and digits.isascii():
+                    return Rational(int(num), int(den))
+            except (ValueError, ZeroDivisionError):
+                pass  # q = 0, or a side past int()'s digit limit: worded below
     if not isinstance(text, str) or not text.strip():
         raise ValueError(f"expected a rational string, got {text!r}")
     if "." in text or "e" in text.lower():

@@ -165,6 +165,29 @@ def _literal_outcome(parse, text):
         return str(exc)
 
 
+# one digit past what int() reads from text
+OVER_LONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("text", [
+    "007/010", "-0", "+3/4", " 3/4 ", "3/-4", "-3/-4", "3/0", "\u0663/4", "1_0", "-", "",
+    pytest.param(OVER_LONG + "/3", id="over-long"),
+])
+def test_literal_accept_path_matches_the_reference(text):
+    """parse_rational accepts on str builtins and int() alone; each edge of
+    that path gives the reference's value or message. An over-long side is
+    the one exception: the reference passes on int()'s own message, which
+    parse_rational words as too many digits."""
+    outcome = _literal_outcome(parse_rational, text)
+    if text.startswith(OVER_LONG):
+        assert outcome == f"rational literal too long: {len(OVER_LONG)} digits, over the limit of " \
+                          f"{sys.get_int_max_str_digits()} for an integer read from text"
+        with pytest.raises(ValueError):
+            reference_parse_rational(text)
+    else:
+        assert outcome == _literal_outcome(reference_parse_rational, text)
+
+
 # signs, digits of both kinds, separators, float syntax and whitespace
 LITERALS = st.text(st.sampled_from("0123456789+-/ ._eE\t\n\u2003\u00a0\u0661\uff13"), max_size=12)
 

@@ -26,6 +26,7 @@ from delayedmarkets.probability import (
 from delayedmarkets.rationals import rat
 from delayedmarkets.scenarios import _rng, gen_martingale_market, gen_random_delay
 
+from reference_partition import reference_from_labels
 from reference_stopping import reference_validate_stopping_process
 from test_acceptance import DESK
 
@@ -44,6 +45,15 @@ def part(*atoms):
 def partitions(draw, states=STATES4):
     labels = [draw(st.integers(0, len(states) - 1)) for _ in states]
     return Partition.from_labels(states, labels)
+
+
+# label vectors of the kinds from_labels is given: ints (scenarios), strings
+# (state-name prefixes) and tuples (sigma_join, stopped_sigma_field)
+LABELS = st.one_of(
+    st.lists(st.integers(-2, 4), max_size=8),
+    st.lists(st.text("ab", max_size=2), max_size=8),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=8),
+)
 
 
 ALL_PARTITIONS4 = tuple({
@@ -112,6 +122,29 @@ class TestPartition:
             Partition(states, (0, 1))
         with pytest.raises(ValueError, match=r"^duplicate state names$"):
             Partition(("a", "a"), (0, 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(labels=LABELS, spare=st.integers(-1, 1), duplicate=st.booleans())
+    def test_one_pass_build_matches_the_two_step_build(self, labels, spare, duplicate):
+        """from_labels numbers the labels and groups the states in one pass,
+        with the fields and the ValueErrors of the old two-step build, for
+        the label kinds the package passes: ints, strings and tuples.
+        `spare` states more or fewer than labels, and a duplicate name."""
+        states = [f"s{i}" for i in range(max(len(labels) + spare, 0))]
+        if duplicate and len(states) > 1:
+            states[-1] = states[0]
+
+        def outcome(build):
+            try:
+                return build(states, labels)
+            except ValueError as exc:
+                return str(exc)
+
+        built = outcome(Partition.from_labels)
+        if isinstance(built, Partition):
+            built = (built.states, built.labels, built.atoms, built.atom_positions)
+            assert Partition(built[0], built[1]) == Partition.from_labels(states, labels)
+        assert built == outcome(reference_from_labels)
 
     def test_atom_positions_are_built_with_the_partition(self):
         for labels in itertools.product(range(4), repeat=4):
