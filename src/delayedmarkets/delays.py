@@ -92,7 +92,7 @@ def validate_information_family(m: Market, fam: InformationDelayFamily) -> list[
     problems: list[str] = []
     horizon = m.space.horizon
     members = set(m.index_system)
-    for a in members:
+    for a in m.index_system:
         if a not in fam.delays:
             problems.append(f"no information delay for index set {sorted(a)}")
     for a, sp in fam.delays.items():

@@ -5,7 +5,7 @@ lists of state names, so documents are diff-stable and self-validating
 without reconstruction logic. Parsing is strict: unknown fields are
 rejected and every structural problem is reported with the invariant it
 violates, an over-long integer included. Each parse keeps its own
-interner of rational literals and partitions, so each distinct literal is
+rational literals and partitions by content, so each distinct literal is
 parsed and each distinct partition entry checked once per document, on C
 builtins where the check succeeds; the per-item loops run only to word a
 failure, and a location such as states[3] or filtrations.grand[t=2] is
@@ -81,24 +81,6 @@ class _Literals(dict):
             return tuple(map(self.one, texts))
 
 
-class _Interner:
-    """One document's parsed literals and partitions, by content.
-
-    Only successes are kept, so a malformed entry is reported at every
-    place it occurs, with the same wording as without the cache. Each
-    partition is kept with its JSON entry, and a later entry equal to that
-    entry is the same Partition: only a list of lists of the same names
-    equals it, since a name is a str and a str equals nothing but a str.
-    Filtration entries are not kept; each is built from the kept partitions.
-    """
-
-    __slots__ = ("rationals", "partitions")
-
-    def __init__(self):
-        self.rationals = _Literals()
-        self.partitions: list[tuple[list, Partition]] = []
-
-
 # the fields each object of a document may hold, and must
 _DOCUMENT_FIELDS = frozenset({"format_version", "states", "grid", "assets", "index_system", "filtrations", "delays"})
 _REQUIRED_DOCUMENT_FIELDS = _DOCUMENT_FIELDS - {"delays"}
@@ -145,8 +127,13 @@ def _asset_ids(entry) -> frozenset[str] | None:
 # The readers below return what they read or, as a str, the problem with it
 # located relative to the caller's entry, which the caller then names.
 
-def _parse_partition(entry, states, cache: _Interner) -> Partition | str:
-    for raw, partition in cache.partitions:
+def _parse_partition(entry, states, known: list[tuple[list, Partition]]) -> Partition | str:
+    """A partition entry, kept in `known` with its JSON entry once it parses.
+    Only successes are kept, so a malformed entry is reported at every place
+    it occurs. A later entry equal to a kept one is the same Partition: only
+    a list of lists of the same names equals it, since a name is a str and a
+    str equals nothing but a str."""
+    for raw, partition in known:
         if raw == entry:
             return partition
     if (isinstance(entry, list) and all(map(isinstance, entry, repeat(list)))
@@ -158,17 +145,17 @@ def _parse_partition(entry, states, cache: _Interner) -> Partition | str:
         if not all(entry):
             return ": empty atom"
         partition = Partition.from_labels(states, tuple(map(number.__getitem__, states)))
-        cache.partitions.append((entry, partition))
+        known.append((entry, partition))
         return partition
     return ": a partition must be a list of atoms (lists of state names)"
 
 
-def _parse_filtration(entry, states, length: int, cache: _Interner) -> Filtration | str:
+def _parse_filtration(entry, states, length: int, known: list) -> Filtration | str:
     if not isinstance(entry, list) or len(entry) != length:
         return f": expected {length} per-time partitions"
     parts = []
     for t, p in enumerate(entry):
-        p = _parse_partition(p, states, cache)
+        p = _parse_partition(p, states, known)
         if type(p) is str:
             return f"[t={t}]{p}"
         parts.append(p)
@@ -178,13 +165,13 @@ def _parse_filtration(entry, states, length: int, cache: _Interner) -> Filtratio
         return f": {exc}"
 
 
-def _resolve_info(entry, states, length: int, grand: Filtration, cache: _Interner) -> Filtration | str:
+def _resolve_info(entry, states, length: int, grand: Filtration, known: list) -> Filtration | str:
     if entry == "trivial":
         return Filtration.constant(Partition.trivial(states), length)
     if entry == "grand":
         return grand.extend_to(length)
     if isinstance(entry, list):
-        return _parse_filtration(entry, states, length, cache)
+        return _parse_filtration(entry, states, length, known)
     return ": delay information must be 'trivial', 'grand', or an inline filtration"
 
 
@@ -229,7 +216,8 @@ def parse_market_document(text: str) -> MarketDocument:
     if not isinstance(doc, dict):
         raise DocumentError(["document root must be an object"])
     problems: list[str] = []
-    cache = _Interner()
+    literals = _Literals()
+    known: list[tuple[list, Partition]] = []  # each partition parsed so far, with its JSON entry
     _require_keys(doc, _DOCUMENT_FIELDS, _REQUIRED_DOCUMENT_FIELDS, "document", problems)
     if problems:
         raise DocumentError(problems)
@@ -241,7 +229,6 @@ def parse_market_document(text: str) -> MarketDocument:
         raise DocumentError(["states: expected a non-empty list"])
     states: list[str] = []
     probability = {}
-    literal = cache.rationals.one
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             problems.append(f"states[{i}]: expected an object")
@@ -255,7 +242,7 @@ def parse_market_document(text: str) -> MarketDocument:
             continue
         states.append(name)
         try:
-            p = literal(entry["probability"])
+            p = literals.one(entry["probability"])
             if p.numerator <= 0:
                 problems.append(f"states[{i}]: probability must be strictly positive")
             probability[name] = p
@@ -292,7 +279,7 @@ def parse_market_document(text: str) -> MarketDocument:
                 problems.append(f"assets[{aid}][t={t}]: expected {len(states)} entries")
                 break
             try:
-                rows.append(cache.rationals.row(row))
+                rows.append(literals.row(row))
             except ValueError as exc:
                 problems.append(f"assets[{aid}][t={t}]: {exc}")
                 break
@@ -316,7 +303,7 @@ def parse_market_document(text: str) -> MarketDocument:
                   "filtrations", problems)
     if problems:
         raise DocumentError(problems)
-    grand = _parse_filtration(filt["grand"], states, extended + 1, cache)
+    grand = _parse_filtration(filt["grand"], states, extended + 1, known)
     if type(grand) is str:
         problems.append(f"filtrations.grand{grand}")
     trading = {}
@@ -339,7 +326,7 @@ def parse_market_document(text: str) -> MarketDocument:
                 problems.append(f"{where.format(i)}: expected between {horizon + 1} and {extended + 1} "
                                 "per-time partitions")
                 continue
-            f = _parse_filtration(declared, states, len(declared), cache)
+            f = _parse_filtration(declared, states, len(declared), known)
             if type(f) is str:
                 problems.append(where.format(i) + f)
             elif index_set is not None:
@@ -365,15 +352,15 @@ def parse_market_document(text: str) -> MarketDocument:
             raise DocumentError(["delays: expected an object"])
         _require_keys(delays, _DELAYS_FIELDS, frozenset(), "delays", problems)
         if "information" in delays:
-            info_fam = _parse_info_delays(delays["information"], market, problems, cache)
+            info_fam = _parse_info_delays(delays["information"], market, problems, known)
         if "execution" in delays:
-            exec_fam = _parse_exec_delays(delays["execution"], market, problems, cache)
+            exec_fam = _parse_exec_delays(delays["execution"], market, problems, known)
         if problems:
             raise DocumentError(problems)
     return MarketDocument(market, info_fam, exec_fam)
 
 
-def _parse_info_delays(entries, market: Market, problems: list[str], cache: _Interner):
+def _parse_info_delays(entries, market: Market, problems: list[str], known: list):
     if not isinstance(entries, list):
         problems.append("delays.information: expected a list")
         return None
@@ -393,7 +380,7 @@ def _parse_info_delays(entries, market: Market, problems: list[str], cache: _Int
         values = _parse_values(entry["values"], space.horizon + 1, len(space.states))
         if type(values) is str:
             problems.append(where.format(i) + values)
-        info = _resolve_info(entry["info"], space.states, space.horizon + 1, market.grand_filtration, cache)
+        info = _resolve_info(entry["info"], space.states, space.horizon + 1, market.grand_filtration, known)
         if type(info) is str:
             problems.append(f"{where.format(i)}.info{info}")
         elif index_set is not None and type(values) is not str:
@@ -407,7 +394,7 @@ def _parse_info_delays(entries, market: Market, problems: list[str], cache: _Int
     return fam if not problems else None
 
 
-def _parse_exec_delays(entries, market: Market, problems: list[str], cache: _Interner):
+def _parse_exec_delays(entries, market: Market, problems: list[str], known: list):
     if not isinstance(entries, list):
         problems.append("delays.execution: expected a list")
         return None
@@ -429,7 +416,7 @@ def _parse_exec_delays(entries, market: Market, problems: list[str], cache: _Int
         values = _parse_values(entry["values"], space.horizon + 1, len(space.states))
         if type(values) is str:
             problems.append(where.format(i) + values)
-        info = _resolve_info(entry["info"], space.states, space.extended_horizon + 1, market.grand_filtration, cache)
+        info = _resolve_info(entry["info"], space.states, space.extended_horizon + 1, market.grand_filtration, known)
         if type(info) is str:
             problems.append(f"{where.format(i)}.info{info}")
         if type(values) is str or type(info) is str:

@@ -58,10 +58,10 @@ class Market(Frozen):
             raise ValueError("grand filtration state set differs from the space")
         for a, f in filts.items():
             if f.states != space.states:
-                raise ValueError(f"trading filtration for {set(a)} has a different state set")
+                raise ValueError(f"trading filtration for {sorted(a)} has a different state set")
             if not space.horizon + 1 <= len(f) <= rows:
                 raise ValueError(
-                    f"trading filtration for {set(a)} must span at least 0..{space.horizon} "
+                    f"trading filtration for {sorted(a)} must span at least 0..{space.horizon} "
                     f"and at most 0..{space.extended_horizon}"
                 )
         self.__dict__.update(space=space, assets=frozen_assets, index_system=index_system,

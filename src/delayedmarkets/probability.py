@@ -17,7 +17,7 @@ arithmetic with no tolerances.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import eq, le
+from operator import le
 from typing import Iterable, Mapping, Sequence
 
 from .frozen import Frozen
@@ -340,7 +340,8 @@ class StoppingProcess(Frozen):
 def stopped_sigma_field(f: Filtration, tau: Sequence[int]) -> Partition:
     """The sigma-field of the tau-past, as a partition.
 
-    tau must be a stopping time for f with values inside f's grid. The
+    tau must have values inside f's grid, and pass the stopping test that
+    validate_stopping_process applies to a delay table's rows. The
     atoms are the atoms A of f.at(s) with A contained in {tau = s}; the
     result F satisfies the definitional test that F ∩ {tau <= u} is
     measurable at every u. A state's atom is labelled by its stopped time
@@ -353,15 +354,36 @@ def stopped_sigma_field(f: Filtration, tau: Sequence[int]) -> Partition:
     if tau and not (0 <= min(tau) and max(tau) < len(parts)):
         v = next(v for v in tau if not 0 <= v < len(parts))
         raise ValueError(f"stopped time {v} escapes the filtration grid")
-    times = set(tau)
-    if len(times) == 1:
+    if len(set(tau)) == 1:
         return parts[tau[0]]
-    for s in times:
-        # an atom of F_s cut by {tau = s} shows as one label paired with both answers
-        p = parts[s]
-        if len(p.atoms) < len(states) and len(set(zip(p.labels, map(eq, tau, repeat(s))))) != len(p.atoms):
-            raise ValueError("tau is not a stopping time for this filtration")
+    if _first_cut(parts, tau) is not None:
+        raise ValueError("tau is not a stopping time for this filtration")
     return Partition.from_labels(states, list(zip(tau, [parts[v].labels[i] for i, v in enumerate(tau)])))
+
+
+def _first_cut(parts: Sequence[Partition], row: Sequence[int]) -> int | None:
+    """The first grid time s at which {value <= s} cuts an atom of parts[s],
+    or None: the one stopping test of a row of grid values. Values below 0
+    enter at s = 0, and values past the top never enter.
+
+    {value <= s} only changes at the row's values and parts[s] only refines
+    as s grows, so the first such s is one of those values. It holds every
+    state from the row's largest value on, and a discrete partition has no
+    atom to cut; an atom it cuts shows as one label paired with both answers.
+    """
+    values = set(row)
+    if len(values) < 2:
+        return None
+    high, top = max(values), len(parts) - 1
+    if min(values) < 0 or high > top:
+        values = {max(v, 0) for v in values if v <= top}
+    for s in sorted(values):
+        if s >= high:
+            return None
+        p = parts[s]
+        if len(p.atoms) < len(row) and len(set(zip(p.labels, map(le, row, repeat(s))))) != len(p.atoms):
+            return s
+    return None
 
 
 def stopped_fields(f: Filtration, rows: Iterable[Sequence[int]]) -> tuple[Partition, ...]:
@@ -381,7 +403,8 @@ def validate_stopping_process(sp: StoppingProcess, mode: str) -> list[str]:
     sp.info, the bound for the mode (information: 0 <= value <= t;
     execution: t <= value <= top of the info grid), and path-wise
     monotonicity across t. Each check runs on builtins first and walks
-    the row only to word a violation.
+    the row only to word a violation; the stopping property is the test
+    stopped_sigma_field also applies.
     """
     if mode not in (_INFORMATION, _EXECUTION):
         raise ValueError(f"unknown mode {mode!r}; use 'information' or 'execution'")
@@ -396,28 +419,14 @@ def validate_stopping_process(sp: StoppingProcess, mode: str) -> list[str]:
             for st, v in zip(states, row):
                 if not lo <= v <= hi:
                     problems.append(f"{mode} bound violated: value {v} at (t={t}, state={st}) outside [{lo}, {hi}]")
-        if low == high:
-            continue  # {value <= s} of a constant row holds everywhere or nowhere
-        # {value <= s} only changes at the row's values (values below 0 all
-        # enter at s = 0) and F_s only refines as s grows, so the first grid
-        # time s at which it cuts an atom of F_s is one of those values. It
-        # holds every state from the row's largest value on, and a discrete
-        # F_s has no atom to cut; an atom it cuts shows as one label paired
-        # with both answers.
-        for s in sorted(set(row) if 0 <= low and high <= top else {max(v, 0) for v in row if v <= top}):
-            if s >= high:
-                break
+        s = _first_cut(parts, row)
+        if s is not None:
             info = parts[s]
-            if len(info.atoms) == len(row) or len(set(zip(info.labels, map(le, row, repeat(s))))) == len(info.atoms):
-                continue
-            for atom, positions in zip(info.atoms, info.atom_positions):
-                hits = [row[k] <= s for k in positions]
-                if any(hits) and not all(hits):
-                    problems.append(
-                        f"stopping property violated at t={t}: {{value <= {s}}} cuts atom {atom} of the information"
-                    )
-                    break
-            break
+            atom = next(a for a, positions in zip(info.atoms, info.atom_positions)
+                        if len({row[k] <= s for k in positions}) == 2)
+            problems.append(
+                f"stopping property violated at t={t}: {{value <= {s}}} cuts atom {atom} of the information"
+            )
     for t, (now, after) in enumerate(zip(sp.values, sp.values[1:])):
         if not all(map(le, now, after)):
             for st, a, b in zip(states, now, after):

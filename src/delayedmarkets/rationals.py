@@ -7,8 +7,9 @@ market's price scale, both certificate verifiers and the tests of state
 probabilities (sums_to_one, and FiniteSpace's positivity and sum) alike.
 The free-lunch oracle reads its few LP coefficients with
 as_integer_ratio itself.
-parse_rational accepts a literal on str builtins (partition, strip,
-isascii, isdigit) and int(), and words only a rejection.
+parse_rational accepts a literal on one path, of str builtins (partition,
+strip, isascii, isdigit) and int(); the code after it only words a
+rejection, and always raises.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ def parse_rational(text: str) -> Rational:
     optional sign and surrounding whitespace; rejects floats, "_" digit
     separators, non-ASCII digits and empty input.
 
-    A literal is accepted on str builtins: each side, stripped and with its
-    sign off, must be ASCII digits that int() reads. The per-part checks
-    below run only to word a rejection."""
+    A literal is accepted on str builtins only: each side, stripped and
+    with its sign off, must be ASCII digits that int() reads. Everything
+    after that accept path words the rejection, and always raises."""
     if isinstance(text, str):
         num, slash, den = text.partition("/")
         num = num.strip()
@@ -77,26 +78,19 @@ def parse_rational(text: str) -> Rational:
         raise ValueError(f"expected a rational string, got {text!r}")
     if "." in text or "e" in text.lower():
         raise ValueError(f"rationals must be exact p/q strings, got {text!r}")
-    if "/" not in text:
-        return Rational(_integer(text, text))
-    num, _, den = text.partition("/")
-    try:
-        return Rational(_integer(num, text), _integer(den, text))
-    except ZeroDivisionError as exc:
-        raise ValueError(f"bad rational literal {text!r}: {exc}") from None
-
-
-def _integer(part: str, text: str) -> int:
-    """One side of a "p/q" literal. int() alone would also take "_"
-    separators and non-ASCII digits."""
-    part = part.strip()
-    digits = part[1:] if part[:1] in ("+", "-") else part
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"bad rational literal {text!r}: expected ASCII digits with an optional sign")
-    try:
-        return int(part)
-    except ValueError:
-        raise ValueError(f"rational literal too long: {too_many_digits(len(digits))}") from None
+    sides = text.split("/", 1)
+    for part in sides:
+        part = part.strip()
+        digits = part[1:] if part[:1] in ("+", "-") else part
+        # int() alone would also take "_" separators and non-ASCII digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"bad rational literal {text!r}: expected ASCII digits with an optional sign")
+        try:
+            int(digits)
+        except ValueError:
+            raise ValueError(f"rational literal too long: {too_many_digits(len(digits))}") from None
+    # both sides read, so only q = 0 is left; worded as Fraction(p, 0) words it
+    raise ValueError(f"bad rational literal {text!r}: Fraction({int(sides[0])}, 0)")
 
 
 def too_many_digits(count: int) -> str:

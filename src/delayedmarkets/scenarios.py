@@ -502,10 +502,11 @@ def _check_safe(what: str, market: Market, horizon: int | None, m: Market, **del
     problems = validate_market(market)
     if problems:
         raise _TrialFailure(f"{what} failed validation: {problems[0]}", m, **delays)
-    verdict = check_naflp(market, horizon)
+    market = market.at_horizon(horizon)
+    verdict = check_naflp(market)
     if not isinstance(verdict, NoFreeLunch):
         raise _TrialFailure(f"{what} showed a free lunch", m, **delays)
-    if not verify_certificate(market, verdict, horizon):
+    if not verify_certificate(market, verdict):
         raise _TrialFailure(f"{what} failed re-verification of its measure certificate", m, **delays)
 
 

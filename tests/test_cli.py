@@ -136,6 +136,33 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 1
 
+    def test_problem_order_does_not_depend_on_the_hash_seed(self, tmp_path):
+        """Every missing information delay is reported in index-system
+        order, so the output is the same under any PYTHONHASHSEED (seeds 1
+        and 2 gave two orders when the index sets were walked as a set)."""
+        whole, split = [["u", "d"]], [["u"], ["d"]]
+        index_system = [["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"], ["a", "b", "c"]]
+        doc = {
+            "format_version": 1,
+            "states": [{"name": "u", "probability": "1/2"}, {"name": "d", "probability": "1/2"}],
+            "grid": {"n": 1, "n_ext": 1},
+            "assets": {a: [["1", "1"]] * 2 for a in "abc"},
+            "index_system": index_system,
+            "filtrations": {"grand": [whole, split],
+                            "trading": [{"index_set": a, "partitions": [whole, split]} for a in index_system]},
+            "delays": {"information": []},
+        }
+        path = tmp_path / "undelayed.json"
+        path.write_text(json.dumps(doc))
+        root = Path(__file__).parent.parent
+        expected = "".join(f"invalid: no information delay for index set {a}\n" for a in index_system)
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-m", "delayedmarkets", "validate", str(path)],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert (done.returncode, done.stdout) == (1, expected), seed
+
 
 class TestCheck:
     def test_no_free_lunch_exit_zero(self, binomial_path, capsys):

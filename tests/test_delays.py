@@ -375,6 +375,15 @@ class TestInvertDelay:
         pi = deterministic_exec([min(t + 2, 5) for t in range(4)], self.STATES, 6)
         assert invert_delay(pi).values == tuple((max(t - 2, 0),) * 2 for t in range(4))
 
+    def test_rejects_a_table_that_is_not_stopping(self):
+        # {value <= 0} = {x} cuts the one atom of the trivial information at 0
+        info = Filtration((Partition.trivial(self.STATES),) + (Partition.discrete(self.STATES),) * 3)
+        pi = StoppingProcess(((0, 1), (1, 1), (2, 2), (3, 3)), info)
+        with pytest.raises(DelayPreconditionError) as err:
+            invert_delay(pi)
+        assert err.value.problems == ["stopping property violated at t=0: {value <= 0} cuts atom ('x', 'y') "
+                                      "of the information"]
+
     def test_galois_inequalities_on_random_delays(self):
         cfg = ScenarioConfig(seed=59)
         for i in range(15):

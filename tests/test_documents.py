@@ -192,10 +192,22 @@ def test_literal_accept_path_matches_the_reference(text):
 LITERALS = st.text(st.sampled_from("0123456789+-/ ._eE\t\n\u2003\u00a0\u0661\uff13"), max_size=12)
 
 
+# a numerator, a denominator and a bare literal each one digit too long
+OVER_LONG_LITERALS = [OVER_LONG + "/3", "3/" + OVER_LONG, OVER_LONG]
+
+
 @settings(max_examples=500, deadline=None)
-@given(LITERALS | st.sampled_from(["", " ", "1/0", "-0/5", "0003/06", 1, None, ["1"]]))
+@given(LITERALS | st.sampled_from(["", " ", "1/0", "-0/5", "0003/06", 1, None, ["1"], *OVER_LONG_LITERALS]))
 def test_parse_rational_matches_the_reference(text):
-    assert _literal_outcome(parse_rational, text) == _literal_outcome(reference_parse_rational, text)
+    """Equal values or messages. An over-long literal is compared by
+    outcome class, both sides raising ValueError: the reference passes on
+    int()'s own message there."""
+    outcome = _literal_outcome(parse_rational, text)
+    expected = _literal_outcome(reference_parse_rational, text)
+    if text in OVER_LONG_LITERALS:
+        assert type(outcome) is type(expected) is str
+    else:
+        assert outcome == expected
 
 
 def test_over_long_literal_is_worded():
@@ -312,6 +324,8 @@ WORDED_PROBLEMS = {
                                         ["delays.information[0]: expected an object"]),
     "execution-delays-not-a-list": ("binomial.json", lambda d: d.update(delays={"execution": {}}),
                                     ["delays.execution: expected a list"]),
+    "execution-delay-not-an-object": ("binomial.json", lambda d: d.update(delays={"execution": [[]]}),
+                                      ["delays.execution[0]: expected an object"]),
     "unknown-information-reference": (
         "binomial.json", lambda d: d.update(delays={"information": [dict(INFO_DELAY, info="sometimes")]}),
         ["delays.information[0].info: delay information must be 'trivial', 'grand', or an inline filtration"]),

@@ -49,6 +49,60 @@ class TestValidateMarket:
         assert any("not adapted" in p for p in validate_market(m))
 
 
+STOCK = frozenset({"stock"})
+UD = ("u", "d")
+UD_GRAND = Filtration((Partition.trivial(UD), Partition.discrete(UD)))
+UX_GRAND = Filtration((Partition.trivial(("u", "x")), Partition.discrete(("u", "x"))))
+UD_LONG = Filtration(UD_GRAND.partitions + (Partition.discrete(UD),))
+UD_PRICES = ((rat(1), rat(1)), (rat(2), rat(1, 2)))
+
+# one malformed Market argument of the one-step binomial market, and the error it raises
+MARKET_SHAPES = {
+    "too-few-price-rows": ({"assets": {"stock": UD_PRICES[:1]}}, "asset 'stock': price table must have 2 time rows"),
+    "long-price-row": ({"assets": {"stock": (UD_PRICES[0], UD_PRICES[1] + (rat(1),))}},
+                       "asset 'stock': price rows must have 2 entries"),
+    "long-grand-filtration": ({"grand": UD_LONG}, "grand filtration must span 0..1"),
+    "grand-on-other-states": ({"grand": UX_GRAND}, "grand filtration state set differs from the space"),
+    "trading-on-other-states": ({"trading": {STOCK: UX_GRAND}},
+                                "trading filtration for ['stock'] has a different state set"),
+    "long-trading-filtration": ({"trading": {STOCK: UD_LONG}},
+                                "trading filtration for ['stock'] must span at least 0..1 and at most 0..1"),
+}
+
+
+class TestShapeErrors:
+    """Market and Strategy raise on a malformed shape when built, and
+    validate_strategy reports a strategy that does not fit the market."""
+
+    @pytest.mark.parametrize("name", MARKET_SHAPES)
+    def test_market(self, name):
+        change, message = MARKET_SHAPES[name]
+        args = dict(space=FiniteSpace.uniform(UD, 1, 1), assets={"stock": UD_PRICES}, index_system=(STOCK,),
+                    trading={STOCK: UD_GRAND}, grand=UD_GRAND) | change
+        with pytest.raises(ValueError) as err:
+            Market(args["space"], args["assets"], args["index_system"], args["trading"], args["grand"])
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("dates, holdings, message", [
+        ((0,), (), "a strategy needs at least two dates"),
+        ((1, 0), ({},), "dates must be strictly increasing"),
+        ((0, 1), (), "one holdings map per interval between consecutive dates"),
+        ((0, 1), ({"bond": (rat(1),) * 2},), "holdings name assets outside the index set"),
+    ])
+    def test_strategy(self, dates, holdings, message):
+        with pytest.raises(ValueError) as err:
+            Strategy(STOCK, dates, holdings)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("index_set, holding, problem", [
+        (frozenset({"bond"}), {}, "index set ['bond'] is not in the index system"),
+        (STOCK, {"stock": (rat(1),) * 3}, "holding vector for 'stock' has wrong length"),
+    ])
+    def test_strategy_against_the_market(self, index_set, holding, problem):
+        m = binomial_market(1, 2, rat(1, 2))
+        assert validate_strategy(m, Strategy(index_set, (0, 1), (holding,))) == [problem]
+
+
 def two_assets_market(index_sets, fine_small=False):
     states = ("uu", "ud", "du", "dd")
     space = FiniteSpace.uniform(states, 1, 1)

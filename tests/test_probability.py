@@ -316,6 +316,11 @@ class TestStoppedSigmaField:
         with pytest.raises(ValueError):
             stopped_sigma_field(f, (1, 2, 2, 2))
 
+    @pytest.mark.parametrize("tau, v", [((0, 1, 3, 1), 3), ((1, -1, 2, 2), -1)])
+    def test_rejects_a_time_off_the_grid(self, tau, v):
+        with pytest.raises(ValueError, match=rf"^stopped time {v} escapes the filtration grid$"):
+            stopped_sigma_field(ladder_filtration(), tau)
+
     def test_monotone_in_tau(self):
         f = ladder_filtration()
         early, late = (1, 1, 1, 1), (1, 1, 2, 2)
