@@ -139,10 +139,10 @@ def cmd_check(args) -> int:
                 market = delayed_market(market, doc.exec_delays)
     except (DocumentError, DelayPreconditionError) as exc:
         return _input_error(exc)
-    try:
-        market = market.at_horizon(args.horizon)
-    except ValueError as exc:  # the horizon argument lies outside n..n_ext
-        return _input_error(exc)
+    n, n_ext = market.space.horizon, market.space.extended_horizon
+    if args.horizon is not None and not n <= args.horizon <= n_ext:
+        return _input_error(f"horizon must lie in {n}..{n_ext}")
+    market = market.at_horizon(args.horizon)
     verdict = check_naflp(market)
     if not verify_certificate(market, verdict):
         print("internal error: certificate failed independent re-verification", file=sys.stderr)

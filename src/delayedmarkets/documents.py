@@ -3,10 +3,14 @@
 Rationals travel as "p/q" strings, filtrations as explicit per-time atom
 lists of state names, so documents are diff-stable and self-validating
 without reconstruction logic. Parsing is strict: unknown fields are
-rejected and every structural problem is reported with the invariant it
-violates, an over-long integer included. Each parse keeps its own
-rational literals and partitions by content, so each distinct literal is
-parsed and each distinct partition entry checked once per document, on C
+rejected and each problem is reported with the invariant it violates, an
+over-long integer included. Problems are collected in stages, and parsing
+stops after the first stage that has any. One reader, `_objects`, reads
+every object list (the states, the trading filtrations and both delay
+tables); within a list, the entries after the first problem are checked
+for their fields only. Each parse keeps its own rational literals and
+partitions by content, so each distinct literal is parsed and each
+distinct partition entry checked once per document, on C
 builtins where the check succeeds; the per-item loops run only to word a
 failure, and a location such as states[3] or filtrations.grand[t=2] is
 worded only when a problem there is reported. A partition entry is looked
@@ -96,11 +100,13 @@ _REQUIRED_EXEC_DELAY_FIELDS = _EXEC_DELAY_FIELDS - {"cap"}
 
 def _require_keys(obj: dict, allowed: frozenset[str], required: frozenset[str], where: str, problems: list[str],
                   index: int | None = None):
-    """Report obj's unknown and missing fields, if any, at where.format(index)."""
+    """Report obj's unknown and missing fields, if any, at where, or at
+    where[index] for an entry of a list."""
     keys = obj.keys()
     if keys <= allowed and keys >= required:
         return
-    where = where.format(index)
+    if index is not None:
+        where = f"{where}[{index}]"
     unknown = set(obj) - allowed
     for key in sorted(unknown):
         problems.append(f"{where}: unknown field {key!r}")
@@ -108,12 +114,24 @@ def _require_keys(obj: dict, allowed: frozenset[str], required: frozenset[str], 
         problems.append(f"{where}: missing field {key!r}")
 
 
-def _is_int(value) -> bool:
-    """JSON integers only: bool is an int subclass, but true is not a grid time."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _objects(entries, where: str, allowed: frozenset[str], required: frozenset[str], problems: list[str]):
+    """Yield (i, entry) for each entry of the list `where` that is an object
+    with every required field and no other. Once any problem is on record,
+    later entries are checked for their fields only and not yielded."""
+    if not isinstance(entries, list):
+        problems.append(f"{where}: expected a list")
+        return
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            problems.append(f"{where}[{i}]: expected an object")
+            continue
+        _require_keys(entry, allowed, required, where, problems, i)
+        if not problems:
+            yield i, entry
 
 
-_INT = frozenset({int})  # the type of a JSON integer; a bool is not one
+# a JSON integer is exactly an int: bool is an int subclass, but true is not a grid time
+_INT = frozenset({int})
 _NOT_ASSET_IDS = "expected a non-empty list of asset ids"
 
 
@@ -221,7 +239,7 @@ def parse_market_document(text: str) -> MarketDocument:
     _require_keys(doc, _DOCUMENT_FIELDS, _REQUIRED_DOCUMENT_FIELDS, "document", problems)
     if problems:
         raise DocumentError(problems)
-    if not _is_int(doc["format_version"]) or doc["format_version"] != FORMAT_VERSION:
+    if type(doc["format_version"]) is not int or doc["format_version"] != FORMAT_VERSION:
         raise DocumentError([f"unsupported format_version {doc['format_version']!r}"])
 
     entries = doc["states"]
@@ -229,13 +247,7 @@ def parse_market_document(text: str) -> MarketDocument:
         raise DocumentError(["states: expected a non-empty list"])
     states: list[str] = []
     probability = {}
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            problems.append(f"states[{i}]: expected an object")
-            continue
-        _require_keys(entry, _STATE_FIELDS, _STATE_FIELDS, "states[{}]", problems, i)
-        if problems:
-            continue
+    for i, entry in _objects(entries, "states", _STATE_FIELDS, _STATE_FIELDS, problems):
         name = entry["name"]
         if not isinstance(name, str):
             problems.append(f"states[{i}]: name must be a string")
@@ -258,12 +270,10 @@ def parse_market_document(text: str) -> MarketDocument:
     if problems:
         raise DocumentError(problems)
     horizon, extended = grid["n"], grid["n_ext"]
-    if not (_is_int(horizon) and _is_int(extended) and 1 <= horizon <= extended):
+    if not (type(horizon) is int and type(extended) is int and 1 <= horizon <= extended):
         raise DocumentError(["grid: need integers 1 <= n <= n_ext"])
-    try:
-        space = FiniteSpace(tuple(states), probability, horizon, extended)
-    except ValueError as exc:
-        raise DocumentError([f"states: {exc}"]) from None
+    # every check of FiniteSpace is made above, so a ValueError from it is the program's fault
+    space = FiniteSpace(tuple(states), probability, horizon, extended)
     states = space.states
 
     assets = {}
@@ -307,40 +317,27 @@ def parse_market_document(text: str) -> MarketDocument:
     if type(grand) is str:
         problems.append(f"filtrations.grand{grand}")
     trading = {}
-    if not isinstance(filt["trading"], list):
-        problems.append("filtrations.trading: expected a list")
-    else:
-        where = "filtrations.trading[{}]"
-        for i, entry in enumerate(filt["trading"]):
-            if not isinstance(entry, dict):
-                problems.append(f"{where.format(i)}: expected an object")
-                continue
-            _require_keys(entry, _TRADING_FIELDS, _TRADING_FIELDS, where, problems, i)
-            if problems:
-                continue
-            index_set = _asset_ids(entry["index_set"])
-            if index_set is None:
-                problems.append(f"{where.format(i)}.index_set: {_NOT_ASSET_IDS}")
-            declared = entry["partitions"]
-            if not isinstance(declared, list) or not horizon + 1 <= len(declared) <= extended + 1:
-                problems.append(f"{where.format(i)}: expected between {horizon + 1} and {extended + 1} "
-                                "per-time partitions")
-                continue
-            f = _parse_filtration(declared, states, len(declared), known)
-            if type(f) is str:
-                problems.append(where.format(i) + f)
-            elif index_set is not None:
-                if index_set in trading:
-                    problems.append(f"{where.format(i)}: duplicate trading filtration for index set "
-                                    f"{sorted(index_set)}")
-                trading[index_set] = f
+    where = "filtrations.trading"
+    for i, entry in _objects(filt["trading"], where, _TRADING_FIELDS, _TRADING_FIELDS, problems):
+        index_set = _asset_ids(entry["index_set"])
+        if index_set is None:
+            problems.append(f"{where}[{i}].index_set: {_NOT_ASSET_IDS}")
+        declared = entry["partitions"]
+        if not isinstance(declared, list) or not horizon + 1 <= len(declared) <= extended + 1:
+            problems.append(f"{where}[{i}]: expected between {horizon + 1} and {extended + 1} per-time partitions")
+            continue
+        f = _parse_filtration(declared, states, len(declared), known)
+        if type(f) is str:
+            problems.append(f"{where}[{i}]{f}")
+        elif index_set is not None:
+            if index_set in trading:
+                problems.append(f"{where}[{i}]: duplicate trading filtration for index set {sorted(index_set)}")
+            trading[index_set] = f
     if problems:
         raise DocumentError(problems)
 
-    try:
-        market = Market(space, assets, tuple(index_system), trading, grand)
-    except ValueError as exc:
-        raise DocumentError([str(exc)]) from None
+    # every check of Market is made above, so a ValueError from it is the program's fault
+    market = Market(space, assets, tuple(index_system), trading, grand)
     report = validate_market(market)
     if report:
         raise DocumentError(report)
@@ -361,31 +358,22 @@ def parse_market_document(text: str) -> MarketDocument:
 
 
 def _parse_info_delays(entries, market: Market, problems: list[str], known: list):
-    if not isinstance(entries, list):
-        problems.append("delays.information: expected a list")
-        return None
     space = market.space
     delays = {}
-    where = "delays.information[{}]"
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            problems.append(f"{where.format(i)}: expected an object")
-            continue
-        _require_keys(entry, _INFO_DELAY_FIELDS, _INFO_DELAY_FIELDS, where, problems, i)
-        if problems:
-            continue
+    where = "delays.information"
+    for i, entry in _objects(entries, where, _INFO_DELAY_FIELDS, _INFO_DELAY_FIELDS, problems):
         index_set = _asset_ids(entry["index_set"])
         if index_set is None:
-            problems.append(f"{where.format(i)}.index_set: {_NOT_ASSET_IDS}")
+            problems.append(f"{where}[{i}].index_set: {_NOT_ASSET_IDS}")
         values = _parse_values(entry["values"], space.horizon + 1, len(space.states))
         if type(values) is str:
-            problems.append(where.format(i) + values)
+            problems.append(f"{where}[{i}]{values}")
         info = _resolve_info(entry["info"], space.states, space.horizon + 1, market.grand_filtration, known)
         if type(info) is str:
-            problems.append(f"{where.format(i)}.info{info}")
+            problems.append(f"{where}[{i}].info{info}")
         elif index_set is not None and type(values) is not str:
             if index_set in delays:
-                problems.append(f"{where.format(i)}: duplicate information delay for index set {sorted(index_set)}")
+                problems.append(f"{where}[{i}]: duplicate information delay for index set {sorted(index_set)}")
             delays[index_set] = StoppingProcess(values, info)
     if problems:
         return None
@@ -395,38 +383,29 @@ def _parse_info_delays(entries, market: Market, problems: list[str], known: list
 
 
 def _parse_exec_delays(entries, market: Market, problems: list[str], known: list):
-    if not isinstance(entries, list):
-        problems.append("delays.execution: expected a list")
-        return None
     space = market.space
     delays = {}
     caps = {}
-    where = "delays.execution[{}]"
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            problems.append(f"{where.format(i)}: expected an object")
-            continue
-        _require_keys(entry, _EXEC_DELAY_FIELDS, _REQUIRED_EXEC_DELAY_FIELDS, where, problems, i)
-        if problems:
-            continue
+    where = "delays.execution"
+    for i, entry in _objects(entries, where, _EXEC_DELAY_FIELDS, _REQUIRED_EXEC_DELAY_FIELDS, problems):
         asset = entry["asset"]
         if not isinstance(asset, str):
-            problems.append(f"{where.format(i)}: asset must be a string")
+            problems.append(f"{where}[{i}]: asset must be a string")
             continue
         values = _parse_values(entry["values"], space.horizon + 1, len(space.states))
         if type(values) is str:
-            problems.append(where.format(i) + values)
+            problems.append(f"{where}[{i}]{values}")
         info = _resolve_info(entry["info"], space.states, space.extended_horizon + 1, market.grand_filtration, known)
         if type(info) is str:
-            problems.append(f"{where.format(i)}.info{info}")
+            problems.append(f"{where}[{i}].info{info}")
         if type(values) is str or type(info) is str:
             continue
         if asset in delays:
-            problems.append(f"{where.format(i)}: duplicate execution delay for asset {asset!r}")
+            problems.append(f"{where}[{i}]: duplicate execution delay for asset {asset!r}")
         delays[asset] = StoppingProcess(values, info)
         if "cap" in entry:
-            if not _is_int(entry["cap"]):
-                problems.append(f"{where.format(i)}: cap must be an integer")
+            if type(entry["cap"]) is not int:
+                problems.append(f"{where}[{i}]: cap must be an integer")
             else:
                 caps[asset] = entry["cap"]
     if problems:

@@ -24,7 +24,6 @@ import itertools
 import json
 import math
 import random
-from typing import Callable
 
 from .arbitrage import (
     FreeLunch,
@@ -253,6 +252,16 @@ def gen_random_delay(
 
 
 def _union_closed_index_system(rng: random.Random, assets, max_sets: int, singletons: bool):
+    """A union-closed index system on `assets`: at most max_sets sets, or,
+    with singletons, every nonempty subset.
+
+    With singletons, max_sets does not apply: the representation check
+    needs a singleton index set per asset, and the union closure of all
+    singletons is every nonempty subset, 2^n - 1 sets for n assets, so no
+    bound below that can hold. The full set and the two sampled sets add
+    nothing to that closure, but they are still drawn: they consume the
+    generator's draws, and the trial markets that follow are pinned to
+    that draw order."""
     ids = list(assets)
     if singletons:
         drawn = [frozenset([a]) for a in ids] + [frozenset(ids)]
@@ -510,27 +519,6 @@ def _check_safe(what: str, market: Market, horizon: int | None, m: Market, **del
         raise _TrialFailure(f"{what} failed re-verification of its measure certificate", m, **delays)
 
 
-def _run_trials(cfg: ScenarioConfig, kind: str, trials: int,
-                trial: Callable[[ScenarioConfig, random.Random, int], TrialRecord]) -> ExperimentReport:
-    """Run trial i on its own generator _rng(seed, kind, i).
-
-    A failed check is a failing trial reproduced by its market document;
-    a trial that raises anything else is a failing trial, not a crash of
-    the run, reproduced by the replay key of that generator.
-    """
-    records: list[TrialRecord] = []
-    for i in range(trials):
-        try:
-            record = trial(cfg, _rng(cfg.seed, kind, i), i)
-        except _TrialFailure as failure:
-            record = TrialRecord(i, kind, False, str(failure), failure.reproduction())
-        except Exception as exc:
-            record = TrialRecord(i, kind, False, f"exception: {exc!r}",
-                                 {"seed": cfg.seed, "kind": kind, "index": i})
-        records.append(record)
-    return ExperimentReport(kind, cfg.seed, tuple(records))
-
-
 def _information_trial(cfg: ScenarioConfig, rng: random.Random, i: int) -> TrialRecord:
     """Information-delay inheritance at desk scale."""
     m = gen_martingale_market(cfg, rng=rng)
@@ -693,7 +681,24 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg: ScenarioConfig, kind: str, trials: int) -> ExperimentReport:
-    """Run `trials` trials of one experiment kind; failures carry reproduction material."""
+    """Run `trials` trials of one experiment kind, trial i on its own
+    generator _rng(seed, kind, i).
+
+    A failed check is a failing trial reproduced by its market document;
+    a trial that raises anything else is a failing trial, not a crash of
+    the run, reproduced by the replay key of that generator.
+    """
     if kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    return _run_trials(cfg, kind, trials, EXPERIMENTS[kind])
+    trial = EXPERIMENTS[kind]
+    records: list[TrialRecord] = []
+    for i in range(trials):
+        try:
+            record = trial(cfg, _rng(cfg.seed, kind, i), i)
+        except _TrialFailure as failure:
+            record = TrialRecord(i, kind, False, str(failure), failure.reproduction())
+        except Exception as exc:
+            record = TrialRecord(i, kind, False, f"exception: {exc!r}",
+                                 {"seed": cfg.seed, "kind": kind, "index": i})
+        records.append(record)
+    return ExperimentReport(kind, cfg.seed, tuple(records))

@@ -242,6 +242,18 @@ class TestCheck:
             assert main(["check", str(binomial_path), "--horizon", horizon]) == 1
             assert capsys.readouterr() == ("", "error: horizon must lie in 1..1\n")
 
+    def test_fault_while_extending_the_horizon_is_internal(self, monkeypatch, capsys):
+        """Only a horizon outside n..n_ext is an input error: a ValueError
+        raised while extending the market to a valid horizon is exit 4."""
+        fault = ValueError("boom")
+
+        def broken(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr("delayedmarkets.probability.Filtration.extend_to", broken)
+        assert main(["check", str(SCENARIOS / "insider_execution.json"), "--horizon", "3"]) == 4
+        assert capsys.readouterr() == ("", f"internal error: {fault!r}\n")
+
 
 class TestDelay:
     def test_info_mode_writes_revalidating_document(self, insider_path, tmp_path, capsys):
@@ -579,6 +591,22 @@ class TestUnreadableDocuments:
                 f"over the limit of {sys.get_int_max_str_digits()} for an integer read from text"
                 in captured.out + captured.err)
         assert "set_int_max_str_digits" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+@pytest.mark.parametrize("constructor", ["FiniteSpace", "Market"])
+def test_constructor_fault_while_parsing_is_internal(command, constructor, monkeypatch, capsys):
+    """The parser makes every check of FiniteSpace and Market before it
+    calls them, so a ValueError from either is a fault of the program, not
+    of the document: exit 4, not an input error."""
+    fault = ValueError(f"{constructor} rejected what the parser accepted")
+
+    def broken(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(f"delayedmarkets.documents.{constructor}", broken)
+    assert main([command, str(SCENARIOS / "binomial.json")]) == 4
+    assert capsys.readouterr() == ("", f"internal error: {fault!r}\n")
 
 
 # each shipped scenario command, its exit code and its golden stdout

@@ -192,12 +192,19 @@ def test_literal_accept_path_matches_the_reference(text):
 LITERALS = st.text(st.sampled_from("0123456789+-/ ._eE\t\n\u2003\u00a0\u0661\uff13"), max_size=12)
 
 
+# one side of a well-formed literal: 1-3 ASCII digits with an optional sign and whitespace
+SIDES = st.builds("{}{}{}{}".format, st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "+", "-"]),
+                  st.text("0123456789", min_size=1, max_size=3), st.sampled_from(["", " ", "\n"]))
+# a bare side or p/q, so that a signed denominator such as "3/-4" is drawn often
+SIGNED_LITERALS = SIDES | st.builds("{}/{}".format, SIDES, SIDES)
+
 # a numerator, a denominator and a bare literal each one digit too long
 OVER_LONG_LITERALS = [OVER_LONG + "/3", "3/" + OVER_LONG, OVER_LONG]
 
 
 @settings(max_examples=500, deadline=None)
-@given(LITERALS | st.sampled_from(["", " ", "1/0", "-0/5", "0003/06", 1, None, ["1"], *OVER_LONG_LITERALS]))
+@given(LITERALS | SIGNED_LITERALS
+       | st.sampled_from(["", " ", "1/0", "-0/5", "0003/06", 1, None, ["1"], *OVER_LONG_LITERALS]))
 def test_parse_rational_matches_the_reference(text):
     """Equal values or messages. An over-long literal is compared by
     outcome class, both sides raising ValueError: the reference passes on
