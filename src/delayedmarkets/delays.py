@@ -47,8 +47,7 @@ class InformationDelayFamily(Frozen):
     _fields = ("delays",)
 
     def __init__(self, delays: Mapping[frozenset[str], StoppingProcess]):
-        # _valid_on: the market this family last passed its check on
-        self.__dict__.update(delays={frozenset(k): v for k, v in delays.items()}, _valid_on=None)
+        self.__dict__.update(delays={frozenset(k): v for k, v in delays.items()})
 
 
 class ExecutionDelayFamily(Frozen):
@@ -62,8 +61,7 @@ class ExecutionDelayFamily(Frozen):
 
     def __init__(self, delays: Mapping[str, StoppingProcess], caps: Mapping[str, int] | None = None):
         caps = {} if caps is None else {a: int(c) for a, c in caps.items()}
-        # _valid_on: the market this family last passed its check on
-        self.__dict__.update(delays=dict(delays), caps=caps, _valid_on=None)
+        self.__dict__.update(delays=dict(delays), caps=caps)
 
     def cap(self, asset: str, extended_horizon: int) -> int:
         return self.caps.get(asset, extended_horizon + 1)
@@ -73,22 +71,12 @@ class ExecutionDelayFamily(Frozen):
         return max(self.cap(a, extended_horizon) - 1 for a in self.delays)
 
 
-def _remember(fam, m: Market, problems: list[str]) -> list[str]:
-    """Keep m on the family if it passed there. Markets and families are
-    frozen, so the pass holds for as long as the family keeps m."""
-    if not problems:
-        fam.__dict__["_valid_on"] = m
-    return problems
-
-
 def validate_information_family(m: Market, fam: InformationDelayFamily) -> list[str]:
     """Diagnostic report; empty means the family is usable on this market.
 
-    A family remembers the market it last passed on, so checking it again
-    on that market, as parsing and then delaying a document does, is free.
+    Admissibility relates the family to m, so a family holds no market:
+    every delay operation checks its family on the market it is given.
     """
-    if fam._valid_on is m:
-        return []
     problems: list[str] = []
     horizon = m.space.horizon
     members = set(m.index_system)
@@ -109,14 +97,11 @@ def validate_information_family(m: Market, fam: InformationDelayFamily) -> list[
                 found.append("delay information is not coarser than the trading filtration")
         if found:
             problems += [f"index set {sorted(a)}: {p}" for p in found]
-    return _remember(fam, m, problems)
+    return problems
 
 
 def validate_execution_family(m: Market, fam: ExecutionDelayFamily) -> list[str]:
-    """Diagnostic report; empty means the family is usable on this market.
-    A pass is remembered as validate_information_family remembers it."""
-    if fam._valid_on is m:
-        return []
+    """Diagnostic report; empty means the family is usable on this market."""
     problems: list[str] = []
     horizon = m.space.horizon
     extended = m.space.extended_horizon
@@ -148,7 +133,7 @@ def validate_execution_family(m: Market, fam: ExecutionDelayFamily) -> list[str]
                         break
         if found:
             problems += [f"asset {a!r}: {p}" for p in found]
-    return _remember(fam, m, problems)
+    return problems
 
 
 def is_step_continuous(sp: StoppingProcess) -> bool:
@@ -167,9 +152,8 @@ def large_delayed_filtrations(m: Market, fam: InformationDelayFamily) -> dict[fr
     of its delay, with the results of every proper subset in the system,
     so the delayed family again agrees with the index system: monotone in
     the set order and refining in time. validate_information_family checks
-    each delay against its trading filtration (which makes the stopped
-    fields refine in t) once; a family that already passed on m, as a
-    parsed document's has, is not checked again.
+    each delay against its trading filtration on m, which makes the
+    stopped fields refine in t, on every call.
     """
     problems = validate_information_family(m, fam)
     if problems:

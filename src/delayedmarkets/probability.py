@@ -113,10 +113,6 @@ class Partition(Frozen):
         return cls(tuple(states), (0,) * len(states))
 
     @classmethod
-    def discrete(cls, states: Sequence[str]) -> "Partition":
-        return cls(tuple(states), tuple(range(len(states))))
-
-    @classmethod
     def from_labels(cls, states: Sequence[str], labels: Sequence) -> "Partition":
         """Group states that share a label; labels may be any hashables,
         renumbered in the order their first state appears."""
@@ -324,10 +320,6 @@ class StoppingProcess(Frozen):
     def deterministic(cls, schedule: Sequence[int], info: Filtration) -> "StoppingProcess":
         n = len(info.states)
         return cls(tuple((int(v),) * n for v in schedule), info)
-
-    @classmethod
-    def identity(cls, grid_length: int, info: Filtration) -> "StoppingProcess":
-        return cls.deterministic(range(grid_length), info)
 
     @property
     def states(self) -> tuple[str, ...]:

@@ -14,7 +14,7 @@ from delayedmarkets.arbitrage import (
 )
 from delayedmarkets.lp import row_basis
 from delayedmarkets.markets import Market, gain_generators
-from delayedmarkets.probability import Filtration, FiniteSpace, Partition
+from delayedmarkets.probability import Filtration, FiniteSpace, Partition, StoppingProcess
 from delayedmarkets.rationals import int_multiple, rat
 
 from reference_wealth import reference_wealth_process
@@ -23,6 +23,16 @@ from reference_wealth import reference_wealth_process
 def sparse(values) -> tuple:
     """A dense vector as a sparse row: (column, value) per nonzero entry."""
     return tuple((k, v) for k, v in enumerate(values) if v)
+
+
+def discrete_partition(states) -> Partition:
+    """The partition of states into singletons."""
+    return Partition(tuple(states), tuple(range(len(states))))
+
+
+def identity_delay(grid_length: int, info: Filtration) -> StoppingProcess:
+    """The zero delay: order time t is priced at t on every state."""
+    return StoppingProcess.deterministic(range(grid_length), info)
 
 
 def dense(row, width: int) -> tuple:
@@ -90,7 +100,7 @@ def binomial_market(s0, up, down):
     states = ("u", "d")
     space = FiniteSpace.uniform(states, 1, 1)
     prices = {"stock": ((rat(s0), rat(s0)), (rat(up), rat(down)))}
-    grand = Filtration((Partition.trivial(states), Partition.discrete(states)))
+    grand = Filtration((Partition.trivial(states), discrete_partition(states)))
     index_set = frozenset({"stock"})
     return Market(space, prices, (index_set,), {index_set: grand}, grand)
 
@@ -100,7 +110,7 @@ def two_step_market():
     states = ("uu", "ud", "du", "dd")
     space = FiniteSpace.uniform(states, 2, 2)
     level1 = Partition.of(states, [("uu", "ud"), ("du", "dd")])
-    grand = Filtration((Partition.trivial(states), level1, Partition.discrete(states)))
+    grand = Filtration((Partition.trivial(states), level1, discrete_partition(states)))
     prices = {
         "stock": (
             tuple(rat(4) for _ in states),

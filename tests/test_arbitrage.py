@@ -42,7 +42,7 @@ from delayedmarkets.scenarios import (
     gen_random_market,
 )
 
-from conftest import binomial_market, one_certificate, reference_terminal_wealth, single_signed
+from conftest import binomial_market, discrete_partition, one_certificate, reference_terminal_wealth, single_signed
 from reference_check import reference_check_naflp, reference_find_martingale_measure, reference_projection
 from reference_free_lunch import reference_find_free_lunch
 from reference_verify import reference_verify_measure
@@ -397,7 +397,7 @@ def large_literal_markets(count, digits):
     from t = 1."""
     states = tuple(f"s{i}" for i in range(6))
     space = FiniteSpace.uniform(states, 3, 3)
-    trivial, discrete = Partition.trivial(states), Partition.discrete(states)
+    trivial, discrete = Partition.trivial(states), discrete_partition(states)
     halves = Partition.of(states, [states[:3], states[3:]])
     trading = Filtration((trivial, halves, halves, discrete))
     grand = Filtration((trivial, discrete, discrete, discrete))
@@ -680,7 +680,7 @@ class TestExtendedHorizon:
 
         states = ("g", "h")
         space = FiniteSpace.uniform(states, 1, 3)
-        trivial, discrete = Partition.trivial(states), Partition.discrete(states)
+        trivial, discrete = Partition.trivial(states), discrete_partition(states)
         grand = Filtration((trivial, trivial, discrete, discrete))
         trading = Filtration((trivial, trivial, discrete, discrete)) if declare_extension \
             else Filtration((trivial, trivial))
@@ -707,7 +707,7 @@ class TestExtendedHorizon:
         iset = frozenset({"flat"})
         from delayedmarkets.probability import Partition
 
-        disc = Partition.discrete(("g", "h"))
+        disc = discrete_partition(("g", "h"))
         triv = Partition.trivial(("g", "h"))
         assert declared.at_horizon(3).trading_filtrations[iset].at(2) == disc
         assert frozen.at_horizon(3).trading_filtrations[iset].at(2) == triv

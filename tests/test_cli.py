@@ -19,7 +19,7 @@ from delayedmarkets.documents import parse_market_document, serialize_market_doc
 from delayedmarkets.rationals import ONE, ZERO, rat
 from delayedmarkets.scenarios import gen_insider_execution_market, gen_insider_market
 
-from conftest import binomial_market
+from conftest import binomial_market, identity_delay
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 DELAY_VALUE_ERROR = ValueError("index out of range in stopped field")
@@ -335,7 +335,7 @@ class TestDelay:
 
         triv = Filtration.constant(Partition.trivial(m.space.states), 3)
         fam = InformationDelayFamily({
-            a: StoppingProcess.identity(3, triv) for a in m.index_system
+            a: identity_delay(3, triv) for a in m.index_system
         })
         path = tmp_path / "zero.json"
         path.write_text(serialize_market_document(m, info_delays=fam))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -46,6 +48,7 @@ from delayedmarkets.scenarios import (
     run_experiment,
 )
 
+from conftest import discrete_partition, identity_delay
 from test_acceptance import DESK
 
 
@@ -64,7 +67,7 @@ class TestDelayedTradingFiltration:
     def test_zero_delay_returns_original(self):
         f = ladder(tuple("abcdefgh"), 4)
         triv = Filtration.constant(Partition.trivial(f.states), 4)
-        delta = StoppingProcess.identity(4, triv)
+        delta = identity_delay(4, triv)
         assert Filtration(stopped_fields(f, delta.values)) == f
 
     def test_total_delay_freezes_time_zero(self):
@@ -98,7 +101,7 @@ def four_coin_market():
     states = tuple("".join(p) for p in itertools.product("hd", repeat=4))
     space = FiniteSpace.uniform(states, 3, 3)
     trivial = Partition.trivial(states)
-    discrete = Partition.discrete(states)
+    discrete = discrete_partition(states)
     grand = Filtration((trivial, discrete, discrete, discrete))
 
     def reveal(coins):
@@ -135,7 +138,7 @@ class TestLargeDelayedFiltrations:
         m, *_ = four_coin_market()
         triv = Filtration.constant(Partition.trivial(m.space.states), 4)
         fam = InformationDelayFamily({
-            a: StoppingProcess.identity(4, triv) for a in m.index_system
+            a: identity_delay(4, triv) for a in m.index_system
         })
         large = large_delayed_filtrations(m, fam)
         assert large == dict(m.trading_filtrations)
@@ -156,16 +159,16 @@ class TestLargeDelayedFiltrations:
         assert on_sslw.at(0) == Partition.trivial(states)
         assert on_sslw.at(1) == Partition.from_labels(states, [s[:2] for s in states])
         assert on_sslw.at(2) == Partition.from_labels(states, [s[:3] for s in states])
-        assert on_sslw.at(3) == Partition.discrete(states)
+        assert on_sslw.at(3) == discrete_partition(states)
 
     def test_fresher_superset_keeps_the_family_monotone(self):
         m, fast, slow, comb, sslw = four_coin_market()
         triv = Filtration.constant(Partition.trivial(m.space.states), 4)
         fam = InformationDelayFamily({
             fast: StoppingProcess.deterministic([0, 0, 0, 0], triv),
-            slow: StoppingProcess.identity(4, triv),
-            comb: StoppingProcess.identity(4, triv),
-            sslw: StoppingProcess.identity(4, triv),  # superset fresher than its subset fast
+            slow: identity_delay(4, triv),
+            comb: identity_delay(4, triv),
+            sslw: identity_delay(4, triv),  # superset fresher than its subset fast
         })
         delayed = information_delayed_market(m, fam)
         assert validate_market(delayed) == []
@@ -177,7 +180,7 @@ class TestValidatesOnce:
     def test_each_stopping_process_is_validated_once(self, monkeypatch):
         m, fast, slow, comb, sslw = four_coin_market()
         triv = Filtration.constant(Partition.trivial(m.space.states), 4)
-        fam = InformationDelayFamily({a: StoppingProcess.identity(4, triv) for a in m.index_system})
+        fam = InformationDelayFamily({a: identity_delay(4, triv) for a in m.index_system})
         validate = delays.validate_stopping_process
         seen = []
         monkeypatch.setattr(delays, "validate_stopping_process",
@@ -189,12 +192,12 @@ class TestValidatesOnce:
     def test_invalid_family_reports_every_problem(self):
         m, fast, slow, comb, sslw = four_coin_market()
         triv = Filtration.constant(Partition.trivial(m.space.states), 4)
-        fine = Filtration.constant(Partition.discrete(m.space.states), 4)
+        fine = Filtration.constant(discrete_partition(m.space.states), 4)
         fam = InformationDelayFamily({
             fast: StoppingProcess.deterministic([0, 2, 2, 3], triv),  # anticipates at t=1
-            slow: StoppingProcess.identity(4, fine),  # finer than the trading filtration
+            slow: identity_delay(4, fine),  # finer than the trading filtration
             comb: StoppingProcess.deterministic([0, 1, 0, 3], triv),  # not monotone
-            sslw: StoppingProcess.identity(4, triv),
+            sslw: identity_delay(4, triv),
         })
         expected = validate_information_family(m, fam)
         for problem in ("information bound violated", "not coarser than the trading filtration",
@@ -203,7 +206,7 @@ class TestValidatesOnce:
         with pytest.raises(DelayPreconditionError) as err:
             information_delayed_market(m, fam)
         assert err.value.problems == expected
-        # a failed check is not remembered: the same problems, the same way
+        # every call checks the family again: the same problems, the same way
         with pytest.raises(DelayPreconditionError) as err:
             information_delayed_market(m, fam)
         assert err.value.problems == expected
@@ -216,7 +219,9 @@ class TestValidatesOnce:
                             lambda sp, mode: seen.append(sp) or validate(sp, mode))
         return seen
 
-    def test_parsed_families_are_not_checked_again(self, monkeypatch):
+    def test_parsed_families_are_checked_once_per_call(self, monkeypatch):
+        """The parse checked both families; each delay operation checks its
+        family's stopping processes again, each exactly once."""
         cfg = ScenarioConfig(seed=5, num_states=8, grid=3, extension=5, num_assets=3, max_index_sets=4)
         for i in range(10):
             rng = _rng(cfg.seed, "validate-once", i)
@@ -226,25 +231,47 @@ class TestValidatesOnce:
             doc = parse_market_document(serialize_market_document(m, info_delays=info, exec_delays=execution))
             seen = self._counting(monkeypatch)
             information_delayed_market(doc.market, doc.info_delays)
+            assert seen == list(doc.info_delays.delays.values())
+            seen.clear()
             delayed_market(doc.market, doc.exec_delays)
-            assert seen == []
+            assert seen == list(doc.exec_delays.delays.values())
             monkeypatch.undo()
 
     def test_another_market_is_checked(self, monkeypatch):
         """As `check --apply-delay` does: the execution family, checked on
-        the parsed market, is applied to the information-delayed one."""
+        the parsed market, is applied to the information-delayed one and
+        checked there, on every call."""
         m, *_ = four_coin_market()
         triv = Filtration.constant(Partition.trivial(m.space.states), 4)
-        info = InformationDelayFamily({a: StoppingProcess.identity(4, triv) for a in m.index_system})
-        execution = ExecutionDelayFamily({a: StoppingProcess.identity(4, triv) for a in m.assets})
+        info = InformationDelayFamily({a: identity_delay(4, triv) for a in m.index_system})
+        execution = ExecutionDelayFamily({a: identity_delay(4, triv) for a in m.assets})
         doc = parse_market_document(serialize_market_document(m, info_delays=info, exec_delays=execution))
         seen = self._counting(monkeypatch)
         delayed = information_delayed_market(doc.market, doc.info_delays)
-        assert seen == []
+        assert seen == list(doc.info_delays.delays.values())
+        seen.clear()
         delayed_market(delayed, doc.exec_delays)
         assert seen == list(doc.exec_delays.delays.values())
-        delayed_market(delayed, doc.exec_delays)  # the pass on `delayed` is remembered in turn
-        assert len(seen) == len(m.assets)
+        delayed_market(delayed, doc.exec_delays)
+        assert len(seen) == 2 * len(m.assets)
+
+    def test_a_family_keeps_no_market(self):
+        """A family that has passed its checks holds only its fields: once
+        the document and the delayed markets are gone, so is the market."""
+        cfg = ScenarioConfig(seed=5, num_states=8, grid=3, extension=5, num_assets=3, max_index_sets=4)
+        rng = _rng(cfg.seed, "keeps-no-market", 0)
+        m = gen_martingale_market(cfg, rng=rng)
+        info = gen_random_delay(cfg, "information", m, rng=rng)
+        execution = gen_random_delay(cfg, "execution", m, rng=rng, capped=True)
+        doc = parse_market_document(serialize_market_document(m, info_delays=info, exec_delays=execution))
+        information_delayed_market(doc.market, doc.info_delays)
+        delayed_market(doc.market, doc.exec_delays)
+        parsed, families = weakref.ref(doc.market), (doc.info_delays, doc.exec_delays)
+        del doc
+        gc.collect()
+        assert parsed() is None
+        for fam in families:
+            assert tuple(vars(fam)) == fam._fields
 
     def test_invalid_family_raises_after_a_pass_elsewhere(self):
         m, *_ = four_coin_market()
@@ -266,7 +293,7 @@ class TestCoarseness:
     def test_zero_delay_equality(self):
         m, *_ = four_coin_market()
         triv = Filtration.constant(Partition.trivial(m.space.states), 4)
-        fam = InformationDelayFamily({a: StoppingProcess.identity(4, triv) for a in m.index_system})
+        fam = InformationDelayFamily({a: identity_delay(4, triv) for a in m.index_system})
         for a, f in large_delayed_filtrations(m, fam).items():
             original = m.trading_filtrations[a]
             assert is_subfiltration(f, original) and is_subfiltration(original, f)
@@ -294,7 +321,7 @@ class TestDelayedMarket:
         m = gen_martingale_market(ScenarioConfig(seed=2), min_extension=1)
         horizon = m.space.horizon
         triv = Filtration.constant(Partition.trivial(m.space.states), m.space.extended_horizon + 1)
-        fam = ExecutionDelayFamily({a: StoppingProcess.identity(horizon + 1, triv) for a in m.assets})
+        fam = ExecutionDelayFamily({a: identity_delay(horizon + 1, triv) for a in m.assets})
         dm = delayed_market(m, fam)
         assert dm.space.extended_horizon == horizon
         for a in m.assets:
@@ -349,7 +376,7 @@ class TestDelayedMarket:
         m = gen_martingale_market(ScenarioConfig(seed=2), min_extension=1)
         horizon, extended = m.space.horizon, m.space.extended_horizon
         triv = Filtration.constant(Partition.trivial(m.space.states), extended + 1)
-        fam = ExecutionDelayFamily({a: StoppingProcess.identity(horizon + 1, triv) for a in m.assets})
+        fam = ExecutionDelayFamily({a: identity_delay(horizon + 1, triv) for a in m.assets})
         for upto in (horizon - 1, extended + 1):
             with pytest.raises(ValueError, match=rf"^extended horizon {upto} outside {horizon}\.\.{extended}$"):
                 delayed_market(m, fam, extended_horizon=upto)
@@ -377,7 +404,7 @@ class TestInvertDelay:
 
     def test_rejects_a_table_that_is_not_stopping(self):
         # {value <= 0} = {x} cuts the one atom of the trivial information at 0
-        info = Filtration((Partition.trivial(self.STATES),) + (Partition.discrete(self.STATES),) * 3)
+        info = Filtration((Partition.trivial(self.STATES),) + (discrete_partition(self.STATES),) * 3)
         pi = StoppingProcess(((0, 1), (1, 1), (2, 2), (3, 3)), info)
         with pytest.raises(DelayPreconditionError) as err:
             invert_delay(pi)
@@ -466,7 +493,7 @@ class TestSuperimpose:
     def test_preconditions_are_worded(self):
         identity = deterministic_exec([0, 1, 2, 3], self.STATES, 6)
         short = deterministic_exec([0, 1, 2], self.STATES, 6)
-        fine = StoppingProcess.deterministic([0, 1, 2, 3], Filtration.constant(Partition.discrete(self.STATES), 6))
+        fine = StoppingProcess.deterministic([0, 1, 2, 3], Filtration.constant(discrete_partition(self.STATES), 6))
         cases = [
             ({"a": identity}, {"b": identity}, "families delay different asset sets"),
             ({"a": short}, {"a": identity}, "asset 'a': delay tables cover different grids"),
@@ -515,9 +542,9 @@ class TestMinDelay:
     def test_differing_information_rejected(self):
         states = ("x", "y")
         triv = Filtration.constant(Partition.trivial(states), 6)
-        disc = Filtration.constant(Partition.discrete(states), 6)
-        f1 = ExecutionDelayFamily({"a": StoppingProcess.identity(4, triv)})
-        f2 = ExecutionDelayFamily({"a": StoppingProcess.identity(4, disc)})
+        disc = Filtration.constant(discrete_partition(states), 6)
+        f1 = ExecutionDelayFamily({"a": identity_delay(4, triv)})
+        f2 = ExecutionDelayFamily({"a": identity_delay(4, disc)})
         with pytest.raises(DelayPreconditionError):
             min_delay([f1, f2])
 
@@ -538,7 +565,7 @@ class TestRepresentation:
         m = gen_martingale_market(ScenarioConfig(seed=71), singletons=True)
         horizon = m.space.horizon
         triv = Filtration.constant(Partition.trivial(m.space.states), m.space.extended_horizon + 1)
-        fam = ExecutionDelayFamily({a: StoppingProcess.identity(horizon + 1, triv) for a in m.assets})
+        fam = ExecutionDelayFamily({a: identity_delay(horizon + 1, triv) for a in m.assets})
         assert representation_check(m, fam) is True
 
     def test_shift_reconstructs_on_its_range(self):
@@ -596,7 +623,7 @@ class TestRepresentation:
         states = ("x", "y")
         space = FiniteSpace.uniform(states, 2, 3)
         trivial = Partition.trivial(states)
-        discrete = Partition.discrete(states)
+        discrete = discrete_partition(states)
         trading = Filtration((trivial, trivial, discrete))
         grand = Filtration((trivial, trivial, discrete, discrete))
         prices = {"a": tuple((rat(1), rat(1)) for _ in range(4))}
@@ -624,7 +651,7 @@ class TestRepresentation:
         at t=2; asset a's delay runs on `schedule` over an information
         revealed at `info_reveals_at`, asset b's is the identity."""
         states = ("x", "y")
-        trivial, discrete = Partition.trivial(states), Partition.discrete(states)
+        trivial, discrete = Partition.trivial(states), discrete_partition(states)
 
         def revealed_at(t, length):
             return Filtration(tuple(trivial if s < t else discrete for s in range(length)))
@@ -636,7 +663,7 @@ class TestRepresentation:
         assert validate_market(m) == []
         fam = ExecutionDelayFamily({
             "a": StoppingProcess.deterministic(schedule, revealed_at(info_reveals_at, 4)),
-            "b": StoppingProcess.identity(3, revealed_at(3, 4)),
+            "b": identity_delay(3, revealed_at(3, 4)),
         })
         with pytest.raises(DelayPreconditionError) as caught:
             representation_check(m, fam)
@@ -650,7 +677,7 @@ class TestFamilyValidation:
         missing = InformationDelayFamily({})
         assert any("no information delay" in p for p in validate_information_family(m, missing))
         [(walk, sp)] = fam.delays.items()
-        foreign = StoppingProcess.identity(3, Filtration.constant(Partition.trivial(("x", "y")), 3))
+        foreign = identity_delay(3, Filtration.constant(Partition.trivial(("x", "y")), 3))
         odd = InformationDelayFamily({walk: foreign, frozenset({"ghost"}): sp})
         assert validate_information_family(m, odd) == [
             "index set ['walk']: delay information lives on a different state set",
@@ -666,8 +693,8 @@ class TestFamilyValidation:
     def test_execution_family_input_errors(self):
         m, fam = gen_insider_execution_market(2, 1)
         sp = fam.delays["walk"]
-        foreign = StoppingProcess.identity(3, Filtration.constant(Partition.trivial(("x", "y")), 4))
-        fine = Filtration.constant(Partition.discrete(m.space.states), 4)
+        foreign = identity_delay(3, Filtration.constant(Partition.trivial(("x", "y")), 4))
+        fine = Filtration.constant(discrete_partition(m.space.states), 4)
         cases = [
             ({}, "no execution delay for asset 'walk'"),
             ({"walk": sp, "ghost": sp}, "execution delay for unknown asset 'ghost'"),

@@ -37,7 +37,7 @@ from delayedmarkets.scenarios import (
     gen_random_market,
 )
 
-from conftest import binomial_market
+from conftest import binomial_market, discrete_partition, identity_delay
 from reference_documents import parse_rational as reference_parse_rational
 from reference_documents import reference_parse_market_document
 from reference_serialize import reference_serialize_market_document
@@ -473,7 +473,7 @@ def _named_market(states, asset_ids, prices, times):
     states = tuple(states)
     space = FiniteSpace.uniform(states, 1, 2)
     grand = Filtration((Partition.trivial(states), Partition.of(states, [states[:1], states[1:]]),
-                        Partition.discrete(states)))
+                        discrete_partition(states)))
     cycle = iter(prices * (3 * len(states) * len(asset_ids)))
     assets = {}
     for aid in asset_ids:
@@ -515,15 +515,15 @@ def test_memos_tell_equal_objects_apart():
     states = ("u", "m", "d")
     space = FiniteSpace.uniform(states, 2, 2)
     split = [("u",), ("m", "d")]
-    grand = Filtration((Partition.trivial(states), Partition.of(states, split), Partition.discrete(states)))
+    grand = Filtration((Partition.trivial(states), Partition.of(states, split), discrete_partition(states)))
     twin = Filtration((Partition.trivial(states), Partition.of(states, split), Partition.of(states, split)))
     one, half = rat(1), rat(1, 2)
     assets = {"x": ((1, one, 1.0), (rat(2), rat(1, 1), rat(1)), (half, rat(1, 2), 0.5)),
               "y": ((one, one, one), (one, half, half), (rat(3, 4), half, 2))}
     index = (frozenset({"x"}), frozenset({"x", "y"}))
     market = Market(space, assets, index, {index[0]: twin, index[1]: Filtration(twin.partitions)}, grand)
-    info = InformationDelayFamily({a: StoppingProcess.identity(3, Filtration(twin.partitions)) for a in index})
-    execution = ExecutionDelayFamily({a: StoppingProcess.identity(3, grand) for a in assets})
+    info = InformationDelayFamily({a: identity_delay(3, Filtration(twin.partitions)) for a in index})
+    execution = ExecutionDelayFamily({a: identity_delay(3, grand) for a in assets})
     assert twin.at(2) == Partition.of(states, split) and twin.at(2) is not twin.at(1)
     for families in ({}, {"info_delays": info}, {"info_delays": info, "exec_delays": execution}):
         assert serialize_market_document(market, **families) == reference_serialize_market_document(market, **families)
@@ -633,7 +633,7 @@ def test_documents_with_any_names_serialize_as_json_dumps(states, asset_ids):
     states = tuple(states)
     space = FiniteSpace.uniform(states, 1, 2)
     grand = Filtration((Partition.trivial(states), Partition.of(states, [states[:1], states[1:]]),
-                        Partition.discrete(states)))
+                        discrete_partition(states)))
     flat = tuple(rat(1) for _ in states)
     assets = {aid: (flat, flat, tuple(rat(i + k, 3) for i in range(len(states)))) for k, aid in enumerate(asset_ids)}
     index_set = frozenset(asset_ids)

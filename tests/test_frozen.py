@@ -12,7 +12,7 @@ import pytest
 
 import delayedmarkets
 from delayedmarkets.arbitrage import FreeLunch, FreeLunchCertificate, MartingaleMeasureCertificate, NoFreeLunch
-from delayedmarkets.delays import ExecutionDelayFamily, InformationDelayFamily, validate_information_family
+from delayedmarkets.delays import ExecutionDelayFamily, InformationDelayFamily
 from delayedmarkets.documents import MarketDocument
 from delayedmarkets.frozen import Frozen
 from delayedmarkets.lp import LpOutcome, LpProblem
@@ -99,8 +99,6 @@ BUILDERS = {
 DERIVED = {
     FiniteSpace: {"state_index": {}},
     Partition: {"atoms": (), "atom_positions": ()},
-    InformationDelayFamily: {"_valid_on": object()},
-    ExecutionDelayFamily: {"_valid_on": object()},
 }
 
 # instances built with only the required arguments, and the defaults they get
@@ -162,12 +160,6 @@ def test_a_computed_price_scale_is_not_compared():
     assert a.price_scale == 2 and "price_scale" in vars(a) and "price_scale" not in vars(b)
     assert a == b
     assert "price_scale" not in repr(a)
-
-
-def test_a_remembered_market_is_not_compared():
-    m, fam = market(), information_family()
-    assert validate_information_family(m, fam) == [] and fam._valid_on is m
-    assert fam == information_family()
 
 
 def test_different_fields_or_types_are_unequal():

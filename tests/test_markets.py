@@ -21,7 +21,15 @@ from delayedmarkets.arbitrage import FreeLunch, check_naflp, terminal_wealth, ve
 from delayedmarkets.rationals import Rational, rat
 from delayedmarkets.scenarios import ScenarioConfig, _rng, gen_martingale_market, gen_random_market
 
-from conftest import binomial_market, dense, in_span, reference_terminal_wealth, sparse, two_step_market
+from conftest import (
+    binomial_market,
+    dense,
+    discrete_partition,
+    in_span,
+    reference_terminal_wealth,
+    sparse,
+    two_step_market,
+)
 
 
 class TestValidateMarket:
@@ -51,9 +59,9 @@ class TestValidateMarket:
 
 STOCK = frozenset({"stock"})
 UD = ("u", "d")
-UD_GRAND = Filtration((Partition.trivial(UD), Partition.discrete(UD)))
-UX_GRAND = Filtration((Partition.trivial(("u", "x")), Partition.discrete(("u", "x"))))
-UD_LONG = Filtration(UD_GRAND.partitions + (Partition.discrete(UD),))
+UD_GRAND = Filtration((Partition.trivial(UD), discrete_partition(UD)))
+UX_GRAND = Filtration((Partition.trivial(("u", "x")), discrete_partition(("u", "x"))))
+UD_LONG = Filtration(UD_GRAND.partitions + (discrete_partition(UD),))
 UD_PRICES = ((rat(1), rat(1)), (rat(2), rat(1, 2)))
 
 # one malformed Market argument of the one-step binomial market, and the error it raises
@@ -107,7 +115,7 @@ def two_assets_market(index_sets, fine_small=False):
     states = ("uu", "ud", "du", "dd")
     space = FiniteSpace.uniform(states, 1, 1)
     split = Partition.of(states, [("uu", "ud"), ("du", "dd")])
-    grand = Filtration((Partition.trivial(states), Partition.discrete(states)))
+    grand = Filtration((Partition.trivial(states), discrete_partition(states)))
     prices = {
         "a0": ((rat(1),) * 4, (rat(2), rat(2), rat(0), rat(0))),
         "a1": ((rat(1),) * 4, (rat(2), rat(0), rat(2), rat(0))),
@@ -116,7 +124,7 @@ def two_assets_market(index_sets, fine_small=False):
     for ids in index_sets:
         key = frozenset(ids)
         if fine_small and key == frozenset({"a0"}):
-            trading[key] = Filtration((split, Partition.discrete(states)))
+            trading[key] = Filtration((split, discrete_partition(states)))
         else:
             trading[key] = Filtration((Partition.trivial(states), split))
     return Market(space, prices, tuple(frozenset(i) for i in index_sets), trading, grand)
@@ -224,7 +232,7 @@ class TestGainGenerators:
     def test_enlarged_initial_information_splits_generators(self):
         states = ("u", "d")
         space = FiniteSpace.uniform(states, 1, 1)
-        disc = Partition.discrete(states)
+        disc = discrete_partition(states)
         grand = Filtration((disc, disc))
         prices = {"stock": ((rat(4), rat(4)), (rat(8), rat(2)))}
         index_set = frozenset({"stock"})

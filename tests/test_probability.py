@@ -26,6 +26,7 @@ from delayedmarkets.probability import (
 from delayedmarkets.rationals import rat
 from delayedmarkets.scenarios import _rng, gen_martingale_market, gen_random_delay
 
+from conftest import discrete_partition, identity_delay
 from reference_partition import reference_from_labels
 from reference_stopping import reference_validate_stopping_process
 from test_acceptance import DESK
@@ -185,7 +186,7 @@ class TestRefines:
 class TestSigmaJoin:
     def test_two_block_crossing(self):
         joined = sigma_join([part(("1", "2"), ("3", "4")), part(("1", "3"), ("2", "4"))])
-        assert joined == Partition.discrete(STATES4)
+        assert joined == discrete_partition(STATES4)
 
     def test_single_argument(self):
         p = part(("1", "2"), ("3", "4"))
@@ -254,7 +255,7 @@ class TestConditionalExpectation:
     def test_singletons_identity(self):
         x = (rat(4), rat(0), rat(2), rat(6))
         q = (rat(1, 4),) * 4
-        assert conditional_expectation(x, Partition.discrete(STATES4), q) == x
+        assert conditional_expectation(x, discrete_partition(STATES4), q) == x
 
     def test_weighted_averages(self):
         # weights (1/2,1/6,1/6,1/6): block {1,2} -> (2+0)/(2/3)=3, block {3,4} -> 4
@@ -291,7 +292,7 @@ def ladder_filtration():
     return Filtration((
         Partition.trivial(STATES4),
         part(("1", "2"), ("3", "4")),
-        Partition.discrete(STATES4),
+        discrete_partition(STATES4),
     ))
 
 
@@ -394,8 +395,8 @@ def small_filtration_corpus(states) -> list[Filtration]:
     if n >= 2:
         split = Partition.of(states, [states[: n // 2], states[n // 2:]])
         corpus.append(Filtration((
-            Partition.trivial(states), split, Partition.discrete(states),
-            Partition.discrete(states),
+            Partition.trivial(states), split, discrete_partition(states),
+            discrete_partition(states),
         )))
         corpus.append(Filtration((
             Partition.trivial(states), Partition.trivial(states), split, split,
@@ -403,10 +404,10 @@ def small_filtration_corpus(states) -> list[Filtration]:
     if n >= 3:
         thirds = Partition.of(states, [states[:1], states[1:2], states[2:]])
         corpus.append(Filtration((
-            Partition.trivial(states), thirds, thirds, Partition.discrete(states),
+            Partition.trivial(states), thirds, thirds, discrete_partition(states),
         )))
     if 2 <= n <= 4:
-        corpus.append(Filtration.constant(Partition.discrete(states), 4))
+        corpus.append(Filtration.constant(discrete_partition(states), 4))
     return corpus
 
 
@@ -469,7 +470,7 @@ class TestDelayPrimitives:
 class TestValidateStoppingProcess:
     def test_zero_delay_valid(self):
         f = ladder_filtration()
-        sp = StoppingProcess.identity(3, f)
+        sp = identity_delay(3, f)
         assert validate_stopping_process(sp, "information") == []
 
     def test_lagged_delay_with_trivial_info(self):
@@ -505,7 +506,7 @@ class TestValidateStoppingProcess:
     def test_unknown_mode_rejected(self):
         f = ladder_filtration()
         with pytest.raises(ValueError):
-            validate_stopping_process(StoppingProcess.identity(3, f), "both")
+            validate_stopping_process(identity_delay(3, f), "both")
 
     def test_negative_value_cutting_an_atom_of_f0_is_reported(self):
         f = ladder_filtration()
@@ -571,12 +572,12 @@ class TestStoppingMatchesReference:
 class TestFiltration:
     def test_rejects_non_refining(self):
         with pytest.raises(ValueError):
-            Filtration((Partition.discrete(STATES4), Partition.trivial(STATES4)))
+            Filtration((discrete_partition(STATES4), Partition.trivial(STATES4)))
 
     def test_extend_repeats_last(self):
         f = ladder_filtration().extend_to(5)
         assert len(f) == 5
-        assert f.at(4) == Partition.discrete(STATES4)
+        assert f.at(4) == discrete_partition(STATES4)
 
     def test_full_restriction_is_the_filtration_itself(self):
         f = ladder_filtration()
