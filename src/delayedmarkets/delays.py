@@ -26,6 +26,7 @@ from .markets import Market
 from .probability import (
     Filtration,
     StoppingProcess,
+    grid_values,
     is_subfiltration,
     join_each,
     stopped_fields,
@@ -60,7 +61,7 @@ class ExecutionDelayFamily(Frozen):
     _fields = ("delays", "caps")
 
     def __init__(self, delays: Mapping[str, StoppingProcess], caps: Mapping[str, int] | None = None):
-        caps = {} if caps is None else {a: int(c) for a, c in caps.items()}
+        caps = {} if caps is None else dict(zip(caps, grid_values(caps.values())))
         self.__dict__.update(delays=dict(delays), caps=caps)
 
     def cap(self, asset: str, extended_horizon: int) -> int:
@@ -91,6 +92,8 @@ def validate_information_family(m: Market, fam: InformationDelayFamily) -> list[
             found = ["delay information lives on a different state set"]
         elif sp.grid_length() != horizon + 1:
             found = [f"delay table must cover grid times 0..{horizon}"]
+        elif len(sp.info) != horizon + 1:
+            found = [f"delay information must cover grid times 0..{horizon}"]
         else:
             found = validate_stopping_process(sp, "information")
             if not is_subfiltration(sp.info, m.trading_filtrations[a]):

@@ -14,8 +14,8 @@ distinct partition entry checked once per document, on C
 builtins where the check succeeds; the per-item loops run only to word a
 failure, and a location such as states[3] or filtrations.grand[t=2] is
 worded only when a problem there is reported. A partition entry is looked
-up by the JSON entry itself, and built by Partition.from_labels in one
-pass; every filtration entry is a new Filtration of the shared partitions.
+up by the JSON entry itself, and built by the Partition constructor in
+one pass; every filtration entry is a new Filtration of the shared partitions.
 Serialization is canonical, so parse -> serialize -> parse is the
 identity. The canonical bytes are the json.dumps layout at indent=2 plus
 a final newline, written directly in the document's layout by
@@ -162,7 +162,7 @@ def _parse_partition(entry, states, known: list[tuple[list, Partition]]) -> Part
             return ": atoms must partition the state set"
         if not all(entry):
             return ": empty atom"
-        partition = Partition.from_labels(states, tuple(map(number.__getitem__, states)))
+        partition = Partition(states, tuple(map(number.__getitem__, states)))
         known.append((entry, partition))
         return partition
     return ": a partition must be a list of atoms (lists of state names)"

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .frozen import Frozen
-from .probability import Filtration, FiniteSpace, Partition, refines
+from .probability import Filtration, FiniteSpace, Partition, grid_values, refines
 from .rationals import Rational, int_multiple
 
 PriceTable = tuple[tuple[Rational, ...], ...]  # time-major: table[t][state]
@@ -168,7 +168,7 @@ class Strategy(Frozen):
     def __init__(self, index_set: frozenset[str], dates: Sequence[int],
                  holdings: Sequence[Mapping[str, Sequence[Rational]]]):
         index_set = frozenset(index_set)
-        dates = tuple(int(t) for t in dates)
+        dates = grid_values(dates)
         if len(dates) < 2:
             raise ValueError("a strategy needs at least two dates")
         if any(a >= b for a, b in zip(dates, dates[1:])):

@@ -62,60 +62,21 @@ class FiniteSpace(Frozen):
         return cls(tuple(states), prob, horizon, extended_horizon)
 
 
-_INT = frozenset({int})
-
-
 class Partition(Frozen):
     """A sigma-field on a finite state set, given by its canonical labels.
 
     labels[i] is the number of the atom holding the i-th state, and atoms
     are numbered 0, 1, ... in the order their first state appears; that
-    vector is the only thing a Partition is built from, so equal
-    sigma-fields compare (and serialize) identically. Each atom lists its
-    states in universe order. from_labels renumbers any labels into this
-    form, grouping the states in the same pass; the constructor takes
-    labels already in it, and of reads a collection of atoms.
+    vector is the only thing a Partition is compared by, so equal
+    sigma-fields compare (and serialize) identically. The constructor
+    takes any hashable labels, one per state, and renumbers them into this
+    form in the same pass that groups the states; each atom lists its
+    states in universe order. of reads a collection of atoms.
     """
 
     _fields = ("states", "labels")
 
-    def __init__(self, states: tuple[str, ...], labels: tuple[int, ...]):
-        # canonical labels are the tuples of ints that renumbering leaves as they are
-        built = (Partition.from_labels(states, labels)
-                 if type(labels) is tuple and _INT.issuperset(map(type, labels)) else None)
-        if built is None or built.labels != labels:
-            raise ValueError("labels must be a tuple of ints numbering the atoms in order of first appearance")
-        self.__dict__.update(vars(built))
-
-    @classmethod
-    def of(cls, states: Sequence[str], atoms: Iterable[Iterable[str]]) -> "Partition":
-        """The partition with these atoms (sets, lists, any order)."""
-        states = tuple(states)
-        universe = set(states)
-        atoms = [tuple(atom) for atom in atoms]
-        for s in chain.from_iterable(atoms):
-            if s not in universe:
-                raise ValueError(f"state {s!r} is not in the state set")
-        if not all(atoms):
-            raise ValueError("empty atom")
-        number: dict[str, int] = {}
-        for i, atom in enumerate(atoms):
-            for s in atom:
-                if s in number:
-                    raise ValueError(f"state {s!r} appears in two atoms")
-                number[s] = i
-        if number.keys() != universe:
-            raise ValueError("atoms do not cover the state set")
-        return cls.from_labels(states, [number[s] for s in states])
-
-    @classmethod
-    def trivial(cls, states: Sequence[str]) -> "Partition":
-        return cls(tuple(states), (0,) * len(states))
-
-    @classmethod
-    def from_labels(cls, states: Sequence[str], labels: Sequence) -> "Partition":
-        """Group states that share a label; labels may be any hashables,
-        renumbered in the order their first state appears."""
+    def __init__(self, states: Sequence[str], labels: Sequence):
         states = tuple(states)
         if len(set(states)) != len(states):
             raise ValueError("duplicate state names")
@@ -136,11 +97,34 @@ class Partition(Frozen):
                 atoms[k].append(s)
                 positions[k].append(i)
             canonical.append(k)
-        p = cls.__new__(cls)
         # atom_positions: each atom as the universe-order positions of its states, increasing
-        p.__dict__.update(states=states, labels=tuple(canonical), atoms=tuple(map(tuple, atoms)),
-                          atom_positions=tuple(map(tuple, positions)))
-        return p
+        self.__dict__.update(states=states, labels=tuple(canonical), atoms=tuple(map(tuple, atoms)),
+                             atom_positions=tuple(map(tuple, positions)))
+
+    @classmethod
+    def of(cls, states: Sequence[str], atoms: Iterable[Iterable[str]]) -> "Partition":
+        """The partition with these atoms (sets, lists, any order)."""
+        states = tuple(states)
+        universe = set(states)
+        atoms = [tuple(atom) for atom in atoms]
+        for s in chain.from_iterable(atoms):
+            if s not in universe:
+                raise ValueError(f"state {s!r} is not in the state set")
+        if not all(atoms):
+            raise ValueError("empty atom")
+        number: dict[str, int] = {}
+        for i, atom in enumerate(atoms):
+            for s in atom:
+                if s in number:
+                    raise ValueError(f"state {s!r} appears in two atoms")
+                number[s] = i
+        if number.keys() != universe:
+            raise ValueError("atoms do not cover the state set")
+        return cls(states, [number[s] for s in states])
+
+    @classmethod
+    def trivial(cls, states: Sequence[str]) -> "Partition":
+        return cls(states, (0,) * len(states))
 
 
 def refines(fine: Partition, coarse: Partition) -> bool:
@@ -179,7 +163,7 @@ def sigma_join(parts: Sequence[Partition]) -> Partition:
     finest = max(parts, key=lambda p: len(p.atoms))
     if all(refines(finest, p) for p in parts):
         return finest
-    return Partition.from_labels(states, list(zip(*[p.labels for p in parts])))
+    return Partition(states, list(zip(*[p.labels for p in parts])))
 
 
 def join_each(seqs: Sequence[Sequence[Partition]]) -> tuple[Partition, ...]:
@@ -212,7 +196,7 @@ def sigma_meet(parts: Sequence[Partition]) -> Partition:
             root = find(atom[0])
             for s in atom[1:]:
                 parent[find(s)] = root
-    return Partition.from_labels(states, [find(s) for s in states])
+    return Partition(states, [find(s) for s in states])
 
 
 def conditional_expectation(
@@ -296,13 +280,24 @@ def is_subfiltration(coarse: Filtration, fine: Filtration) -> bool:
     return all(map(refines, fine.partitions, coarse.partitions))
 
 
+def grid_values(values: Iterable[int]) -> tuple[int, ...]:
+    """values as a tuple of grid times. int() would truncate a float and
+    read a bool as 0 or 1, so a value that is not exactly an int raises."""
+    values = tuple(values)
+    if not {int}.issuperset(map(type, values)):
+        v = next(v for v in values if type(v) is not int)
+        raise TypeError(f"grid value {v!r} is not an int")
+    return values
+
+
 class StoppingProcess(Frozen):
     """A time-indexed table of grid-valued stopping times with its information.
 
     values[t][i] is the stopped grid time for order time t and state i (in
-    the universe order of `info`). Validity (stopping property, bounds,
-    path-wise monotonicity) is checked by validate_stopping_process, not by
-    the constructor, so diagnostic reports can be produced for bad tables.
+    the universe order of `info`). The constructor checks the table's shape
+    and that every value is an int; validity (stopping property, bounds,
+    path-wise monotonicity) is checked by validate_stopping_process, so
+    diagnostic reports can be produced for bad tables.
     """
 
     _fields = ("values", "info")
@@ -314,12 +309,12 @@ class StoppingProcess(Frozen):
         for row in values:
             if len(row) != n:
                 raise ValueError("value row length differs from state count")
-        self.__dict__.update(values=tuple(tuple(map(int, row)) for row in values), info=info)
+        self.__dict__.update(values=tuple(map(grid_values, values)), info=info)
 
     @classmethod
     def deterministic(cls, schedule: Sequence[int], info: Filtration) -> "StoppingProcess":
         n = len(info.states)
-        return cls(tuple((int(v),) * n for v in schedule), info)
+        return cls(tuple((v,) * n for v in schedule), info)
 
     @property
     def states(self) -> tuple[str, ...]:
@@ -350,7 +345,7 @@ def stopped_sigma_field(f: Filtration, tau: Sequence[int]) -> Partition:
         return parts[tau[0]]
     if _first_cut(parts, tau) is not None:
         raise ValueError("tau is not a stopping time for this filtration")
-    return Partition.from_labels(states, list(zip(tau, [parts[v].labels[i] for i, v in enumerate(tau)])))
+    return Partition(states, list(zip(tau, [parts[v].labels[i] for i, v in enumerate(tau)])))
 
 
 def _first_cut(parts: Sequence[Partition], row: Sequence[int]) -> int | None:

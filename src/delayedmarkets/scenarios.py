@@ -111,7 +111,7 @@ def _random_split(rng: random.Random, part: Partition) -> Partition:
             for k in shuffled[cut:]:
                 labels[k] = fresh
             fresh += 1
-    return Partition.from_labels(part.states, labels)
+    return Partition(part.states, labels)
 
 
 def random_refining_filtration(rng: random.Random, states, length: int) -> Filtration:
@@ -230,7 +230,7 @@ def gen_random_delay(
     if mode == "information":
         delays = {}
         for index_set in m.index_system:
-            info = random_subfiltration(rng, m.trading_filtrations[index_set])
+            info = random_subfiltration(rng, m.trading_filtrations[index_set].restrict(horizon + 1))
             delays[index_set] = StoppingProcess(_random_info_values(rng, info, horizon), info)
         return InformationDelayFamily(delays)
     if mode != "execution":
@@ -303,13 +303,18 @@ def _random_filtration_bundle(rng: random.Random, space: FiniteSpace, index_syst
     return grand, trading
 
 
-def _draw_space(rng: random.Random, cfg: ScenarioConfig, min_extension: int = 0):
+def _draw_frame(rng: random.Random, cfg: ScenarioConfig, singletons: bool = False, min_extension: int = 0):
+    """What both market generators draw before their prices, in this order:
+    the space, the asset count and names, the index system and the
+    filtration bundle. Returns (space, assets, index_system, grand, trading)."""
     n_states = rng.randint(2, max(2, cfg.num_states))
     states = tuple(f"s{i}" for i in range(n_states))
     horizon = rng.randint(1, max(1, cfg.grid))
     extension = rng.randint(max(horizon, horizon + min_extension), max(horizon + min_extension, cfg.extension))
-    prob = random_positive_measure(rng, states)
-    return FiniteSpace(states, prob, horizon, extension)
+    space = FiniteSpace(states, random_positive_measure(rng, states), horizon, extension)
+    assets = tuple(f"a{i}" for i in range(rng.randint(1, max(1, cfg.num_assets))))
+    index_system = _union_closed_index_system(rng, assets, cfg.max_index_sets, singletons)
+    return (space, assets, index_system, *_random_filtration_bundle(rng, space, index_system))
 
 
 def gen_martingale_market(
@@ -331,11 +336,7 @@ def gen_martingale_market(
     and each atom of F_t gives one int sum and one rational.
     """
     rng = rng if rng is not None else _rng(cfg.seed, "martingale-market")
-    space = _draw_space(rng, cfg, min_extension)
-    n_assets = rng.randint(1, max(1, cfg.num_assets))
-    assets = tuple(f"a{i}" for i in range(n_assets))
-    index_system = _union_closed_index_system(rng, assets, cfg.max_index_sets, singletons)
-    grand, trading = _random_filtration_bundle(rng, space, index_system)
+    space, assets, index_system, grand, trading = _draw_frame(rng, cfg, singletons, min_extension)
     q_map = random_positive_measure(rng, space.states)
     weights, _ = int_multiple(q_map[s] for s in space.states)
     earlier = grand.partitions[:-1]
@@ -364,11 +365,7 @@ def gen_random_market(cfg: ScenarioConfig, *, rng: random.Random | None = None) 
     """A market with adapted but otherwise arbitrary prices; usually not
     arbitrage-free, which exercises the free-lunch side of the oracles."""
     rng = rng if rng is not None else _rng(cfg.seed, "random-market")
-    space = _draw_space(rng, cfg)
-    n_assets = rng.randint(1, max(1, cfg.num_assets))
-    assets = tuple(f"a{i}" for i in range(n_assets))
-    index_system = _union_closed_index_system(rng, assets, cfg.max_index_sets, False)
-    grand, trading = _random_filtration_bundle(rng, space, index_system)
+    space, assets, index_system, grand, trading = _draw_frame(rng, cfg)
     tables = {}
     for a in assets:
         rows = []
@@ -390,7 +387,7 @@ def _walk_states(length: int):
 
 def _prefix_filtration(states, horizons) -> Filtration:
     return Filtration(tuple(
-        Partition.from_labels(states, [s[:k] for s in states]) for k in horizons
+        Partition(states, [s[:k] for s in states]) for k in horizons
     ))
 
 

@@ -84,7 +84,7 @@ class TestDelayedTradingFiltration:
         states = m.space.states
 
         def prefix(k):
-            return Partition.from_labels(states, [s[:k] for s in states])
+            return Partition(states, [s[:k] for s in states])
 
         # the peeking filtration is (trivial, prefix 2, prefix 3, prefix 4);
         # the lag-1 delay rewinds it below the walk's natural information
@@ -105,7 +105,7 @@ def four_coin_market():
     grand = Filtration((trivial, discrete, discrete, discrete))
 
     def reveal(coins):
-        revealed = Partition.from_labels(states, ["".join(s[i] for i in coins) for s in states])
+        revealed = Partition(states, ["".join(s[i] for i in coins) for s in states])
         return Filtration((trivial, revealed, revealed, revealed))
 
     assets = {}
@@ -157,8 +157,8 @@ class TestLargeDelayedFiltrations:
         on_sslw = large[sslw]
         states = m.space.states
         assert on_sslw.at(0) == Partition.trivial(states)
-        assert on_sslw.at(1) == Partition.from_labels(states, [s[:2] for s in states])
-        assert on_sslw.at(2) == Partition.from_labels(states, [s[:3] for s in states])
+        assert on_sslw.at(1) == Partition(states, [s[:2] for s in states])
+        assert on_sslw.at(2) == Partition(states, [s[:3] for s in states])
         assert on_sslw.at(3) == discrete_partition(states)
 
     def test_fresher_superset_keeps_the_family_monotone(self):
@@ -361,6 +361,17 @@ class TestDelayedMarket:
         assert validate_market(dm_ext) == []
         assert len(dm_ext.trading_filtrations[frozenset({"flat"})]) == 4
 
+    def test_drawn_information_delay_fits_a_declared_trading_extension(self):
+        """gen_random_delay draws an information delay's information from the
+        trading filtration over 0..n, however far the market declares it."""
+        from test_arbitrage import TestExtendedHorizon
+
+        m = TestExtendedHorizon.flatline_market(declare_extension=True)
+        assert len(m.trading_filtrations[frozenset({"flat"})]) > m.space.horizon + 1
+        for i in range(5):
+            fam = gen_random_delay(DESK, "information", m, rng=_rng(DESK.seed, "declared", i))
+            assert validate_information_family(m, fam) == []
+
     def test_delay_beyond_extended_grid_rejected(self):
         m = gen_martingale_market(ScenarioConfig(seed=2), min_extension=1)
         horizon, extended = m.space.horizon, m.space.extended_horizon
@@ -380,6 +391,14 @@ class TestDelayedMarket:
         for upto in (horizon - 1, extended + 1):
             with pytest.raises(ValueError, match=rf"^extended horizon {upto} outside {horizon}\.\.{extended}$"):
                 delayed_market(m, fam, extended_horizon=upto)
+
+
+@pytest.mark.parametrize("bad", [2.7, 3.0, True])
+def test_caps_that_are_not_ints_are_refused(bad):
+    pi = StoppingProcess.deterministic([1, 2], Filtration.constant(Partition.trivial(("x", "y")), 4))
+    with pytest.raises(TypeError, match=rf"^grid value {bad!r} is not an int$"):
+        ExecutionDelayFamily({"walk": pi}, {"walk": bad})
+    assert ExecutionDelayFamily({"walk": pi}, {"walk": 3}).caps == {"walk": 3}
 
 
 def deterministic_exec(schedule, states, info_length):

@@ -21,6 +21,8 @@ from delayedmarkets.delays import (
     InformationDelayFamily,
     delayed_market,
     information_delayed_market,
+    validate_execution_family,
+    validate_information_family,
 )
 from delayedmarkets import documents
 from delayedmarkets.documents import DocumentError, parse_market_document, serialize_market_document
@@ -38,6 +40,7 @@ from delayedmarkets.scenarios import (
 )
 
 from conftest import binomial_market, discrete_partition, identity_delay
+from test_acceptance import DESK
 from reference_documents import parse_rational as reference_parse_rational
 from reference_documents import reference_parse_market_document
 from reference_serialize import reference_serialize_market_document
@@ -565,8 +568,13 @@ def test_each_partition_entry_is_built_once(monkeypatch):
     within one filtration too, all hold that one Partition. Filtration
     entries are not kept, so equal entries give equal, distinct objects."""
     built = []
-    real = Partition.from_labels
-    monkeypatch.setattr(Partition, "from_labels", lambda states, labels: built.append(labels) or real(states, labels))
+    real = Partition.__init__
+
+    def counted(self, states, labels):
+        built.append(labels)
+        real(self, states, labels)
+
+    monkeypatch.setattr(Partition, "__init__", counted)
     doc = json.loads(BINOMIAL.read_text())
     grand = doc["filtrations"]["grand"]
     assert doc["filtrations"]["trading"][0]["partitions"] == grand
@@ -581,6 +589,43 @@ def test_each_partition_entry_is_built_once(monkeypatch):
     assert [list(map(id, f.partitions)) for f in filtrations] == [[id(coarse), id(fine)]] * 2 + [
         [id(coarse), id(coarse)], [id(coarse), id(fine)]]
     assert filtrations[3] == filtrations[0] and filtrations[3] is not filtrations[0]
+
+
+def _family_variants(m, rng):
+    """A desk market's drawn information and execution families, each as
+    drawn and with one delay's information one time longer or shorter."""
+    info = gen_random_delay(DESK, "information", m, rng=rng)
+    execution = gen_random_delay(DESK, "execution", m, rng=rng, capped=True)
+    for fam, rebuild in ((info, InformationDelayFamily),
+                         (execution, lambda delays: ExecutionDelayFamily(delays, execution.caps))):
+        yield fam
+        key = sorted(fam.delays, key=sorted)[0]
+        sp = fam.delays[key]
+        for info_f in (sp.info.extend_to(len(sp.info) + 1), sp.info.restrict(len(sp.info) - 1)):
+            yield rebuild({**fam.delays, key: StoppingProcess(sp.values, info_f)})
+
+
+def test_validators_agree_with_the_document_format():
+    """A family validates on a market exactly when the document that holds
+    both parses: the validators ask the information of a delay to cover the
+    grid the format writes for it (0..n or 0..n_ext)."""
+    outcomes = set()
+    for i in range(12):
+        rng = _rng(DESK.seed, "agree", i)
+        m = gen_martingale_market(DESK, rng=rng)
+        for fam in _family_variants(m, rng):
+            if isinstance(fam, InformationDelayFamily):
+                valid, text = not validate_information_family(m, fam), serialize_market_document(m, info_delays=fam)
+            else:
+                valid, text = not validate_execution_family(m, fam), serialize_market_document(m, exec_delays=fam)
+            try:
+                parse_market_document(text)
+                parses = True
+            except DocumentError:
+                parses = False
+            assert valid == parses, (i, fam)
+            outcomes.add(valid)
+    assert outcomes == {True, False}
 
 
 def _depth(node) -> int:

@@ -102,6 +102,11 @@ class TestShapeErrors:
             Strategy(STOCK, dates, holdings)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True])
+    def test_strategy_dates_that_are_not_ints_are_refused(self, bad):
+        with pytest.raises(TypeError, match=rf"^grid value {bad!r} is not an int$"):
+            Strategy(STOCK, (0, bad), ({"stock": (rat(1),) * 2},))
+
     @pytest.mark.parametrize("index_set, holding, problem", [
         (frozenset({"bond"}), {}, "index set ['bond'] is not in the index system"),
         (STOCK, {"stock": (rat(1),) * 3}, "holding vector for 'stock' has wrong length"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -45,10 +46,10 @@ def part(*atoms):
 @st.composite
 def partitions(draw, states=STATES4):
     labels = [draw(st.integers(0, len(states) - 1)) for _ in states]
-    return Partition.from_labels(states, labels)
+    return Partition(states, labels)
 
 
-# label vectors of the kinds from_labels is given: ints (scenarios), strings
+# label vectors of the kinds Partition is given: ints (scenarios), strings
 # (state-name prefixes) and tuples (sigma_join, stopped_sigma_field)
 LABELS = st.one_of(
     st.lists(st.integers(-2, 4), max_size=8),
@@ -58,7 +59,7 @@ LABELS = st.one_of(
 
 
 ALL_PARTITIONS4 = tuple({
-    p.atoms: p for p in (Partition.from_labels(STATES4, labels) for labels in itertools.product(range(4), repeat=4))
+    p.atoms: p for p in (Partition(STATES4, labels) for labels in itertools.product(range(4), repeat=4))
 }.values())
 
 
@@ -108,17 +109,18 @@ class TestPartition:
         with pytest.raises(ValueError, match=r"^atoms do not cover the state set$"):
             Partition.of(STATES4, [("1", "2"), ("3",)])
 
-    def test_only_canonical_labels_construct(self):
+    def test_any_labels_are_renumbered_canonically(self):
         states = ("a", "b", "c")
-        p = Partition.from_labels(states, ["x", "x", "y"])
+        p = Partition(states, ["x", "x", "y"])
         assert p.labels == (0, 0, 1) and p.atoms == (("a", "b"), ("c",))
         assert p == Partition.of(states, [["c"], ["b", "a"]]) == Partition(states, (0, 0, 1))
         assert hash(p) == hash(Partition.of(states, [["c"], ["b", "a"]]))
-        for labels in [(1, 1, 0), (0, 2, 1), (0, 0, -1), (0, 0, 1.0), (0, 0, True), [0, 0, 1]]:
-            with pytest.raises(ValueError, match="numbering the atoms in order of first appearance"):
-                Partition(states, labels)
-        with pytest.raises(ValueError, match="numbering the atoms"):
-            Partition(("a", "b"), (("a",), ("b",)))  # atoms are not labels
+        # labels are numbered in order of first appearance, whatever their kind
+        for labels in [(1, 1, 0), (2, 2, 0), (0, 0, -1), (0, 0, 1.0), (0, 0, True), [0, 0, 1]]:
+            assert Partition(states, labels).labels == (0, 0, 1)
+            assert Partition(states, labels) == p
+        assert Partition(states, (0, 2, 1)).labels == (0, 1, 2)
+        assert Partition(("a", "b"), (("a",), ("b",))).labels == (0, 1)  # tuples are labels too
         with pytest.raises(ValueError, match=r"^one label per state required$"):
             Partition(states, (0, 1))
         with pytest.raises(ValueError, match=r"^duplicate state names$"):
@@ -127,7 +129,7 @@ class TestPartition:
     @settings(max_examples=300, deadline=None)
     @given(labels=LABELS, spare=st.integers(-1, 1), duplicate=st.booleans())
     def test_one_pass_build_matches_the_two_step_build(self, labels, spare, duplicate):
-        """from_labels numbers the labels and groups the states in one pass,
+        """Partition numbers the labels and groups the states in one pass,
         with the fields and the ValueErrors of the old two-step build, for
         the label kinds the package passes: ints, strings and tuples.
         `spare` states more or fewer than labels, and a duplicate name."""
@@ -141,15 +143,17 @@ class TestPartition:
             except ValueError as exc:
                 return str(exc)
 
-        built = outcome(Partition.from_labels)
+        built = outcome(Partition)
         if isinstance(built, Partition):
-            built = (built.states, built.labels, built.atoms, built.atom_positions)
-            assert Partition(built[0], built[1]) == Partition.from_labels(states, labels)
+            p, built = built, (built.states, built.labels, built.atoms, built.atom_positions)
+            # the canonical labels build the same partition again, field by field
+            again = Partition(p.states, p.labels)
+            assert (again.states, again.labels, again.atoms, again.atom_positions) == built
         assert built == outcome(reference_from_labels)
 
     def test_atom_positions_are_built_with_the_partition(self):
         for labels in itertools.product(range(4), repeat=4):
-            p = Partition.from_labels(STATES4, labels)
+            p = Partition(STATES4, labels)
             assert "atom_positions" in vars(p)
             grouped = tuple(tuple(i for i, label in enumerate(p.labels) if label == a) for a in range(len(p.atoms)))
             assert vars(p)["atom_positions"] == grouped
@@ -223,7 +227,7 @@ class TestSigmaJoin:
         other is returned as it is."""
         for p, q in itertools.product(ALL_PARTITIONS4, repeat=2):
             joined = sigma_join([p, q])
-            assert joined == Partition.from_labels(STATES4, list(zip(p.labels, q.labels)))
+            assert joined == Partition(STATES4, list(zip(p.labels, q.labels)))
             if refines(p, q):
                 assert joined is p
             elif refines(q, p):
@@ -450,7 +454,7 @@ class TestDelayPrimitives:
             trading = [f.partitions for f in m.trading_filtrations.values()]
             stopped = [stopped_fields(m.grand_filtration, sp.values) for sp in execution.delays.values()]
             # the generators' filtrations are mostly nested, random partitions rarely are
-            crossing = [[Partition.from_labels(states, [rng.randrange(3) for _ in states]) for _ in trading[0]]
+            crossing = [[Partition(states, [rng.randrange(3) for _ in states]) for _ in trading[0]]
                         for _ in range(2)]
             for seqs in (trading, stopped, crossing):
                 joined = join_each(seqs)
@@ -503,6 +507,16 @@ class TestValidateStoppingProcess:
         report = validate_stopping_process(sp, "execution")
         assert any("stopping property violated" in p for p in report)
 
+    @pytest.mark.parametrize("bad", [0.6, 1.9, True, rat(1)])
+    def test_values_that_are_not_ints_are_refused(self, bad):
+        """int() would truncate 0.6 to 0 and read True as 1; the table and
+        a deterministic schedule refuse such a value instead."""
+        trivial = Filtration.constant(Partition.trivial(STATES4), 3)
+        with pytest.raises(TypeError, match=rf"^grid value {re.escape(repr(bad))} is not an int$"):
+            StoppingProcess(((0,) * 4, (1, 1, bad, 1), (2,) * 4), trivial)
+        with pytest.raises(TypeError, match=rf"^grid value {re.escape(repr(bad))} is not an int$"):
+            StoppingProcess.deterministic([0, bad, 2], trivial)
+
     def test_unknown_mode_rejected(self):
         f = ladder_filtration()
         with pytest.raises(ValueError):
@@ -527,7 +541,7 @@ def _random_filtration(rng, states, length):
     for _ in range(length):
         if rng.random() < 0.6:
             labels = [label + (rng.randint(0, 1),) for label in labels]
-        partitions.append(Partition.from_labels(states, labels))
+        partitions.append(Partition(states, labels))
     return Filtration(tuple(partitions))
 
 
