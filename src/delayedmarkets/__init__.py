@@ -54,7 +54,7 @@ from .probability import (
     stopped_sigma_field,
     validate_stopping_process,
 )
-from .rationals import Rational, format_rational, parse_rational, rat
+from .rationals import Rational, format_rational, parse_rational
 from .scenarios import (
     EXPERIMENTS,
     ScenarioConfig,

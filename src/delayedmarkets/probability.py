@@ -21,7 +21,7 @@ from operator import le
 from typing import Iterable, Mapping, Sequence
 
 from .frozen import Frozen
-from .rationals import Rational, int_multiple, rat
+from .rationals import Rational, int_multiple
 
 
 class FiniteSpace(Frozen):
@@ -40,6 +40,7 @@ class FiniteSpace(Frozen):
         state_index = dict(zip(states, range(len(states))))  # state -> position
         if len(state_index) != len(states):
             raise ValueError("duplicate state names")
+        horizon, extended_horizon = grid_values((horizon, extended_horizon))
         if horizon < 1:
             raise ValueError("grid horizon must be at least 1")
         if extended_horizon < horizon:
@@ -58,7 +59,7 @@ class FiniteSpace(Frozen):
     @classmethod
     def uniform(cls, states: Sequence[str], horizon: int, extended_horizon: int) -> "FiniteSpace":
         n = len(states)
-        prob = {s: rat(1, n) for s in states}
+        prob = {s: Rational(1, n) for s in states}
         return cls(tuple(states), prob, horizon, extended_horizon)
 
 

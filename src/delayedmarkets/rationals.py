@@ -1,10 +1,12 @@
 """Exact rational arithmetic used everywhere in the core.
 
-Rational is fractions.Fraction. It does not sit in the LP, which takes
-ints only, or in the certificate checks: int_multiple turns a list of
-rationals into Python ints (times the lcm of its denominators) for a
-market's price scale, both certificate verifiers and the tests of state
-probabilities (sums_to_one, and FiniteSpace's positivity and sum) alike.
+Rational is fractions.Fraction and the module's one constructor: the
+package builds every rational with Rational(...). It does not sit in
+the LP, which takes ints only, or in the certificate checks:
+int_multiple turns a list of rationals into Python ints (times the lcm
+of its denominators) for a market's price scale, both certificate
+verifiers and the tests of state probabilities (sums_to_one, and
+FiniteSpace's positivity and sum) alike.
 The free-lunch oracle reads its few LP coefficients with
 as_integer_ratio itself.
 parse_rational accepts a literal on one path, of str builtins (partition,
@@ -19,20 +21,6 @@ import sys
 from fractions import Fraction as Rational
 
 ZERO = Rational(0)
-ONE = Rational(1)
-
-
-def rat(numerator, denominator=1) -> Rational:
-    """Build an exact rational from ints, strings like "3/4", or rationals;
-    a Rational with the default denominator is returned as it is, and two
-    ints make one Rational(numerator, denominator) directly."""
-    if type(numerator) is Rational and denominator == 1:
-        return numerator
-    if denominator == 1:
-        return Rational(numerator)
-    if type(numerator) is int and type(denominator) is int:
-        return Rational(numerator, denominator)
-    return Rational(numerator) / Rational(denominator)
 
 
 def int_multiple(values, scale: int | None = None) -> tuple[list[int], int]:

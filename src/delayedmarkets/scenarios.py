@@ -52,11 +52,12 @@ from .probability import (
     FiniteSpace,
     Partition,
     StoppingProcess,
+    grid_values,
     is_subfiltration,
     join_each,
     sigma_meet,
 )
-from .rationals import Rational, int_multiple, rat
+from .rationals import Rational, int_multiple
 
 
 class ScenarioConfig(Frozen):
@@ -68,8 +69,8 @@ class ScenarioConfig(Frozen):
 
     def __init__(self, seed: int = 0, num_states: int = 10, grid: int = 3, extension: int = 5, num_assets: int = 2,
                  max_index_sets: int = 4, brokers: int = 3):
-        self.__dict__.update(seed=seed, num_states=num_states, grid=grid, extension=extension,
-                             num_assets=num_assets, max_index_sets=max_index_sets, brokers=brokers)
+        sizes = grid_values((num_states, grid, extension, num_assets, max_index_sets, brokers))
+        self.__dict__.update(zip(self._fields, (seed, *sizes)))
         positive = ("num_states", "grid", "num_assets", "max_index_sets", "brokers")
         for name in positive:
             if getattr(self, name) < 1:
@@ -79,7 +80,7 @@ class ScenarioConfig(Frozen):
 
 
 # every price and payoff a generated market draws, n/d by (n, d), built once
-_SMALL_RATIONALS = {(n, d): rat(n, d) for n in range(-6, 13) for d in (1, 2, 4)}
+_SMALL_RATIONALS = {(n, d): Rational(n, d) for n in range(-6, 13) for d in (1, 2, 4)}
 
 
 def _rng(seed, *path) -> random.Random:
@@ -93,7 +94,7 @@ def _rng(seed, *path) -> random.Random:
 def random_positive_measure(rng: random.Random, states) -> dict[str, Rational]:
     weights = [rng.randint(1, 9) for _ in states]
     total = sum(weights)
-    return {s: rat(w, total) for s, w in zip(states, weights)}
+    return {s: Rational(w, total) for s, w in zip(states, weights)}
 
 
 def _random_split(rng: random.Random, part: Partition) -> Partition:
@@ -402,7 +403,7 @@ def _insider_walk(steps: int, lookahead: int, length: int, peek):
     states = _walk_states(length)
     extended = steps + lookahead
     space = FiniteSpace.uniform(states, steps, extended)
-    prices = tuple(tuple(rat(2 * s[:t].count("+") - t) for s in states) for t in range(extended + 1))
+    prices = tuple(tuple(Rational(2 * s[:t].count("+") - t) for s in states) for t in range(extended + 1))
     grand = _prefix_filtration(states, [min(t + lookahead, length) for t in range(extended + 1)])
     index_set = frozenset({"walk"})
     trading = {index_set: _prefix_filtration(states, peek)}

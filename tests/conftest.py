@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction as rat
+
 import pytest
 
 from delayedmarkets.arbitrage import (
@@ -15,9 +17,11 @@ from delayedmarkets.arbitrage import (
 from delayedmarkets.lp import row_basis
 from delayedmarkets.markets import Market, gain_generators
 from delayedmarkets.probability import Filtration, FiniteSpace, Partition, StoppingProcess
-from delayedmarkets.rationals import int_multiple, rat
+from delayedmarkets.rationals import int_multiple
 
 from reference_wealth import reference_wealth_process
+
+ONE = rat(1)
 
 
 def sparse(values) -> tuple:

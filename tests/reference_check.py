@@ -22,6 +22,7 @@ themselves: no row basis and nothing from `arbitrage`.
 
 from __future__ import annotations
 
+from fractions import Fraction as rat
 from types import SimpleNamespace
 
 from delayedmarkets.arbitrage import (
@@ -32,8 +33,9 @@ from delayedmarkets.arbitrage import (
 )
 from delayedmarkets.lp import OPTIMAL
 from delayedmarkets.markets import Market, gain_generators
-from delayedmarkets.rationals import ONE, ZERO, Rational, rat
+from delayedmarkets.rationals import ZERO, Rational
 
+from conftest import ONE
 from reference_free_lunch import reference_find_free_lunch
 from reference_lp import reference_row_basis, reference_solve
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from delayedmarkets.lp import OPTIMAL, UNBOUNDED, LpOutcome, Row
-from delayedmarkets.rationals import ONE, Rational, ZERO
+from delayedmarkets.rationals import Rational, ZERO
+
+from conftest import ONE
 
 INFEASIBLE = "infeasible"
 

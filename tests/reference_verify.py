@@ -9,7 +9,8 @@ from __future__ import annotations
 from delayedmarkets.arbitrage import MartingaleMeasureCertificate
 from delayedmarkets.markets import Market
 from delayedmarkets.probability import conditional_expectation
-from delayedmarkets.rationals import ONE
+
+from conftest import ONE
 
 
 def reference_verify_measure(m: Market, cert: MartingaleMeasureCertificate, horizon: int) -> bool:

@@ -9,6 +9,7 @@ status line per criterion.
 from __future__ import annotations
 
 import time
+from fractions import Fraction as rat
 from pathlib import Path
 
 from delayedmarkets.arbitrage import (
@@ -22,7 +23,6 @@ from delayedmarkets.arbitrage import (
 from delayedmarkets.delays import delayed_market, information_delayed_market, large_delayed_filtrations
 from delayedmarkets.markets import validate_market
 from delayedmarkets.probability import is_subfiltration, refines
-from delayedmarkets.rationals import rat
 from delayedmarkets.scenarios import (
     ScenarioConfig,
     _rng,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from fractions import Fraction as rat
 from itertools import islice
 from math import gcd
 from pathlib import Path
@@ -32,7 +33,7 @@ from delayedmarkets.delays import delayed_market, information_delayed_market
 from delayedmarkets.documents import parse_market_document, serialize_market_document
 from delayedmarkets.markets import GainGenerator, Market, Strategy, gain_generators, validate_market
 from delayedmarkets.probability import Filtration, FiniteSpace, Partition, conditional_expectation
-from delayedmarkets.rationals import ONE, ZERO, Rational, rat
+from delayedmarkets.rationals import ZERO, Rational
 from delayedmarkets.scenarios import (
     ScenarioConfig,
     _rng,
@@ -42,7 +43,7 @@ from delayedmarkets.scenarios import (
     gen_random_market,
 )
 
-from conftest import binomial_market, discrete_partition, one_certificate, reference_terminal_wealth, single_signed
+from conftest import ONE, binomial_market, discrete_partition, one_certificate, reference_terminal_wealth, single_signed
 from reference_check import reference_check_naflp, reference_find_martingale_measure, reference_projection
 from reference_free_lunch import reference_find_free_lunch
 from reference_verify import reference_verify_measure

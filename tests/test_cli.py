@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as rat
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,10 +17,10 @@ from delayedmarkets import cli, scenarios
 from delayedmarkets.arbitrage import OracleDisagreementError
 from delayedmarkets.cli import main
 from delayedmarkets.documents import parse_market_document, serialize_market_document
-from delayedmarkets.rationals import ONE, ZERO, rat
+from delayedmarkets.rationals import ZERO
 from delayedmarkets.scenarios import gen_insider_execution_market, gen_insider_market
 
-from conftest import binomial_market, identity_delay
+from conftest import ONE, binomial_market, identity_delay
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 DELAY_VALUE_ERROR = ValueError("index out of range in stopped field")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import weakref
+from fractions import Fraction as rat
 
 import pytest
 
@@ -37,7 +38,6 @@ from delayedmarkets.probability import (
     refines,
     stopped_fields,
 )
-from delayedmarkets.rationals import rat
 from delayedmarkets.scenarios import (
     ScenarioConfig,
     _rng,

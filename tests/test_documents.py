@@ -9,6 +9,7 @@ import itertools
 import json
 import sys
 import tempfile
+from fractions import Fraction as rat
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from delayedmarkets import documents
 from delayedmarkets.documents import DocumentError, parse_market_document, serialize_market_document
 from delayedmarkets.markets import Market
 from delayedmarkets.probability import Filtration, FiniteSpace, Partition, StoppingProcess
-from delayedmarkets.rationals import parse_rational, rat
+from delayedmarkets.rationals import parse_rational
 from delayedmarkets.scenarios import (
     ScenarioConfig,
     _rng,

@@ -6,6 +6,7 @@ from __future__ import annotations
 import inspect
 import subprocess
 import sys
+from fractions import Fraction as rat
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,6 @@ from delayedmarkets.frozen import Frozen
 from delayedmarkets.lp import LpOutcome, LpProblem
 from delayedmarkets.markets import GainGenerator, Market, Strategy
 from delayedmarkets.probability import Filtration, FiniteSpace, Partition, StoppingProcess
-from delayedmarkets.rationals import rat
 from delayedmarkets.scenarios import ExperimentReport, ScenarioConfig, TrialRecord
 
 SRC = Path(delayedmarkets.__file__).resolve().parent.parent

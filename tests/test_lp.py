@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction as rat
 from types import SimpleNamespace
 
 import pytest
@@ -29,7 +30,7 @@ from delayedmarkets.lp import (
     row_basis,
     solve,
 )
-from delayedmarkets.rationals import int_multiple, rat
+from delayedmarkets.rationals import int_multiple
 
 from conftest import dense, in_span, int_row, sparse
 from reference_lp import INFEASIBLE, reference_row_basis, reference_solve

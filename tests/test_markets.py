@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction as rat
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from delayedmarkets.markets import (
 )
 from delayedmarkets.probability import Filtration, FiniteSpace, Partition
 from delayedmarkets.arbitrage import FreeLunch, check_naflp, terminal_wealth, verify_certificate
-from delayedmarkets.rationals import Rational, rat
+from delayedmarkets.rationals import Rational
 from delayedmarkets.scenarios import ScenarioConfig, _rng, gen_martingale_market, gen_random_market
 
 from conftest import (

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from fractions import Fraction as rat
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,6 @@ from delayedmarkets.probability import (
     stopped_sigma_field,
     validate_stopping_process,
 )
-from delayedmarkets.rationals import rat
 from delayedmarkets.scenarios import _rng, gen_martingale_market, gen_random_delay
 
 from conftest import discrete_partition, identity_delay
@@ -613,3 +613,11 @@ class TestFiltration:
         assert vars(space)["state_index"] == {"b": 0, "a": 1, "c": 2}
         with pytest.raises(ValueError, match=r"^duplicate state names$"):
             FiniteSpace(("a", "b", "a"), {"a": rat(1, 2), "b": rat(1, 2)}, 1, 1)
+
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_space_bounds_that_are_not_ints_are_refused(self, bad):
+        """int() would read True as 1 and truncate a float; a space whose
+        grid bounds are not ints would fit no price table, so it is refused."""
+        for horizon, extended in ((bad, 2), (1, bad)):
+            with pytest.raises(TypeError, match=rf"^grid value {bad!r} is not an int$"):
+                FiniteSpace.uniform(("a", "b"), horizon, extended)

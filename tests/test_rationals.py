@@ -5,11 +5,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from delayedmarkets.rationals import int_multiple, rat, sums_to_one
+from delayedmarkets.rationals import int_multiple, sums_to_one
 
 VALUES = st.lists(st.one_of(st.integers(-10**9, 10**9), st.fractions(max_denominator=10**6)), max_size=12)
 
@@ -38,29 +37,3 @@ def test_sums_to_one_matches_fraction_sum(values):
     assert sums_to_one(values) == (total == 1)
     if total:
         assert sums_to_one([Fraction(v) / total for v in values])
-
-
-@given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12).filter(bool))
-@example(0, 5)
-@example(6, -4)
-@example(-3, -9)
-def test_rat_of_two_ints_is_their_fraction(n, d):
-    value = rat(n, d)
-    assert type(value) is Fraction
-    assert value == Fraction(n, d)
-
-
-def test_rat_of_other_arguments():
-    with pytest.raises(ZeroDivisionError):
-        rat(1, 0)
-    half = Fraction(1, 2)
-    assert rat(half) is half
-    assert rat(half, 3) == Fraction(1, 6)
-    assert rat("3/4") == Fraction(3, 4)
-    assert rat("3", "-4") == Fraction(-3, 4)
-    with pytest.raises(ZeroDivisionError):
-        rat("1", "0")
-    with pytest.raises(ValueError):
-        rat("x")
-    assert rat(True) == 1 and rat(True, 2) == half and rat(3, True) == 3
-    assert all(type(v) is Fraction for v in (rat(True), rat(True, 2), rat("3", "-4")))

@@ -9,6 +9,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from fractions import Fraction as rat
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,6 @@ from delayedmarkets.delays import (
 from delayedmarkets.documents import parse_market_document, serialize_market_document
 from delayedmarkets.markets import validate_market
 from delayedmarkets.probability import Partition, conditional_expectation, validate_stopping_process
-from delayedmarkets.rationals import rat
 from delayedmarkets.scenarios import (
     _SMALL_RATIONALS,
     WALK_STATE_CAP,
@@ -135,6 +135,15 @@ class TestGenerators:
         assert isinstance(check_naflp(m), NoFreeLunch)
         m2, fam2 = gen_insider_execution_market(2, 0)
         assert isinstance(check_naflp(m2), NoFreeLunch)
+
+    @pytest.mark.parametrize("size", ["num_states", "grid", "extension", "num_assets", "max_index_sets", "brokers"])
+    @pytest.mark.parametrize("bad", [True, 2.5])
+    def test_config_sizes_that_are_not_ints_are_refused(self, size, bad):
+        """A float size would fail each trial inside randrange, and a bool
+        would pass as 1; the config refuses both. The seed is any value."""
+        with pytest.raises(TypeError, match=rf"^grid value {bad!r} is not an int$"):
+            ScenarioConfig(**{size: bad})
+        assert ScenarioConfig(seed=bad).seed is bad
 
 
 class TestDraws:
