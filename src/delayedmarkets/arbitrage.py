@@ -299,8 +299,8 @@ def check_naflp(m: Market, horizon: int | None = None) -> Verdict:
     return FreeLunch(cert) if isinstance(cert, FreeLunchCertificate) else NoFreeLunch(cert)
 
 
-def verify_certificate(m: Market, v: Verdict, horizon: int | None = None) -> bool:
-    """Re-check a verdict's certificate on m.at_horizon(horizon) from scratch, on independent code paths.
+def verify_certificate(m: Market, v: Verdict) -> bool:
+    """Re-check a verdict's certificate on m from scratch, on independent code paths.
 
     A measure is verified by comparing q-weighted atom sums of every
     asset over every date pair of every trading filtration, in integers
@@ -308,7 +308,6 @@ def verify_certificate(m: Market, v: Verdict, horizon: int | None = None) -> boo
     integers (see terminal_wealth) and comparing it with the claimed one;
     nothing from the LP layer is reused.
     """
-    m = m.at_horizon(horizon)
     if isinstance(v, NoFreeLunch):
         return _verify_measure(m, v.certificate)
     if isinstance(v, FreeLunch):

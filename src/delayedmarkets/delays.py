@@ -55,13 +55,17 @@ class ExecutionDelayFamily(Frozen):
     """One execution delay per asset, with optional strict caps.
 
     A cap c for asset a promises value < c everywhere; uncapped assets
-    default to the top of the extended grid plus one.
+    default to the top of the extended grid plus one. A cap needs a delay
+    of its asset to bound.
     """
 
     _fields = ("delays", "caps")
 
     def __init__(self, delays: Mapping[str, StoppingProcess], caps: Mapping[str, int] | None = None):
         caps = {} if caps is None else dict(zip(caps, grid_values(caps.values())))
+        stray = sorted(set(caps) - set(delays))
+        if stray:
+            raise ValueError(f"cap for asset {stray[0]!r}, which has no execution delay")
         self.__dict__.update(delays=dict(delays), caps=caps)
 
     def cap(self, asset: str, extended_horizon: int) -> int:
@@ -72,70 +76,60 @@ class ExecutionDelayFamily(Frozen):
         return max(self.cap(a, extended_horizon) - 1 for a in self.delays)
 
 
+def _delay_problems(
+    m: Market, sp: StoppingProcess, mode: str, top: int, reference: Filtration, name: str, cap: int | None = None
+) -> list[str]:
+    """The problems of one delay on m: its table covers order times 0..n
+    and its information 0..top on m's states (a shape problem is reported
+    alone), it is a valid `mode` stopping process, its information is
+    coarser than `reference`, the `name` filtration, and, for an execution
+    delay, every value lies below its cap."""
+    n = m.space.horizon
+    if sp.info.states != m.space.states:
+        return ["delay information lives on a different state set"]
+    if sp.grid_length() != n + 1:
+        return [f"delay table must cover grid times 0..{n}"]
+    if len(sp.info) != top + 1:
+        return [f"delay information must cover grid times 0..{top}"]
+    found = validate_stopping_process(sp, mode)
+    if not is_subfiltration(sp.info, reference):
+        found.append(f"delay information is not coarser than the {name} filtration")
+    if cap is not None:
+        if not 1 <= cap <= top + 1:
+            found.append(f"cap {cap} outside 1..{top + 1}")
+        if max(map(max, sp.values)) >= cap:
+            t, v = next((t, v) for t, row in enumerate(sp.values) for v in row if v >= cap)
+            found.append(f"cap {cap} violated at t={t} (value {v})")
+    return found
+
+
 def validate_information_family(m: Market, fam: InformationDelayFamily) -> list[str]:
     """Diagnostic report; empty means the family is usable on this market.
 
     Admissibility relates the family to m, so a family holds no market:
     every delay operation checks its family on the market it is given.
     """
-    problems: list[str] = []
-    horizon = m.space.horizon
+    problems = [f"no information delay for index set {sorted(a)}" for a in m.index_system if a not in fam.delays]
     members = set(m.index_system)
-    for a in m.index_system:
-        if a not in fam.delays:
-            problems.append(f"no information delay for index set {sorted(a)}")
     for a, sp in fam.delays.items():
         if a not in members:
             problems.append(f"information delay for unknown index set {sorted(a)}")
             continue
-        if sp.info.states != m.space.states:
-            found = ["delay information lives on a different state set"]
-        elif sp.grid_length() != horizon + 1:
-            found = [f"delay table must cover grid times 0..{horizon}"]
-        elif len(sp.info) != horizon + 1:
-            found = [f"delay information must cover grid times 0..{horizon}"]
-        else:
-            found = validate_stopping_process(sp, "information")
-            if not is_subfiltration(sp.info, m.trading_filtrations[a]):
-                found.append("delay information is not coarser than the trading filtration")
-        if found:
-            problems += [f"index set {sorted(a)}: {p}" for p in found]
+        found = _delay_problems(m, sp, "information", m.space.horizon, m.trading_filtrations[a], "trading")
+        problems += [f"index set {sorted(a)}: {p}" for p in found]
     return problems
 
 
 def validate_execution_family(m: Market, fam: ExecutionDelayFamily) -> list[str]:
     """Diagnostic report; empty means the family is usable on this market."""
-    problems: list[str] = []
-    horizon = m.space.horizon
+    problems = [f"no execution delay for asset {a!r}" for a in m.assets if a not in fam.delays]
     extended = m.space.extended_horizon
-    for a in m.assets:
-        if a not in fam.delays:
-            problems.append(f"no execution delay for asset {a!r}")
     for a, sp in fam.delays.items():
         if a not in m.assets:
             problems.append(f"execution delay for unknown asset {a!r}")
             continue
-        if sp.info.states != m.space.states:
-            found = ["delay information lives on a different state set"]
-        elif sp.grid_length() != horizon + 1:
-            found = [f"delay table must cover grid times 0..{horizon}"]
-        elif len(sp.info) != extended + 1:
-            found = [f"delay information must cover grid times 0..{extended}"]
-        else:
-            found = validate_stopping_process(sp, "execution")
-            if not is_subfiltration(sp.info, m.grand_filtration):
-                found.append("delay information is not coarser than the grand filtration")
-            cap = fam.cap(a, extended)
-            if not 1 <= cap <= extended + 1:
-                found.append(f"cap {cap} outside 1..{extended + 1}")
-            if max(map(max, sp.values)) >= cap:
-                for t, row in enumerate(sp.values):
-                    bad = [v for v in row if v >= cap]
-                    if bad:
-                        found.append(f"cap {cap} violated at t={t} (value {bad[0]})")
-                        break
-        if found:
-            problems += [f"asset {a!r}: {p}" for p in found]
+        found = _delay_problems(m, sp, "execution", extended, m.grand_filtration, "grand", fam.cap(a, extended))
+        problems += [f"asset {a!r}: {p}" for p in found]
     return problems
 
 

@@ -76,10 +76,11 @@ class Market(Frozen):
     def at_horizon(self, horizon: int | None) -> "Market":
         """The market traded over 0..horizon, for checking only: past its
         declared grid each trading filtration repeats its final partition,
-        and None or the own horizon gives the market itself. Delay tables
-        cover 0..n, so the delay functions take a market at its own horizon."""
+        and None or the own horizon gives the market itself. A horizon that
+        is not an int raises TypeError. Delay tables cover 0..n, so the
+        delay functions take a market at its own horizon."""
         n, n_ext = self.space.horizon, self.space.extended_horizon
-        if horizon is None or horizon == n:
+        if horizon is None or grid_values((horizon,)) == (n,):
             return self
         if not n <= horizon <= n_ext:
             raise ValueError(f"horizon must lie in {n}..{n_ext}")

@@ -375,9 +375,9 @@ class TestDualMeasure:
             cert = find_free_lunch(at, gens)
             assert isinstance(cert, MartingaleMeasureCertificate), (i, h)
             verdict = check_naflp(m, h)
-            assert verdict == NoFreeLunch(cert) and verify_certificate(m, verdict, h), (i, h)
+            assert verdict == NoFreeLunch(cert) and verify_certificate(at, verdict), (i, h)
             expected = reference_check_naflp(m, h)
-            assert isinstance(expected, NoFreeLunch) and verify_certificate(m, expected, h), (i, h)
+            assert isinstance(expected, NoFreeLunch) and verify_certificate(at, expected), (i, h)
             assert (verdict == expected) == ((i, h) != (429, 3)), (i, h)
 
 
@@ -731,6 +731,17 @@ class TestExtendedHorizon:
             with pytest.raises(ValueError, match=r"^horizon must lie in 1\.\.3$"):
                 check_naflp(m, h)
 
+    @pytest.mark.parametrize("market, horizon", [
+        (gen_insider_execution_market(2, 1)[0], 2.0),
+        (gen_insider_execution_market(2, 1)[0], 3.0),
+        (gen_insider_market(1, 1)[0], True),
+    ])
+    def test_a_horizon_that_is_not_an_int_is_refused(self, market, horizon):
+        with pytest.raises(TypeError, match=rf"^grid value {horizon!r} is not an int$"):
+            market.at_horizon(horizon)
+        with pytest.raises(TypeError, match=rf"^grid value {horizon!r} is not an int$"):
+            check_naflp(market, horizon)
+
 
 class TestGoldenFiles:
     def render_all(self):
@@ -814,7 +825,7 @@ class TestGoldenFiles:
         for label, m in islice(desk_and_walks(500), 500):  # the desk markets only
             for h in range(m.space.horizon, m.space.extended_horizon + 1):
                 verdict, expected = check_naflp(m, h), reference_check_naflp(m, h)
-                assert verify_certificate(m, verdict, h), f"{label} at {h}"
+                assert verify_certificate(m.at_horizon(h), verdict), f"{label} at {h}"
                 rendered = render_verdict(verdict, m.space.states)
                 assert verdict == expected and rendered == render_verdict(expected, m.space.states), \
                     f"{label} at {h}"

@@ -192,7 +192,7 @@ class TestCheck:
     def test_failed_reverification_exit_four(self, binomial_path, monkeypatch, capsys):
         import delayedmarkets.cli as cli
 
-        monkeypatch.setattr(cli, "verify_certificate", lambda m, verdict, horizon=None: False)
+        monkeypatch.setattr(cli, "verify_certificate", lambda m, verdict: False)
         assert main(["check", str(binomial_path)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -401,6 +401,14 @@ def test_caps_that_are_not_ints_are_refused(bad):
     assert ExecutionDelayFamily({"walk": pi}, {"walk": 3}).caps == {"walk": 3}
 
 
+def test_a_cap_without_its_delay_is_refused():
+    """A cap bounds a delay of its asset; on any other asset it would
+    validate and then be lost by a document round trip."""
+    _, fam = gen_insider_execution_market(2, 1)
+    with pytest.raises(ValueError, match=r"^cap for asset 'ghost', which has no execution delay$"):
+        ExecutionDelayFamily(fam.delays, {**fam.caps, "zeta": 1, "ghost": 1})
+
+
 def deterministic_exec(schedule, states, info_length):
     triv = Filtration.constant(Partition.trivial(states), info_length)
     return StoppingProcess.deterministic(schedule, triv)
@@ -703,11 +711,37 @@ class TestFamilyValidation:
             "information delay for unknown index set ['ghost']",
         ]
 
+    def test_information_family_input_errors(self):
+        m, fam = gen_insider_market(2, 1)
+        [(walk, sp)] = fam.delays.items()
+        foreign = identity_delay(3, Filtration.constant(Partition.trivial(("x", "y")), 3))
+        fine = Filtration.constant(discrete_partition(m.space.states), 3)
+        cases = [
+            ({}, ["no information delay for index set ['walk']"]),
+            ({walk: sp, frozenset({"ghost"}): sp}, ["information delay for unknown index set ['ghost']"]),
+            ({walk: foreign}, ["index set ['walk']: delay information lives on a different state set"]),
+            ({walk: StoppingProcess(sp.values[:2], sp.info)}, ["index set ['walk']: delay table must cover grid times 0..2"]),
+            ({walk: StoppingProcess(sp.values, sp.info.restrict(2))},
+             ["index set ['walk']: delay information must cover grid times 0..2"]),
+            ({walk: StoppingProcess.deterministic([0, 1, 0], sp.info)},
+             [f"index set ['walk']: path-wise monotonicity violated at state {s}: value(1)=1 > value(2)=0"
+              for s in m.space.states]),
+            ({walk: StoppingProcess(sp.values, fine)},
+             ["index set ['walk']: delay information is not coarser than the trading filtration"]),
+        ]
+        for family, problems in cases:
+            assert validate_information_family(m, InformationDelayFamily(family)) == problems
+
     def test_execution_family_cap_violation(self):
         m, fam = gen_insider_execution_market(2, 1)
         assert validate_execution_family(m, fam) == []
-        tight = ExecutionDelayFamily(fam.delays, {"walk": 2})
-        assert any("cap 2 violated" in p for p in validate_execution_family(m, tight))
+        cases = [
+            (2, ["asset 'walk': cap 2 violated at t=1 (value 2)"]),
+            (0, ["asset 'walk': cap 0 outside 1..4", "asset 'walk': cap 0 violated at t=0 (value 1)"]),
+            (5, ["asset 'walk': cap 5 outside 1..4"]),
+        ]
+        for cap, problems in cases:
+            assert validate_execution_family(m, ExecutionDelayFamily(fam.delays, {"walk": cap})) == problems
 
     def test_execution_family_input_errors(self):
         m, fam = gen_insider_execution_market(2, 1)
@@ -726,6 +760,11 @@ class TestFamilyValidation:
         ]
         for family, problem in cases:
             assert validate_execution_family(m, ExecutionDelayFamily(family)) == [problem]
+        unordered = ExecutionDelayFamily({"walk": StoppingProcess.deterministic([2, 1, 2], sp.info)})
+        assert validate_execution_family(m, unordered) == [
+            f"asset 'walk': path-wise monotonicity violated at state {s}: value(0)=2 > value(1)=1"
+            for s in m.space.states
+        ]
 
     def test_step_continuity_predicate(self):
         triv = Filtration.constant(Partition.trivial(("x", "y")), 6)

@@ -82,7 +82,7 @@ class TestGenerators:
         cfg = ScenarioConfig(seed=107)
         for i in range(10):
             m, q = gen_martingale_market(cfg, rng=_rng(cfg.seed, "mart-q", i), with_measure=True)
-            assert verify_certificate(m, NoFreeLunch(q), m.space.extended_horizon)
+            assert verify_certificate(m.at_horizon(m.space.extended_horizon), NoFreeLunch(q))
 
     def test_single_backward_step_matches_average(self):
         cfg = ScenarioConfig(seed=109, grid=1, extension=1)
@@ -360,7 +360,7 @@ class TestExperiments:
         names the market whose certificate was rejected."""
         import delayedmarkets.scenarios as sc
 
-        monkeypatch.setattr(sc, "verify_certificate", lambda m, v, horizon=None: False)
+        monkeypatch.setattr(sc, "verify_certificate", lambda m, v: False)
         if kind == "insider-demo":
             report = run_experiment(ScenarioConfig(seed=1), kind, 2)
             assert [f["detail"] for f in report.failures] == [
